@@ -326,11 +326,6 @@ class Poly:
         return f"Poly({self.ring}: {self})"
 
 
-def substitute_linear(p: Poly, images: Sequence[Poly]) -> Poly:
-    """Functional form of Poly.substitute."""
-    return p.substitute(images)
-
-
 def linear_form(table: VarTable, coeffs: Sequence, ring: str = PRIMAL) -> Poly:
     """Sum of coeffs[i] * variable_i."""
     terms = {}
@@ -359,23 +354,6 @@ def uni_trim(a: list) -> list:
     return a
 
 
-def uni_add(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return uni_trim(out)
-
-
-def uni_scale(a: list, c) -> list:
-    c = _as_fraction(c)
-    if c == 0:
-        return []
-    return [x * c for x in a]
-
-
 def uni_mul(a: list, b: list) -> list:
     if not a or not b:
         return []
@@ -386,10 +364,6 @@ def uni_mul(a: list, b: list) -> list:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return uni_trim(out)
-
-
-def uni_sub(a: list, b: list) -> list:
-    return uni_add(a, uni_scale(b, -1))
 
 
 def uni_divmod(a: list, b: list) -> tuple:

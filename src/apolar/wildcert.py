@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
+from math import lcm, prod
 from typing import Optional, Sequence
 
 from . import linalg
@@ -380,9 +381,10 @@ class ProductLocus:
     """Solutions (point, factor) of  (point-form) * (factor-form) annihilating f.
 
     `quadric` is the implicit degree-2 equation in point coordinates over the
-    perp basis; `samples` are grid points with their factor solutions;
-    `extra_samples` come from the rational parametrization and are verified
-    the same way.
+    perp basis, eliminated from the 2x2 minors.  Each sample pairs the point
+    solved from one fixed factor over the complement basis with the factor
+    re-solved at that point; `samples` holds the first six and
+    `extra_samples` the rest, all verified the same way.
     """
 
     quadric: tuple  # coefficients over monomials(k, 2)
@@ -396,43 +398,37 @@ class ProductLocus:
         return self.samples + self.extra_samples
 
     def quadric_value(self, u) -> Fraction:
-        k = len(self.perp_basis)
-        total = Fraction(0)
-        for coeff, mono in zip(self.quadric, monomials(k, 2)):
-            if coeff:
-                term = coeff
-                for ui, e in zip(u, mono):
-                    for _ in range(e):
-                        term *= ui
-                total += term
-        return total
+        return linalg.mat_vec([_quadric_monomials(u)], self.quadric)[0]
 
 
-def _normalize_point(u):
-    from math import gcd
-
-    den = 1
-    for c in u:
-        den = den * Fraction(c).denominator // gcd(den, Fraction(c).denominator)
-    ints = [int(Fraction(c) * den) for c in u]
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g:
-        ints = [c // g for c in ints]
-    for c in ints:
-        if c:
-            if c < 0:
-                ints = [-x for x in ints]
-            break
-    return tuple(Fraction(c) for c in ints)
+def _quadric_monomials(u) -> list:
+    """The degree-2 monomials in the point coordinates, evaluated at u."""
+    return [prod(ui ** e for ui, e in zip(u, mono)) for mono in monomials(len(u), 2)]
 
 
-def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly],
-                  grid_range: int = 3) -> ProductLocus:
+# Factors (c0, c1) whose kernels give the conic points, in sampling order.  On
+# a smooth conic every factor yields exactly one point, so the first eleven
+# are used; the spares stand in for factors whose kernel degenerates.
+_FACTORS = (
+    (0, 1), (1, 1), (1, -2), (2, -1), (1, -1), (1, 0),
+    (3, -1), (2, 1), (4, -1), (2, -3), (4, -3),
+    (1, 2), (1, -3), (3, 1), (1, 3), (3, -2),
+)
+_SAMPLE_COUNT = 6
+_POINT_COUNT = 11
+
+
+def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly]) -> ProductLocus:
     """Describe {point u : some factor over comp_basis multiplies the u-form
-    into the annihilator}; exact elimination gives the quadric, grid plus
-    parametrized sampling verifies it."""
+    into the annihilator}.
+
+    Exact elimination gives the quadric.  The points come from the factor
+    side: a smooth conic with a rational point is rational, and the factor
+    coordinate parametrizes it, so a fixed factor c gives its point u as the
+    one-dimensional kernel of the linear map u -> contract(u-form * c-form, f).
+    Every point must lie on the quadric and solve back to a factor
+    proportional to c, and the points together must pin the quadric.
+    """
     if len(comp_basis) != 2:
         raise ValueError("the factor space must be 2-dimensional")
     k = len(perp_basis)
@@ -443,23 +439,6 @@ def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly
         for b in perp_basis
     ]
     ncoord = len(base[0][0])
-
-    def residue_matrix(u):
-        cols = []
-        for t in range(2):
-            col = [Fraction(0)] * ncoord
-            for j in range(k):
-                if u[j]:
-                    for i in range(ncoord):
-                        col[i] += u[j] * base[j][t][i]
-            cols.append(col)
-        return cols
-
-    def solve_factor(u):
-        cols = residue_matrix(u)
-        rows = [[cols[0][i], cols[1][i]] for i in range(ncoord)]
-        ker = linalg.kernel_basis(rows, 2)
-        return tuple(ker[0]) if ker else None
 
     # quadric via the 2x2 minors of the residue matrix (quadratic forms in u)
     qmonos = list(monomials(k, 2))
@@ -480,60 +459,44 @@ def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly
                 minor_vecs.append(coeffs)
     _, minor_red = linalg.rref(minor_vecs)
     if len(minor_red) != 1:
-        # gather whatever the grid says to help diagnose
-        raw = []
-        for cand in product(range(-grid_range, grid_range + 1), repeat=k):
-            if not any(cand):
-                continue
-            u = _normalize_point(cand)
-            c = solve_factor(u)
-            if c is not None:
-                raw.append((u, c))
         raise LocusShapeError(
-            f"the solution locus is not a single quadric (minor span rank {len(minor_red)})",
-            samples=raw,
+            f"the solution locus is not a single quadric (minor span rank {len(minor_red)})"
         )
     quadric = tuple(minor_red[0])
 
-    def qval(u):
-        total = Fraction(0)
-        for coeff, mono in zip(quadric, qmonos):
-            if coeff:
-                term = coeff
-                for ui, e in zip(u, mono):
-                    for _ in range(e):
-                        term *= ui
-                total += term
-        return total
+    points = []
+    for c0, c1 in _FACTORS:
+        if len(points) == _POINT_COUNT:
+            break
+        rows = [[c0 * base[j][0][i] + c1 * base[j][1][i] for j in range(k)] for i in range(ncoord)]
+        ker = linalg.kernel_basis(rows, k)
+        if len(ker) != 1:
+            continue
+        # the reduced kernel vector leads with 1, so clearing its denominators
+        # leaves coprime integers with the first nonzero entry positive
+        den = lcm(*(x.denominator for x in ker[0]))
+        u = tuple(x * den for x in ker[0])
+        cols = [[sum(u[j] * base[j][t][i] for j in range(k)) for t in range(2)]
+                for i in range(ncoord)]
+        factor = linalg.kernel_basis(cols, 2)
+        if len(factor) != 1 or factor[0][0] * c1 != factor[0][1] * c0:
+            raise LocusShapeError(f"the point of factor {(c0, c1)} does not solve back to it",
+                                  samples=points)
+        points.append((u, tuple(factor[0])))
 
-    def scan(radius):
-        found = []
-        seen_local = set()
-        for cand in product(range(-radius, radius + 1), repeat=k):
-            if not any(cand):
-                continue
-            u = _normalize_point(cand)
-            if u in seen_local:
-                continue
-            seen_local.add(u)
-            c = solve_factor(u)
-            if c is not None:
-                if qval(u) != 0:
-                    raise LocusShapeError("solvable point off the quadric", samples=[(u, c)])
-                found.append((u, c))
-        return found, seen_local
-
-    samples, seen = scan(grid_range)
-    if not samples:
-        # rational points can land outside a small grid after a change of
-        # coordinates; one point is enough, the parametrization does the rest
-        for radius in (2 * grid_range, 4 * grid_range, 8 * grid_range):
-            samples, seen = scan(radius)
-            if samples:
-                break
-
+    # every point lies on the quadric, and together they must pin it uniquely
+    eval_rows = [_quadric_monomials(u) for u, _ in points]
+    for sample, value in zip(points, linalg.mat_vec(eval_rows, quadric)):
+        if value:
+            raise LocusShapeError("solvable point off the quadric", samples=[sample])
+    ker = linalg.kernel_basis(eval_rows, len(qmonos))
+    if len(ker) != 1 or tuple(ker[0]) != quadric:
+        raise LocusShapeError(
+            f"samples do not pin a unique quadric ({len(points)} samples,"
+            f" kernel dimension {len(ker)})",
+            samples=points,
+        )
     smooth = False
-    extras = []
     if k == 3:
         m3 = [
             [quadric[0], quadric[1] / 2, quadric[2] / 2],
@@ -541,74 +504,14 @@ def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly
             [quadric[2] / 2, quadric[4] / 2, quadric[5]],
         ]
         smooth = linalg.rank(m3) == 3
-        if smooth and samples:
-            p0 = samples[0][0]
-
-            def bilinear(x, y):
-                return (qval([a + b for a, b in zip(x, y)]) - qval(x) - qval(y)) / 2
-
-            axes = [(Fraction(1), Fraction(0), Fraction(0)),
-                    (Fraction(0), Fraction(1), Fraction(0)),
-                    (Fraction(0), Fraction(0), Fraction(1))]
-            dirs = [a for a in axes if linalg.rank([list(p0), list(a)]) == 2][:2]
-            d0, d1 = dirs
-            spool = [Fraction(x) for x in (0, 1, -1, 2, -2)] + [Fraction(1, 2)] + [
-                Fraction(x) for x in (3, -3)
-            ] + [Fraction(1, 3), Fraction(-1, 3), Fraction(4), Fraction(-4),
-                 Fraction(1, 4), Fraction(-1, 4), Fraction(5), Fraction(-5)]
-            wanted = max(5, 6 - len(samples))
-            for s in spool:
-                if len(extras) >= wanted:
-                    break
-                direction = [a + s * b for a, b in zip(d0, d1)]
-                a_val = qval(direction)
-                b_val = bilinear(list(p0), direction)
-                if a_val == 0:
-                    pt = _normalize_point(direction)
-                else:
-                    lam = -2 * b_val / a_val
-                    if lam == 0:
-                        continue
-                    pt = _normalize_point([p + lam * dd for p, dd in zip(p0, direction)])
-                if pt in seen:
-                    continue
-                seen.add(pt)
-                if qval(pt) != 0:
-                    raise LocusShapeError("parametrized point off the quadric")
-                c = solve_factor(pt)
-                if c is None:
-                    raise LocusShapeError("parametrized point not solvable", samples=samples)
-                extras.append((pt, c))
-
-    # the fit check: the verified samples must pin the quadric uniquely
-    eval_rows = []
-    for u, _ in samples + extras:
-        eval_rows.append([
-            _mono_value(u, mono) for mono in qmonos
-        ])
-    ker = linalg.kernel_basis(eval_rows, len(qmonos))
-    if len(ker) != 1 or tuple(ker[0]) != quadric:
-        raise LocusShapeError(
-            f"samples do not pin a unique quadric ({len(samples) + len(extras)} samples,"
-            f" kernel dimension {len(ker)})",
-            samples=samples,
-        )
     return ProductLocus(
         quadric=quadric,
-        samples=tuple(samples),
-        extra_samples=tuple(extras),
+        samples=tuple(points[:_SAMPLE_COUNT]),
+        extra_samples=tuple(points[_SAMPLE_COUNT:]),
         perp_basis=tuple(perp_basis),
         comp_basis=tuple(comp_basis),
         smooth=smooth,
     )
-
-
-def _mono_value(u, mono):
-    total = Fraction(1)
-    for ui, e in zip(u, mono):
-        for _ in range(e):
-            total *= ui
-    return total
 
 
 def gamma_space(f: Poly, point_form: Poly):
@@ -999,12 +902,28 @@ class WildReport:
         return out
 
 
+def _slice_saturation_evidence(g: Poly, evidence: list, certificates: list) -> tuple:
+    """Append the slice-saturation cactus bound and its certificate when the
+    pattern applies; returns the saturation gammas as printable forms."""
+    csl = cactus_lower_via_slice(g)
+    if csl is None:
+        return ()
+    evidence.append(
+        Deduction("cactus", "lower", csl.bound, rule="slice-saturation",
+                  detail=f"saturated linear quotient {csl.quotient_h1} < {csl.conciseness}")
+    )
+    certificates.append(
+        CertificateRecord(kind="cactus-slice-saturation", verified=True,
+                          stage_log=csl.stage_log())
+    )
+    return tuple(str(gamma) for gamma in csl.gamma_basis)
+
+
 def _wild_route_evidence(g: Poly, pairs, r_max: int):
     """Certificates for a concise cubic with square-pair data."""
     evidence = []
     certificates = []
     notes = []
-    sat_gammas = ()
     border_witness = None
 
     z_rows = [linear_coeffs(z) for z, _ in pairs]
@@ -1067,17 +986,7 @@ def _wild_route_evidence(g: Poly, pairs, r_max: int):
     except ValueError as exc:
         notes.append(f"power-sum upper bound unavailable: {exc}")
 
-    csl = cactus_lower_via_slice(g)
-    if csl is not None:
-        evidence.append(
-            Deduction("cactus", "lower", csl.bound, rule="slice-saturation",
-                      detail=f"saturated linear quotient {csl.quotient_h1} < {csl.conciseness}")
-        )
-        certificates.append(
-            CertificateRecord(kind="cactus-slice-saturation", verified=True,
-                              stage_log=csl.stage_log())
-        )
-        sat_gammas = tuple(str(gamma) for gamma in csl.gamma_basis)
+    sat_gammas = _slice_saturation_evidence(g, evidence, certificates)
 
     if g.table.n == 5 and len(pairs) == 3:
         r9 = rank9_lower_cert(g, r_max=r_max, square_pairs=pairs)
@@ -1130,14 +1039,8 @@ def theorem2_report(f, r_max: int = 8) -> WildReport:
         evidence.append(Deduction("all", "exact", q, rule="quadric-conciseness",
                                   detail="all notions coincide for quadrics"))
     elif es.dim <= 2:
-        syl = sylvester_binary(g)
-        evidence += [
-            Deduction("border", "exact", syl.border, rule="binary-kernel",
-                      detail=f"d1={syl.d1}, d2={syl.d2}"),
-            Deduction("smoothable", "exact", syl.border, rule="binary-kernel"),
-            Deduction("cactus", "exact", syl.border, rule="binary-kernel"),
-            Deduction("rank", "exact", syl.rank, rule="binary-square-free"),
-        ]
+        # the first deduction is conciseness, which aggregate() re-injects
+        evidence += sylvester_binary(g).report.provenance[1:]
     else:
         components = direct_summands(g)
         if len(components) >= 2 and pres is None:
@@ -1177,17 +1080,7 @@ def theorem2_report(f, r_max: int = 8) -> WildReport:
             for r in sub_reports:
                 certificates.extend(r.certificates)
             if d == 3:
-                csl = cactus_lower_via_slice(g)
-                if csl is not None:
-                    evidence.append(
-                        Deduction("cactus", "lower", csl.bound, rule="slice-saturation",
-                                  detail=f"saturated linear quotient {csl.quotient_h1} < {csl.conciseness}")
-                    )
-                    certificates.append(
-                        CertificateRecord(kind="cactus-slice-saturation", verified=True,
-                                          stage_log=csl.stage_log())
-                    )
-                    sat_gammas = tuple(str(gamma) for gamma in csl.gamma_basis)
+                sat_gammas = _slice_saturation_evidence(g, evidence, certificates)
         elif d == 3:
             pairs = pres.square_pairs if pres is not None else extract_square_pairs(g)
             if pairs:
@@ -1198,17 +1091,7 @@ def theorem2_report(f, r_max: int = 8) -> WildReport:
                 certificates += wild_certs
                 notes += wild_notes
             else:
-                csl = cactus_lower_via_slice(g)
-                if csl is not None:
-                    evidence.append(
-                        Deduction("cactus", "lower", csl.bound, rule="slice-saturation",
-                                  detail=f"saturated linear quotient {csl.quotient_h1} < {csl.conciseness}")
-                    )
-                    certificates.append(
-                        CertificateRecord(kind="cactus-slice-saturation", verified=True,
-                                          stage_log=csl.stage_log())
-                    )
-                    sat_gammas = tuple(str(gamma) for gamma in csl.gamma_basis)
+                sat_gammas = _slice_saturation_evidence(g, evidence, certificates)
                 notes.append("no squares-times-lines shape found; reporting catalecticant bounds")
 
     report = aggregate(g, evidence)

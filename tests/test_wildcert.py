@@ -284,3 +284,18 @@ def test_presentation_transform_preserves_values():
     assert moved.poly == F.substitute(images)
     rep = theorem2_report(moved)
     assert rep.final() == {"border": 5, "smoothable": 6, "cactus": 6, "rank": 9}
+
+
+def test_gl5_stream_certifies_the_same_values():
+    # twelve dense coordinate changes (seed 7, entries in -3..3); the rank
+    # notions are GL-invariant, so every instance must certify the same values
+    rng = random.Random(7)
+    for _ in range(12):
+        while True:
+            m = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
+            if linalg.rank(m) == 5:
+                break
+        moved = transform_presentation(PRES, [linear_form(T5, row) for row in m])
+        rep = theorem2_report(moved)
+        assert rep.final() == {"border": 5, "smoothable": 6, "cactus": 6, "rank": 9}
+        assert all(c.verified for c in rep.certificates)
