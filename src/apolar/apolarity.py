@@ -171,3 +171,10 @@ def concise_dim(f: Poly) -> EssentialSpace:
     if reduced.substitute(list(basis)) != f:
         raise ValueError("essential-variable reduction failed to reproduce the input")
     return EssentialSpace(dim=n, basis=basis, reduced=reduced, table=sub_table)
+
+
+def essential_form(f: Poly) -> tuple:
+    """(concise_dim(f), f in its essential variables); f itself, on its own
+    table, when it is already concise."""
+    es = concise_dim(f)
+    return es, (es.reduced if es.dim != f.table.n else f)

@@ -9,58 +9,46 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from dataclasses import asdict
 
 from . import __version__
-from .apolarity import ann_slice, catalecticant, concise_dim, hilbert_function
+from .apolarity import ann_slice, catalecticant, concise_dim, essential_form, hilbert_function
 from .ideals import macaulay_bound
 from .parsing import ParseError, parse_poly
 from .poly import Poly
-from .ranks import aggregate, catalecticant_deduction, quadric_rank, sylvester_binary
+from .ranks import CertificateRecord, sylvester_binary
 from .wildcert import (
-    cactus_lower_via_slice,
-    extract_square_pairs,
-    rank9_lower_cert,
-    tangent_data_for_pairs,
+    classical_report,
+    counting_certificate,
+    limit_family_certificate,
+    slice_saturation_certificate,
     theorem2_report,
 )
-from .witness import direct_sum_extend, double_point_span, tangent_limit_family, verify_limit
+from .witness import direct_sum_extend, double_point_certificate
 
 
 class InputError(ValueError):
     pass
 
 
-class CertFailure(Exception):
-    pass
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
-def _parse_input_poly(args, attr="poly", require_homogeneous=True) -> Poly:
-    text = getattr(args, attr.replace("-", "_"), None)
-    if not text:
-        raise InputError(f"--{attr} is required for this command")
+def _parse_input_poly(args) -> Poly:
+    if not args.poly:
+        raise InputError("--poly is required for this command")
     vars_ = args.vars.split(",") if args.vars else None
     duals = args.dual_names.split(",") if args.dual_names else None
     try:
-        p = parse_poly(text, vars=vars_, dual_names=duals)
+        p = parse_poly(args.poly, vars=vars_, dual_names=duals)
     except ParseError as exc:
         raise InputError(str(exc)) from exc
     if p.is_zero():
         raise InputError("the zero polynomial is not a valid input here")
-    if require_homogeneous and not p.is_homogeneous():
+    if not p.is_homogeneous():
         raise InputError("rank computations need a homogeneous polynomial")
     return p
 
 
 def _cert_dicts(records) -> list:
-    return [
-        {"kind": c.kind, "verified": c.verified, "stage_log": list(c.stage_log)}
-        for c in records
-    ]
+    return [asdict(c) for c in records]
 
 
 def _cmd_hilbert(args):
@@ -94,7 +82,7 @@ def _cmd_catalecticant(args):
         "cols": m.ncols,
         "row_labels": list(m.row_labels),
         "col_labels": list(m.col_labels),
-        "entries": [[_frac(c) for c in row] for row in m.entries],
+        "entries": [[str(c) for c in row] for row in m.entries],
     }, [], True
 
 
@@ -131,48 +119,25 @@ def _cmd_sylvester(args):
 
 
 def _cmd_rank_bounds(args):
-    p = _parse_input_poly(args)
-    d = p.homogeneous_degree()
-    es = concise_dim(p)
-    if d == 2:
-        q = quadric_rank(p)
-        bounds = {n: {"lower": q, "upper": q, "exact": q}
-                  for n in ("border", "smoothable", "cactus", "rank")}
-    elif es.dim <= 2:
-        bounds = sylvester_binary(p).report.as_dict()
-    else:
-        bounds = aggregate(p, [catalecticant_deduction(p)]).as_dict()
-    return {"bounds": bounds, "conciseness": es.dim}, [], True
+    conciseness, report = classical_report(_parse_input_poly(args))
+    return {"bounds": report.as_dict(), "conciseness": conciseness}, [], True
 
 
 def _cmd_witness_verify(args):
-    p = _parse_input_poly(args)
-    es = concise_dim(p)
-    g = es.reduced if es.dim != p.table.n else p
-    pairs = extract_square_pairs(g)
-    if not pairs:
-        return {"verified": False, "reason": "no squares-times-lines shape found"}, [
-            {"kind": "border-limit-family", "verified": False,
-             "stage_log": ["shape extraction failed"]}
-        ], False
+    _, g = essential_form(_parse_input_poly(args))
     try:
-        data = tangent_data_for_pairs(pairs)
+        found = limit_family_certificate(g)
     except ValueError as exc:
-        return {"verified": False, "reason": str(exc)}, [
-            {"kind": "border-limit-family", "verified": False, "stage_log": [str(exc)]}
+        found, reason, log = None, str(exc), str(exc)
+    else:
+        reason, log = "no squares-times-lines shape found", "shape extraction failed"
+    if found is None:
+        return {"verified": False, "reason": reason}, [
+            CertificateRecord("border-limit-family", False, (log,))
         ], False
-    fam = tangent_limit_family(data, 3)
-    k = args.k if args.k is not None else 1
-    ok = verify_limit(fam.family, k, g) and fam.limit == g
-    cert = {
-        "kind": "border-limit-family",
-        "verified": ok,
-        "stage_log": [
-            f"{fam.r} perturbed cubes, constant term cancels",
-            f"t^{k} coefficient equals the target: {ok}",
-        ],
-    }
-    return {"verified": ok, "r": fam.r, "k": k, "border_upper": fam.r if ok else None}, [cert], ok
+    fam, cert = found
+    ok = cert.verified
+    return {"verified": ok, "r": fam.r, "k": 1, "border_upper": fam.r if ok else None}, [cert], ok
 
 
 def _parse_pairs(args, table):
@@ -194,52 +159,41 @@ def _parse_pairs(args, table):
 
 def _cmd_double_points(args):
     p = _parse_input_poly(args)
-    pairs = _parse_pairs(args, p.table)
-    cert = double_point_span(p, pairs)
-    if cert is None:
+    found = double_point_certificate(p, _parse_pairs(args, p.table))
+    if found is None:
         return {"verified": False}, [
-            {"kind": "double-point-span", "verified": False,
-             "stage_log": ["no exact solution in the span of the given 2-jets"]}
+            CertificateRecord("double-point-span", False,
+                              ("no exact solution in the span of the given 2-jets",))
         ], False
+    dps, cert = found
     return {
         "verified": True,
-        "cactus_upper": cert.cactus_upper,
-        "point_coeffs": [_frac(c) for c in cert.point_coeffs],
-        "jet_coeffs": [_frac(c) for c in cert.jet_coeffs],
-        "curvilinear": cert.curvilinear,
-    }, [
-        {"kind": "double-point-span", "verified": True,
-         "stage_log": [f"solved exactly; cactus <= {cert.cactus_upper}"]}
-    ], True
+        "cactus_upper": dps.cactus_upper,
+        "point_coeffs": [str(c) for c in dps.point_coeffs],
+        "jet_coeffs": [str(c) for c in dps.jet_coeffs],
+        "curvilinear": dps.curvilinear,
+    }, [cert], True
 
 
 def _cmd_wild_cert(args):
-    p = _parse_input_poly(args)
-    es = concise_dim(p)
-    g = es.reduced if es.dim != p.table.n else p
-    certs = []
-    results = {}
-    ok = True
+    _, g = essential_form(_parse_input_poly(args))
     try:
-        csl = cactus_lower_via_slice(g)
+        found = slice_saturation_certificate(g)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if csl is None:
-        results["cactus_lower"] = None
-        certs.append({"kind": "cactus-slice-saturation", "verified": False,
-                      "stage_log": ["the slice-saturation pattern found no linear drop"]})
-        ok = False
+    if found is None:
+        csl, saturation = None, CertificateRecord(
+            "cactus-slice-saturation", False,
+            ("the slice-saturation pattern found no linear drop",))
     else:
-        results["cactus_lower"] = csl.bound
-        certs.append({"kind": "cactus-slice-saturation", "verified": True,
-                      "stage_log": list(csl.stage_log())})
-    r9 = rank9_lower_cert(g, r_max=args.rmax)
-    certs.append({"kind": "rank-lower-counting", "verified": r9.verified,
-                  "stage_log": list(r9.stage_log())})
-    results["rank_lower"] = r9.bound
-    results["rmax"] = r9.r_max
-    ok = ok and r9.verified
-    return results, certs, ok
+        csl, saturation = found
+    r9, counting = counting_certificate(g, r_max=args.rmax)
+    results = {
+        "cactus_lower": csl.bound if csl else None,
+        "rank_lower": r9.bound,
+        "rmax": r9.r_max,
+    }
+    return results, [saturation, counting], saturation.verified and counting.verified
 
 
 def _cmd_theorem2(args):
@@ -255,7 +209,7 @@ def _cmd_theorem2(args):
         "border_witness_rank": rep.border_witness_rank,
         "notes": list(rep.notes),
     }
-    return results, _cert_dicts(rep.certificates), True
+    return results, rep.certificates, True
 
 
 def _cmd_direct_sum(args):
@@ -270,10 +224,10 @@ def _cmd_direct_sum(args):
     if not q.is_homogeneous() or q.is_zero():
         raise InputError("--poly2 must be homogeneous and nonzero")
     try:
-        rep = direct_sum_extend(p, q, run_pipeline=True)
+        rep = direct_sum_extend(p, q)
+        pipeline = theorem2_report(rep.combined)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    pipeline = rep.pipeline
     results = {
         "conciseness": {
             "left": rep.concise_left,
@@ -281,17 +235,9 @@ def _cmd_direct_sum(args):
             "total": rep.concise_total,
         },
         "slice_intersection_equal": rep.slice_intersection_equal,
-        "final": pipeline.final() if pipeline else None,
+        "final": pipeline.final(),
     }
-    certs = [{
-        "kind": "direct-sum-slice-intersection",
-        "verified": rep.slice_intersection_equal,
-        "stage_log": ["degree-2 slice equals the intersection of the summand slices: "
-                      + str(rep.slice_intersection_equal)],
-    }]
-    if pipeline:
-        certs += _cert_dicts(pipeline.certificates)
-    return results, certs, rep.slice_intersection_equal
+    return results, [rep.certificate, *pipeline.certificates], rep.slice_intersection_equal
 
 
 _COMMANDS = {
@@ -326,8 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--dual-names", dest="dual_names", help="comma-separated dual variable names")
         if name == "macaulay":
             sp.add_argument("--dim", type=int, help="current graded dimension")
-        if name == "witness-verify":
-            sp.add_argument("--k", type=int, help="scale exponent (default 1)")
         if name == "double-points":
             sp.add_argument("--pairs", help="semicolon-separated l,m pairs")
         if name == "direct-sum":
@@ -352,14 +296,11 @@ def main(argv=None) -> int:
     }
     try:
         results, certs, ok = _COMMANDS[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
+    except (InputError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc["results"] = results
-    doc["certificates"] = certs
+    doc["certificates"] = _cert_dicts(certs)
     text = json.dumps(doc, indent=2, sort_keys=True)
     print(text)
     if getattr(args, "json_path", None) and args.json_path != "-":

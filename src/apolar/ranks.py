@@ -45,6 +45,16 @@ class Deduction:
             raise ValueError(f"unknown side {self.side!r}")
 
 
+@dataclass(frozen=True)
+class CertificateRecord:
+    """One certificate as reported: its kind, whether it verified, and a
+    stage-by-stage log."""
+
+    kind: str
+    verified: bool
+    stage_log: tuple
+
+
 @dataclass
 class RankReport:
     """Tightest consistent bounds per notion, with full provenance."""

@@ -15,7 +15,7 @@ from math import lcm, prod
 from typing import Optional, Sequence
 
 from . import linalg
-from .apolarity import ann_slice, concise_dim, contract, hilbert_function
+from .apolarity import ann_slice, concise_dim, contract, essential_form, hilbert_function
 from .ideals import generated_slice
 from .poly import (
     DUAL,
@@ -31,6 +31,7 @@ from .poly import (
     uni_trim,
 )
 from .ranks import (
+    CertificateRecord,
     Deduction,
     RankReport,
     aggregate,
@@ -42,7 +43,8 @@ from .ranks import (
 from .witness import (
     TangentDatum,
     direct_summands,
-    double_point_span,
+    double_point_certificate,
+    slice_intersection_certificate,
     tangent_limit_family,
     verify_limit,
 )
@@ -54,13 +56,6 @@ class LocusShapeError(ValueError):
     def __init__(self, message: str, samples=()):
         super().__init__(message)
         self.samples = tuple(samples)
-
-
-@dataclass(frozen=True)
-class CertificateRecord:
-    kind: str
-    verified: bool
-    stage_log: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -281,14 +276,32 @@ def tangent_data_for_pairs(square_pairs) -> tuple:
     return tuple(data)
 
 
+def limit_family_certificate(f: Poly, square_pairs=None):
+    """The cubic tangent limit family of f's square pairs and its record,
+    whose verification re-reads f as the t-coefficient.
+
+    The pairs are read from f's monomials when not given; returns None when
+    f shows no squares-times-lines shape, and raises ValueError when the
+    squared parts carry no five-point dependency.
+    """
+    pairs = square_pairs if square_pairs is not None else extract_square_pairs(f)
+    if not pairs:
+        return None
+    fam = tangent_limit_family(tangent_data_for_pairs(pairs), 3)
+    ok = verify_limit(fam.family, 1, f) and fam.limit == f
+    return fam, CertificateRecord(
+        kind="border-limit-family",
+        verified=ok,
+        stage_log=(
+            f"{fam.r} perturbed cubes, constant term cancels",
+            f"t-coefficient equals the target: {ok}",
+        ),
+    )
+
+
 # ---------------------------------------------------------------------------
 # cactus lower bound via slice saturation
 # ---------------------------------------------------------------------------
-
-
-def _reduction_context(vectors):
-    pivots = [next(j for j, c in enumerate(v) if c != 0) for v in vectors]
-    return pivots, vectors
 
 
 def _reduce_vector(v, pivots, vectors):
@@ -341,7 +354,8 @@ def cactus_lower_via_slice(f: Poly) -> Optional[CactusSliceCertificate]:
     slice2 = ann_slice(f, 2)
     k = 3
     slice4 = generated_slice(slice2.basis, 2 + 2, table=f.table)
-    pivots, vecs = _reduction_context(slice4.vectors())
+    vecs = slice4.vectors()
+    pivots = [next(j for j, c in enumerate(v) if c != 0) for v in vecs]
     dim4 = monomial_count(n, 4)
     rows = []
     for mono in monomials(n, k):
@@ -369,6 +383,16 @@ def cactus_lower_via_slice(f: Poly) -> Optional[CactusSliceCertificate]:
         quotient_h1=quotient_h1,
         conciseness=es_dim,
     )
+
+
+def slice_saturation_certificate(f: Poly):
+    """The slice-saturation cactus bound and its record, or None when the
+    pattern finds no linear drop; ValueError as cactus_lower_via_slice."""
+    csl = cactus_lower_via_slice(f)
+    if csl is None:
+        return None
+    return csl, CertificateRecord(kind="cactus-slice-saturation", verified=True,
+                                  stage_log=csl.stage_log())
 
 
 # ---------------------------------------------------------------------------
@@ -818,6 +842,13 @@ def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None) -> Rank9Certifi
     return Rank9Certificate(True, r_max + 1, r_max, tuple(stages), locus=locus)
 
 
+def counting_certificate(f: Poly, r_max: int = 8, square_pairs=None):
+    """rank9_lower_cert and its record, verified or naming the failed stage."""
+    r9 = rank9_lower_cert(f, r_max=r_max, square_pairs=square_pairs)
+    return r9, CertificateRecord(kind="rank-lower-counting", verified=r9.verified,
+                                 stage_log=r9.stage_log())
+
+
 # ---------------------------------------------------------------------------
 # the explicit 9-cube upper bound
 # ---------------------------------------------------------------------------
@@ -868,6 +899,16 @@ def rank9_upper(f: Poly, square_pairs=None) -> PowerSumDecomposition:
     return dec
 
 
+def power_sum_certificate(f: Poly, square_pairs=None):
+    """rank9_upper and its record; ValueError without the shape."""
+    dec = rank9_upper(f, square_pairs)
+    return dec, CertificateRecord(
+        kind="power-sum-decomposition",
+        verified=True,
+        stage_log=(f"{len(dec)} cubes re-expand to the target",),
+    )
+
+
 # ---------------------------------------------------------------------------
 # the orchestrated report
 # ---------------------------------------------------------------------------
@@ -905,17 +946,15 @@ class WildReport:
 def _slice_saturation_evidence(g: Poly, evidence: list, certificates: list) -> tuple:
     """Append the slice-saturation cactus bound and its certificate when the
     pattern applies; returns the saturation gammas as printable forms."""
-    csl = cactus_lower_via_slice(g)
-    if csl is None:
+    found = slice_saturation_certificate(g)
+    if found is None:
         return ()
+    csl, cert = found
     evidence.append(
         Deduction("cactus", "lower", csl.bound, rule="slice-saturation",
                   detail=f"saturated linear quotient {csl.quotient_h1} < {csl.conciseness}")
     )
-    certificates.append(
-        CertificateRecord(kind="cactus-slice-saturation", verified=True,
-                          stage_log=csl.stage_log())
-    )
+    certificates.append(cert)
     return tuple(str(gamma) for gamma in csl.gamma_basis)
 
 
@@ -929,30 +968,21 @@ def _wild_route_evidence(g: Poly, pairs, r_max: int):
     z_rows = [linear_coeffs(z) for z, _ in pairs]
     if linalg.rank(z_rows) == 2 and len(pairs) <= 3:
         try:
-            data = tangent_data_for_pairs(pairs)
-            fam = tangent_limit_family(data, 3)
-            ok_limit = verify_limit(fam.family, 1, g) and fam.limit == g
-            certificates.append(
-                CertificateRecord(
-                    kind="border-limit-family",
-                    verified=ok_limit,
-                    stage_log=(
-                        f"{fam.r} perturbed cubes, constant term cancels",
-                        f"t-coefficient equals the target: {ok_limit}",
-                    ),
-                )
-            )
-            if ok_limit:
+            fam, cert = limit_family_certificate(g, pairs)
+        except ValueError as exc:
+            notes.append(f"limit family unavailable: {exc}")
+        else:
+            certificates.append(cert)
+            if cert.verified:
                 evidence.append(
                     Deduction("border", "upper", fam.r, rule="limit-family",
                               detail=f"{fam.r}-term perturbed power family")
                 )
                 border_witness = fam.r
-        except ValueError as exc:
-            notes.append(f"limit family unavailable: {exc}")
 
-    dps = double_point_span(g, pairs)
-    if dps is not None:
+    found = double_point_certificate(g, pairs)
+    if found is not None:
+        dps, cert = found
         evidence.append(
             Deduction("cactus", "upper", dps.cactus_upper, rule="double-point-span",
                       detail=f"{len(pairs)} two-jets span the target")
@@ -962,38 +992,24 @@ def _wild_route_evidence(g: Poly, pairs, r_max: int):
                       detail="2-jets on lines are curvilinear, hence smoothable",
                       basis="cited")
         )
-        certificates.append(
-            CertificateRecord(
-                kind="double-point-span",
-                verified=True,
-                stage_log=(f"solved exactly with {len(pairs)} pairs; cactus <= {dps.cactus_upper}",),
-            )
-        )
+        certificates.append(cert)
 
     try:
-        dec = rank9_upper(g, pairs)
+        dec, cert = power_sum_certificate(g, pairs)
+    except ValueError as exc:
+        notes.append(f"power-sum upper bound unavailable: {exc}")
+    else:
         evidence.append(
             Deduction("rank", "upper", len(dec), rule="power-sum",
                       detail=f"{len(dec)} exact cubes")
         )
-        certificates.append(
-            CertificateRecord(
-                kind="power-sum-decomposition",
-                verified=True,
-                stage_log=(f"{len(dec)} cubes re-expand to the target",),
-            )
-        )
-    except ValueError as exc:
-        notes.append(f"power-sum upper bound unavailable: {exc}")
+        certificates.append(cert)
 
     sat_gammas = _slice_saturation_evidence(g, evidence, certificates)
 
     if g.table.n == 5 and len(pairs) == 3:
-        r9 = rank9_lower_cert(g, r_max=r_max, square_pairs=pairs)
-        certificates.append(
-            CertificateRecord(kind="rank-lower-counting", verified=r9.verified,
-                              stage_log=r9.stage_log())
-        )
+        r9, cert = counting_certificate(g, r_max=r_max, square_pairs=pairs)
+        certificates.append(cert)
         if r9.verified:
             evidence.append(
                 Deduction("rank", "lower", r9.bound, rule="counting-certificate",
@@ -1002,6 +1018,28 @@ def _wild_route_evidence(g: Poly, pairs, r_max: int):
     else:
         notes.append("counting certificate skipped: not the 5-variable three-pair shape")
     return evidence, certificates, notes, sat_gammas, border_witness
+
+
+def _classical_evidence(g: Poly, d: int, essential: int) -> list:
+    """The catalecticant bound, plus the exact values of quadrics and of
+    essentially binary forms."""
+    evidence = [catalecticant_deduction(g)]
+    if d == 2:
+        evidence.append(Deduction("all", "exact", quadric_rank(g), rule="quadric-conciseness",
+                                  detail="all notions coincide for quadrics"))
+    elif essential <= 2:
+        # the first deduction is conciseness, which aggregate() re-injects
+        evidence += sylvester_binary(g).report.provenance[1:]
+    return evidence
+
+
+def classical_report(f: Poly) -> tuple:
+    """(conciseness, bounds) from the routes theorem2_report takes before its
+    cubic stages: the catalecticant bound for every form, exact values for
+    quadrics and essentially binary forms."""
+    es, g = essential_form(f)
+    d = f.homogeneous_degree()
+    return es.dim, tameness_rule(aggregate(g, _classical_evidence(g, d, es.dim)), d)
 
 
 def theorem2_report(f, r_max: int = 8) -> WildReport:
@@ -1022,26 +1060,18 @@ def theorem2_report(f, r_max: int = 8) -> WildReport:
     if d is None:
         raise ValueError("rank reports need a homogeneous polynomial")
 
-    es = concise_dim(f)
+    es, g = essential_form(f)
     if pres is not None and es.dim != f.table.n:
         raise ValueError("presentations must already be concise")
-    g = es.reduced if es.dim != f.table.n else f
 
-    evidence = [catalecticant_deduction(g)]
+    evidence = _classical_evidence(g, d, es.dim)
     certificates = []
     notes = []
     sat_gammas = ()
     border_witness = None
     slice2_dim = ann_slice(g, 2).dim if d >= 2 else None
 
-    if d == 2:
-        q = quadric_rank(g)
-        evidence.append(Deduction("all", "exact", q, rule="quadric-conciseness",
-                                  detail="all notions coincide for quadrics"))
-    elif es.dim <= 2:
-        # the first deduction is conciseness, which aggregate() re-injects
-        evidence += sylvester_binary(g).report.provenance[1:]
-    else:
+    if d != 2 and es.dim > 2:
         components = direct_summands(g)
         if len(components) >= 2 and pres is None:
             sub_reports = [theorem2_report(comp, r_max=r_max) for comp in components]
@@ -1053,22 +1083,7 @@ def theorem2_report(f, r_max: int = 8) -> WildReport:
                 f"direct sum of {len(components)} variable-disjoint summands;"
                 f" conciseness {es.dim} = " + " + ".join(str(r.conciseness) for r in sub_reports)
             )
-            # machine-verified: the degree-2 slice is the intersection of the slices
-            inter = None
-            for comp in components:
-                vecs = ann_slice(comp, 2).vectors()
-                inter = vecs if inter is None else linalg.intersect_spans(inter, vecs)
-            slice_equal = inter == ann_slice(g, 2).vectors()
-            certificates.append(
-                CertificateRecord(
-                    kind="direct-sum-slice-intersection",
-                    verified=slice_equal,
-                    stage_log=(
-                        "degree-2 annihilator slice equals the intersection of the summand slices: "
-                        + str(slice_equal),
-                    ),
-                )
-            )
+            certificates.append(slice_intersection_certificate(components, g))
             for notion in ("border", "smoothable", "cactus", "rank"):
                 ups = [r.report.upper(notion) for r in sub_reports]
                 if all(u is not None for u in ups):
@@ -1094,8 +1109,7 @@ def theorem2_report(f, r_max: int = 8) -> WildReport:
                 sat_gammas = _slice_saturation_evidence(g, evidence, certificates)
                 notes.append("no squares-times-lines shape found; reporting catalecticant bounds")
 
-    report = aggregate(g, evidence)
-    report = tameness_rule(report, d)
+    report = tameness_rule(aggregate(g, evidence), d)
     h = hilbert_function(g)
     return WildReport(
         poly=f,

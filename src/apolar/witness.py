@@ -15,6 +15,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .apolarity import ann_slice, concise_dim
 from .poly import PRIMAL, Poly, TableMismatchError, VarTable
+from .ranks import CertificateRecord
 
 
 class ParamPoly:
@@ -208,6 +209,19 @@ def double_point_span(f: Poly, pairs: Sequence) -> Optional[DoublePointCertifica
     return cert
 
 
+def double_point_certificate(f: Poly, pairs: Sequence):
+    """The double-point span certificate and its record, or None when the
+    2-jets do not span f."""
+    cert = double_point_span(f, pairs)
+    if cert is None:
+        return None
+    return cert, CertificateRecord(
+        kind="double-point-span",
+        verified=True,
+        stage_log=(f"solved exactly with {len(cert.pairs)} pairs; cactus <= {cert.cactus_upper}",),
+    )
+
+
 def direct_summands(p: Poly) -> list:
     """Split p into variable-disjoint summands (connected components of the
     variable co-occurrence graph); each summand stays on the full table."""
@@ -237,17 +251,38 @@ def direct_summands(p: Poly) -> list:
     return [Poly(p.table, p.ring, terms) for _, terms in sorted(groups.items())]
 
 
+def slice_intersection_certificate(summands: Sequence[Poly], total: Poly) -> CertificateRecord:
+    """Check that the degree-2 annihilator slice of a sum over disjoint
+    variables is the intersection of the summands' slices."""
+    inter = None
+    for s in summands:
+        vecs = ann_slice(s, 2).vectors()
+        inter = vecs if inter is None else linalg.intersect_spans(inter, vecs)
+    equal = inter == ann_slice(total, 2).vectors()
+    return CertificateRecord(
+        kind="direct-sum-slice-intersection",
+        verified=equal,
+        stage_log=(
+            "degree-2 annihilator slice equals the intersection of the summand slices: "
+            + str(equal),
+        ),
+    )
+
+
 @dataclass(frozen=True)
 class DirectSumReport:
     combined: Poly
     concise_left: int
     concise_right: int
     concise_total: int
-    slice_intersection_equal: bool
-    pipeline: object = None  # WildReport when requested
+    certificate: CertificateRecord  # the slice-intersection check
+
+    @property
+    def slice_intersection_equal(self) -> bool:
+        return self.certificate.verified
 
 
-def direct_sum_extend(f: Poly, g: Poly, run_pipeline: bool = False) -> DirectSumReport:
+def direct_sum_extend(f: Poly, g: Poly) -> DirectSumReport:
     """Verify the degree-2 annihilator slice of f + g against the
     intersection of the slices of the summands, over disjoint variables."""
     if g.is_zero() or f.is_zero():
@@ -269,24 +304,10 @@ def direct_sum_extend(f: Poly, g: Poly, run_pipeline: bool = False) -> DirectSum
         G = Poly(table, PRIMAL,
                  {(0,) * off + m: c for m, c in g.terms.items()})
     total = F + G
-    slice_f = ann_slice(F, 2)
-    slice_g = ann_slice(G, 2)
-    inter = linalg.intersect_spans(slice_f.vectors(), slice_g.vectors())
-    combined_slice = ann_slice(total, 2)
-    equal = inter == combined_slice.vectors()
-    nf = concise_dim(F).dim
-    ng = concise_dim(G).dim
-    ntot = concise_dim(total).dim
-    pipeline = None
-    if run_pipeline:
-        from .wildcert import theorem2_report
-
-        pipeline = theorem2_report(total)
     return DirectSumReport(
         combined=total,
-        concise_left=nf,
-        concise_right=ng,
-        concise_total=ntot,
-        slice_intersection_equal=equal,
-        pipeline=pipeline,
+        concise_left=concise_dim(F).dim,
+        concise_right=concise_dim(G).dim,
+        concise_total=concise_dim(total).dim,
+        certificate=slice_intersection_certificate((F, G), total),
     )

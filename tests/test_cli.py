@@ -1,9 +1,14 @@
 import json
+from pathlib import Path
 
+import pytest
+
+from apolar import parse_poly, theorem2_report
 from apolar.cli import main
 
 WILD = "x0^2*y0 - (x0+x1)^2*y1 + x1^2*y2"
 WILD_VARS = "x0,x1,y0,y1,y2"
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "theorem2_wild.json"
 
 
 def run(capsys, *argv):
@@ -80,6 +85,13 @@ def test_rank_bounds_command(capsys):
     assert doc["results"]["bounds"]["rank"]["lower"] == 3
 
 
+@pytest.mark.parametrize("poly", ["x^2+y^2+z^2", "x^2*y"])
+def test_rank_bounds_takes_the_theorem2_route(capsys, poly):
+    code, doc = run(capsys, "rank-bounds", "--poly", poly)
+    assert code == 0
+    assert doc["results"]["bounds"] == theorem2_report(parse_poly(poly)).report.as_dict()
+
+
 def test_witness_verify_command(capsys):
     code, doc = run(capsys, "witness-verify", "--poly", WILD, "--vars", WILD_VARS)
     assert code == 0
@@ -148,3 +160,24 @@ def test_json_file_output(tmp_path, capsys):
     assert code == 0
     on_disk = json.loads(path.read_text())
     assert on_disk == doc
+
+
+def test_theorem2_stdout_matches_golden(capsys):
+    assert main(["theorem2", "--poly", WILD, "--vars", WILD_VARS]) == 0
+    assert capsys.readouterr().out == GOLDEN.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv, reference", [
+    (["witness-verify", "--poly", WILD, "--vars", WILD_VARS], (WILD, WILD_VARS)),
+    (["double-points", "--poly", WILD, "--vars", WILD_VARS,
+      "--pairs", "x0,y0;x0+x1,-y1;x1,y2"], (WILD, WILD_VARS)),
+    (["wild-cert", "--poly", WILD, "--vars", WILD_VARS], (WILD, WILD_VARS)),
+    (["direct-sum", "--poly", WILD, "--vars", WILD_VARS, "--poly2", "u^3"],
+     (WILD + " + u^3", WILD_VARS + ",u")),
+], ids=["witness-verify", "double-points", "wild-cert", "direct-sum"])
+def test_certificates_match_theorem2(capsys, argv, reference):
+    code, doc = run(capsys, *argv)
+    assert code == 0
+    _, ref = run(capsys, "theorem2", "--poly", reference[0], "--vars", reference[1])
+    for cert in doc["certificates"]:
+        assert cert in ref["certificates"]
