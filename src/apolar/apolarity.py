@@ -11,13 +11,22 @@ slices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from math import perm
 
 from . import linalg
 from .ideals import IdealSlice
 from .linalg import QMatrix
-from .poly import DUAL, PRIMAL, Poly, TableMismatchError, VarTable, monomials
+from .poly import (
+    _ZERO,
+    DUAL,
+    PRIMAL,
+    Poly,
+    TableMismatchError,
+    VarTable,
+    _monomial_index,
+    monomials,
+)
 
 
 def _mono_str(table: VarTable, ring: str, mono) -> str:
@@ -39,19 +48,23 @@ def contract(alpha: Poly, f: Poly) -> Poly:
         raise TableMismatchError("contract expects a DUAL operator and a PRIMAL operand")
     terms = {}
     for ma, ca in alpha.terms.items():
+        used = [(k, a) for k, a in enumerate(ma) if a]
         for mf, cf in f.terms.items():
-            if any(a > b for a, b in zip(ma, mf)):
-                continue
             scale = 1
-            for a, b in zip(ma, mf):
-                if a:
-                    scale *= perm(b, a)
-            mono = tuple(b - a for a, b in zip(ma, mf))
-            s = terms.get(mono, Fraction(0)) + ca * cf * scale
-            if s == 0:
-                terms.pop(mono, None)
+            mono = list(mf)
+            for k, a in used:
+                b = mf[k]
+                if a > b:
+                    break
+                scale *= perm(b, a)
+                mono[k] = b - a
             else:
-                terms[mono] = s
+                mono = tuple(mono)
+                s = terms.get(mono, 0) + ca * cf * scale
+                if s == 0:
+                    terms.pop(mono, None)
+                else:
+                    terms[mono] = s
     return Poly(f.table, PRIMAL, terms)
 
 
@@ -77,21 +90,16 @@ def catalecticant(f: Poly, i: int) -> Catalecticant:
     if not 0 <= i <= d:
         raise ValueError(f"slice degree {i} outside 0..{d}")
     n = f.table.n
-    row_monos = list(monomials(n, d - i))
-    col_monos = list(monomials(n, i))
-    row_index = {m: k for k, m in enumerate(row_monos)}
-    cols = []
-    for mono in col_monos:
-        g = contract(Poly(f.table, DUAL, {mono: 1}), f)
-        col = [Fraction(0)] * len(row_monos)
-        for m, c in g.terms.items():
-            col[row_index[m]] = c
-        cols.append(col)
-    rows = [[cols[j][k] for j in range(len(cols))] for k in range(len(row_monos))]
-    mat = QMatrix.from_rows(
-        rows,
-        row_labels=[_mono_str(f.table, PRIMAL, m) for m in row_monos],
-        col_labels=[_mono_str(f.table, DUAL, m) for m in col_monos],
+    row_index = _monomial_index(n, d - i)
+    col_monos = monomials(n, i)
+    rows = [[_ZERO] * len(col_monos) for _ in row_index]
+    for j, mono in enumerate(col_monos):
+        for m, c in contract(Poly(f.table, DUAL, {mono: 1}), f).terms.items():
+            rows[row_index[m]][j] = c
+    mat = QMatrix(
+        tuple(map(tuple, rows)),
+        row_labels=tuple(_mono_str(f.table, PRIMAL, m) for m in row_index),
+        col_labels=tuple(_mono_str(f.table, DUAL, m) for m in col_monos),
     )
     return Catalecticant(i, mat)
 
@@ -127,7 +135,10 @@ def hilbert_function(f: Poly) -> HilbertFn:
     d = f.homogeneous_degree()
     if d is None:
         raise ValueError("hilbert_function requires a homogeneous polynomial")
-    return HilbertFn(tuple(catalecticant(f, i).rank() for i in range(d + 1)))
+    # H(i) = H(d - i): catalecticant d - i is the transpose of catalecticant
+    # i up to invertible diagonal scalings (factorials, characteristic 0)
+    half = [catalecticant(f, i).rank() for i in range(d // 2 + 1)]
+    return HilbertFn(tuple(half + half[: (d + 1) // 2][::-1]))
 
 
 @dataclass(frozen=True)
@@ -149,6 +160,8 @@ def concise_dim(f: Poly) -> EssentialSpace:
     d = f.homogeneous_degree()
     if d is None:
         raise ValueError("concise_dim requires a homogeneous polynomial")
+    if d == 0:
+        raise ValueError("a constant has no essential variables")
     cat = catalecticant(f, 1)
     pivots, red = linalg.rref(cat.matrix.entries)
     basis = tuple(
@@ -178,3 +191,24 @@ def essential_form(f: Poly) -> tuple:
     table, when it is already concise."""
     es = concise_dim(f)
     return es, (es.reduced if es.dim != f.table.n else f)
+
+
+class FormFacts:
+    """What the stages of one rank report read about a form: its
+    essential-variable reduction and, for the form in its essential
+    variables, the Hilbert function and the degree-2 annihilator slice.
+
+    Each value is computed on first use and kept only as long as this
+    object, so the stages that share one FormFacts compute each value once.
+    """
+
+    def __init__(self, f: Poly):
+        self.essential, self.form = essential_form(f)
+
+    @cached_property
+    def hilbert(self) -> HilbertFn:
+        return hilbert_function(self.form)
+
+    @cached_property
+    def slice2(self) -> IdealSlice:
+        return ann_slice(self.form, 2)

@@ -12,7 +12,14 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .apolarity import ann_slice, catalecticant, concise_dim, essential_form, hilbert_function
+from .apolarity import (
+    FormFacts,
+    ann_slice,
+    catalecticant,
+    concise_dim,
+    essential_form,
+    hilbert_function,
+)
 from .ideals import macaulay_bound
 from .parsing import ParseError, parse_poly
 from .poly import Poly
@@ -44,6 +51,14 @@ def _parse_input_poly(args) -> Poly:
         raise InputError("the zero polynomial is not a valid input here")
     if not p.is_homogeneous():
         raise InputError("rank computations need a homogeneous polynomial")
+    return p
+
+
+def _parse_form(args) -> Poly:
+    """The input polynomial, for commands that need its essential variables."""
+    p = _parse_input_poly(args)
+    if p.homogeneous_degree() == 0:
+        raise InputError("a constant has no essential variables; give a form of positive degree")
     return p
 
 
@@ -87,7 +102,7 @@ def _cmd_catalecticant(args):
 
 
 def _cmd_concise(args):
-    p = _parse_input_poly(args)
+    p = _parse_form(args)
     es = concise_dim(p)
     return {"dimension": es.dim, "basis": [str(b) for b in es.basis]}, [], True
 
@@ -103,7 +118,7 @@ def _cmd_macaulay(args):
 
 
 def _cmd_sylvester(args):
-    p = _parse_input_poly(args)
+    p = _parse_form(args)
     try:
         res = sylvester_binary(p)
     except ValueError as exc:
@@ -119,12 +134,12 @@ def _cmd_sylvester(args):
 
 
 def _cmd_rank_bounds(args):
-    conciseness, report = classical_report(_parse_input_poly(args))
+    conciseness, report = classical_report(_parse_form(args))
     return {"bounds": report.as_dict(), "conciseness": conciseness}, [], True
 
 
 def _cmd_witness_verify(args):
-    _, g = essential_form(_parse_input_poly(args))
+    _, g = essential_form(_parse_form(args))
     try:
         found = limit_family_certificate(g)
     except ValueError as exc:
@@ -158,7 +173,7 @@ def _parse_pairs(args, table):
 
 
 def _cmd_double_points(args):
-    p = _parse_input_poly(args)
+    p = _parse_form(args)
     found = double_point_certificate(p, _parse_pairs(args, p.table))
     if found is None:
         return {"verified": False}, [
@@ -176,9 +191,10 @@ def _cmd_double_points(args):
 
 
 def _cmd_wild_cert(args):
-    _, g = essential_form(_parse_input_poly(args))
+    facts = FormFacts(_parse_form(args))
+    g = facts.form
     try:
-        found = slice_saturation_certificate(g)
+        found = slice_saturation_certificate(g, facts)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if found is None:
@@ -187,7 +203,7 @@ def _cmd_wild_cert(args):
             ("the slice-saturation pattern found no linear drop",))
     else:
         csl, saturation = found
-    r9, counting = counting_certificate(g, r_max=args.rmax)
+    r9, counting = counting_certificate(g, r_max=args.rmax, facts=facts)
     results = {
         "cactus_lower": csl.bound if csl else None,
         "rank_lower": r9.bound,
@@ -197,7 +213,7 @@ def _cmd_wild_cert(args):
 
 
 def _cmd_theorem2(args):
-    p = _parse_input_poly(args)
+    p = _parse_form(args)
     rep = theorem2_report(p, r_max=args.rmax)
     results = {
         "final": rep.final(),
@@ -213,7 +229,7 @@ def _cmd_theorem2(args):
 
 
 def _cmd_direct_sum(args):
-    p = _parse_input_poly(args)
+    p = _parse_form(args)
     if not args.poly2:
         raise InputError("--poly2 is required for direct-sum")
     vars2 = args.vars2.split(",") if args.vars2 else None

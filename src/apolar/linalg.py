@@ -1,8 +1,10 @@
 """Deterministic exact linear algebra over the rationals.
 
-The forward pass is fraction-free (Bareiss) on denominator-cleared integer
-rows, which keeps intermediate entries to minor-sized integers; the reduced
-echelon form is then recovered with exact Fraction arithmetic.  Every routine
+Inputs are rows of ints and Fractions.  Each row is cleared of denominators
+once; the forward pass is fraction-free (Bareiss), which keeps intermediate
+entries to minor-sized integers, and the back-substitution stays in integers
+too, dividing every combined row by its content.  A Fraction is built only
+for an entry that is returned, and `rank` builds none.  Every routine
 is deterministic: pivoting always picks the first usable row, and reduced
 echelon bases are unique, so downstream golden tests can compare bases
 verbatim.
@@ -19,17 +21,15 @@ Vector = list  # list of Fraction
 
 
 def _to_int_rows(rows: Sequence[Sequence]) -> list:
-    """Scale each row by the lcm of denominators and divide out the content."""
+    """Scale each row by the lcm of denominators and divide out the content;
+    zero rows are dropped.  Entries are ints or Fractions."""
     out = []
     for r in rows:
-        fr = [Fraction(c) for c in r]
-        if not any(fr):
+        den = lcm(*[c.denominator for c in r])
+        ints = [c.numerator * (den // c.denominator) for c in r]
+        g = gcd(*ints)
+        if g == 0:
             continue
-        den = lcm(*(c.denominator for c in fr)) if fr else 1
-        ints = [int(c * den) for c in fr]
-        g = 0
-        for c in ints:
-            g = gcd(g, c)
         if g > 1:
             ints = [c // g for c in ints]
         out.append(ints)
@@ -38,7 +38,7 @@ def _to_int_rows(rows: Sequence[Sequence]) -> list:
 
 def _bareiss_echelon(int_rows: list) -> tuple:
     """Fraction-free row echelon; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in int_rows]
+    rows = list(int_rows)
     m = len(rows)
     if m == 0:
         return [], []
@@ -58,17 +58,59 @@ def _bareiss_echelon(int_rows: list) -> tuple:
             continue
         if sel != r:
             rows[r], rows[sel] = rows[sel], rows[r]
-        piv = rows[r][col]
+        row_r = rows[r]
+        piv = row_r[col]
+        tail_r = row_r[col + 1:]
+        head = [0] * (col + 1)  # rows below r are zero up to this column
         for i in range(r + 1, m):
-            ric = rows[i][col]
-            row_i, row_r = rows[i], rows[r]
-            for j in range(col + 1, n):
-                row_i[j] = (piv * row_i[j] - ric * row_r[j]) // prev
-            row_i[col] = 0
+            row_i = rows[i]
+            ric = row_i[col]
+            if ric:
+                rows[i] = head + [(piv * a - ric * b) // prev
+                                  for a, b in zip(row_i[col + 1:], tail_r)]
+            elif piv != prev:
+                rows[i] = head + [piv * a // prev for a in row_i[col + 1:]]
         prev = piv
         pivots.append(col)
         r += 1
     return rows[: len(pivots)], pivots
+
+
+def _primitive(row: list, lead: int) -> list:
+    """row divided by its content, signed so that the entry `lead` is positive."""
+    g = gcd(*row)
+    if row[lead] < 0:
+        g = -g
+    return [c // g for c in row] if g != 1 else row
+
+
+def _int_rref(int_rows: list) -> tuple:
+    """Reduced echelon form of integer rows, kept in integers.
+
+    Returns (pivot_columns, rows): row k is a primitive integer multiple of
+    the k-th reduced row, so the reduced row itself is row k divided by its
+    (positive) pivot entry.
+    """
+    rows, pivots = _bareiss_echelon(int_rows)
+    for k in range(len(pivots) - 1, -1, -1):
+        p = pivots[k]
+        row_k = rows[k] = _primitive(rows[k], p)
+        lead = row_k[p]
+        for i in range(k):
+            row_i = rows[i]
+            factor = row_i[p]
+            if factor:
+                # row k is zero before column p and row i before its pivot
+                q = pivots[i]
+                rows[i] = _primitive(
+                    row_i[:q] + [lead * a for a in row_i[q:p]]
+                    + [lead * a - factor * b for a, b in zip(row_i[p:], row_k[p:])],
+                    q,
+                )
+    return pivots, rows
+
+
+_ZERO = Fraction(0)
 
 
 def rref(rows: Sequence[Sequence]) -> tuple:
@@ -77,17 +119,9 @@ def rref(rows: Sequence[Sequence]) -> tuple:
     Returns (pivot_columns, reduced_rows); reduced_rows has one row per pivot,
     each with leading coefficient 1 and zeros above and below every pivot.
     """
-    ech, pivots = _bareiss_echelon(_to_int_rows(rows))
-    red = [[Fraction(c) for c in row] for row in ech]
-    for k in range(len(pivots) - 1, -1, -1):
-        p = pivots[k]
-        lead = red[k][p]
-        red[k] = [c / lead for c in red[k]]
-        for i in range(k):
-            factor = red[i][p]
-            if factor:
-                red[i] = [a - factor * b for a, b in zip(red[i], red[k])]
-    return pivots, red
+    pivots, red = _int_rref(_to_int_rows(rows))
+    return pivots, [[Fraction(c, row[p]) if c else _ZERO for c in row]
+                    for p, row in zip(pivots, red)]
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -96,19 +130,25 @@ def rank(rows: Sequence[Sequence]) -> int:
 
 def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list:
     """Basis of {v : A v = 0} in reduced echelon form w.r.t. column order."""
-    pivots, red = rref(rows)
+    pivots, red = _int_rref(_to_int_rows(rows))
     pivset = set(pivots)
-    free = [j for j in range(ncols) if j not in pivset]
     vecs = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for k, p in enumerate(pivots):
-            v[p] = -red[k][fc]
+    for fc in range(ncols):
+        if fc in pivset:
+            continue
+        # v[fc] = 1, v[p] = -red[k][fc] / red[k][p], scaled to integers
+        scale = 1
+        for p, row in zip(pivots, red):
+            if row[fc]:
+                scale = lcm(scale, row[p])
+        v = [0] * ncols
+        v[fc] = scale
+        for p, row in zip(pivots, red):
+            if row[fc]:
+                v[p] = -row[fc] * (scale // row[p])
         vecs.append(v)
     # present the kernel canonically
-    _, canon = rref(vecs)
-    return canon
+    return rref(vecs)[1]
 
 
 def solve_columns(cols: Sequence[Sequence], target: Sequence) -> Optional[Vector]:
@@ -117,23 +157,20 @@ def solve_columns(cols: Sequence[Sequence], target: Sequence) -> Optional[Vector
     Deterministic: free coordinates are set to zero.
     """
     ncols = len(cols)
-    nrows = len(target)
-    aug = []
-    for i in range(nrows):
-        aug.append([Fraction(cols[j][i]) for j in range(ncols)] + [Fraction(target[i])])
-    pivots, red = rref(aug)
+    aug = [[col[i] for col in cols] + [t] for i, t in enumerate(target)]
+    pivots, red = _int_rref(_to_int_rows(aug))
     if ncols in pivots:
         return None
-    sol = [Fraction(0)] * ncols
-    for k, p in enumerate(pivots):
-        sol[p] = red[k][ncols]
+    sol = [_ZERO] * ncols
+    for p, row in zip(pivots, red):
+        sol[p] = Fraction(row[ncols], row[p])
     return sol
 
 
 def in_span(v: Sequence, basis: Sequence[Sequence]) -> Optional[Vector]:
     """Coefficients expressing v in terms of basis, or None if outside."""
     if not basis:
-        return [] if not any(Fraction(c) for c in v) else None
+        return [] if not any(v) else None
     return solve_columns(basis, v)
 
 
@@ -145,12 +182,7 @@ def intersect_spans(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) ->
     ka, kb = len(basis_a), len(basis_b)
     # columns: the a-vectors then the negated b-vectors; kernel rows give
     # coefficient pairs (u, w) with u·A = w·B
-    rows = []
-    for i in range(n):
-        rows.append(
-            [Fraction(basis_a[j][i]) for j in range(ka)]
-            + [-Fraction(basis_b[j][i]) for j in range(kb)]
-        )
+    rows = [[a[i] for a in basis_a] + [-b[i] for b in basis_b] for i in range(n)]
     combos = kernel_basis(rows, ka + kb)
     vecs = []
     for c in combos:
@@ -158,7 +190,7 @@ def intersect_spans(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) ->
         for j in range(ka):
             if c[j]:
                 for i in range(n):
-                    v[i] += c[j] * Fraction(basis_a[j][i])
+                    v[i] += c[j] * basis_a[j][i]
         vecs.append(v)
     _, red = rref(vecs)
     return red

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 PRIMAL = "primal"
 DUAL = "dual"
 
 Monomial = tuple  # exponent tuple, one entry per table variable
+_ZERO = Fraction(0)  # Fractions are immutable, so one zero serves every vector
 
 
 class TableMismatchError(ValueError):
@@ -56,18 +57,37 @@ class VarTable:
         return self.names(ring).index(name)
 
 
-def monomials(nvars: int, degree: int) -> Iterator[Monomial]:
-    """All exponent tuples of the given total degree, descending lex order."""
-    if nvars == 0:
-        if degree == 0:
-            yield ()
-        return
-    if nvars == 1:
-        yield (degree,)
-        return
-    for e in range(degree, -1, -1):
-        for rest in monomials(nvars - 1, degree - e):
-            yield (e,) + rest
+_MONOMIALS: dict = {}  # (nvars, degree) -> tuple of exponent tuples, canonical order
+_INDEX: dict = {}  # (nvars, degree) -> {exponent tuple: position in that tuple}
+
+
+def monomials(nvars: int, degree: int) -> tuple:
+    """All exponent tuples of the given total degree, descending lex order.
+
+    The tuple is built once per (nvars, degree) and shared by every caller.
+    """
+    table = _MONOMIALS.get((nvars, degree))
+    if table is None:
+        if degree < 0:
+            table = ()
+        elif nvars == 0:
+            table = ((),) if degree == 0 else ()
+        elif nvars == 1:
+            table = ((degree,),)
+        else:
+            table = tuple((e,) + rest for e in range(degree, -1, -1)
+                          for rest in monomials(nvars - 1, degree - e))
+        _MONOMIALS[(nvars, degree)] = table
+    return table
+
+
+def _monomial_index(nvars: int, degree: int) -> dict:
+    """Position of each exponent tuple in monomials(nvars, degree)."""
+    index = _INDEX.get((nvars, degree))
+    if index is None:
+        index = {m: k for k, m in enumerate(monomials(nvars, degree))}
+        _INDEX[(nvars, degree)] = index
+    return index
 
 
 def monomial_count(nvars: int, degree: int) -> int:
@@ -137,11 +157,7 @@ class Poly:
     @staticmethod
     def from_vector(table: VarTable, ring: str, degree: int, vec: Sequence) -> "Poly":
         """Inverse of coefficient_vector for a fixed degree."""
-        terms = {}
-        for mono, c in zip(monomials(table.n, degree), vec):
-            if c != 0:
-                terms[mono] = c
-        return Poly(table, ring, terms)
+        return Poly(table, ring, {m: c for m, c in zip(monomials(table.n, degree), vec) if c})
 
     # -- ring structure ----------------------------------------------------
 
@@ -250,7 +266,13 @@ class Poly:
     def coefficient_vector(self, degree: int) -> list:
         """Coefficients aligned with monomials(n, degree); requires all terms
         of that degree (use graded_component first otherwise)."""
-        return [self.terms.get(m, Fraction(0)) for m in monomials(self.table.n, degree)]
+        index = _monomial_index(self.table.n, degree)
+        vec = [_ZERO] * len(index)
+        for mono, c in self.terms.items():
+            k = index.get(mono)
+            if k is not None:
+                vec[k] = c
+        return vec
 
     def support_vars(self) -> set:
         used = set()

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .apolarity import ann_slice, concise_dim, hilbert_function
+from .apolarity import FormFacts, HilbertFn, ann_slice, hilbert_function
 from .poly import Poly
 from .poly import uni_derivative, uni_gcd, uni_trim
 
@@ -119,20 +119,22 @@ def _aggregate_deductions(deductions: Sequence[Deduction]) -> RankReport:
     return RankReport(lows=lows, ups=ups, provenance=tuple(deductions))
 
 
-def conciseness_deduction(f: Poly) -> Deduction:
+def conciseness_deduction(dim: int) -> Deduction:
     return Deduction(
         notion="all",
         side="lower",
-        value=concise_dim(f).dim,
+        value=dim,
         rule="conciseness",
         detail="every notion is at least the number of essential variables",
     )
 
 
-def aggregate(f: Poly, evidence: Sequence[Deduction]) -> RankReport:
+def aggregate(f: Poly, evidence: Sequence[Deduction],
+              facts: Optional[FormFacts] = None) -> RankReport:
     """Close the given evidence under the inequality chains; the conciseness
-    lower bound is always injected."""
-    return _aggregate_deductions([conciseness_deduction(f)] + list(evidence))
+    lower bound is always injected, read from facts (f's) when given."""
+    dim = (facts or FormFacts(f)).essential.dim
+    return _aggregate_deductions([conciseness_deduction(dim)] + list(evidence))
 
 
 def catalecticant_lower_bound(f: Poly) -> int:
@@ -140,8 +142,8 @@ def catalecticant_lower_bound(f: Poly) -> int:
     return hilbert_function(f).max()
 
 
-def catalecticant_deduction(f: Poly) -> Deduction:
-    h = hilbert_function(f)
+def catalecticant_deduction(h: HilbertFn) -> Deduction:
+    """The catalecticant bound max_i H(i), from the Hilbert function h."""
     return Deduction(
         notion="all",
         side="lower",
@@ -197,13 +199,14 @@ def sylvester_binary(f: Poly) -> SylvesterResult:
     d = f.homogeneous_degree()
     if d is None or f.is_zero():
         raise ValueError("sylvester_binary expects a homogeneous nonzero polynomial")
-    es = concise_dim(f)
+    facts = FormFacts(f)
+    es = facts.essential
     if es.dim > 2:
         raise ValueError(f"not essentially binary: {es.dim} essential variables")
     if es.dim == 1:
         d1, d2, rank_val = 1, d + 1, 1
     else:
-        g = es.reduced
+        g = facts.form
         d1 = None
         for i in range(1, d + 1):
             sl = ann_slice(g, i)
@@ -229,7 +232,7 @@ def sylvester_binary(f: Poly) -> SylvesterResult:
         Deduction("rank", "exact", rank_val, rule="binary-square-free",
                   detail="square-free slice member" if rank_val == d1 else "no square-free member in first slice"),
     ]
-    report = aggregate(f, evidence)
+    report = aggregate(f, evidence, facts)
     return SylvesterResult(d1=d1, d2=d2, border=d1, rank=rank_val, report=report)
 
 

@@ -1,9 +1,11 @@
 """Certificate pipeline for the five-variable wild cubic and its relatives.
 
 Everything here re-verifies from scratch: certificates carry no trusted
-state, every equality and dimension is recomputed exactly, and applications
-of literature rules are recorded as "cited" stages over machine-verified
-hypotheses so an auditor can see precisely what was computed.
+state, every equality and dimension is computed exactly (the stages of one
+report share one `FormFacts`, so each invariant is computed once), and
+applications of literature rules are recorded as "cited" stages over
+machine-verified hypotheses so an auditor can see precisely what was
+computed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import lcm, prod
 from typing import Optional, Sequence
 
 from . import linalg
-from .apolarity import ann_slice, concise_dim, contract, essential_form, hilbert_function
+from .apolarity import FormFacts, contract
 from .ideals import generated_slice
 from .poly import (
     DUAL,
@@ -36,7 +38,6 @@ from .ranks import (
     RankReport,
     aggregate,
     catalecticant_deduction,
-    quadric_rank,
     sylvester_binary,
     tameness_rule,
 )
@@ -333,7 +334,8 @@ class CactusSliceCertificate:
         )
 
 
-def cactus_lower_via_slice(f: Poly) -> Optional[CactusSliceCertificate]:
+def cactus_lower_via_slice(f: Poly,
+                           facts: Optional[FormFacts] = None) -> Optional[CactusSliceCertificate]:
     """Lower-bound the cactus rank by showing the degree-2 annihilator slice
     saturates to too small a linear space.
 
@@ -341,17 +343,17 @@ def cactus_lower_via_slice(f: Poly) -> Optional[CactusSliceCertificate]:
     the full annihilator slice; if the saturation of that slice contains
     enough independent linear forms to drop the linear Hilbert value below
     the number of essential variables, no such scheme exists and the cactus
-    rank is at least H_f(2) + 1.
+    rank is at least H_f(2) + 1.  `facts`, when given, must be f's.
     """
     if f.homogeneous_degree() != 3:
         raise ValueError("the slice-saturation pattern is for cubics")
     n = f.table.n
-    es_dim = concise_dim(f).dim
+    facts = facts or FormFacts(f)
+    es_dim = facts.essential.dim
     if es_dim != n:
         raise ValueError("reduce to essential variables before this pattern")
-    h = hilbert_function(f)
-    r = h(2)
-    slice2 = ann_slice(f, 2)
+    r = facts.hilbert(2)
+    slice2 = facts.slice2
     k = 3
     slice4 = generated_slice(slice2.basis, 2 + 2, table=f.table)
     vecs = slice4.vectors()
@@ -385,10 +387,10 @@ def cactus_lower_via_slice(f: Poly) -> Optional[CactusSliceCertificate]:
     )
 
 
-def slice_saturation_certificate(f: Poly):
+def slice_saturation_certificate(f: Poly, facts: Optional[FormFacts] = None):
     """The slice-saturation cactus bound and its record, or None when the
     pattern finds no linear drop; ValueError as cactus_lower_via_slice."""
-    csl = cactus_lower_via_slice(f)
+    csl = cactus_lower_via_slice(f, facts)
     if csl is None:
         return None
     return csl, CertificateRecord(kind="cactus-slice-saturation", verified=True,
@@ -758,11 +760,12 @@ class Rank9Certificate:
         return tuple(s.render() for s in self.stages)
 
 
-def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None) -> Rank9Certificate:
+def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None,
+                     facts: Optional[FormFacts] = None) -> Rank9Certificate:
     """Verify the counting hypotheses ruling out reduced decompositions of
     length <= r_max for the wild-cubic pattern; the returned bound is
     r_max + 1.  On any failed stage the certificate is unverified and names
-    the stage."""
+    the stage.  `facts`, when given, must be f's."""
     stages = []
 
     def fail(name, detail, kind="computed"):
@@ -775,7 +778,8 @@ def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None) -> Rank9Certifi
     n = f.table.n
     if f.homogeneous_degree() != 3 or n != 5:
         return fail("shape", "expected a cubic in exactly 5 variables")
-    if concise_dim(f).dim != 5:
+    facts = facts or FormFacts(f)
+    if facts.essential.dim != 5:
         return fail("shape", "not concise: fewer than 5 essential variables")
     pairs = square_pairs if square_pairs is not None else extract_square_pairs(f)
     if not pairs:
@@ -785,7 +789,7 @@ def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None) -> Rank9Certifi
         return fail("shape", f"dual split is {len(perp)}+{len(comp)}, need 3+2")
     ok("shape", "concise 5-variable cubic with a 3+2 dual split")
 
-    slice2 = ann_slice(f, 2)
+    slice2 = facts.slice2
     if slice2.dim != 10:
         return fail("slice-dimension", f"degree-2 annihilator slice has dimension {slice2.dim}, need 10")
     ok("slice-dimension", "degree-2 annihilator slice is 10-dimensional")
@@ -842,9 +846,10 @@ def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None) -> Rank9Certifi
     return Rank9Certificate(True, r_max + 1, r_max, tuple(stages), locus=locus)
 
 
-def counting_certificate(f: Poly, r_max: int = 8, square_pairs=None):
+def counting_certificate(f: Poly, r_max: int = 8, square_pairs=None,
+                         facts: Optional[FormFacts] = None):
     """rank9_lower_cert and its record, verified or naming the failed stage."""
-    r9 = rank9_lower_cert(f, r_max=r_max, square_pairs=square_pairs)
+    r9 = rank9_lower_cert(f, r_max=r_max, square_pairs=square_pairs, facts=facts)
     return r9, CertificateRecord(kind="rank-lower-counting", verified=r9.verified,
                                  stage_log=r9.stage_log())
 
@@ -943,10 +948,11 @@ class WildReport:
         return out
 
 
-def _slice_saturation_evidence(g: Poly, evidence: list, certificates: list) -> tuple:
+def _slice_saturation_evidence(facts: FormFacts, evidence: list, certificates: list) -> tuple:
     """Append the slice-saturation cactus bound and its certificate when the
-    pattern applies; returns the saturation gammas as printable forms."""
-    found = slice_saturation_certificate(g)
+    pattern applies to facts.form; returns the saturation gammas as
+    printable forms."""
+    found = slice_saturation_certificate(facts.form, facts)
     if found is None:
         return ()
     csl, cert = found
@@ -958,8 +964,9 @@ def _slice_saturation_evidence(g: Poly, evidence: list, certificates: list) -> t
     return tuple(str(gamma) for gamma in csl.gamma_basis)
 
 
-def _wild_route_evidence(g: Poly, pairs, r_max: int):
-    """Certificates for a concise cubic with square-pair data."""
+def _wild_route_evidence(facts: FormFacts, pairs, r_max: int):
+    """Certificates for a concise cubic (facts.form) with square-pair data."""
+    g = facts.form
     evidence = []
     certificates = []
     notes = []
@@ -1005,10 +1012,10 @@ def _wild_route_evidence(g: Poly, pairs, r_max: int):
         )
         certificates.append(cert)
 
-    sat_gammas = _slice_saturation_evidence(g, evidence, certificates)
+    sat_gammas = _slice_saturation_evidence(facts, evidence, certificates)
 
     if g.table.n == 5 and len(pairs) == 3:
-        r9, cert = counting_certificate(g, r_max=r_max, square_pairs=pairs)
+        r9, cert = counting_certificate(g, r_max=r_max, square_pairs=pairs, facts=facts)
         certificates.append(cert)
         if r9.verified:
             evidence.append(
@@ -1020,16 +1027,16 @@ def _wild_route_evidence(g: Poly, pairs, r_max: int):
     return evidence, certificates, notes, sat_gammas, border_witness
 
 
-def _classical_evidence(g: Poly, d: int, essential: int) -> list:
-    """The catalecticant bound, plus the exact values of quadrics and of
-    essentially binary forms."""
-    evidence = [catalecticant_deduction(g)]
+def _classical_evidence(facts: FormFacts, d: int) -> list:
+    """The catalecticant bound for facts.form, plus the exact values of
+    quadrics (H(1), as quadric_rank) and of essentially binary forms."""
+    evidence = [catalecticant_deduction(facts.hilbert)]
     if d == 2:
-        evidence.append(Deduction("all", "exact", quadric_rank(g), rule="quadric-conciseness",
+        evidence.append(Deduction("all", "exact", facts.hilbert(1), rule="quadric-conciseness",
                                   detail="all notions coincide for quadrics"))
-    elif essential <= 2:
+    elif facts.essential.dim <= 2:
         # the first deduction is conciseness, which aggregate() re-injects
-        evidence += sylvester_binary(g).report.provenance[1:]
+        evidence += sylvester_binary(facts.form).report.provenance[1:]
     return evidence
 
 
@@ -1037,9 +1044,10 @@ def classical_report(f: Poly) -> tuple:
     """(conciseness, bounds) from the routes theorem2_report takes before its
     cubic stages: the catalecticant bound for every form, exact values for
     quadrics and essentially binary forms."""
-    es, g = essential_form(f)
+    facts = FormFacts(f)
     d = f.homogeneous_degree()
-    return es.dim, tameness_rule(aggregate(g, _classical_evidence(g, d, es.dim)), d)
+    evidence = _classical_evidence(facts, d)
+    return facts.essential.dim, tameness_rule(aggregate(facts.form, evidence, facts), d)
 
 
 def theorem2_report(f, r_max: int = 8) -> WildReport:
@@ -1060,16 +1068,18 @@ def theorem2_report(f, r_max: int = 8) -> WildReport:
     if d is None:
         raise ValueError("rank reports need a homogeneous polynomial")
 
-    es, g = essential_form(f)
+    # computed once here and read by every stage below
+    facts = FormFacts(f)
+    es, g = facts.essential, facts.form
     if pres is not None and es.dim != f.table.n:
         raise ValueError("presentations must already be concise")
 
-    evidence = _classical_evidence(g, d, es.dim)
+    evidence = _classical_evidence(facts, d)
     certificates = []
     notes = []
     sat_gammas = ()
     border_witness = None
-    slice2_dim = ann_slice(g, 2).dim if d >= 2 else None
+    slice2_dim = facts.slice2.dim if d >= 2 else None
 
     if d != 2 and es.dim > 2:
         components = direct_summands(g)
@@ -1095,26 +1105,25 @@ def theorem2_report(f, r_max: int = 8) -> WildReport:
             for r in sub_reports:
                 certificates.extend(r.certificates)
             if d == 3:
-                sat_gammas = _slice_saturation_evidence(g, evidence, certificates)
+                sat_gammas = _slice_saturation_evidence(facts, evidence, certificates)
         elif d == 3:
             pairs = pres.square_pairs if pres is not None else extract_square_pairs(g)
             if pairs:
                 wild_ev, wild_certs, wild_notes, sat_gammas, border_witness = _wild_route_evidence(
-                    g, pairs, r_max
+                    facts, pairs, r_max
                 )
                 evidence += wild_ev
                 certificates += wild_certs
                 notes += wild_notes
             else:
-                sat_gammas = _slice_saturation_evidence(g, evidence, certificates)
+                sat_gammas = _slice_saturation_evidence(facts, evidence, certificates)
                 notes.append("no squares-times-lines shape found; reporting catalecticant bounds")
 
-    report = tameness_rule(aggregate(g, evidence), d)
-    h = hilbert_function(g)
+    report = tameness_rule(aggregate(g, evidence, facts), d)
     return WildReport(
         poly=f,
         conciseness=es.dim,
-        hilbert=tuple(h.values),
+        hilbert=tuple(facts.hilbert.values),
         slice2_dim=slice2_dim,
         saturation_gammas=sat_gammas,
         cactus_lower=report.lower("cactus"),

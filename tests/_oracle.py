@@ -38,6 +38,36 @@ def naive_rank(rows):
     return len(naive_rref(rows)[0])
 
 
+def naive_kernel(rows, ncols):
+    """Reduced echelon basis of {v : A v = 0}: one vector per free column,
+    read off the naive reduced form, then reduced itself."""
+    pivots, red = naive_rref(rows)
+    vecs = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for k, p in enumerate(pivots):
+            v[p] = -red[k][free]
+        vecs.append(v)
+    return naive_rref(vecs)[1]
+
+
+def naive_solve(cols, target):
+    """The solution of sum_j c_j cols[j] = target with free coordinates
+    zero, or None when there is none."""
+    ncols = len(cols)
+    aug = [[Fraction(col[i]) for col in cols] + [Fraction(t)] for i, t in enumerate(target)]
+    pivots, red = naive_rref(aug)
+    if ncols in pivots:
+        return None
+    sol = [Fraction(0)] * ncols
+    for k, p in enumerate(pivots):
+        sol[p] = red[k][ncols]
+    return sol
+
+
 def random_poly(rng, table, ring, degree, max_terms=4, allow_zero=False):
     """Random polynomial with small integer coefficients, exact degree bound."""
     from apolar.poly import Poly, monomials

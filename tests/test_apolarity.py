@@ -4,10 +4,10 @@ import pytest
 
 from apolar.apolarity import ann_slice, catalecticant, concise_dim, contract, hilbert_function
 from apolar.parsing import parse_poly
-from apolar.poly import DUAL, PRIMAL, Poly, VarTable
+from apolar.poly import DUAL, PRIMAL, Poly, VarTable, monomials
 from apolar.wildcert import wild_cubic, wild_table
 
-from _oracle import random_poly
+from _oracle import naive_rank, random_poly
 
 T5 = wild_table()
 F = wild_cubic(T5)
@@ -142,3 +142,34 @@ def test_concise_reduction_after_mixing():
     es = concise_dim(p)
     assert es.dim == 2
     assert es.reduced.substitute(list(es.basis)) == p
+
+
+def test_catalecticant_entries_are_contractions_by_dual_monomials():
+    # column j is the contraction of f by the j-th degree-i dual monomial,
+    # read off at the row's primal monomial
+    rng = random.Random(2718)
+    table = VarTable.make(("u", "v", "w"))
+    for _ in range(30):
+        d = rng.randint(1, 4)
+        f = random_poly(rng, table, PRIMAL, d, max_terms=6)
+        if f.is_zero():
+            continue
+        for i in range(d + 1):
+            entries = catalecticant(f, i).matrix.entries
+            for j, col_mono in enumerate(monomials(3, i)):
+                g = contract(Poly(table, DUAL, {col_mono: 1}), f)
+                for k, row_mono in enumerate(monomials(3, d - i)):
+                    assert entries[k][j] == g.coeff(row_mono)
+
+
+def test_hilbert_function_equals_all_catalecticant_ranks():
+    # hilbert_function ranks catalecticants up to d//2 only and mirrors them
+    rng = random.Random(1414)
+    for _ in range(40):
+        table = VarTable.make(("a", "b", "c", "d")[: rng.randint(2, 4)])
+        d = rng.randint(2, 5)
+        f = random_poly(rng, table, PRIMAL, d, max_terms=rng.randint(1, 8))
+        if f.is_zero():
+            continue
+        ranks = tuple(naive_rank(catalecticant(f, i).matrix.entries) for i in range(d + 1))
+        assert hilbert_function(f).values == ranks

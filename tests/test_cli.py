@@ -140,6 +140,15 @@ def test_inhomogeneous_rejected(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["rank-bounds", "theorem2", "concise", "witness-verify",
+                                     "wild-cert"])
+def test_constant_input_is_an_input_error(capsys, command):
+    code = main([command, "--poly", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and "constant" in err
+
+
 def test_unknown_command_exit_code(capsys):
     code = main(["does-not-exist"])
     assert code == 2

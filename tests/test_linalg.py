@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from apolar import linalg
 from apolar.linalg import QMatrix
 
-from _oracle import naive_rank, naive_rref
+from _oracle import naive_kernel, naive_rank, naive_rref, naive_solve
 
 
 def frand(rng):
@@ -102,3 +105,70 @@ def test_intersect_spans():
     inter = linalg.intersect_spans([e[0], e[1]], [e[1], e[2]])
     assert inter == [e[1]]
     assert linalg.intersect_spans([e[0]], [e[1]]) == []
+
+
+# -- the integer-native routines against a naive Fraction Gauss-Jordan --------
+
+# ints and Fractions with different denominators, in one matrix
+ENTRIES = st.one_of(st.integers(-6, 6),
+                    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 9)))
+
+
+@st.composite
+def matrices(draw):
+    """(rows, ncols): tall, wide or square, possibly empty, with zero rows
+    and, half the time, rows that are combinations of a few others."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(1, 8))
+    row = st.lists(ENTRIES, min_size=ncols, max_size=ncols)
+    if draw(st.booleans()):
+        base = draw(st.lists(row, min_size=1, max_size=3))
+        weights = st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base))
+        rows = [[sum((w * b[j] for w, b in zip(ws, base)), Fraction(0)) for j in range(ncols)]
+                for ws in draw(st.lists(weights, min_size=nrows, max_size=nrows))]
+    else:
+        rows = draw(st.lists(st.one_of(row, st.just([0] * ncols)),
+                             min_size=nrows, max_size=nrows))
+    return rows, ncols
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_rref_and_rank_match_naive_gauss_jordan(case):
+    rows, _ = case
+    pivots, red = linalg.rref(rows)
+    assert (pivots, red) == naive_rref(rows)
+    assert all(type(c) is Fraction for r in red for c in r)
+    assert linalg.rank(rows) == len(pivots)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_kernel_basis_matches_naive_gauss_jordan(case):
+    rows, ncols = case
+    ker = linalg.kernel_basis(rows, ncols)
+    assert ker == naive_kernel(rows, ncols)
+    assert all(type(c) is Fraction for v in ker for c in v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.data())
+def test_solve_columns_matches_naive_gauss_jordan(case, data):
+    rows, _ = case
+    cols = [list(c) for c in zip(*rows)]
+    if data.draw(st.booleans()):
+        # a target in the span, so that a solution exists
+        weights = data.draw(st.lists(ENTRIES, min_size=len(cols), max_size=len(cols)))
+        target = [sum((w * r[j] for j, w in enumerate(weights)), Fraction(0)) for r in rows]
+    else:
+        target = data.draw(st.lists(ENTRIES, min_size=len(rows), max_size=len(rows)))
+    sol = linalg.solve_columns(cols, target)
+    assert sol == naive_solve(cols, target)
+    if sol is not None:
+        assert all(type(c) is Fraction for c in sol)
+
+
+def test_empty_input():
+    assert linalg.rref([]) == ([], [])
+    assert linalg.rank([]) == 0
+    assert linalg.kernel_basis([], 2) == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    assert linalg.solve_columns([], []) == []

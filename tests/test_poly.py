@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -160,6 +161,16 @@ def test_canonical_order_is_descending_graded_lex():
     order = list(monomials(3, 2))
     assert order[0] == (2, 0, 0)
     assert order == sorted(order, reverse=True)
+
+
+def test_monomials_is_one_shared_tuple_in_grlex_order():
+    for n in range(1, 6):
+        for d in range(0, 5):
+            got = monomials(n, d)
+            assert type(got) is tuple
+            assert monomials(n, d) is got
+            everything = (m for m in product(range(d + 1), repeat=n) if sum(m) == d)
+            assert got == tuple(sorted(everything, reverse=True))
 
 
 def test_coefficient_vector_roundtrip():

@@ -299,3 +299,31 @@ def test_gl5_stream_certifies_the_same_values():
         rep = theorem2_report(moved)
         assert rep.final() == {"border": 5, "smoothable": 6, "cactus": 6, "rank": 9}
         assert all(c.verified for c in rep.certificates)
+
+
+def test_theorem2_report_computes_each_invariant_once(monkeypatch):
+    # wrap the originals wherever a module of the package holds them, as a
+    # caller through `from .apolarity import ...` would see them
+    import apolar
+    from apolar import apolarity, cli, ideals, ranks, wildcert, witness
+
+    calls = {"concise_dim": 0, "hilbert_function": 0, "ann_slice(., 2)": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            if name != "ann_slice":
+                calls[name] += 1
+            elif (args[1] if len(args) > 1 else kwargs["i"]) == 2:
+                calls["ann_slice(., 2)"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("concise_dim", "hilbert_function", "ann_slice"):
+        original = getattr(apolarity, name)
+        wrapper = counting(name, original)
+        for module in (apolar, apolarity, cli, ideals, ranks, wildcert, witness):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    rep = theorem2_report(wild_cubic())
+    assert rep.final() == {"border": 5, "smoothable": 6, "cactus": 6, "rank": 9}
+    assert calls == {"concise_dim": 1, "hilbert_function": 1, "ann_slice(., 2)": 1}
