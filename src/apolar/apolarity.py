@@ -60,12 +60,12 @@ def contract(alpha: Poly, f: Poly) -> Poly:
                 mono[k] = b - a
             else:
                 mono = tuple(mono)
-                s = terms.get(mono, 0) + ca * cf * scale
+                s = terms.get(mono, _ZERO) + ca * cf * scale
                 if s == 0:
                     terms.pop(mono, None)
                 else:
                     terms[mono] = s
-    return Poly(f.table, PRIMAL, terms)
+    return Poly._of(f.table, PRIMAL, terms)
 
 
 @dataclass(frozen=True)

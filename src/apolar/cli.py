@@ -253,7 +253,10 @@ def _cmd_direct_sum(args):
         "slice_intersection_equal": rep.slice_intersection_equal,
         "final": pipeline.final(),
     }
-    return results, [rep.certificate, *pipeline.certificates], rep.slice_intersection_equal
+    certificates = list(pipeline.certificates)
+    if rep.certificate not in certificates:  # the pipeline's direct-sum branch issues it too
+        certificates.insert(0, rep.certificate)
+    return results, certificates, rep.slice_intersection_equal
 
 
 _COMMANDS = {

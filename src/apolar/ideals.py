@@ -69,7 +69,7 @@ def generated_slice(
     gens: Sequence[Poly], degree: int, table: Optional[VarTable] = None
 ) -> IdealSlice:
     """Degree-d piece of the ideal generated by gens, as span of monomial
-    multiples."""
+    multiples (each built by shifting the generator's exponents)."""
     table = _require_table(gens, table)
     ring = gens[0].ring if gens else DUAL
     products = []
@@ -82,7 +82,7 @@ def generated_slice(
         if e > degree:
             continue
         for mono in monomials(table.n, degree - e):
-            products.append(Poly(table, ring, {mono: 1}) * g)
+            products.append(g.times_monomial(mono))
     return slice_from_forms(products, degree, table, ring)
 
 
@@ -118,7 +118,7 @@ def membership(target: Poly, gens: Sequence[Poly]) -> Optional[MembershipCertifi
         if e > d:
             continue
         for mono in monomials(table.n, d - e):
-            prod = Poly(table, target.ring, {mono: 1}) * g
+            prod = g.times_monomial(mono)
             cols.append(prod.coefficient_vector(d))
             col_meta.append((gi, mono))
     sol = linalg.solve_columns(cols, target.coefficient_vector(d))
@@ -146,7 +146,7 @@ def saturation_witness(gens: Sequence[Poly], gamma: Poly, k: int, table: Optiona
     table = _require_table(list(gens), table if table is not None else gamma.table)
     target = generated_slice(gens, e + k, table)
     for mono in monomials(table.n, k):
-        prod = Poly(table, gamma.ring, {mono: 1}) * gamma
+        prod = gamma.times_monomial(mono)
         if not target.contains(prod):
             return False
     return True

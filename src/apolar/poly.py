@@ -138,6 +138,18 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    @classmethod
+    def _of(cls, table: VarTable, ring: str, terms: dict) -> "Poly":
+        """A Poly over a term dict that is already canonical: Fraction
+        coefficients, all nonzero, exponent tuples of the table's length.
+        Nothing is checked or copied; results of Poly arithmetic come here,
+        outside input goes through Poly(...)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "table", table)
+        object.__setattr__(p, "ring", ring)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -169,15 +181,15 @@ class Poly:
         self._check_compatible(other)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
-            s = terms.get(mono, Fraction(0)) + c
+            s = terms.get(mono, _ZERO) + c
             if s == 0:
                 terms.pop(mono, None)
             else:
                 terms[mono] = s
-        return Poly(self.table, self.ring, terms)
+        return Poly._of(self.table, self.ring, terms)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.table, self.ring, {m: -c for m, c in self.terms.items()})
+        return Poly._of(self.table, self.ring, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -190,12 +202,12 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                s = terms.get(m, Fraction(0)) + c1 * c2
+                s = terms.get(m, _ZERO) + c1 * c2
                 if s == 0:
                     terms.pop(m, None)
                 else:
                     terms[m] = s
-        return Poly(self.table, self.ring, terms)
+        return Poly._of(self.table, self.ring, terms)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -206,7 +218,17 @@ class Poly:
         c = _as_fraction(c)
         if c == 0:
             return Poly.zero(self.table, self.ring)
-        return Poly(self.table, self.ring, {m: c * v for m, v in self.terms.items()})
+        return Poly._of(self.table, self.ring, {m: c * v for m, v in self.terms.items()})
+
+    def times_monomial(self, mono: Monomial) -> "Poly":
+        """The product with the monomial `mono` (coefficient 1): exponents
+        add, coefficients are reused as they are."""
+        mono = tuple(mono)
+        if len(mono) != self.table.n or min(mono, default=0) < 0:
+            raise ValueError(f"bad exponent tuple {mono} for {self.table.n} variables")
+        return Poly._of(self.table, self.ring,
+                        {tuple(a + b for a, b in zip(m, mono)): c
+                         for m, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -374,18 +396,6 @@ def uni_trim(a: list) -> list:
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def uni_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return uni_trim(out)
 
 
 def uni_divmod(a: list, b: list) -> tuple:

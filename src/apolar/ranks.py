@@ -188,18 +188,19 @@ class SylvesterResult:
     report: RankReport
 
 
-def sylvester_binary(f: Poly) -> SylvesterResult:
+def sylvester_binary(f: Poly, facts: Optional[FormFacts] = None) -> SylvesterResult:
     """Exact ranks of a form in at most two essential variables.
 
     The annihilator of a binary form is a complete intersection in degrees
     d1 <= d2 with d1 + d2 = d + 2; cactus, smoothable and border rank all
     equal d1, and the rank is d1 exactly when the degree-d1 slice contains a
-    square-free form, else d2.
+    square-free form, else d2.  `facts`, when given, must be f's or those of
+    a form whose essential form f is.
     """
     d = f.homogeneous_degree()
     if d is None or f.is_zero():
         raise ValueError("sylvester_binary expects a homogeneous nonzero polynomial")
-    facts = FormFacts(f)
+    facts = facts or FormFacts(f)
     es = facts.essential
     if es.dim > 2:
         raise ValueError(f"not essentially binary: {es.dim} essential variables")
@@ -209,7 +210,7 @@ def sylvester_binary(f: Poly) -> SylvesterResult:
         g = facts.form
         d1 = None
         for i in range(1, d + 1):
-            sl = ann_slice(g, i)
+            sl = facts.slice2 if i == 2 else ann_slice(g, i)
             if sl.dim > 0:
                 d1 = i
                 break

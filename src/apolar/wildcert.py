@@ -12,25 +12,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import lcm, prod
 from typing import Optional, Sequence
 
 from . import linalg
 from .apolarity import FormFacts, contract
-from .ideals import generated_slice
+from .ideals import IdealSlice, generated_slice
 from .poly import (
     DUAL,
     Poly,
     VarTable,
+    _monomial_index,
     linear_coeffs,
     linear_form,
     monomial_count,
     monomials,
     uni_divmod,
     uni_gcd,
-    uni_mul,
-    uni_trim,
 )
 from .ranks import (
     CertificateRecord,
@@ -305,15 +304,22 @@ def limit_family_certificate(f: Poly, square_pairs=None):
 # ---------------------------------------------------------------------------
 
 
-def _reduce_vector(v, pivots, vectors):
-    v = list(v)
-    for p, row in zip(pivots, vectors):
-        c = v[p]
-        if c:
-            for j in range(p, len(v)):
-                if row[j]:
-                    v[j] -= c * row[j]
-    return v
+def _monomial_residues(slice_: IdealSlice) -> list:
+    """Normal form of every monomial of the slice's degree modulo its reduced
+    echelon basis, indexed like monomials(n, degree), as {coordinate:
+    coefficient} over the non-pivot coordinates.
+
+    A monomial off the pivots is its own normal form; the pivot monomial of
+    a basis row reduces to itself minus that row, which vanishes on every
+    pivot because the basis is reduced.
+    """
+    index = _monomial_index(slice_.table.n, slice_.degree)
+    residues = [{k: 1} for k in range(len(index))]
+    for b in slice_.basis:
+        coords = {index[m]: c for m, c in b.terms.items()}
+        pivot = min(coords)
+        residues[pivot] = {k: -c for k, c in coords.items() if k != pivot}
+    return residues
 
 
 @dataclass(frozen=True)
@@ -355,21 +361,20 @@ def cactus_lower_via_slice(f: Poly,
     r = facts.hilbert(2)
     slice2 = facts.slice2
     k = 3
-    slice4 = generated_slice(slice2.basis, 2 + 2, table=f.table)
-    vecs = slice4.vectors()
-    pivots = [next(j for j, c in enumerate(v) if c != 0) for v in vecs]
-    dim4 = monomial_count(n, 4)
+    slice4 = generated_slice(slice2.basis, 1 + k, table=f.table)
+    residues = _monomial_residues(slice4)
+    index4 = _monomial_index(n, 1 + k)
+    # gamma = sum c_j x_j lies in the saturation iff every gamma * mu (mu a
+    # degree-k monomial) reduces to zero; x_j * mu is a single monomial, so
+    # each mu contributes one equation per coordinate its residues reach
     rows = []
-    for mono in monomials(n, k):
-        mu = Poly(f.table, DUAL, {mono: 1})
-        residues = []
+    for mu in monomials(n, k):
+        by_coord = {}
         for j in range(n):
-            prod_vec = (Poly.variable(f.table, j, DUAL) * mu).coefficient_vector(4)
-            residues.append(_reduce_vector(prod_vec, pivots, vecs))
-        for coord in range(dim4):
-            row = [residues[j][coord] for j in range(n)]
-            if any(row):
-                rows.append(row)
+            shifted = mu[:j] + (mu[j] + 1,) + mu[j + 1:]
+            for coord, c in residues[index4[shifted]].items():
+                by_coord.setdefault(coord, [0] * n)[j] = c
+        rows.extend(by_coord[coord] for coord in sorted(by_coord))
     gamma_vecs = linalg.kernel_basis(rows, n)
     if not gamma_vecs:
         return None
@@ -583,11 +588,13 @@ def forced_square_check(f: Poly, perp_basis: Sequence[Poly]) -> bool:
 
 
 def _bf_roots(form: list):
-    formal_deg = len(form) - 1
-    p = uni_trim(list(form))
-    if not p:
+    end = len(form)
+    while end and not form[end - 1]:
+        end -= 1
+    if not end:
         return None
-    return [c for c in p], formal_deg - (len(p) - 1)
+    # the gcd helpers divide, so integer determinants become Fractions here
+    return [Fraction(c) for c in form[:end]], len(form) - end
 
 
 def _bf_roots_gcd(a, b):
@@ -618,28 +625,37 @@ def _bf_has_root_outside(a, b) -> bool:
     return len(p) > 1
 
 
-def _bf_det(rows, cols, matrix, degs):
-    """Determinant of the submatrix (homogeneous binary-form entries); degs
-    gives the entry degree per column, so the result is homogeneous of
-    degree sum(degs[c] for c in cols)."""
-    target = sum(degs[c] for c in cols) + 1
-    if not rows:
-        return [Fraction(1)]
-    total = [Fraction(0)] * target
-    r0 = rows[0]
-    for idx, c in enumerate(cols):
-        entry = matrix[r0][c]
-        if not any(entry):
-            continue
-        sub = _bf_det(rows[1:], cols[:idx] + cols[idx + 1:], matrix, degs)
-        prod = uni_mul(entry, sub)
-        sign = 1 if idx % 2 == 0 else -1
-        for k, v in enumerate(prod):
-            total[k] += sign * v
-    return total
+def _bf_det(rows: tuple, cols: tuple, matrix, degs, memo: dict) -> list:
+    """Determinant of the nonempty submatrix (homogeneous binary-form
+    entries); degs gives the entry degree per column, so the result is
+    homogeneous of degree sum(degs[c] for c in cols).  Cofactor expansion
+    along the first row; every minor is kept in memo under its (rows, cols),
+    so the minors shared by overlapping submatrices are expanded once."""
+    key = (rows, cols)
+    det = memo.get(key)
+    if det is not None:
+        return det
+    if len(rows) == 1:
+        det = list(matrix[rows[0]][cols[0]])
+    else:
+        det = [0] * (sum(degs[c] for c in cols) + 1)
+        r0 = rows[0]
+        for idx, c in enumerate(cols):
+            entry = matrix[r0][c]
+            if not any(entry):
+                continue
+            sub = _bf_det(rows[1:], cols[:idx] + cols[idx + 1:], matrix, degs, memo)
+            sign = 1 if idx % 2 == 0 else -1
+            for a, x in enumerate(entry):
+                if x:
+                    x *= sign
+                    for b, y in enumerate(sub):
+                        det[a + b] += x * y
+    memo[key] = det
+    return det
 
 
-def _minor_gcd_roots(matrix, degs, nrows, ncols, k):
+def _minor_gcd_roots(matrix, degs, nrows, ncols, k, memo: dict):
     """Root data of the gcd of all k x k minors; None when they all vanish
     identically (or when no such minors exist)."""
     if k == 0:
@@ -649,14 +665,20 @@ def _minor_gcd_roots(matrix, degs, nrows, ncols, k):
     acc = None
     for rows in combinations(range(nrows), k):
         for cols in combinations(range(ncols), k):
-            det = _bf_det(list(rows), list(cols), matrix, degs)
-            data = _bf_roots(det)
+            data = _bf_roots(_bf_det(rows, cols, matrix, degs, memo))
             if data is None:
                 continue
             acc = _bf_roots_gcd(acc, data) if acc is not None else data
             if _bf_is_nonvanishing(acc):
                 return acc
     return acc
+
+
+def _perp_products_vanish(f: Poly, perp_basis: Sequence[Poly]) -> bool:
+    """Do all pairwise products of the perp basis, squares included,
+    annihilate f?"""
+    return all(contract(b1 * b2, f).is_zero()
+               for b1, b2 in combinations_with_replacement(perp_basis, 2))
 
 
 def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly]) -> bool:
@@ -676,13 +698,9 @@ def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[P
     span_rows = [linear_coeffs(b) for b in list(perp_basis) + list(comp_basis)]
     if linalg.rank(span_rows) != f.table.n:
         raise ValueError("perp and complement together must span the dual space")
+    if not _perp_products_vanish(f, perp_basis):
+        return False
     d = f.homogeneous_degree()
-    for b1, b2 in combinations(list(perp_basis), 2):
-        if not contract(b1 * b2, f).is_zero():
-            return False
-    for b in perp_basis:
-        if not contract(b * b, f).is_zero():
-            return False
     e0, e1 = comp_basis
     E00 = contract(e0 * e0, f).coefficient_vector(d - 2)
     E01 = contract(e0 * e1, f).coefficient_vector(d - 2)
@@ -692,17 +710,22 @@ def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[P
     ncoord = len(E00)
     nb = len(perp_basis)
     # column j of the system: 2*(c0*C0[j] + c1*C1[j]); right-hand side:
-    # -(c0^2*E00 + 2*c0*c1*E01 + c1^2*E11)
+    # -(c0^2*E00 + 2*c0*c1*E01 + c1^2*E11).  Each equation is cleared of
+    # denominators: scaling a row scales its minors and moves no root.
     matrix = []
     for i in range(ncoord):
-        row = [[2 * C1[j][i], 2 * C0[j][i]] for j in range(nb)]
-        row.append([-E11[i], -2 * E01[i], -E00[i]])
-        matrix.append(row)
+        vals = [v[i] for v in C1] + [v[i] for v in C0] + [E11[i], E01[i], E00[i]]
+        den = lcm(*(c.denominator for c in vals))
+        ints = [c.numerator * (den // c.denominator) for c in vals]
+        c1, c0, (e11, e01, e00) = ints[:nb], ints[nb:2 * nb], ints[2 * nb:]
+        matrix.append([[2 * a, 2 * b] for a, b in zip(c1, c0)] + [[-e11, -2 * e01, -e00]])
     degs = [1] * nb + [2]
+    memo = {}  # minors by (rows, cols), shared by the plain and augmented gcds
+    plain_above = _minor_gcd_roots(matrix, degs, ncoord, nb, 0, memo)
     for k in range(nb + 1):
-        plain_above = _minor_gcd_roots(matrix, degs, ncoord, nb, k + 1)
-        aug_above = _minor_gcd_roots(matrix, degs, ncoord, nb + 1, k + 1)
-        plain_at = _minor_gcd_roots(matrix, degs, ncoord, nb, k)
+        plain_at = plain_above
+        plain_above = _minor_gcd_roots(matrix, degs, ncoord, nb, k + 1, memo)
+        aug_above = _minor_gcd_roots(matrix, degs, ncoord, nb + 1, k + 1, memo)
         # stratum: rank == k (plain_above roots minus plain_at roots) where
         # the augmented rank is also <= k (aug_above roots)
         if plain_above is None and aug_above is None:
@@ -794,10 +817,8 @@ def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None,
         return fail("slice-dimension", f"degree-2 annihilator slice has dimension {slice2.dim}, need 10")
     ok("slice-dimension", "degree-2 annihilator slice is 10-dimensional")
 
-    for b1 in perp:
-        for b2 in perp:
-            if not contract(b1 * b2, f).is_zero():
-                return fail("perp-squares", "a product of perp forms does not annihilate f")
+    if not _perp_products_vanish(f, perp):
+        return fail("perp-squares", "a product of perp forms does not annihilate f")
     ok("perp-squares", "all pairwise products of the perp basis annihilate f")
 
     if not squares_confined(f, perp, comp):
@@ -1036,7 +1057,7 @@ def _classical_evidence(facts: FormFacts, d: int) -> list:
                                   detail="all notions coincide for quadrics"))
     elif facts.essential.dim <= 2:
         # the first deduction is conciseness, which aggregate() re-injects
-        evidence += sylvester_binary(facts.form).report.provenance[1:]
+        evidence += sylvester_binary(facts.form, facts).report.provenance[1:]
     return evidence
 
 

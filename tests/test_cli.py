@@ -190,3 +190,11 @@ def test_certificates_match_theorem2(capsys, argv, reference):
     _, ref = run(capsys, "theorem2", "--poly", reference[0], "--vars", reference[1])
     for cert in doc["certificates"]:
         assert cert in ref["certificates"]
+
+
+def test_direct_sum_prints_each_certificate_once(capsys):
+    code, doc = run(capsys, "direct-sum", "--poly", WILD, "--vars", WILD_VARS, "--poly2", "u^3")
+    assert code == 0
+    certs = doc["certificates"]
+    assert [c["kind"] for c in certs].count("direct-sum-slice-intersection") == 1
+    assert all(a != b for i, a in enumerate(certs) for b in certs[i + 1:])

@@ -4,8 +4,12 @@ from itertools import product
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from apolar.apolarity import contract
 from apolar.poly import (
+    DUAL,
     PRIMAL,
     Poly,
     TableMismatchError,
@@ -188,3 +192,38 @@ def test_uni_gcd_basics():
     g = uni_gcd(p, uni_derivative(p))
     assert g == [Fraction(-1), Fraction(1)]
     assert uni_gcd([Fraction(2)], [Fraction(0)]) == [Fraction(1)]
+
+
+# -- results of arithmetic skip re-validation, so they must already be canonical
+
+T3 = VarTable.make(("x", "y", "z"))
+COEFFS = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5)))
+EXPONENTS = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+
+
+def polys(ring):
+    return st.dictionaries(EXPONENTS, COEFFS, max_size=5).map(lambda t: Poly(T3, ring, t))
+
+
+def assert_canonical(p):
+    assert p == Poly(p.table, p.ring, p.terms)
+    for mono, c in p.terms.items():
+        assert type(c) is Fraction and c != 0
+        assert type(mono) is tuple and len(mono) == p.table.n
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(PRIMAL), polys(PRIMAL), polys(DUAL), COEFFS, st.integers(0, 3), EXPONENTS)
+def test_arithmetic_results_are_canonical(p, q, alpha, c, k, mono):
+    shifted = p.times_monomial(mono)
+    for r in (p + q, p - q, p - p, -p, p * q, p * c, c * p, p.scale(c), p ** k,
+              contract(alpha, p), shifted, alpha.times_monomial(mono)):
+        assert_canonical(r)
+    assert shifted == Poly(T3, PRIMAL, {mono: 1}) * p
+
+
+def test_times_monomial_rejects_bad_exponents():
+    p = parse_poly("x^2 + y", table=T3)
+    for bad in ((1, 0), (1, 0, 0, 0), (1, -1, 0)):
+        with pytest.raises(ValueError):
+            p.times_monomial(bad)

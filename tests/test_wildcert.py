@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apolar.apolarity import contract
 from apolar.parsing import parse_poly
@@ -326,4 +329,114 @@ def test_theorem2_report_computes_each_invariant_once(monkeypatch):
                 monkeypatch.setattr(module, name, wrapper)
     rep = theorem2_report(wild_cubic())
     assert rep.final() == {"border": 5, "smoothable": 6, "cactus": 6, "rank": 9}
+    assert calls == {"concise_dim": 1, "hilbert_function": 1, "ann_slice(., 2)": 1}
+
+
+def gl5_presentations(count, seed=7):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
+        if linalg.rank(m) == 5:
+            out.append(transform_presentation(PRES, [linear_form(T5, row) for row in m]))
+    return out
+
+
+def test_saturation_gammas_pass_the_witness_check():
+    from apolar.apolarity import ann_slice
+    from apolar.ideals import saturation_witness
+
+    for f in [F] + [p.poly for p in gl5_presentations(3)]:
+        cert = cactus_lower_via_slice(f)
+        assert cert is not None and cert.bound == 6 and len(cert.gamma_basis) == 3
+        slice2 = ann_slice(f, 2)
+        for gamma in cert.gamma_basis:
+            assert saturation_witness(slice2.basis, gamma, cert.witness_power)
+
+
+def test_monomial_residues_are_the_reductions_modulo_the_slice():
+    from apolar.apolarity import ann_slice
+    from apolar.ideals import generated_slice
+    from apolar.poly import monomials
+    from apolar.wildcert import _monomial_residues
+
+    for f in [F] + [p.poly for p in gl5_presentations(3)]:
+        slice4 = generated_slice(ann_slice(f, 2).basis, 4)
+        vecs = slice4.vectors()
+        pivots = [next(j for j, c in enumerate(v) if c) for v in vecs]
+        residues = _monomial_residues(slice4)
+        monos = monomials(5, 4)
+        assert len(residues) == len(monos)
+        for m, residue in enumerate(residues):
+            full = [Fraction(0)] * len(monos)
+            for coord, c in residue.items():
+                full[coord] = Fraction(c)
+            # the normal form: zero on every pivot, and e_m minus it in the span
+            assert all(full[p] == 0 for p in pivots)
+            e_m = [Fraction(int(k == m)) for k in range(len(monos))]
+            assert linalg.in_span([a - b for a, b in zip(e_m, full)], vecs) is not None
+
+
+def test_squares_confined_on_transformed_presentations():
+    for pres in gl5_presentations(3):
+        perp, comp = square_pair_split(pres.square_pairs, T5)
+        assert squares_confined(pres.poly, perp, comp)
+
+
+BF_COEFFS = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
+
+
+@st.composite
+def binary_form_matrices(draw):
+    size = draw(st.integers(1, 4))
+    degs = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    matrix = [[draw(st.one_of(st.just([0] * (deg + 1)),
+                              st.lists(BF_COEFFS, min_size=deg + 1, max_size=deg + 1)))
+               for deg in degs] for _ in range(size)]
+    return matrix, degs
+
+
+@settings(max_examples=200, deadline=None)
+@given(binary_form_matrices())
+def test_bf_det_matches_naive_cofactor_expansion(case):
+    from apolar.wildcert import _bf_det
+
+    from _oracle import naive_binary_form_det
+
+    matrix, degs = case
+    size = len(degs)
+    memo = {}  # shared by every submatrix, as within one squares_confined call
+    for k in range(size, 0, -1):
+        for rows in combinations(range(size), k):
+            for cols in combinations(range(size), k):
+                det = _bf_det(rows, cols, matrix, degs, memo)
+                assert len(det) == sum(degs[c] for c in cols) + 1
+                expected = naive_binary_form_det([[matrix[r][c] for c in cols] for r in rows])
+                assert det[:len(expected)] == expected
+                assert not any(det[len(expected):])
+
+
+def test_theorem2_report_computes_each_invariant_once_for_a_binary_form(monkeypatch):
+    import apolar
+    from apolar import apolarity, cli, ideals, ranks, wildcert, witness
+
+    calls = {"concise_dim": 0, "hilbert_function": 0, "ann_slice(., 2)": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            if name != "ann_slice":
+                calls[name] += 1
+            elif (args[1] if len(args) > 1 else kwargs["i"]) == 2:
+                calls["ann_slice(., 2)"] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("concise_dim", "hilbert_function", "ann_slice"):
+        original = getattr(apolarity, name)
+        wrapper = counting(name, original)
+        for module in (apolar, apolarity, cli, ideals, ranks, wildcert, witness):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, wrapper)
+    rep = theorem2_report(parse_poly("x^2*y"))
+    assert rep.final() == {"border": 2, "smoothable": 2, "cactus": 2, "rank": 3}
     assert calls == {"concise_dim": 1, "hilbert_function": 1, "ann_slice(., 2)": 1}
