@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import perm
+from math import lcm, perm
 
 from . import linalg
 from .ideals import IdealSlice
@@ -193,10 +193,43 @@ def essential_form(f: Poly) -> tuple:
     return es, (es.reduced if es.dim != f.table.n else f)
 
 
+def second_derivatives(f: Poly) -> tuple:
+    """The table H with H[i][j] = contract(d_i * d_j, f) for every pair of
+    dual variables, each entry a coefficient vector over monomials(n, d - 2).
+
+    Contraction is bilinear, so contract(a * b, f) for dual linear forms a and
+    b is sum(a_i * b_j * H[i][j]): the table answers every quadratic
+    contraction against f without building a product.  All vectors carry one
+    common positive scale, the least that makes every entry an int; it changes
+    no kernel, rank, vanishing or proportionality.
+    """
+    d = f.homogeneous_degree()
+    if d is None:
+        raise ValueError("second derivatives need a homogeneous nonzero polynomial")
+    n = f.table.n
+    index = _monomial_index(n, d - 2)
+    cells = {}
+    for i in range(n):
+        for j in range(i, n):
+            mono = [0] * n
+            mono[i] += 1
+            mono[j] += 1
+            cells[i, j] = contract(Poly(f.table, DUAL, {tuple(mono): 1}), f).terms
+    scale = lcm(*[c.denominator for terms in cells.values() for c in terms.values()])
+    table = [[None] * n for _ in range(n)]
+    for (i, j), terms in cells.items():
+        vec = [0] * len(index)
+        for m, c in terms.items():
+            vec[index[m]] = c.numerator * (scale // c.denominator)
+        table[i][j] = table[j][i] = vec
+    return tuple(map(tuple, table))
+
+
 class FormFacts:
     """What the stages of one rank report read about a form: its
     essential-variable reduction and, for the form in its essential
-    variables, the Hilbert function and the degree-2 annihilator slice.
+    variables, the Hilbert function, the degree-2 annihilator slice and the
+    second-derivative table.
 
     Each value is computed on first use and kept only as long as this
     object, so the stages that share one FormFacts compute each value once.
@@ -212,3 +245,7 @@ class FormFacts:
     @cached_property
     def slice2(self) -> IdealSlice:
         return ann_slice(self.form, 2)
+
+    @cached_property
+    def second_derivatives(self) -> tuple:
+        return second_derivatives(self.form)

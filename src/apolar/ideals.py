@@ -8,11 +8,12 @@ it reduces to exact row reduction over the monomial basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import comb
 from typing import Optional, Sequence
 
 from . import linalg
-from .poly import DUAL, Poly, VarTable, monomial_count, monomials
+from .poly import DUAL, Poly, VarTable, _monomial_index, monomial_count, monomials
 
 
 @dataclass(frozen=True)
@@ -50,10 +51,26 @@ class IdealSlice:
 
 
 def slice_from_forms(forms: Sequence[Poly], degree: int, table: VarTable, ring: str = DUAL) -> IdealSlice:
-    """Echelonize arbitrary degree-d forms into a canonical IdealSlice."""
-    vecs = [g.coefficient_vector(degree) for g in forms if not g.is_zero()]
-    _, red = linalg.rref(vecs)
-    basis = tuple(Poly.from_vector(table, ring, degree, v) for v in red)
+    """Echelonize degree-d forms into a canonical IdealSlice.
+
+    Each form becomes one sparse row over monomials(n, degree), its terms
+    placed by monomial position, and `linalg.sparse_rref` echelons the rows in
+    integers; Fractions are built only for the returned basis.  Raises
+    ValueError on a form with a term of another degree.
+    """
+    index = _monomial_index(table.n, degree)
+    rows = []
+    for g in forms:
+        try:
+            rows.append({index[m]: c for m, c in g.terms.items()})
+        except KeyError:
+            raise ValueError(f"{g} is not homogeneous of degree {degree}") from None
+    pivots, red = linalg.sparse_rref(rows)
+    monos = monomials(table.n, degree)
+    basis = tuple(
+        Poly._of(table, ring, {monos[c]: Fraction(row[c], row[p]) for c in sorted(row)})
+        for p, row in zip(pivots, red)
+    )
     return IdealSlice(degree=degree, basis=basis, table=table, ring=ring)
 
 

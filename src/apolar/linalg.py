@@ -1,13 +1,26 @@
 """Deterministic exact linear algebra over the rationals.
 
-Inputs are rows of ints and Fractions.  Each row is cleared of denominators
-once; the forward pass is fraction-free (Bareiss), which keeps intermediate
-entries to minor-sized integers, and the back-substitution stays in integers
-too, dividing every combined row by its content.  A Fraction is built only
-for an entry that is returned, and `rank` builds none.  Every routine
-is deterministic: pivoting always picks the first usable row, and reduced
-echelon bases are unique, so downstream golden tests can compare bases
-verbatim.
+Inputs are rows of ints and Fractions, and everything is computed in
+integers: each row is cleared of denominators once, and a Fraction is built
+only for an entry that is returned (`rank` builds none).  Two kernels serve
+the two shapes of row that reach this module:
+
+- Dense rows (lists, one entry per column: catalecticants, kernels of small
+  systems, spans of a few vectors) go through `rref`, `rank`,
+  `kernel_basis`, `solve_columns` and `intersect_spans`.  The forward pass is
+  fraction-free (Bareiss), which keeps intermediate entries to minor-sized
+  integers, and the back-substitution divides every combined row by its
+  content.  On full rows this is the faster of the two.
+- Sparse rows (`{column: value}` dicts with a handful of entries out of many
+  columns: the monomial multiples that span an ideal slice) go through
+  `sparse_rref`, a fraction-free Gauss-Jordan that reduces one row at a time
+  against the reduced rows kept so far.  It touches only nonzero entries, and
+  its entries stay the size of reduced-row entries instead of growing to
+  minors, so a tall, mostly dependent stack of rows costs little.
+
+Every routine is deterministic: pivoting always picks the first usable row,
+and reduced echelon bases are unique, so both kernels give the same basis and
+downstream golden tests can compare bases verbatim.
 """
 
 from __future__ import annotations
@@ -108,6 +121,62 @@ def _int_rref(int_rows: list) -> tuple:
                     q,
                 )
     return pivots, rows
+
+
+def _primitive_sparse(row: dict, lead: int) -> dict:
+    """Sparse row divided by its content, signed so that row[lead] > 0."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    return {c: x // g for c, x in row.items()} if g != 1 else row
+
+
+def sparse_rref(rows) -> tuple:
+    """Reduced echelon form of sparse rows, kept in integers.
+
+    Each row is a {column: int or Fraction} dict, zero entries allowed and
+    missing columns zero.  Rows are taken one at a time: a row is cleared of
+    denominators, then reduced against every pivot row it meets in a single
+    pass, which is valid because a pivot row is zero on every other pivot
+    column.  If anything is left, it is divided by its content, its first
+    column becomes a pivot, and that column is cleared from the earlier rows.
+
+    Returns (pivot_columns, rows) in pivot order: row k is a primitive
+    {column: int} multiple of the k-th reduced row with a positive pivot
+    entry, so the reduced row itself is row k divided by that entry.
+    """
+    reduced = {}  # pivot column -> primitive row, zero on every other pivot
+    for row in rows:
+        den = lcm(*[x.denominator for x in row.values()])
+        v = {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
+        hits = [c for c in v if c in reduced]
+        if hits:
+            # v <- scale*v - sum over hits of (v[p]*scale/lead_p) * row_p
+            scale = lcm(*[reduced[p][p] for p in hits])
+            acc = {c: scale * x for c, x in v.items()} if scale != 1 else dict(v)
+            for p in hits:
+                r = reduced[p]
+                t = v[p] * (scale // r[p])
+                for c, y in r.items():
+                    acc[c] = acc.get(c, 0) - t * y
+            v = {c: x for c, x in acc.items() if x}
+        if not v:
+            continue
+        q = min(v)
+        v = _primitive_sparse(v, q)
+        lead = v[q]
+        for p, r in reduced.items():
+            a = r.get(q)
+            if a:
+                g = gcd(lead, a)
+                s, t = lead // g, a // g
+                acc = {c: s * y for c, y in r.items()} if s != 1 else dict(r)
+                for c, y in v.items():
+                    acc[c] = acc.get(c, 0) - t * y
+                reduced[p] = _primitive_sparse({c: x for c, x in acc.items() if x}, p)
+        reduced[q] = v
+    pivots = sorted(reduced)
+    return pivots, [reduced[p] for p in pivots]
 
 
 _ZERO = Fraction(0)

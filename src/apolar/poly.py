@@ -389,7 +389,8 @@ def linear_coeffs(p: Poly) -> list:
 
 
 # -- univariate coefficient-list helpers (used by square-freeness tests and
-#    parametric eliminations; lists are ascending in the variable) -----------
+#    parametric eliminations; lists are ascending in the variable, entries
+#    ints or Fractions; the helpers that divide convert to Fraction first) ----
 
 
 def uni_trim(a: list) -> list:
@@ -399,8 +400,9 @@ def uni_trim(a: list) -> list:
 
 
 def uni_divmod(a: list, b: list) -> tuple:
-    """Quotient and remainder of a by b (b nonzero)."""
-    a = list(a)
+    """Quotient and remainder of a by b (b nonzero), as Fraction lists."""
+    a = [_as_fraction(c) for c in a]
+    b = [_as_fraction(c) for c in b]
     db, lead = len(b) - 1, b[-1]
     quot = [Fraction(0)] * max(len(a) - db, 0)
     while len(a) - 1 >= db and a:
@@ -418,8 +420,10 @@ def uni_rem(a: list, b: list) -> list:
 
 
 def uni_gcd(a: list, b: list) -> list:
-    """Monic gcd of univariate coefficient lists (empty list for gcd(0,0))."""
-    a, b = uni_trim(list(a)), uni_trim(list(b))
+    """Monic gcd of univariate coefficient lists (empty list for gcd(0,0)),
+    as a Fraction list."""
+    a = uni_trim([_as_fraction(c) for c in a])
+    b = uni_trim([_as_fraction(c) for c in b])
     while b:
         a, b = b, uni_rem(a, b)
     if a:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from math import lcm, prod
 from typing import Optional, Sequence
 
 from . import linalg
-from .apolarity import FormFacts, contract
+from .apolarity import FormFacts, contract, second_derivatives
 from .ideals import IdealSlice, generated_slice
 from .poly import (
     DUAL,
@@ -449,7 +449,48 @@ _SAMPLE_COUNT = 6
 _POINT_COUNT = 11
 
 
-def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly]) -> ProductLocus:
+def _int_coeffs(forms: Sequence[Poly]) -> list:
+    """Coefficient lists of dual linear forms, all multiplied by the least
+    positive integer that makes every entry an int."""
+    vecs = [linear_coeffs(b) for b in forms]
+    scale = lcm(*[c.denominator for v in vecs for c in v])
+    return [[c.numerator * (scale // c.denominator) for c in v] for v in vecs]
+
+
+def _combine(a: Sequence, vecs: Sequence) -> list:
+    """sum(a_i * vecs[i]) of equal-length coefficient vectors."""
+    out = [0] * len(vecs[0])
+    for c, vec in zip(a, vecs):
+        if c:
+            for p, x in enumerate(vec):
+                if x:
+                    out[p] += c * x
+    return out
+
+
+def _contractions(f: Poly, left: Sequence[Poly], right: Sequence[Poly],
+                  facts: Optional[FormFacts] = None) -> list:
+    """[[contract(a * b, f) for b in right] for a in left] for dual linear
+    forms, as coefficient vectors over monomials(n, d - 2), read off f's
+    second-derivative table by bilinearity; no product is built.
+
+    Every vector carries one common positive scale (the table's and that of
+    the forms' cleared coefficients), which no kernel, rank, vanishing or
+    proportionality computed from them sees.  `facts`, when given, must be
+    f's; otherwise the table is computed for this call.
+    """
+    hessian = facts.second_derivatives if facts is not None else second_derivatives(f)
+    coeffs = _int_coeffs(list(left) + list(right))
+    rights = coeffs[len(left):]
+    out = []
+    for a in coeffs[:len(left)]:
+        cols = [_combine(a, column) for column in zip(*hessian)]  # contract(a * d_j, f)
+        out.append([_combine(b, cols) for b in rights])
+    return out
+
+
+def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly],
+                  facts: Optional[FormFacts] = None) -> ProductLocus:
     """Describe {point u : some factor over comp_basis multiplies the u-form
     into the annihilator}.
 
@@ -459,16 +500,13 @@ def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly
     one-dimensional kernel of the linear map u -> contract(u-form * c-form, f).
     Every point must lie on the quadric and solve back to a factor
     proportional to c, and the points together must pin the quadric.
+    `facts`, when given, must be f's.
     """
     if len(comp_basis) != 2:
         raise ValueError("the factor space must be 2-dimensional")
     k = len(perp_basis)
-    d = f.homogeneous_degree()
     # contraction of (perp_j * comp_t) against f, as coefficient vectors
-    base = [
-        [contract(b * a, f).coefficient_vector(d - 2) for a in comp_basis]
-        for b in perp_basis
-    ]
+    base = _contractions(f, perp_basis, comp_basis, facts)
     ncoord = len(base[0][0])
 
     # quadric via the 2x2 minors of the residue matrix (quadratic forms in u)
@@ -545,38 +583,28 @@ def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly
     )
 
 
-def gamma_space(f: Poly, point_form: Poly):
+def gamma_space(f: Poly, point_form: Poly, facts: Optional[FormFacts] = None):
     """Dimension and basis of the linear forms whose product with the given
-    dual linear form annihilates f."""
+    dual linear form annihilates f.  `facts`, when given, must be f's."""
     if point_form.is_zero() or point_form.homogeneous_degree() != 1:
         raise ValueError("the point form must be a nonzero dual linear form")
-    d = f.homogeneous_degree()
     n = f.table.n
-    cols = [
-        contract(point_form * Poly.variable(f.table, j, DUAL), f).coefficient_vector(d - 2)
-        for j in range(n)
-    ]
-    ncoord = len(cols[0])
-    rows = [[cols[j][i] for j in range(n)] for i in range(ncoord)]
+    variables = [Poly.variable(f.table, j, DUAL) for j in range(n)]
+    rows = [list(row) for row in zip(*_contractions(f, [point_form], variables, facts)[0])]
     vecs = linalg.kernel_basis(rows, n)
     return len(vecs), tuple(linear_form(f.table, v, DUAL) for v in vecs)
 
 
-def forced_square_check(f: Poly, perp_basis: Sequence[Poly]) -> bool:
+def forced_square_check(f: Poly, perp_basis: Sequence[Poly],
+                        facts: Optional[FormFacts] = None) -> bool:
     """True iff every linear form whose products with the whole perp basis
-    annihilate f already lies in the span of the perp basis."""
+    annihilate f already lies in the span of the perp basis.  `facts`, when
+    given, must be f's."""
     n = f.table.n
-    d = f.homogeneous_degree()
+    variables = [Poly.variable(f.table, j, DUAL) for j in range(n)]
     rows = []
-    for b in perp_basis:
-        cols = [
-            contract(b * Poly.variable(f.table, j, DUAL), f).coefficient_vector(d - 2)
-            for j in range(n)
-        ]
-        for i in range(len(cols[0])):
-            row = [cols[j][i] for j in range(n)]
-            if any(row):
-                rows.append(row)
+    for cols in _contractions(f, perp_basis, variables, facts):
+        rows.extend(list(row) for row in zip(*cols) if any(row))
     vecs = linalg.kernel_basis(rows, n)
     span = [linear_coeffs(b) for b in perp_basis]
     return all(linalg.in_span(v, span) is not None for v in vecs)
@@ -593,8 +621,7 @@ def _bf_roots(form: list):
         end -= 1
     if not end:
         return None
-    # the gcd helpers divide, so integer determinants become Fractions here
-    return [Fraction(c) for c in form[:end]], len(form) - end
+    return form[:end], len(form) - end
 
 
 def _bf_roots_gcd(a, b):
@@ -674,14 +701,16 @@ def _minor_gcd_roots(matrix, degs, nrows, ncols, k, memo: dict):
     return acc
 
 
-def _perp_products_vanish(f: Poly, perp_basis: Sequence[Poly]) -> bool:
+def _perp_products_vanish(f: Poly, perp_basis: Sequence[Poly],
+                          facts: Optional[FormFacts] = None) -> bool:
     """Do all pairwise products of the perp basis, squares included,
     annihilate f?"""
-    return all(contract(b1 * b2, f).is_zero()
-               for b1, b2 in combinations_with_replacement(perp_basis, 2))
+    return not any(any(vec) for vecs in _contractions(f, perp_basis, perp_basis, facts)
+                   for vec in vecs)
 
 
-def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly]) -> bool:
+def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly],
+                     facts: Optional[FormFacts] = None) -> bool:
     """True iff every linear form whose square annihilates f lies in the span
     of the perp basis.
 
@@ -691,34 +720,23 @@ def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[P
     The system is solvable at a point iff the augmented rank equals the plain
     rank there; stratifying the projective line by the plain rank via gcds of
     the minors decides solvability everywhere over the algebraic closure,
-    entirely in rational arithmetic.
+    entirely in rational arithmetic.  `facts`, when given, must be f's.
     """
     if len(comp_basis) != 2:
         raise ValueError("the complement must be 2-dimensional")
     span_rows = [linear_coeffs(b) for b in list(perp_basis) + list(comp_basis)]
     if linalg.rank(span_rows) != f.table.n:
         raise ValueError("perp and complement together must span the dual space")
-    if not _perp_products_vanish(f, perp_basis):
+    if not _perp_products_vanish(f, perp_basis, facts):
         return False
-    d = f.homogeneous_degree()
-    e0, e1 = comp_basis
-    E00 = contract(e0 * e0, f).coefficient_vector(d - 2)
-    E01 = contract(e0 * e1, f).coefficient_vector(d - 2)
-    E11 = contract(e1 * e1, f).coefficient_vector(d - 2)
-    C0 = [contract(e0 * b, f).coefficient_vector(d - 2) for b in perp_basis]
-    C1 = [contract(e1 * b, f).coefficient_vector(d - 2) for b in perp_basis]
+    (E00, E01, *C0), (_, E11, *C1) = _contractions(
+        f, comp_basis, list(comp_basis) + list(perp_basis), facts)
     ncoord = len(E00)
     nb = len(perp_basis)
     # column j of the system: 2*(c0*C0[j] + c1*C1[j]); right-hand side:
-    # -(c0^2*E00 + 2*c0*c1*E01 + c1^2*E11).  Each equation is cleared of
-    # denominators: scaling a row scales its minors and moves no root.
-    matrix = []
-    for i in range(ncoord):
-        vals = [v[i] for v in C1] + [v[i] for v in C0] + [E11[i], E01[i], E00[i]]
-        den = lcm(*(c.denominator for c in vals))
-        ints = [c.numerator * (den // c.denominator) for c in vals]
-        c1, c0, (e11, e01, e00) = ints[:nb], ints[nb:2 * nb], ints[2 * nb:]
-        matrix.append([[2 * a, 2 * b] for a, b in zip(c1, c0)] + [[-e11, -2 * e01, -e00]])
+    # -(c0^2*E00 + 2*c0*c1*E01 + c1^2*E11), in integers
+    matrix = [[[2 * C1[j][i], 2 * C0[j][i]] for j in range(nb)]
+              + [[-E11[i], -2 * E01[i], -E00[i]]] for i in range(ncoord)]
     degs = [1] * nb + [2]
     memo = {}  # minors by (rows, cols), shared by the plain and augmented gcds
     plain_above = _minor_gcd_roots(matrix, degs, ncoord, nb, 0, memo)
@@ -817,11 +835,11 @@ def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None,
         return fail("slice-dimension", f"degree-2 annihilator slice has dimension {slice2.dim}, need 10")
     ok("slice-dimension", "degree-2 annihilator slice is 10-dimensional")
 
-    if not _perp_products_vanish(f, perp):
+    if not _perp_products_vanish(f, perp, facts):
         return fail("perp-squares", "a product of perp forms does not annihilate f")
     ok("perp-squares", "all pairwise products of the perp basis annihilate f")
 
-    if not squares_confined(f, perp, comp):
+    if not squares_confined(f, perp, comp, facts):
         return fail("square-confinement", "a linear form outside the perp span squares into the annihilator")
     ok("square-confinement", "every square in the annihilator slice comes from the perp span")
 
@@ -832,7 +850,7 @@ def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None,
     ok("quadric-count", f"any length-{r_max} scheme forces >= {forced} quadrics; codimension <= {slice2.dim - forced}")
 
     try:
-        locus = product_locus(f, perp, comp)
+        locus = product_locus(f, perp, comp, facts)
     except LocusShapeError as exc:
         return fail("product-locus", str(exc))
     nsamples = len(locus.all_samples())
@@ -846,14 +864,14 @@ def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None,
         point_form = Poly.zero(f.table, DUAL)
         for coeff, b in zip(u, perp):
             point_form = point_form + b * coeff
-        dim, _basis = gamma_space(f, point_form)
+        dim, _basis = gamma_space(f, point_form, facts)
         if dim != 4:
             return fail("factor-family", f"factor family at {tuple(u)} has dimension {dim}, need 4")
     if 4 + forced <= slice2.dim:
         return fail("factor-family", f"4 + {forced} <= {slice2.dim}: no forced intersection")
     ok("factor-family", f"4-dimensional factor family at every sample; 4 + {forced} > {slice2.dim} forces intersection")
 
-    if not forced_square_check(f, perp):
+    if not forced_square_check(f, perp, facts):
         return fail("forced-square", "a linear form outside the perp span multiplies the whole perp basis into the annihilator")
     ok("forced-square", "perp-multiplying linear forms are confined to the perp span")
 

@@ -1,8 +1,10 @@
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
 
+from apolar import linalg
 from apolar.apolarity import ann_slice, contract
 from apolar.ideals import (
     generated_slice,
@@ -10,9 +12,10 @@ from apolar.ideals import (
     membership,
     quotient_hilbert,
     saturation_witness,
+    slice_from_forms,
 )
 from apolar.parsing import parse_poly
-from apolar.poly import DUAL, Poly, VarTable
+from apolar.poly import DUAL, Poly, VarTable, linear_form, monomials
 from apolar.wildcert import wild_cubic, wild_table
 
 from _oracle import random_poly
@@ -58,6 +61,49 @@ def test_generated_slice_monotone_in_generators():
         assert big.dim >= small.dim
         for b in small.basis:
             assert big.contains(b)
+
+
+def dense_route_slice(gens, degree):
+    """The slice as the dense route builds it: a full coefficient vector per
+    monomial multiple, Bareiss reduced echelon form, Poly.from_vector."""
+    vecs = [g.times_monomial(m).coefficient_vector(degree)
+            for g in gens for m in monomials(T5.n, degree - g.homogeneous_degree())]
+    return [Poly.from_vector(T5, DUAL, degree, v) for v in linalg.rref(vecs)[1]]
+
+
+def gl5_cubics(count, seed=7):
+    """The wild cubic under the seed's invertible integer 5x5 matrices
+    (entries in -3..3), drawn as the GL5 benchmark stream draws them."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
+        if linalg.rank(m) == 5:
+            out.append(F.substitute([linear_form(T5, row) for row in m]))
+    return out
+
+
+def test_generated_slice_equals_the_dense_route():
+    for f in [F] + gl5_cubics(12):
+        gens = list(ann_slice(f, 2).basis)
+        for degree in (3, 4):
+            basis = generated_slice(gens, degree).basis
+            expected = dense_route_slice(gens, degree)
+            assert list(basis) == expected
+            # term for term, in the same order and with Fraction coefficients
+            for b, e in zip(basis, expected):
+                assert list(b.terms.items()) == list(e.terms.items())
+                assert all(type(c) is Fraction for c in b.terms.values())
+
+
+def test_slice_from_forms_rejects_forms_of_another_degree():
+    t = VarTable.make(("x", "y"))
+    with pytest.raises(ValueError):
+        slice_from_forms([parse_poly("d_x^2 + d_y^3", table=t, ring=DUAL)], 2, t)
+    with pytest.raises(ValueError):
+        slice_from_forms([parse_poly("d_x^2", table=t, ring=DUAL),
+                          parse_poly("d_y", table=t, ring=DUAL)], 2, t)
+    assert slice_from_forms([parse_poly("d_x^2 - d_y^2", table=t, ring=DUAL)], 2, t).dim == 1
 
 
 def test_membership_explicit_recombination():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -165,6 +166,59 @@ def test_solve_columns_matches_naive_gauss_jordan(case, data):
     assert sol == naive_solve(cols, target)
     if sol is not None:
         assert all(type(c) is Fraction for c in sol)
+
+
+@st.composite
+def sparse_rows(draw):
+    """(rows, ncols): {column: value} rows over up to 20 columns with a few
+    entries each, up to 25 of them (mostly taller than their rank), explicit
+    zero entries and empty rows allowed; half the time every row is a
+    combination of a few sparse base rows."""
+    ncols = draw(st.integers(1, 20))
+    row = st.dictionaries(st.integers(0, ncols - 1), ENTRIES, max_size=4)
+    nrows = draw(st.integers(0, 25))
+    if draw(st.booleans()):
+        base = draw(st.lists(row, min_size=1, max_size=4))
+        rows = []
+        for ws in draw(st.lists(st.lists(st.integers(-2, 2), min_size=len(base),
+                                         max_size=len(base)), min_size=nrows, max_size=nrows)):
+            combo = {}
+            for w, b in zip(ws, base):
+                for c, x in b.items():
+                    combo[c] = combo.get(c, 0) + w * x
+            rows.append(combo)
+    else:
+        rows = draw(st.lists(row, min_size=nrows, max_size=nrows))
+    return rows, ncols
+
+
+def _dense(row, ncols):
+    return [row.get(c, 0) for c in range(ncols)]
+
+
+def _check_sparse_rref(rows, ncols):
+    pivots, red = linalg.sparse_rref(rows)
+    expected = naive_rref([_dense(r, ncols) for r in rows]) if rows else ([], [])
+    assert pivots == expected[0]
+    assert [[Fraction(x, row[p]) for x in _dense(row, ncols)]
+            for p, row in zip(pivots, red)] == expected[1]
+    for p, row in zip(pivots, red):
+        # primitive integer rows, only nonzero entries, positive pivot entry
+        assert all(type(x) is int and x for x in row.values())
+        assert row[p] > 0 and gcd(*row.values()) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_rows())
+def test_sparse_rref_matches_naive_gauss_jordan(case):
+    _check_sparse_rref(*case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_sparse_rref_matches_naive_gauss_jordan_on_dense_rows(case):
+    rows, ncols = case
+    _check_sparse_rref([dict(enumerate(r)) for r in rows], ncols)
 
 
 def test_empty_input():

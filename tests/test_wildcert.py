@@ -440,3 +440,76 @@ def test_theorem2_report_computes_each_invariant_once_for_a_binary_form(monkeypa
     rep = theorem2_report(parse_poly("x^2*y"))
     assert rep.final() == {"border": 2, "smoothable": 2, "cactus": 2, "rank": 3}
     assert calls == {"concise_dim": 1, "hilbert_function": 1, "ann_slice(., 2)": 1}
+
+
+def per_call_contractions(f, left, right, facts=None):
+    """The reference for wildcert._contractions: one product and one
+    contraction against f per pair of forms, no table and no common scale."""
+    d = f.homogeneous_degree()
+    return [[contract(a * b, f).coefficient_vector(d - 2) for b in right] for a in left]
+
+
+def quadratic_answers(f, perp, comp, facts):
+    """What gamma_space, product_locus, squares_confined and
+    forced_square_check answer on f, an exception standing for its text."""
+    def attempt(fn):
+        try:
+            return fn()
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    def locus():
+        loc = product_locus(f, perp, comp, facts)
+        return loc.quadric, loc.all_samples(), loc.smooth
+
+    points = list(perp) + list(comp) + [perp[0] + 2 * comp[-1] - comp[0]]
+    return (
+        [attempt(lambda: gamma_space(f, p, facts)) for p in points],
+        attempt(locus),
+        attempt(lambda: squares_confined(f, perp, comp, facts)),
+        attempt(lambda: forced_square_check(f, perp, facts)),
+    )
+
+
+def random_square_sums(count, seed=5):
+    """Sums z1^2*w1 + z2^2*w2 + z3^2*w3 with the z's in a 2-space, half of
+    them plus a stray l^2*m, as (f, pairs of the sum without the stray term)."""
+    rng = random.Random(seed)
+
+    def form():
+        return linear_form(T5, [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2, 3)))
+                                for _ in range(5)])
+
+    out = []
+    while len(out) < count:
+        b1, b2 = form(), form()
+        zs = [b1 * rng.randint(-2, 2) + b2 * rng.randint(-2, 2) for _ in range(3)]
+        pairs = tuple((z, form()) for z in zs if not z.is_zero())
+        f = sum(((z ** 2) * w for z, w in pairs), Poly.zero(T5))
+        if rng.random() < 0.5:
+            f = f + (form() ** 2) * form()
+        if pairs and not f.is_zero() and len(square_pair_split(pairs, T5)[1]) == 2:
+            out.append((f, pairs))
+    return out
+
+
+def test_table_contractions_match_per_call_contractions(monkeypatch):
+    from apolar import wildcert
+    from apolar.apolarity import FormFacts
+
+    cases = [(f, *square_pair_split(pairs, T5)) for f, pairs in
+             [(F, PRES.square_pairs)] + [(p.poly, p.square_pairs) for p in gl5_presentations(3)]
+             + random_square_sums(16)]
+    # shaped like the counterexample tests above: both checks fail
+    t = VarTable.make(("x0", "x1", "x2"))
+    d0, d1, d2 = (Poly.variable(t, i, DUAL) for i in range(3))
+    cases.append((parse_poly("x0^3", table=t), (d1,), (d0, d2)))
+    cases.append((parse_poly("x0^2*x2", table=t), (d2,), (d0, d1)))
+    for f, perp, comp in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(wildcert, "_contractions", per_call_contractions)
+            expected = quadratic_answers(f, perp, comp, None)
+        assert quadratic_answers(f, perp, comp, None) == expected
+        facts = FormFacts(f)
+        if facts.form is f:  # facts are f's only when f is concise
+            assert quadratic_answers(f, perp, comp, facts) == expected
