@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, lcm
 from typing import Mapping, Sequence
 
 PRIMAL = "primal"
@@ -59,6 +60,7 @@ class VarTable:
 
 _MONOMIALS: dict = {}  # (nvars, degree) -> tuple of exponent tuples, canonical order
 _INDEX: dict = {}  # (nvars, degree) -> {exponent tuple: position in that tuple}
+_MULTINOMIALS: dict = {}  # (nvars, degree) -> ((exponent tuple, multinomial coefficient), ...)
 
 
 def monomials(nvars: int, degree: int) -> tuple:
@@ -88,6 +90,56 @@ def _monomial_index(nvars: int, degree: int) -> dict:
         index = {m: k for k, m in enumerate(monomials(nvars, degree))}
         _INDEX[(nvars, degree)] = index
     return index
+
+
+def _multinomials(nvars: int, degree: int) -> tuple:
+    """(e, degree! / prod(e_i!)) for every e in monomials(nvars, degree): the
+    terms of (x_1 + ... + x_nvars)^degree, built once per (nvars, degree)."""
+    table = _MULTINOMIALS.get((nvars, degree))
+    if table is None:
+        top = factorial(degree)
+        table = []
+        for e in monomials(nvars, degree):
+            coeff = top
+            for ei in e:
+                coeff //= factorial(ei)
+            table.append((e, coeff))
+        table = _MULTINOMIALS[(nvars, degree)] = tuple(table)
+    return table
+
+
+def _cleared(coeffs) -> tuple:
+    """(ints, den): den is the least positive integer that makes every
+    coefficient an int, and ints are the coefficients times den."""
+    coeffs = list(coeffs)
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _power_terms(entries, k: int, width: int, weight: int = 1, acc=None) -> dict:
+    """Add weight * (sum of a * x_slot over entries)^k, expanded by the
+    multinomial formula, into acc: {exponent tuple of length width: int}.
+
+    `entries` are (slot, int a) pairs with distinct slots.  Everything stays
+    in ints; returns acc, zero sums included.
+    """
+    acc = {} if acc is None else acc
+    powers = []  # per entry: [1, a, a^2, ..., a^k]
+    for _, a in entries:
+        pw = [1]
+        for _ in range(k):
+            pw.append(pw[-1] * a)
+        powers.append(pw)
+    for exps, coeff in _multinomials(len(entries), k):
+        coeff *= weight
+        mono = [0] * width
+        for (slot, _), pw, e in zip(entries, powers, exps):
+            if e:
+                coeff *= pw[e]
+                mono[slot] = e
+        key = tuple(mono)
+        acc[key] = acc.get(key, 0) + coeff
+    return acc
 
 
 def monomial_count(nvars: int, degree: int) -> int:
@@ -233,6 +285,8 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power")
+        if self.terms and all(sum(m) == 1 for m in self.terms):
+            return self._linear_power(k)
         result = Poly.constant(self.table, 1, self.ring)
         base = self
         while k:
@@ -241,6 +295,18 @@ class Poly:
             base = base * base if k > 1 else base
             k >>= 1
         return result
+
+    def _linear_power(self, k: int) -> "Poly":
+        """self ** k for a nonzero linear form, by the multinomial formula:
+        the coefficients are cleared of denominators once, every output
+        coefficient is an integer over the common denominator den^k, and one
+        Fraction is built per output term."""
+        ints, den = _cleared(self.terms.values())
+        entries = [(m.index(1), a) for m, a in zip(self.terms, ints)]
+        scale = den ** k
+        return Poly._of(self.table, self.ring,
+                        {mono: Fraction(v, scale)
+                         for mono, v in _power_terms(entries, k, self.table.n).items()})
 
     def __eq__(self, other) -> bool:
         return (

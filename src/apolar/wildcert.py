@@ -419,7 +419,7 @@ class ProductLocus:
     """
 
     quadric: tuple  # coefficients over monomials(k, 2)
-    samples: tuple  # ((u...), (c0, c1)) pairs
+    samples: tuple  # ((u...), (c0, c1)) pairs, u coprime ints
     extra_samples: tuple
     perp_basis: tuple
     comp_basis: tuple
@@ -515,7 +515,7 @@ def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly
     minor_vecs = []
     for p in range(ncoord):
         for q in range(p + 1, ncoord):
-            coeffs = [Fraction(0)] * len(qmonos)
+            coeffs = [0] * len(qmonos)
             for j in range(k):
                 for l in range(k):
                     val = base[j][0][p] * base[l][1][q] - base[j][0][q] * base[l][1][p]
@@ -542,9 +542,10 @@ def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly
         if len(ker) != 1:
             continue
         # the reduced kernel vector leads with 1, so clearing its denominators
-        # leaves coprime integers with the first nonzero entry positive
+        # leaves coprime ints with the first nonzero entry positive; the
+        # quadric evaluation and the re-solve below run on these ints
         den = lcm(*(x.denominator for x in ker[0]))
-        u = tuple(x * den for x in ker[0])
+        u = tuple(x.numerator * (den // x.denominator) for x in ker[0])
         cols = [[sum(u[j] * base[j][t][i] for j in range(k)) for t in range(2)]
                 for i in range(ncoord)]
         factor = linalg.kernel_basis(cols, 2)
@@ -860,10 +861,9 @@ def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None,
         return fail("product-locus", f"only {nsamples} verified rational samples")
     ok("product-locus", f"smooth conic with {nsamples} verified rational samples")
 
+    perp_coeffs = _int_coeffs(perp)  # a positive multiple of each point form moves no kernel
     for u, _ in locus.all_samples():
-        point_form = Poly.zero(f.table, DUAL)
-        for coeff, b in zip(u, perp):
-            point_form = point_form + b * coeff
+        point_form = linear_form(f.table, _combine(u, perp_coeffs), DUAL)
         dim, _basis = gamma_space(f, point_form, facts)
         if dim != 4:
             return fail("factor-family", f"factor family at {tuple(u)} has dimension {dim}, need 4")

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import cached_property
+from math import lcm
 from typing import Optional, Sequence
 
 from . import linalg
 from .apolarity import ann_slice, concise_dim
-from .poly import PRIMAL, Poly, TableMismatchError, VarTable
+from .poly import PRIMAL, Poly, TableMismatchError, VarTable, _cleared, _power_terms
 from .ranks import CertificateRecord
 
 
@@ -36,6 +37,17 @@ class ParamPoly:
     def __setattr__(self, name, value):
         raise AttributeError("ParamPoly is immutable")
 
+    @classmethod
+    def _of(cls, table: VarTable, ring: str, terms: dict) -> "ParamPoly":
+        """A ParamPoly over a term dict that is already canonical: int
+        t-exponents, nonzero Fraction coefficients, no empty Laurent part.
+        Nothing is checked or copied."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "table", table)
+        object.__setattr__(p, "ring", ring)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     @staticmethod
     def zero(table: VarTable, ring: str = PRIMAL) -> "ParamPoly":
         return ParamPoly(table, ring, {})
@@ -43,26 +55,6 @@ class ParamPoly:
     @staticmethod
     def from_poly(p: Poly, t_power: int = 0) -> "ParamPoly":
         return ParamPoly(p.table, p.ring, {m: {t_power: c} for m, c in p.terms.items()})
-
-    def __add__(self, other: "ParamPoly") -> "ParamPoly":
-        if self.table != other.table or self.ring != other.ring:
-            raise TableMismatchError("mismatched tables")
-        terms = {m: dict(l) for m, l in self.terms.items()}
-        for m, l in other.terms.items():
-            dst = terms.setdefault(m, {})
-            for e, c in l.items():
-                s = dst.get(e, Fraction(0)) + c
-                if s == 0:
-                    dst.pop(e, None)
-                else:
-                    dst[e] = s
-        return ParamPoly(self.table, self.ring, terms)
-
-    def scale(self, c) -> "ParamPoly":
-        return ParamPoly(
-            self.table, self.ring,
-            {m: {e: Fraction(c) * v for e, v in l.items()} for m, l in self.terms.items()},
-        )
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -104,14 +96,50 @@ class TangentDatum:
             raise ValueError("direction must be linear or zero")
 
 
+def _perturbed_powers(data: Sequence[TangentDatum], d: int) -> ParamPoly:
+    """sum(c * (base + t*direction)^d) over the data.
+
+    Each datum is one multinomial expansion of a linear form in 2n slots:
+    slot v carries base's coefficient of x_v and slot n + v direction's, so
+    an expanded term's monomial adds its two halves and its t-power is the
+    total exponent on the second half.  Every datum is cleared of
+    denominators once, all of them are expanded into one integer table over
+    a common denominator, and the ParamPoly is built from that table alone.
+    """
+    table, ring = data[0].base.table, data[0].base.ring
+    n = table.n
+    expansions = []  # (weight numerator, weight denominator, entries)
+    for td in data:
+        for form in (td.base, td.direction):
+            if form.table != table or form.ring != ring:
+                raise TableMismatchError("tangent data live over different tables or rings")
+        c = Fraction(td.coefficient)
+        if c == 0:
+            continue
+        slots = [m.index(1) for m in td.base.terms] + [n + m.index(1) for m in td.direction.terms]
+        ints, den = _cleared(list(td.base.terms.values()) + list(td.direction.terms.values()))
+        expansions.append((c.numerator, c.denominator * den ** d, list(zip(slots, ints))))
+    common = lcm(*[den for _, den, _ in expansions])
+    expanded = {}
+    for num, den, entries in expansions:
+        _power_terms(entries, d, 2 * n, num * (common // den), expanded)
+    folded = {}  # (monomial, t-power) -> int
+    for key, v in expanded.items():
+        if v:
+            shift = key[n:]
+            folded_key = (tuple(a + b for a, b in zip(key[:n], shift)), sum(shift))
+            folded[folded_key] = folded.get(folded_key, 0) + v
+    terms = {}
+    for (mono, tp), v in folded.items():
+        if v:
+            terms.setdefault(mono, {})[tp] = Fraction(v, common)
+    return ParamPoly._of(table, ring, terms)
+
+
 def perturbed_power(c, base: Poly, direction: Poly, d: int) -> ParamPoly:
-    """c * (base + t*direction)^d expanded by the binomial theorem."""
-    out = ParamPoly.zero(base.table, base.ring)
-    for j in range(d + 1):
-        piece = (base ** (d - j)) * (direction ** j) * (Fraction(c) * comb(d, j))
-        if not piece.is_zero():
-            out = out + ParamPoly.from_poly(piece, t_power=j)
-    return out
+    """c * (base + t*direction)^d for a nonzero linear base and a linear or
+    zero direction, expanded by the multinomial formula."""
+    return _perturbed_powers([TangentDatum(c, base, direction)], d)
 
 
 @dataclass(frozen=True)
@@ -130,15 +158,10 @@ def tangent_limit_family(data: Sequence[TangentDatum], d: int) -> TangentFamily:
     """
     if not data:
         raise ValueError("empty tangent data")
-    table = data[0].base.table
-    const = Poly.zero(table, PRIMAL)
-    for td in data:
-        const = const + (td.base ** d) * td.coefficient
-    if not const.is_zero():
+    family = _perturbed_powers(data, d)
+    # the t^0 part of the expansion is sum(c_i * base_i^d)
+    if family.min_t_exponent() == 0:
         raise ValueError("tangent bases are not linearly dependent: sum c_i l_i^d != 0")
-    family = ParamPoly.zero(table, PRIMAL)
-    for td in data:
-        family = family + perturbed_power(td.coefficient, td.base, td.direction, d)
     limit = family.coefficient_poly(1)
     return TangentFamily(family=family, limit=limit, r=len(data))
 
@@ -272,10 +295,15 @@ def slice_intersection_certificate(summands: Sequence[Poly], total: Poly) -> Cer
 @dataclass(frozen=True)
 class DirectSumReport:
     combined: Poly
+    summands: tuple  # the two summands over the combined table
     concise_left: int
     concise_right: int
     concise_total: int
-    certificate: CertificateRecord  # the slice-intersection check
+
+    @cached_property
+    def certificate(self) -> CertificateRecord:
+        """The slice-intersection check, computed on first use."""
+        return slice_intersection_certificate(self.summands, self.combined)
 
     @property
     def slice_intersection_equal(self) -> bool:
@@ -283,8 +311,9 @@ class DirectSumReport:
 
 
 def direct_sum_extend(f: Poly, g: Poly) -> DirectSumReport:
-    """Verify the degree-2 annihilator slice of f + g against the
-    intersection of the slices of the summands, over disjoint variables."""
+    """f + g over disjoint variables, with the conciseness of both summands
+    and of the sum; the report's certificate checks the degree-2 annihilator
+    slice of the sum against the intersection of the summands' slices."""
     if g.is_zero() or f.is_zero():
         raise ValueError("both summands must be nonzero")
     if f.homogeneous_degree() != g.homogeneous_degree():
@@ -306,8 +335,8 @@ def direct_sum_extend(f: Poly, g: Poly) -> DirectSumReport:
     total = F + G
     return DirectSumReport(
         combined=total,
+        summands=(F, G),
         concise_left=concise_dim(F).dim,
         concise_right=concise_dim(G).dim,
         concise_total=concise_dim(total).dim,
-        certificate=slice_intersection_certificate((F, G), total),
     )

@@ -111,3 +111,52 @@ def naive_binary_form_det(matrix):
     while total and total[-1] == 0:
         total.pop()
     return total
+
+
+def naive_product_terms(a, b):
+    """Product of two {exponent tuple: coefficient} term maps, term by term
+    in Fraction arithmetic; zero coefficients dropped."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return {m: c for m, c in out.items() if c}
+
+
+def naive_power_terms(terms, nvars, k):
+    """terms ** k by k repeated products, starting from the constant 1."""
+    out = {(0,) * nvars: Fraction(1)}
+    for _ in range(k):
+        out = naive_product_terms(out, terms)
+    return out
+
+
+def naive_perturbed_power(c, base, direction, nvars, d):
+    """c * (base + t*direction)^d as {monomial: {t-power: coefficient}}, one
+    binomial piece c * C(d, j) * base^(d-j) * direction^j per t-power j."""
+    from math import comb
+
+    out = {}
+    for j in range(d + 1):
+        piece = naive_product_terms(naive_power_terms(base, nvars, d - j),
+                                    naive_power_terms(direction, nvars, j))
+        for m, v in piece.items():
+            v *= Fraction(c) * comb(d, j)
+            if v:
+                out.setdefault(m, {})[j] = v
+    return out
+
+
+def naive_add_laurent(total, part):
+    """Sum of two {monomial: {t-power: coefficient}} maps, zeros dropped."""
+    out = {m: dict(l) for m, l in total.items()}
+    for m, l in part.items():
+        dst = out.setdefault(m, {})
+        for e, v in l.items():
+            dst[e] = dst.get(e, Fraction(0)) + v
+            if not dst[e]:
+                del dst[e]
+        if not dst:
+            del out[m]
+    return out

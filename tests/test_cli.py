@@ -128,6 +128,39 @@ def test_direct_sum_command(capsys):
     assert doc["results"]["final"]["border"] == 6
 
 
+def test_direct_sum_checks_the_slice_intersection_once(capsys, monkeypatch):
+    from apolar import wildcert, witness
+
+    calls = []
+    original = witness.slice_intersection_certificate
+
+    def counted(summands, total):
+        calls.append(len(summands))
+        return original(summands, total)
+
+    monkeypatch.setattr(witness, "slice_intersection_certificate", counted)
+    monkeypatch.setattr(wildcert, "slice_intersection_certificate", counted)
+    code, doc = run(capsys, "direct-sum", "--poly", WILD, "--vars", WILD_VARS,
+                    "--poly2", "u^3")
+    assert code == 0 and calls == [2]  # the pipeline's check over the two components
+    assert doc["results"]["slice_intersection_equal"] is True
+    kinds = [c["kind"] for c in doc["certificates"]]
+    assert kinds.count("direct-sum-slice-intersection") == 1
+    # z is not essential, so the pipeline checks the sum in other variables
+    # and this sum gets its own check
+    calls.clear()
+    code, doc = run(capsys, "direct-sum", "--poly", "x^3+y^3", "--vars", "x,y,z",
+                    "--poly2", "u^3")
+    assert code == 0 and calls == [3, 2]
+    assert doc["results"]["slice_intersection_equal"] is True
+    # quadrics take no direct-sum branch in the pipeline, so the check runs here
+    calls.clear()
+    code, doc = run(capsys, "direct-sum", "--poly", "x^2", "--poly2", "u^2")
+    assert code == 1 and calls == [2]
+    assert doc["results"]["slice_intersection_equal"] is False
+    assert doc["certificates"][0]["kind"] == "direct-sum-slice-intersection"
+
+
 def test_parse_error_exit_code(capsys):
     code = main(["hilbert", "--poly", "2x"])
     err = capsys.readouterr().err

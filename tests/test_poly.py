@@ -23,7 +23,7 @@ from apolar.poly import (
 )
 from apolar.parsing import parse_poly
 
-from _oracle import random_poly
+from _oracle import naive_power_terms, random_poly
 
 
 T2 = VarTable.make(("x", "y"))
@@ -238,3 +238,26 @@ def test_times_monomial_rejects_bad_exponents():
     for bad in ((1, 0), (1, 0, 0, 0), (1, -1, 0)):
         with pytest.raises(ValueError):
             p.times_monomial(bad)
+
+
+# -- powers of linear forms go through the multinomial formula
+
+TABLES = [VarTable.make([f"v{i}" for i in range(n)]) for n in range(1, 7)]
+
+
+@st.composite
+def linear_forms(draw):
+    """A linear form in 1-6 variables with int or Fraction coefficients,
+    some of them zero, in either ring; the zero form included."""
+    table = draw(st.sampled_from(TABLES))
+    coeffs = draw(st.lists(st.one_of(st.just(0), COEFFS), min_size=table.n, max_size=table.n))
+    return linear_form(table, coeffs, draw(st.sampled_from((PRIMAL, DUAL))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_forms(), st.integers(0, 5))
+def test_linear_power_equals_repeated_multiplication(l, k):
+    power = l ** k
+    assert_canonical(power)
+    assert power.ring == l.ring and power.table == l.table
+    assert power.terms == naive_power_terms(l.terms, l.table.n, k)

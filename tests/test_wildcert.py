@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from apolar.apolarity import contract
 from apolar.parsing import parse_poly
-from apolar.poly import DUAL, PRIMAL, Poly, VarTable, linear_form
+from apolar.poly import DUAL, PRIMAL, Poly, VarTable, linear_form, monomials
 from apolar import linalg
 from apolar.wildcert import (
     LocusShapeError,
@@ -513,3 +514,26 @@ def test_table_contractions_match_per_call_contractions(monkeypatch):
         facts = FormFacts(f)
         if facts.form is f:  # facts are f's only when f is concise
             assert quadratic_answers(f, perp, comp, facts) == expected
+
+
+def test_product_locus_samples_are_the_cleared_fraction_points():
+    """Every sample point is a coprime int tuple with its first nonzero entry
+    positive; in Fraction arithmetic it spans the kernel of its own factor's
+    system, cleared of denominators, and lies on the quadric."""
+    from _oracle import naive_kernel
+
+    for pres in [PRES] + gl5_presentations(3):
+        f = pres.poly
+        perp, comp = square_pair_split(pres.square_pairs, T5)
+        locus = product_locus(f, perp, comp)
+        assert len(locus.all_samples()) == 11
+        for u, c in locus.all_samples():
+            assert all(type(x) is int for x in u)
+            assert gcd(*u) == 1 and next(x for x in u if x) > 0
+            factor = sum((a * ci for ci, a in zip(c, comp)), Poly.zero(T5, DUAL))
+            cols = [contract(b * factor, f).coefficient_vector(1) for b in perp]
+            (v,) = naive_kernel([list(row) for row in zip(*cols)], len(perp))
+            assert u == tuple(x * lcm(*(x.denominator for x in v)) for x in v)
+            value = sum((q * prod(Fraction(x) ** e for x, e in zip(u, mono))
+                         for q, mono in zip(locus.quadric, monomials(len(u), 2))), Fraction(0))
+            assert value == 0

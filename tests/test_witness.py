@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from apolar import linalg
 from apolar.parsing import parse_poly
-from apolar.poly import PRIMAL, Poly, VarTable
+from apolar.poly import PRIMAL, Poly, TableMismatchError, VarTable, linear_form
 from apolar.witness import (
     ParamPoly,
     TangentDatum,
@@ -12,12 +15,20 @@ from apolar.witness import (
     direct_sum_extend,
     direct_summands,
     double_point_span,
+    perturbed_power,
     tangent_limit_family,
     verify_limit,
 )
-from apolar.wildcert import wild_cubic, wild_cubic_tangent_witness, wild_table
+from apolar.wildcert import (
+    tangent_data_for_pairs,
+    transform_presentation,
+    wild_cubic,
+    wild_cubic_tangent_witness,
+    wild_presentation,
+    wild_table,
+)
 
-from _oracle import random_poly
+from _oracle import naive_add_laurent, naive_perturbed_power, random_poly
 
 T5 = wild_table()
 F = wild_cubic(T5)
@@ -159,3 +170,97 @@ def test_direct_sum_across_tables():
     rep = direct_sum_extend(parse_poly("u^3", table=ta), parse_poly("v^3", table=tb))
     assert rep.combined.table.primal == ("u", "v")
     assert rep.slice_intersection_equal
+
+
+# -- perturbed powers are one multinomial expansion per datum
+
+COEFFS = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5)))
+TABLES = [VarTable.make([f"v{i}" for i in range(n)]) for n in range(1, 6)]
+
+
+def coefficient_lists(n):
+    return st.lists(st.one_of(st.just(0), COEFFS), min_size=n, max_size=n)
+
+
+@st.composite
+def tangent_data(draw):
+    """1-4 random data over one table (bases nonzero, directions possibly
+    zero), and, half the time, each datum mirrored by (-c / s^d, s * base,
+    another direction) so that the constant term cancels."""
+    table = draw(st.sampled_from(TABLES))
+    d = draw(st.integers(0, 4))
+    data = []
+    for _ in range(draw(st.integers(1, 4))):
+        base = linear_form(table, draw(coefficient_lists(table.n).filter(any)))
+        direction = linear_form(table, draw(coefficient_lists(table.n)))
+        c = draw(COEFFS)
+        data.append(TangentDatum(c, base, direction))
+        if draw(st.booleans()):
+            s = draw(st.sampled_from((1, -1, 2, Fraction(-1, 3))))
+            other = linear_form(table, draw(coefficient_lists(table.n)))
+            data.append(TangentDatum(-Fraction(c) / s ** d, base * s, other))
+    return data, d
+
+
+def reference_family(data, d):
+    """The per-j binomial reference for sum(c * (base + t*direction)^d)."""
+    total = {}
+    for td in data:
+        total = naive_add_laurent(total, naive_perturbed_power(
+            td.coefficient, td.base.terms, td.direction.terms, td.base.table.n, d))
+    return total
+
+
+def assert_canonical_family(fam):
+    for mono, laurent in fam.terms.items():
+        assert type(mono) is tuple and laurent
+        for e, c in laurent.items():
+            assert type(e) is int and type(c) is Fraction and c != 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(tangent_data())
+def test_perturbed_power_equals_the_binomial_reference(case):
+    data, d = case
+    for td in data:
+        fam = perturbed_power(td.coefficient, td.base, td.direction, d)
+        assert_canonical_family(fam)
+        assert fam.terms == reference_family([td], d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tangent_data())
+def test_tangent_limit_family_equals_the_binomial_reference(case):
+    data, d = case
+    expected = reference_family(data, d)
+    if any(0 in laurent for laurent in expected.values()):
+        with pytest.raises(ValueError):
+            tangent_limit_family(data, d)
+        return
+    fam = tangent_limit_family(data, d)
+    assert_canonical_family(fam.family)
+    assert fam.family.terms == expected
+    assert fam.limit.terms == {m: l[1] for m, l in expected.items() if 1 in l}
+
+
+def test_tangent_families_of_transformed_pairs_equal_the_binomial_reference():
+    rng = random.Random(7)
+    pres = wild_presentation(T5)
+    data_sets = [wild_cubic_tangent_witness(T5)]
+    while len(data_sets) < 4:
+        m = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(5)]
+        if linalg.rank(m) == 5:
+            moved = transform_presentation(pres, [linear_form(T5, row) for row in m])
+            data_sets.append(tangent_data_for_pairs(moved.square_pairs))
+    for data in data_sets:
+        fam = tangent_limit_family(data, 3)
+        assert fam.family.terms == reference_family(data, 3)
+
+
+def test_perturbed_power_rejects_mixed_tables():
+    t = VarTable.make(("x", "y"))
+    x, y = Poly.variable(t, 0), Poly.variable(t, 1)
+    with pytest.raises(TableMismatchError):
+        perturbed_power(1, x, Poly.variable(T5, 0), 3)
+    with pytest.raises(TableMismatchError):
+        tangent_limit_family((TangentDatum(1, x, y), TangentDatum(-1, Poly.variable(T5, 0), y)), 3)
