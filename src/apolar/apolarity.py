@@ -11,6 +11,7 @@ slices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from math import lcm, perm
 
@@ -29,6 +30,9 @@ from .poly import (
 )
 
 
+_ONE = Fraction(1)
+
+
 def _mono_str(table: VarTable, ring: str, mono) -> str:
     names = table.names(ring)
     parts = []
@@ -40,31 +44,92 @@ def _mono_str(table: VarTable, ring: str, mono) -> str:
     return "*".join(parts) if parts else "1"
 
 
+_CONTRACTIONS: dict = {}  # (degree, operator exponent tuple) -> ((r, r + c, weight), ...)
+
+
+def _contraction_table(d: int, c: tuple) -> tuple:
+    """(r, r + c, prod_k perm(r_k + c_k, c_k)) for every r in
+    monomials(n, d - |c|), in that order: the derivative y^c sends the degree-d
+    monomial x^(r+c) to weight * x^r.  Built once per (d, c), like the
+    multinomial tables of `poly`."""
+    table = _CONTRACTIONS.get((d, c))
+    if table is None:
+        n = len(c)
+        top, index = monomials(n, d), _monomial_index(n, d)
+        used = [(k, a) for k, a in enumerate(c) if a]
+        rows = []
+        for r in monomials(n, d - sum(c)):
+            w = 1
+            for k, a in used:
+                w *= perm(r[k] + a, a)
+            # the shared tuple from monomials(n, d), not a copy per table
+            rows.append((r, top[index[tuple(x + y for x, y in zip(r, c))]], w))
+        table = _CONTRACTIONS[(d, c)] = tuple(rows)
+    return table
+
+
+def _dense_terms(c: tuple, ca: Fraction, f: Poly, d: int) -> dict:
+    """contract(ca * y^c, f) for f homogeneous of degree d >= |c|: one lookup
+    in f per output monomial and one Fraction per nonzero output term."""
+    num, den = ca.numerator, ca.denominator
+    get = f.terms.get
+    out = {}
+    for r, m, w in _contraction_table(d, c):
+        cf = get(m)
+        if cf is not None:
+            q = den * cf.denominator
+            v = num * w * cf.numerator
+            out[r] = Fraction(v) if q == 1 else Fraction(v, q)
+    return out
+
+
+def _scanned_terms(c: tuple, ca: Fraction, f: Poly) -> dict:
+    """contract(ca * y^c, f) by one pass over the terms of f."""
+    used = [(k, a) for k, a in enumerate(c) if a]
+    out = {}
+    for mf, cf in f.terms.items():
+        scale = 1
+        mono = list(mf)
+        for k, a in used:
+            b = mf[k]
+            if a > b:
+                break
+            scale *= perm(b, a)
+            mono[k] = b - a
+        else:
+            out[tuple(mono)] = ca * cf * scale
+    return out
+
+
 def contract(alpha: Poly, f: Poly) -> Poly:
-    """Apply the dual polynomial alpha to f as a differential operator."""
+    """Apply the dual polynomial alpha to f as a differential operator.
+
+    A term ca * y^c of degree i reads its output off the table for (d, c)
+    when f is homogeneous of degree d >= i and has at least as many terms as
+    there are degree-(d - i) monomials; otherwise it scans the terms of f.
+    """
     if alpha.table != f.table:
         raise TableMismatchError("contraction requires paired variable tables")
     if alpha.ring != DUAL or f.ring != PRIMAL:
         raise TableMismatchError("contract expects a DUAL operator and a PRIMAL operand")
+    d = f.homogeneous_degree()
+    n, size = f.table.n, len(f.terms)
     terms = {}
-    for ma, ca in alpha.terms.items():
-        used = [(k, a) for k, a in enumerate(ma) if a]
-        for mf, cf in f.terms.items():
-            scale = 1
-            mono = list(mf)
-            for k, a in used:
-                b = mf[k]
-                if a > b:
-                    break
-                scale *= perm(b, a)
-                mono[k] = b - a
+    for c, ca in alpha.terms.items():
+        i = sum(c)
+        if d is not None and i <= d and len(_monomial_index(n, d - i)) <= size:
+            part = _dense_terms(c, ca, f, d)
+        else:
+            part = _scanned_terms(c, ca, f)
+        if not terms:
+            terms = part
+            continue
+        for mono, v in part.items():
+            s = terms.get(mono, _ZERO) + v
+            if s == 0:
+                terms.pop(mono, None)
             else:
-                mono = tuple(mono)
-                s = terms.get(mono, _ZERO) + ca * cf * scale
-                if s == 0:
-                    terms.pop(mono, None)
-                else:
-                    terms[mono] = s
+                terms[mono] = s
     return Poly._of(f.table, PRIMAL, terms)
 
 
@@ -73,14 +138,32 @@ class Catalecticant:
     """Matrix of contraction by degree-i dual monomials against f.
 
     Columns are indexed by the degree-i dual monomials, rows by the
-    degree-(d-i) primal monomials, both in canonical order.
+    degree-(d-i) primal monomials, both in canonical order.  `rows` holds
+    the entries as filled from `contract`; the labelled `matrix` is built
+    only when read.
     """
 
     source_degree: int
-    matrix: QMatrix
+    table: VarTable
+    form_degree: int
+    rows: tuple  # one tuple of Fractions per degree-(d-i) primal monomial
 
     def rank(self) -> int:
-        return self.matrix.rank()
+        return linalg.rank(self.rows)
+
+    def kernel(self) -> list:
+        """Reduced echelon basis of the kernel, one vector per free column."""
+        return linalg.kernel_basis(self.rows, len(self.rows[0]))
+
+    @cached_property
+    def matrix(self) -> QMatrix:
+        n, i = self.table.n, self.source_degree
+        return QMatrix(
+            self.rows,
+            row_labels=tuple(_mono_str(self.table, PRIMAL, m)
+                             for m in monomials(n, self.form_degree - i)),
+            col_labels=tuple(_mono_str(self.table, DUAL, m) for m in monomials(n, i)),
+        )
 
 
 def catalecticant(f: Poly, i: int) -> Catalecticant:
@@ -94,20 +177,14 @@ def catalecticant(f: Poly, i: int) -> Catalecticant:
     col_monos = monomials(n, i)
     rows = [[_ZERO] * len(col_monos) for _ in row_index]
     for j, mono in enumerate(col_monos):
-        for m, c in contract(Poly(f.table, DUAL, {mono: 1}), f).terms.items():
+        for m, c in contract(Poly._of(f.table, DUAL, {mono: _ONE}), f).terms.items():
             rows[row_index[m]][j] = c
-    mat = QMatrix(
-        tuple(map(tuple, rows)),
-        row_labels=tuple(_mono_str(f.table, PRIMAL, m) for m in row_index),
-        col_labels=tuple(_mono_str(f.table, DUAL, m) for m in col_monos),
-    )
-    return Catalecticant(i, mat)
+    return Catalecticant(i, f.table, d, tuple(map(tuple, rows)))
 
 
 def ann_slice(f: Poly, i: int) -> IdealSlice:
     """Degree-i slice of the annihilator of f, as an echelonized basis."""
-    cat = catalecticant(f, i)
-    _, ker = cat.matrix.kernel()
+    ker = catalecticant(f, i).kernel()
     basis = tuple(Poly.from_vector(f.table, DUAL, i, v) for v in ker)
     return IdealSlice(degree=i, basis=basis, table=f.table, ring=DUAL)
 
@@ -163,7 +240,7 @@ def concise_dim(f: Poly) -> EssentialSpace:
     if d == 0:
         raise ValueError("a constant has no essential variables")
     cat = catalecticant(f, 1)
-    pivots, red = linalg.rref(cat.matrix.entries)
+    pivots, red = linalg.rref(cat.rows)
     basis = tuple(
         Poly(f.table, PRIMAL, {tuple(1 if j == k else 0 for k in range(f.table.n)): row[j]
                                for j in range(f.table.n) if row[j] != 0})

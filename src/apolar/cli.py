@@ -92,7 +92,7 @@ def _cmd_catalecticant(args):
     m = cat.matrix
     return {
         "source_degree": cat.source_degree,
-        "rank": m.rank(),
+        "rank": cat.rank(),
         "rows": m.nrows,
         "cols": m.ncols,
         "row_labels": list(m.row_labels),

@@ -165,10 +165,11 @@ class Poly:
 
     `terms` maps exponent tuples to nonzero Fraction coefficients.  Zero
     coefficients are never stored, so equality of term maps is equality of
-    polynomials.
+    polynomials.  `homogeneous_degree()` is computed once and kept in a
+    private slot, which equality and hashing ignore.
     """
 
-    __slots__ = ("table", "ring", "terms")
+    __slots__ = ("table", "ring", "terms", "_degree")
 
     def __init__(self, table: VarTable, ring: str, terms: Mapping):
         if ring not in (PRIMAL, DUAL):
@@ -336,8 +337,14 @@ class Poly:
 
     def homogeneous_degree(self):
         """The common degree of all terms, or None if mixed or zero."""
+        try:
+            return self._degree
+        except AttributeError:  # first call: the slot is still empty
+            pass
         degs = {sum(m) for m in self.terms}
-        return degs.pop() if len(degs) == 1 else None
+        d = degs.pop() if len(degs) == 1 else None
+        object.__setattr__(self, "_degree", d)
+        return d
 
     def graded_component(self, d: int) -> "Poly":
         return Poly(

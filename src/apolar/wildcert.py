@@ -221,6 +221,14 @@ def square_pair_split(square_pairs, table: VarTable):
     return perp, comp
 
 
+def _proportional(u: Poly, v: Poly) -> bool:
+    """Whether two linear forms span at most a line: every 2 x 2 minor
+    u_i v_j - u_j v_i of their coefficients, cleared of denominators, is 0."""
+    a, b = _int_coeffs((u, v))
+    return all(a[i] * b[j] == a[j] * b[i]
+               for i in range(len(a)) for j in range(i + 1, len(a)))
+
+
 def tangent_data_for_pairs(square_pairs) -> tuple:
     """Limit-family data for a cubic sum of squares-times-lines whose squared
     parts span a 2-dimensional space.
@@ -239,25 +247,17 @@ def tangent_data_for_pairs(square_pairs) -> tuple:
     if linalg.rank(z_rows) != 2:
         raise ValueError("squared parts must span a 2-dimensional space")
     b1 = zs[0]
-    b2 = next(z for z in zs[1:] if linalg.rank([linear_coeffs(b1), linear_coeffs(z)]) == 2)
-
-    def proportional(u: Poly, v: Poly) -> bool:
-        return linalg.rank([linear_coeffs(u), linear_coeffs(v)]) == 1
+    b2 = next(z for z in zs[1:] if not _proportional(b1, z))
 
     extras = []
-    candidates = [
-        b1 - b2, b1 + 2 * b2, b1 + b2, b1 - 2 * b2, b1 + 3 * b2, b1 - 3 * b2,
-        2 * b1 + b2, 2 * b1 - b2, 3 * b1 + b2, 3 * b1 - b2,
-    ]
     need = 5 - len(zs)
-    for cand in candidates:
+    for a, b in ((1, -1), (1, 2), (1, 1), (1, -2), (1, 3), (1, -3),
+                 (2, 1), (2, -1), (3, 1), (3, -1)):
         if len(extras) == need:
             break
-        if any(proportional(cand, z) for z in zs):
-            continue
-        if any(proportional(cand, e) for e in extras):
-            continue
-        extras.append(cand)
+        cand = a * b1 + b * b2
+        if not any(_proportional(cand, g) for g in zs + extras):
+            extras.append(cand)
     if len(extras) < need:
         raise ValueError("could not complete the dependency point set")
     forms = list(zs) + extras

@@ -160,3 +160,23 @@ def naive_add_laurent(total, part):
         if not dst:
             del out[m]
     return out
+
+
+def naive_contract(alpha_terms, f_terms):
+    """The dual operator {exponent tuple: coefficient} applied to f as
+    partial derivatives, straight from the definition: y^c sends x^m to
+    prod_k m_k! / (m_k - c_k)! * x^(m - c) when m >= c and to 0 otherwise.
+    Term by term in Fraction arithmetic; zero coefficients dropped."""
+    from math import factorial
+
+    out = {}
+    for c, ca in alpha_terms.items():
+        for m, cf in f_terms.items():
+            if any(a > b for a, b in zip(c, m)):
+                continue
+            weight = 1
+            for a, b in zip(c, m):
+                weight *= factorial(b) // factorial(b - a)
+            r = tuple(b - a for a, b in zip(c, m))
+            out[r] = out.get(r, Fraction(0)) + Fraction(ca) * Fraction(cf) * weight
+    return {r: v for r, v in out.items() if v}

@@ -1,13 +1,24 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from apolar.apolarity import ann_slice, catalecticant, concise_dim, contract, hilbert_function
+from apolar.apolarity import (
+    _dense_terms,
+    _scanned_terms,
+    ann_slice,
+    catalecticant,
+    concise_dim,
+    contract,
+    hilbert_function,
+)
 from apolar.parsing import parse_poly
 from apolar.poly import DUAL, PRIMAL, Poly, VarTable, monomials
 from apolar.wildcert import wild_cubic, wild_table
 
-from _oracle import naive_rank, random_poly
+from _oracle import naive_contract, naive_rank, random_poly
 
 T5 = wild_table()
 F = wild_cubic(T5)
@@ -173,3 +184,78 @@ def test_hilbert_function_equals_all_catalecticant_ranks():
             continue
         ranks = tuple(naive_rank(catalecticant(f, i).matrix.entries) for i in range(d + 1))
         assert hilbert_function(f).values == ranks
+
+
+# -- contraction against its definition, on both the dense and the scanning path
+
+TABLES = [VarTable.make([f"v{i}" for i in range(n)]) for n in range(1, 7)]
+COEFFS = st.one_of(st.integers(-4, 4).filter(bool),
+                   st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 6)))
+
+
+@st.composite
+def operands(draw):
+    """(f, alpha) over 1-6 variables: f dense (most monomials of its degree),
+    sparse or of mixed degree; alpha a constant, a monomial or several terms,
+    of any degree up to deg f + 1 so that some contractions vanish."""
+    table = draw(st.sampled_from(TABLES))
+    n = table.n
+    d = draw(st.integers(0, 4 if n <= 4 else 3))
+    monos = list(monomials(n, d))
+    shape = draw(st.sampled_from(("dense", "sparse", "mixed")))
+    if shape == "dense":
+        chosen = [m for m in monos if draw(st.integers(0, 5))]
+    else:
+        chosen = draw(st.lists(st.sampled_from(monos), max_size=4))
+    if shape == "mixed":
+        lower = list(monomials(n, draw(st.integers(0, max(d - 1, 0)))))
+        chosen += draw(st.lists(st.sampled_from(lower), min_size=1, max_size=3))
+    f = Poly(table, PRIMAL, {m: draw(COEFFS) for m in chosen})
+    kind = draw(st.sampled_from(("constant", "monomial", "terms")))
+    if kind == "constant":
+        alpha_monos = [(0,) * n]
+    else:
+        count = 1 if kind == "monomial" else draw(st.integers(2, 4))
+        alpha_monos = [draw(st.sampled_from(monomials(n, draw(st.integers(0, d + 1)))))
+                       for _ in range(count)]
+    alpha = Poly(table, DUAL, {m: draw(COEFFS) for m in alpha_monos})
+    return f, alpha
+
+
+@settings(max_examples=400, deadline=None)
+@given(operands())
+def test_contract_equals_the_definition(pair):
+    f, alpha = pair
+    got = contract(alpha, f)
+    assert got.table == f.table and got.ring == PRIMAL
+    assert got.terms == naive_contract(alpha.terms, f.terms)
+    assert all(type(c) is Fraction and c != 0 for c in got.terms.values())
+    # each operator term gives the same terms on either path
+    d = f.homogeneous_degree()
+    for c, ca in alpha.terms.items():
+        scanned = _scanned_terms(c, ca, f)
+        assert scanned == naive_contract({c: ca}, f.terms)
+        if d is not None and sum(c) <= d:
+            assert _dense_terms(c, ca, f, d) == scanned
+
+
+def test_catalecticant_entries_equal_the_naive_contraction():
+    # entry (row r, column c) is the coefficient of x^r in y^c applied to f,
+    # computed from the definition; Fraction coefficients included
+    rng = random.Random(1618)
+    for _ in range(40):
+        table = VarTable.make(("a", "b", "c", "d")[: rng.randint(1, 4)])
+        n = table.n
+        d = rng.randint(1, 4)
+        monos = list(monomials(n, d))
+        picked = rng.sample(monos, rng.randint(1, len(monos)))
+        f = Poly(table, PRIMAL, {m: Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))
+                                 for m in picked})
+        for i in range(d + 1):
+            cat = catalecticant(f, i)
+            entries = cat.matrix.entries
+            assert cat.rows == entries
+            for j, col_mono in enumerate(monomials(n, i)):
+                g = naive_contract({col_mono: 1}, f.terms)
+                for k, row_mono in enumerate(monomials(n, d - i)):
+                    assert entries[k][j] == g.get(row_mono, 0)

@@ -261,3 +261,41 @@ def test_linear_power_equals_repeated_multiplication(l, k):
     assert_canonical(power)
     assert power.ring == l.ring and power.table == l.table
     assert power.terms == naive_power_terms(l.terms, l.table.n, k)
+
+
+# -- homogeneous_degree is remembered per polynomial
+
+def fresh_degree(p):
+    degs = {sum(m) for m in p.terms}
+    return degs.pop() if len(degs) == 1 else None
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys(PRIMAL), polys(PRIMAL), COEFFS, st.integers(0, 3), EXPONENTS,
+       st.lists(COEFFS, min_size=3, max_size=3), st.lists(COEFFS, min_size=10, max_size=10))
+def test_degree_memo_matches_a_fresh_computation(p, q, c, k, mono, lin, vec):
+    for operand in (p, q):
+        assert operand.homogeneous_degree() == fresh_degree(operand)
+    images = [linear_form(T3, [a if i == j else 0 for j in range(3)]) for i, a in enumerate(lin)]
+    results = (p + q, p - q, p - p, -p, p * q, p * c, p.scale(c), p ** k,
+               p.times_monomial(mono), p.substitute(images),
+               Poly.from_vector(T3, PRIMAL, 2, vec[:6]), Poly.from_vector(T3, PRIMAL, 3, vec))
+    for r in results:
+        assert r.homogeneous_degree() == fresh_degree(r)
+        assert r.homogeneous_degree() == fresh_degree(r)  # the remembered value
+
+
+def test_degree_memo_leaves_poly_immutable_and_equality_alone():
+    p = parse_poly("x^2*y - 3*z^3", table=T3)
+    twin = parse_poly("-3*z^3 + x^2*y", table=T3)
+    before = hash(p)
+    assert p.homogeneous_degree() == 3
+    assert hash(p) == before == hash(twin)
+    assert p == twin and twin == p
+    for name, value in (("terms", {}), ("_degree", 5), ("ring", DUAL)):
+        with pytest.raises(AttributeError):
+            setattr(p, name, value)
+    assert p.homogeneous_degree() == 3
+    mixed = parse_poly("x^2 + y", table=T3)
+    assert mixed.homogeneous_degree() is None and mixed.homogeneous_degree() is None
+    assert Poly.zero(T3).homogeneous_degree() is None

@@ -22,6 +22,7 @@ from apolar.wildcert import (
     rank9_upper,
     square_pair_split,
     squares_confined,
+    tangent_data_for_pairs,
     theorem2_report,
     transform_presentation,
     wild_cubic,
@@ -537,3 +538,48 @@ def test_product_locus_samples_are_the_cleared_fraction_points():
             value = sum((q * prod(Fraction(x) ** e for x, e in zip(u, mono))
                          for q, mono in zip(locus.quadric, monomials(len(u), 2))), Fraction(0))
             assert value == 0
+
+
+def rank_based_tangent_data(square_pairs):
+    """The limit-family data chosen with ranks, as written before the
+    selection moved to 2 x 2 cross-products: b2 is the first later squared
+    part of rank 2 with b1, and a candidate is kept unless it has rank 1
+    with a squared part or an earlier extra."""
+    from _oracle import naive_kernel, naive_rank
+    from apolar.poly import linear_coeffs
+    from apolar.witness import TangentDatum
+
+    zs = [z for z, _ in square_pairs]
+    b1 = zs[0]
+    b2 = next(z for z in zs[1:] if naive_rank([linear_coeffs(b1), linear_coeffs(z)]) == 2)
+
+    def proportional(u, v):
+        return naive_rank([linear_coeffs(u), linear_coeffs(v)]) == 1
+
+    extras = []
+    for cand in (b1 - b2, b1 + 2 * b2, b1 + b2, b1 - 2 * b2, b1 + 3 * b2, b1 - 3 * b2,
+                 2 * b1 + b2, 2 * b1 - b2, 3 * b1 + b2, 3 * b1 - b2):
+        if len(extras) == 5 - len(zs):
+            break
+        if not any(proportional(cand, g) for g in zs + extras):
+            extras.append(cand)
+    cubes = [(l ** 3).coefficient_vector(3) for l in zs + extras]
+    (coeffs,) = naive_kernel([list(row) for row in zip(*cubes)], 5)
+    zero = Poly.zero(T5)
+    return tuple([TangentDatum(coeffs[i], z, w * (Fraction(1) / (3 * coeffs[i])))
+                  for i, (z, w) in enumerate(square_pairs)]
+                 + [TangentDatum(coeffs[len(zs) + j], l, zero) for j, l in enumerate(extras)])
+
+
+def test_tangent_data_selection_equals_the_rank_based_choice():
+    for pres in [PRES] + gl5_presentations(3):
+        pairs = pres.square_pairs
+        assert tangent_data_for_pairs(pairs) == rank_based_tangent_data(pairs)
+    # squared parts with many zero coordinates: u and v on two coordinates
+    rng = random.Random(29)
+    for p, q in combinations(range(5), 2):
+        u = linear_form(T5, [rng.choice((-2, 1, 3)) if k == p else 0 for k in range(5)])
+        v = linear_form(T5, [rng.choice((-1, 2)) if k == q else 0 for k in range(5)])
+        ws = [linear_form(T5, [rng.randint(-2, 2) for _ in range(5)]) for _ in range(3)]
+        pairs = tuple(zip((u, v, u + v), ws))
+        assert tangent_data_for_pairs(pairs) == rank_based_tangent_data(pairs)
