@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from . import __version__
 from .apolarity import (
@@ -23,7 +22,7 @@ from .apolarity import (
 from .ideals import macaulay_bound
 from .parsing import ParseError, parse_poly
 from .poly import Poly
-from .ranks import CertificateRecord, sylvester_binary
+from .ranks import EvidenceRecord, sylvester_binary
 from .wildcert import (
     classical_report,
     counting_certificate,
@@ -63,7 +62,8 @@ def _parse_form(args) -> Poly:
 
 
 def _cert_dicts(records) -> list:
-    return [asdict(c) for c in records]
+    """The printed part of each record; its basis and bounds stay out."""
+    return [{"kind": c.kind, "stage_log": c.stage_log, "verified": c.verified} for c in records]
 
 
 def _cmd_hilbert(args):
@@ -72,11 +72,19 @@ def _cmd_hilbert(args):
     return {"hilbert": list(h.values), "degree": h.top_degree}, [], True
 
 
+def _slice_degree(build, p, degree):
+    """build(p, degree), with a slice degree outside 0..deg p an input error."""
+    try:
+        return build(p, degree)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _cmd_annihilator(args):
     p = _parse_input_poly(args)
     if args.degree is None:
         raise InputError("--degree is required")
-    sl = ann_slice(p, args.degree)
+    sl = _slice_degree(ann_slice, p, args.degree)
     return {
         "degree": sl.degree,
         "dimension": sl.dim,
@@ -88,7 +96,7 @@ def _cmd_catalecticant(args):
     p = _parse_input_poly(args)
     if args.degree is None:
         raise InputError("--degree is required")
-    cat = catalecticant(p, args.degree)
+    cat = _slice_degree(catalecticant, p, args.degree)
     m = cat.matrix
     return {
         "source_degree": cat.source_degree,
@@ -148,7 +156,7 @@ def _cmd_witness_verify(args):
         reason, log = "no squares-times-lines shape found", "shape extraction failed"
     if found is None:
         return {"verified": False, "reason": reason}, [
-            CertificateRecord("border-limit-family", False, (log,))
+            EvidenceRecord("border-limit-family", False, (log,))
         ], False
     fam, cert = found
     ok = cert.verified
@@ -168,6 +176,8 @@ def _parse_pairs(args, table):
             m = parse_poly(sides[1].strip(), table=table)
         except ParseError as exc:
             raise InputError(str(exc)) from exc
+        if l.homogeneous_degree() != 1 or not (m.is_zero() or m.homogeneous_degree() == 1):
+            raise InputError(f"bad pair {chunk!r}: l must be a nonzero linear form, m linear or 0")
         pairs.append((l, m))
     return pairs
 
@@ -177,8 +187,8 @@ def _cmd_double_points(args):
     found = double_point_certificate(p, _parse_pairs(args, p.table))
     if found is None:
         return {"verified": False}, [
-            CertificateRecord("double-point-span", False,
-                              ("no exact solution in the span of the given 2-jets",))
+            EvidenceRecord("double-point-span", False,
+                           ("no exact solution in the span of the given 2-jets",))
         ], False
     dps, cert = found
     return {
@@ -198,7 +208,7 @@ def _cmd_wild_cert(args):
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if found is None:
-        csl, saturation = None, CertificateRecord(
+        csl, saturation = None, EvidenceRecord(
             "cactus-slice-saturation", False,
             ("the slice-saturation pattern found no linear drop",))
     else:

@@ -46,13 +46,19 @@ class Deduction:
 
 
 @dataclass(frozen=True)
-class CertificateRecord:
-    """One certificate as reported: its kind, whether it verified, and a
-    stage-by-stage log."""
+class EvidenceRecord:
+    """One certificate, or one stage of a certificate: its kind, whether it
+    verified, a stage-by-stage log, whether it was computed or cites a
+    literature rule over verified hypotheses, and the bounds it certifies."""
 
     kind: str
     verified: bool
     stage_log: tuple
+    basis: str = "computed"  # "computed" | "cited"
+    bounds: tuple = ()  # Deductions, certified only when verified
+
+    def certified(self) -> tuple:
+        return self.bounds if self.verified else ()
 
 
 @dataclass

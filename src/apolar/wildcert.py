@@ -10,7 +10,7 @@ computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from math import lcm, prod
@@ -32,8 +32,9 @@ from .poly import (
     uni_gcd,
 )
 from .ranks import (
-    CertificateRecord,
+    NOTIONS,
     Deduction,
+    EvidenceRecord,
     RankReport,
     aggregate,
     catalecticant_deduction,
@@ -289,13 +290,15 @@ def limit_family_certificate(f: Poly, square_pairs=None):
         return None
     fam = tangent_limit_family(tangent_data_for_pairs(pairs), 3)
     ok = verify_limit(fam.family, 1, f) and fam.limit == f
-    return fam, CertificateRecord(
+    return fam, EvidenceRecord(
         kind="border-limit-family",
         verified=ok,
         stage_log=(
             f"{fam.r} perturbed cubes, constant term cancels",
             f"t-coefficient equals the target: {ok}",
         ),
+        bounds=(Deduction("border", "upper", fam.r, rule="limit-family",
+                          detail=f"{fam.r}-term perturbed power family"),),
     )
 
 
@@ -330,14 +333,6 @@ class CactusSliceCertificate:
     witness_power: int  # gamma * m^k lies in the generated ideal
     quotient_h1: int  # linear-degree Hilbert value after saturating
     conciseness: int
-
-    def stage_log(self) -> tuple:
-        return (
-            f"degree-2 quotient dimension {self.scheme_quotient_dim}",
-            f"{len(self.gamma_basis)} linear forms in the saturation (k={self.witness_power})",
-            f"saturated quotient has {self.quotient_h1} < {self.conciseness} linear dimensions",
-            f"cactus rank >= {self.bound}",
-        )
 
 
 def cactus_lower_via_slice(f: Poly,
@@ -398,8 +393,18 @@ def slice_saturation_certificate(f: Poly, facts: Optional[FormFacts] = None):
     csl = cactus_lower_via_slice(f, facts)
     if csl is None:
         return None
-    return csl, CertificateRecord(kind="cactus-slice-saturation", verified=True,
-                                  stage_log=csl.stage_log())
+    return csl, EvidenceRecord(
+        kind="cactus-slice-saturation",
+        verified=True,
+        stage_log=(
+            f"degree-2 quotient dimension {csl.scheme_quotient_dim}",
+            f"{len(csl.gamma_basis)} linear forms in the saturation (k={csl.witness_power})",
+            f"saturated quotient has {csl.quotient_h1} < {csl.conciseness} linear dimensions",
+            f"cactus rank >= {csl.bound}",
+        ),
+        bounds=(Deduction("cactus", "lower", csl.bound, rule="slice-saturation",
+                          detail=f"saturated linear quotient {csl.quotient_h1} < {csl.conciseness}"),),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -772,34 +777,19 @@ def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[P
 
 
 @dataclass(frozen=True)
-class StageRecord:
-    name: str
-    ok: bool
-    detail: str
-    kind: str = "computed"  # "computed" | "cited"
-
-    def render(self) -> str:
-        flag = "ok" if self.ok else "FAILED"
-        return f"{self.name} [{self.kind}]: {flag} — {self.detail}"
-
-
-@dataclass(frozen=True)
 class Rank9Certificate:
     verified: bool
     bound: Optional[int]
     r_max: int
-    stages: tuple
+    stages: tuple  # EvidenceRecord per stage, named by its kind
     locus: Optional[ProductLocus] = None
 
     @property
     def failed_stage(self) -> Optional[str]:
         for s in self.stages:
-            if not s.ok:
-                return s.name
+            if not s.verified:
+                return s.kind
         return None
-
-    def stage_log(self) -> tuple:
-        return tuple(s.render() for s in self.stages)
 
 
 def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None,
@@ -810,12 +800,12 @@ def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None,
     the stage.  `facts`, when given, must be f's."""
     stages = []
 
-    def fail(name, detail, kind="computed"):
-        stages.append(StageRecord(name, False, detail, kind))
+    def fail(name, detail):
+        stages.append(EvidenceRecord(name, False, (detail,)))
         return Rank9Certificate(False, None, r_max, tuple(stages))
 
-    def ok(name, detail, kind="computed"):
-        stages.append(StageRecord(name, True, detail, kind))
+    def ok(name, detail, basis="computed"):
+        stages.append(EvidenceRecord(name, True, (detail,), basis))
 
     n = f.table.n
     if f.homogeneous_degree() != 3 or n != 5:
@@ -880,17 +870,26 @@ def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None,
         "products of the conic family propagate across the locus into any"
         f" radical decomposition ideal, forcing a square and contradicting radicality;"
         f" rank >= {r_max + 1}",
-        kind="cited",
+        basis="cited",
     )
     return Rank9Certificate(True, r_max + 1, r_max, tuple(stages), locus=locus)
 
 
 def counting_certificate(f: Poly, r_max: int = 8, square_pairs=None,
                          facts: Optional[FormFacts] = None):
-    """rank9_lower_cert and its record, verified or naming the failed stage."""
+    """rank9_lower_cert and its record, verified or naming the failed stage;
+    one log line per stage, with its basis."""
     r9 = rank9_lower_cert(f, r_max=r_max, square_pairs=square_pairs, facts=facts)
-    return r9, CertificateRecord(kind="rank-lower-counting", verified=r9.verified,
-                                 stage_log=r9.stage_log())
+    return r9, EvidenceRecord(
+        kind="rank-lower-counting",
+        verified=r9.verified,
+        stage_log=tuple(
+            f"{s.kind} [{s.basis}]: {'ok' if s.verified else 'FAILED'} — {s.stage_log[0]}"
+            for s in r9.stages
+        ),
+        bounds=(Deduction("rank", "lower", r_max + 1, rule="counting-certificate",
+                          detail=f"no reduced scheme of length <= {r_max}"),),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -946,10 +945,12 @@ def rank9_upper(f: Poly, square_pairs=None) -> PowerSumDecomposition:
 def power_sum_certificate(f: Poly, square_pairs=None):
     """rank9_upper and its record; ValueError without the shape."""
     dec = rank9_upper(f, square_pairs)
-    return dec, CertificateRecord(
+    return dec, EvidenceRecord(
         kind="power-sum-decomposition",
         verified=True,
         stage_log=(f"{len(dec)} cubes re-expand to the target",),
+        bounds=(Deduction("rank", "upper", len(dec), rule="power-sum",
+                          detail=f"{len(dec)} exact cubes"),),
     )
 
 
@@ -967,18 +968,14 @@ class WildReport:
     hilbert: tuple
     slice2_dim: Optional[int]
     saturation_gammas: tuple  # printable linear forms in the saturation
-    cactus_lower: int
-    cactus_upper: Optional[int]
     border_witness_rank: Optional[int]  # r of the verified limit family
-    rank_lower: int
-    rank_upper: Optional[int]
     report: RankReport
-    certificates: tuple  # CertificateRecord
+    certificates: tuple  # EvidenceRecord
     notes: tuple
 
     def final(self) -> dict:
         out = {}
-        for notion in ("border", "smoothable", "cactus", "rank"):
+        for notion in NOTIONS:
             exact = self.report.value(notion)
             if exact is not None:
                 out[notion] = exact
@@ -987,83 +984,24 @@ class WildReport:
         return out
 
 
-def _slice_saturation_evidence(facts: FormFacts, evidence: list, certificates: list) -> tuple:
-    """Append the slice-saturation cactus bound and its certificate when the
-    pattern applies to facts.form; returns the saturation gammas as
-    printable forms."""
-    found = slice_saturation_certificate(facts.form, facts)
-    if found is None:
-        return ()
-    csl, cert = found
-    evidence.append(
-        Deduction("cactus", "lower", csl.bound, rule="slice-saturation",
-                  detail=f"saturated linear quotient {csl.quotient_h1} < {csl.conciseness}")
-    )
-    certificates.append(cert)
-    return tuple(str(gamma) for gamma in csl.gamma_basis)
-
-
-def _wild_route_evidence(facts: FormFacts, pairs, r_max: int):
-    """Certificates for a concise cubic (facts.form) with square-pair data."""
-    g = facts.form
-    evidence = []
-    certificates = []
-    notes = []
-    border_witness = None
-
+def _square_pair_records(g: Poly, pairs) -> tuple:
+    """(records, notes): the upper-bound certificates of a concise cubic g
+    with square-pair data, and a note for each one that does not apply."""
+    records, notes = [], []
     z_rows = [linear_coeffs(z) for z, _ in pairs]
     if linalg.rank(z_rows) == 2 and len(pairs) <= 3:
         try:
-            fam, cert = limit_family_certificate(g, pairs)
+            records.append(limit_family_certificate(g, pairs)[1])
         except ValueError as exc:
             notes.append(f"limit family unavailable: {exc}")
-        else:
-            certificates.append(cert)
-            if cert.verified:
-                evidence.append(
-                    Deduction("border", "upper", fam.r, rule="limit-family",
-                              detail=f"{fam.r}-term perturbed power family")
-                )
-                border_witness = fam.r
-
     found = double_point_certificate(g, pairs)
     if found is not None:
-        dps, cert = found
-        evidence.append(
-            Deduction("cactus", "upper", dps.cactus_upper, rule="double-point-span",
-                      detail=f"{len(pairs)} two-jets span the target")
-        )
-        evidence.append(
-            Deduction("smoothable", "upper", dps.cactus_upper, rule="curvilinear-smoothable",
-                      detail="2-jets on lines are curvilinear, hence smoothable",
-                      basis="cited")
-        )
-        certificates.append(cert)
-
+        records.append(found[1])
     try:
-        dec, cert = power_sum_certificate(g, pairs)
+        records.append(power_sum_certificate(g, pairs)[1])
     except ValueError as exc:
         notes.append(f"power-sum upper bound unavailable: {exc}")
-    else:
-        evidence.append(
-            Deduction("rank", "upper", len(dec), rule="power-sum",
-                      detail=f"{len(dec)} exact cubes")
-        )
-        certificates.append(cert)
-
-    sat_gammas = _slice_saturation_evidence(facts, evidence, certificates)
-
-    if g.table.n == 5 and len(pairs) == 3:
-        r9, cert = counting_certificate(g, r_max=r_max, square_pairs=pairs, facts=facts)
-        certificates.append(cert)
-        if r9.verified:
-            evidence.append(
-                Deduction("rank", "lower", r9.bound, rule="counting-certificate",
-                          detail=f"no reduced scheme of length <= {r9.r_max}")
-            )
-    else:
-        notes.append("counting certificate skipped: not the 5-variable three-pair shape")
-    return evidence, certificates, notes, sat_gammas, border_witness
+    return records, notes
 
 
 def _classical_evidence(facts: FormFacts, d: int) -> list:
@@ -1114,10 +1052,8 @@ def theorem2_report(f, r_max: int = 8) -> WildReport:
         raise ValueError("presentations must already be concise")
 
     evidence = _classical_evidence(facts, d)
-    certificates = []
-    notes = []
-    sat_gammas = ()
-    border_witness = None
+    records, notes = [], []
+    pairs, sat_gammas = None, ()
     slice2_dim = facts.slice2.dim if d >= 2 else None
 
     if d != 2 and es.dim > 2:
@@ -1132,8 +1068,11 @@ def theorem2_report(f, r_max: int = 8) -> WildReport:
                 f"direct sum of {len(components)} variable-disjoint summands;"
                 f" conciseness {es.dim} = " + " + ".join(str(r.conciseness) for r in sub_reports)
             )
-            certificates.append(slice_intersection_certificate(components, g))
-            for notion in ("border", "smoothable", "cactus", "rank"):
+            records.append(slice_intersection_certificate(components, g))
+            # shown, but certifying nothing here: a summand's bounds are its
+            # own (the wild cubic's border <= 5 is no bound on it plus u^3)
+            records += [replace(c, bounds=()) for r in sub_reports for c in r.certificates]
+            for notion in NOTIONS:
                 ups = [r.report.upper(notion) for r in sub_reports]
                 if all(u is not None for u in ups):
                     evidence.append(
@@ -1141,23 +1080,27 @@ def theorem2_report(f, r_max: int = 8) -> WildReport:
                                   detail="summand witnesses glued over disjoint variables",
                                   basis="cited")
                     )
-            for r in sub_reports:
-                certificates.extend(r.certificates)
-            if d == 3:
-                sat_gammas = _slice_saturation_evidence(facts, evidence, certificates)
         elif d == 3:
             pairs = pres.square_pairs if pres is not None else extract_square_pairs(g)
             if pairs:
-                wild_ev, wild_certs, wild_notes, sat_gammas, border_witness = _wild_route_evidence(
-                    facts, pairs, r_max
-                )
-                evidence += wild_ev
-                certificates += wild_certs
-                notes += wild_notes
+                pair_records, pair_notes = _square_pair_records(g, pairs)
+                records += pair_records
+                notes += pair_notes
             else:
-                sat_gammas = _slice_saturation_evidence(facts, evidence, certificates)
                 notes.append("no squares-times-lines shape found; reporting catalecticant bounds")
+        if d == 3:
+            found = slice_saturation_certificate(g, facts)
+            if found is not None:
+                csl, record = found
+                records.append(record)
+                sat_gammas = tuple(str(gamma) for gamma in csl.gamma_basis)
+        if pairs:
+            if g.table.n == 5 and len(pairs) == 3:
+                records.append(counting_certificate(g, r_max, pairs, facts)[1])
+            else:
+                notes.append("counting certificate skipped: not the 5-variable three-pair shape")
 
+    evidence += [b for r in records for b in r.certified()]
     report = tameness_rule(aggregate(g, evidence, facts), d)
     return WildReport(
         poly=f,
@@ -1165,12 +1108,9 @@ def theorem2_report(f, r_max: int = 8) -> WildReport:
         hilbert=tuple(facts.hilbert.values),
         slice2_dim=slice2_dim,
         saturation_gammas=sat_gammas,
-        cactus_lower=report.lower("cactus"),
-        cactus_upper=report.upper("cactus"),
-        border_witness_rank=border_witness,
-        rank_lower=report.lower("rank"),
-        rank_upper=report.upper("rank"),
+        border_witness_rank=next((b.value for r in records if r.kind == "border-limit-family"
+                                  for b in r.certified()), None),
         report=report,
-        certificates=tuple(certificates),
+        certificates=tuple(records),
         notes=tuple(notes),
     )

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .apolarity import ann_slice, concise_dim
 from .poly import PRIMAL, Poly, TableMismatchError, VarTable, _cleared, _power_terms
-from .ranks import CertificateRecord
+from .ranks import Deduction, EvidenceRecord
 
 
 class ParamPoly:
@@ -238,10 +238,18 @@ def double_point_certificate(f: Poly, pairs: Sequence):
     cert = double_point_span(f, pairs)
     if cert is None:
         return None
-    return cert, CertificateRecord(
+    upper = cert.cactus_upper
+    return cert, EvidenceRecord(
         kind="double-point-span",
         verified=True,
-        stage_log=(f"solved exactly with {len(cert.pairs)} pairs; cactus <= {cert.cactus_upper}",),
+        stage_log=(f"solved exactly with {len(cert.pairs)} pairs; cactus <= {upper}",),
+        bounds=(
+            Deduction("cactus", "upper", upper, rule="double-point-span",
+                      detail=f"{len(cert.pairs)} two-jets span the target"),
+            Deduction("smoothable", "upper", upper, rule="curvilinear-smoothable",
+                      detail="2-jets on lines are curvilinear, hence smoothable",
+                      basis="cited"),
+        ),
     )
 
 
@@ -274,15 +282,16 @@ def direct_summands(p: Poly) -> list:
     return [Poly(p.table, p.ring, terms) for _, terms in sorted(groups.items())]
 
 
-def slice_intersection_certificate(summands: Sequence[Poly], total: Poly) -> CertificateRecord:
+def slice_intersection_certificate(summands: Sequence[Poly], total: Poly) -> EvidenceRecord:
     """Check that the degree-2 annihilator slice of a sum over disjoint
-    variables is the intersection of the summands' slices."""
+    variables is the intersection of the summands' slices; the check bounds
+    no rank by itself."""
     inter = None
     for s in summands:
         vecs = ann_slice(s, 2).vectors()
         inter = vecs if inter is None else linalg.intersect_spans(inter, vecs)
     equal = inter == ann_slice(total, 2).vectors()
-    return CertificateRecord(
+    return EvidenceRecord(
         kind="direct-sum-slice-intersection",
         verified=equal,
         stage_log=(
@@ -301,7 +310,7 @@ class DirectSumReport:
     concise_total: int
 
     @cached_property
-    def certificate(self) -> CertificateRecord:
+    def certificate(self) -> EvidenceRecord:
         """The slice-intersection check, computed on first use."""
         return slice_intersection_certificate(self.summands, self.combined)
 

@@ -137,7 +137,7 @@ def test_criterion_6_rank_nine():
     assert len(dec) == 9 and dec.verify()
     cert = rank9_lower_cert(F, 8)
     assert cert.verified and cert.bound == 9
-    stage_names = [s.name for s in cert.stages]
+    stage_names = [s.kind for s in cert.stages]
     for needed in ("slice-dimension", "product-locus", "factor-family", "forced-square"):
         assert needed in stage_names
     assert len(cert.locus.all_samples()) >= 5

@@ -112,6 +112,21 @@ def test_double_points_command(capsys):
     assert doc["results"]["cactus_upper"] == 6
 
 
+@pytest.mark.parametrize("pairs", ["x,y;y,x^2", "x^2,y;y,x", "0,y;y,x", "x,1;y,x"])
+def test_double_points_rejects_pairs_that_are_not_linear(capsys, pairs):
+    # a quadratic m used to be dropped from its column and reported verified
+    code = main(["double-points", "--poly", "x^2*y+y^3", "--pairs", pairs])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: bad pair")
+
+
+def test_double_points_accepts_a_zero_jet(capsys):
+    code, doc = run(capsys, "double-points", "--poly", "x^2*y+y^3", "--pairs", "x,y;y,0")
+    assert code == 0
+    assert doc["results"]["cactus_upper"] == 4
+
+
 def test_wild_cert_command(capsys):
     code, doc = run(capsys, "wild-cert", "--poly", WILD, "--vars", WILD_VARS)
     assert code == 0
@@ -182,6 +197,14 @@ def test_constant_input_is_an_input_error(capsys, command):
     assert err.startswith("error: ") and "constant" in err
 
 
+@pytest.mark.parametrize("command, degree", [("annihilator", "-1"), ("catalecticant", "7")])
+def test_slice_degree_outside_the_form_is_an_input_error(capsys, command, degree):
+    code = main([command, "--poly", "x^3", "--degree", degree])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: slice degree {degree} outside 0..3\n"
+
+
 def test_unknown_command_exit_code(capsys):
     code = main(["does-not-exist"])
     assert code == 2
@@ -231,3 +254,23 @@ def test_direct_sum_prints_each_certificate_once(capsys):
     certs = doc["certificates"]
     assert [c["kind"] for c in certs].count("direct-sum-slice-intersection") == 1
     assert all(a != b for i, a in enumerate(certs) for b in certs[i + 1:])
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["witness-verify", "--poly", WILD, "--vars", WILD_VARS], 0),
+    (["witness-verify", "--poly", "x0*x1*x2"], 1),
+    (["double-points", "--poly", WILD, "--vars", WILD_VARS,
+      "--pairs", "x0,y0;x0+x1,-y1;x1,y2"], 0),
+    (["double-points", "--poly", WILD, "--vars", WILD_VARS, "--pairs", "x0,y0;x1,y2"], 1),
+    (["wild-cert", "--poly", WILD, "--vars", WILD_VARS], 0),
+    (["theorem2", "--poly", WILD, "--vars", WILD_VARS], 0),
+    (["direct-sum", "--poly", WILD, "--vars", WILD_VARS, "--poly2", "u^3"], 0),
+], ids=["witness-verify", "witness-verify-failure", "double-points", "double-points-failure",
+        "wild-cert", "theorem2", "direct-sum"])
+def test_certificates_print_kind_stage_log_and_verified_only(capsys, argv, code):
+    # the records also carry a basis and certified bounds; neither is printed
+    got, doc = run(capsys, *argv)
+    assert got == code
+    assert doc["certificates"]
+    for cert in doc["certificates"]:
+        assert set(cert) == {"kind", "stage_log", "verified"}

@@ -178,7 +178,7 @@ def test_rank9_lower_cert_wild():
     assert cert.bound == 9
     assert cert.failed_stage is None
     assert len(cert.locus.all_samples()) >= 5
-    assert any(s.kind == "cited" for s in cert.stages)
+    assert any(s.basis == "cited" for s in cert.stages)
 
 
 def test_rank9_lower_cert_weak_rmax():
@@ -259,6 +259,40 @@ def test_theorem2_direct_sum_route():
     assert rep.report.lower("cactus") >= 7
     assert final["cactus"] == 7
     assert final["smoothable"] == 7
+
+
+def test_direct_sum_report_takes_no_bound_from_summand_records():
+    # the wild summand's records certify border <= 5 for it alone; read as
+    # bounds on the sum they would contradict its conciseness 6
+    t6 = VarTable.make(("x0", "x1", "y0", "y1", "y2", "u"))
+    rep = theorem2_report(parse_poly("x0^2*y0 - (x0+x1)^2*y1 + x1^2*y2 + u^3", table=t6))
+    assert rep.final() == {"border": 6, "smoothable": 7, "cactus": 7, "rank": [7, 10]}
+    assert [d.rule for d in rep.report.provenance] == (
+        ["conciseness", "catalecticant"] + ["direct-sum-subadditivity"] * 4 + ["slice-saturation"]
+    )
+    assert "border-limit-family" in [c.kind for c in rep.certificates]
+    assert rep.border_witness_rank is None
+
+
+def test_report_bounds_are_read_off_the_verified_records():
+    rep = theorem2_report(F)
+    assert [(d.rule, d.notion, d.side, d.value) for d in rep.report.provenance[2:]] == [
+        ("limit-family", "border", "upper", 5),
+        ("double-point-span", "cactus", "upper", 6),
+        ("curvilinear-smoothable", "smoothable", "upper", 6),
+        ("power-sum", "rank", "upper", 9),
+        ("slice-saturation", "cactus", "lower", 6),
+        ("counting-certificate", "rank", "lower", 9),
+    ]
+    assert list(rep.report.provenance[2:]) == [b for c in rep.certificates for b in c.bounds]
+    assert rep.border_witness_rank == 5
+    # r_max = 9 fails the quadric count: the record is shown, its bound is not used
+    weak = theorem2_report(F, r_max=9)
+    counting = weak.certificates[-1]
+    assert counting.kind == "rank-lower-counting" and not counting.verified
+    assert counting.bounds and counting.certified() == ()
+    assert "counting-certificate" not in [d.rule for d in weak.report.provenance]
+    assert weak.final()["rank"] == [6, 9]
 
 
 def test_theorem2_quadric_route():
