@@ -176,15 +176,17 @@ def _parse_pairs(args, table):
             m = parse_poly(sides[1].strip(), table=table)
         except ParseError as exc:
             raise InputError(str(exc)) from exc
-        if l.homogeneous_degree() != 1 or not (m.is_zero() or m.homogeneous_degree() == 1):
-            raise InputError(f"bad pair {chunk!r}: l must be a nonzero linear form, m linear or 0")
         pairs.append((l, m))
     return pairs
 
 
 def _cmd_double_points(args):
     p = _parse_form(args)
-    found = double_point_certificate(p, _parse_pairs(args, p.table))
+    pairs = _parse_pairs(args, p.table)
+    try:
+        found = double_point_certificate(p, pairs)
+    except ValueError as exc:
+        raise InputError(f"bad pair: {exc}") from exc
     if found is None:
         return {"verified": False}, [
             EvidenceRecord("double-point-span", False,
@@ -235,7 +237,7 @@ def _cmd_theorem2(args):
         "border_witness_rank": rep.border_witness_rank,
         "notes": list(rep.notes),
     }
-    return results, rep.certificates, True
+    return results, rep.certificates, all(c.verified for c in rep.certificates)
 
 
 def _cmd_direct_sum(args):

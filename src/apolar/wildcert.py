@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
 from math import lcm, prod
 from typing import Optional, Sequence
 
@@ -28,7 +27,6 @@ from .poly import (
     linear_form,
     monomial_count,
     monomials,
-    uni_divmod,
     uni_gcd,
 )
 from .ranks import (
@@ -642,71 +640,6 @@ def _bf_is_nonvanishing(a) -> bool:
     return a is not None and len(a[0]) == 1 and a[1] == 0
 
 
-def _bf_has_root_outside(a, b) -> bool:
-    """Does the root set of a reach outside the root set of b?  a must be a
-    nonzero form; b = None means all of the projective line."""
-    if b is None:
-        return False
-    p = list(a[0])
-    if a[1] > 0 and b[1] == 0:
-        return True
-    g = uni_gcd(p, b[0])
-    while len(g) > 1:
-        p, rem = uni_divmod(p, g)
-        assert not rem
-        g = uni_gcd(p, b[0])
-    return len(p) > 1
-
-
-def _bf_det(rows: tuple, cols: tuple, matrix, degs, memo: dict) -> list:
-    """Determinant of the nonempty submatrix (homogeneous binary-form
-    entries); degs gives the entry degree per column, so the result is
-    homogeneous of degree sum(degs[c] for c in cols).  Cofactor expansion
-    along the first row; every minor is kept in memo under its (rows, cols),
-    so the minors shared by overlapping submatrices are expanded once."""
-    key = (rows, cols)
-    det = memo.get(key)
-    if det is not None:
-        return det
-    if len(rows) == 1:
-        det = list(matrix[rows[0]][cols[0]])
-    else:
-        det = [0] * (sum(degs[c] for c in cols) + 1)
-        r0 = rows[0]
-        for idx, c in enumerate(cols):
-            entry = matrix[r0][c]
-            if not any(entry):
-                continue
-            sub = _bf_det(rows[1:], cols[:idx] + cols[idx + 1:], matrix, degs, memo)
-            sign = 1 if idx % 2 == 0 else -1
-            for a, x in enumerate(entry):
-                if x:
-                    x *= sign
-                    for b, y in enumerate(sub):
-                        det[a + b] += x * y
-    memo[key] = det
-    return det
-
-
-def _minor_gcd_roots(matrix, degs, nrows, ncols, k, memo: dict):
-    """Root data of the gcd of all k x k minors; None when they all vanish
-    identically (or when no such minors exist)."""
-    if k == 0:
-        return [Fraction(1)], 0
-    if k > min(nrows, ncols):
-        return None
-    acc = None
-    for rows in combinations(range(nrows), k):
-        for cols in combinations(range(ncols), k):
-            data = _bf_roots(_bf_det(rows, cols, matrix, degs, memo))
-            if data is None:
-                continue
-            acc = _bf_roots_gcd(acc, data) if acc is not None else data
-            if _bf_is_nonvanishing(acc):
-                return acc
-    return acc
-
-
 def _perp_products_vanish(f: Poly, perp_basis: Sequence[Poly],
                           facts: Optional[FormFacts] = None) -> bool:
     """Do all pairwise products of the perp basis, squares included,
@@ -717,16 +650,16 @@ def _perp_products_vanish(f: Poly, perp_basis: Sequence[Poly],
 
 def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly],
                      facts: Optional[FormFacts] = None) -> bool:
-    """True iff every linear form whose square annihilates f lies in the span
-    of the perp basis.
+    """Prove that every linear form whose square annihilates f lies in the
+    span of the perp basis.  True is a proof; False only means "not proved".
 
-    Splitting a candidate into complement and perp components makes the
-    condition an inhomogeneous linear system over the perp component, with
-    matrix and right-hand side binary forms in the complement coordinates.
-    The system is solvable at a point iff the augmented rank equals the plain
-    rank there; stratifying the projective line by the plain rank via gcds of
-    the minors decides solvability everywhere over the algebraic closure,
-    entirely in rational arithmetic.  `facts`, when given, must be f's.
+    Write a candidate as c0*comp0 + c1*comp1 + p.perp.  The perp products
+    vanish, so its square contracts f to A(c) = c0^2*E00 + 2*c0*c1*E01 +
+    c1^2*E11 plus a vector in U, the span of the comp_i * perp_j
+    contractions.  Each functional vanishing on U therefore takes A to a
+    binary quadric in c that the candidate must zero; when those quadrics
+    have a constant gcd, no nonzero c does, over the algebraic closure too.
+    `facts`, when given, must be f's.
     """
     if len(comp_basis) != 2:
         raise ValueError("the complement must be 2-dimensional")
@@ -737,38 +670,15 @@ def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[P
         return False
     (E00, E01, *C0), (_, E11, *C1) = _contractions(
         f, comp_basis, list(comp_basis) + list(perp_basis), facts)
-    ncoord = len(E00)
-    nb = len(perp_basis)
-    # column j of the system: 2*(c0*C0[j] + c1*C1[j]); right-hand side:
-    # -(c0^2*E00 + 2*c0*c1*E01 + c1^2*E11), in integers
-    matrix = [[[2 * C1[j][i], 2 * C0[j][i]] for j in range(nb)]
-              + [[-E11[i], -2 * E01[i], -E00[i]]] for i in range(ncoord)]
-    degs = [1] * nb + [2]
-    memo = {}  # minors by (rows, cols), shared by the plain and augmented gcds
-    plain_above = _minor_gcd_roots(matrix, degs, ncoord, nb, 0, memo)
-    for k in range(nb + 1):
-        plain_at = plain_above
-        plain_above = _minor_gcd_roots(matrix, degs, ncoord, nb, k + 1, memo)
-        aug_above = _minor_gcd_roots(matrix, degs, ncoord, nb + 1, k + 1, memo)
-        # stratum: rank == k (plain_above roots minus plain_at roots) where
-        # the augmented rank is also <= k (aug_above roots)
-        if plain_above is None and aug_above is None:
-            # solvable on the whole stratum; empty only if rank < k everywhere
-            if plain_at is not None:
-                return False
-            continue
-        both = _bf_roots_gcd(plain_above, aug_above)
-        if both is None:
-            if plain_at is not None:
-                return False
-            continue
-        if _bf_is_nonvanishing(both):
-            continue
-        if plain_at is None:
-            continue
-        if _bf_has_root_outside(both, plain_at):
-            return False
-    return True
+    acc = None
+    for phi in linalg.kernel_basis(C0 + C1, len(E00)):
+        # phi(A(c)), ascending in the c0-power
+        quadric = [sum(a * e for a, e in zip(phi, E)) for E in (E11, E01, E00)]
+        quadric[1] *= 2
+        acc = _bf_roots_gcd(acc, _bf_roots(quadric))
+        if _bf_is_nonvanishing(acc):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -831,7 +741,7 @@ def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None,
     ok("perp-squares", "all pairwise products of the perp basis annihilate f")
 
     if not squares_confined(f, perp, comp, facts):
-        return fail("square-confinement", "a linear form outside the perp span squares into the annihilator")
+        return fail("square-confinement", "not proved that every square in the annihilator slice comes from the perp span")
     ok("square-confinement", "every square in the annihilator slice comes from the perp span")
 
     total_quadrics = monomial_count(n, 2)

@@ -210,12 +210,15 @@ class DoublePointCertificate:
 
 
 def double_point_span(f: Poly, pairs: Sequence) -> Optional[DoublePointCertificate]:
-    """Solve for f in the span of the given 2-jets; None when unsolvable."""
+    """Solve for f in the span of the given 2-jets; None when unsolvable.
+    Each pair (l, m) needs a nonzero linear form l and a linear or zero m."""
     d = f.homogeneous_degree()
     if d is None or f.is_zero():
         raise ValueError("expected a homogeneous nonzero polynomial")
     cols = []
     for l, m in pairs:
+        if l.homogeneous_degree() != 1 or not (m.is_zero() or m.homogeneous_degree() == 1):
+            raise ValueError(f"({l}, {m}): l must be a nonzero linear form, m linear or 0")
         cols.append(((l ** d)).coefficient_vector(d))
         cols.append((l ** (d - 1) * m).coefficient_vector(d))
     sol = linalg.solve_columns(cols, f.coefficient_vector(d))

@@ -82,37 +82,6 @@ def random_poly(rng, table, ring, degree, max_terms=4, allow_zero=False):
     return Poly(table, ring, {m: c for m, c in terms.items() if c})
 
 
-def naive_binary_form_det(matrix):
-    """Determinant of a square matrix whose entries are univariate
-    coefficient lists (ascending), by cofactor expansion along the first
-    column in Fraction arithmetic; the result is trimmed of trailing zeros."""
-
-    def mul(a, b):
-        out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += Fraction(x) * Fraction(y)
-        return out
-
-    def add(a, b, sign):
-        out = [Fraction(0)] * max(len(a), len(b))
-        for i, x in enumerate(a):
-            out[i] += x
-        for i, y in enumerate(b):
-            out[i] += sign * y
-        return out
-
-    if not matrix:
-        return [Fraction(1)]
-    total = []
-    for i, row in enumerate(matrix):
-        minor = [r[1:] for k, r in enumerate(matrix) if k != i]
-        total = add(total, mul(row[0], naive_binary_form_det(minor)), -1 if i % 2 else 1)
-    while total and total[-1] == 0:
-        total.pop()
-    return total
-
-
 def naive_product_terms(a, b):
     """Product of two {exponent tuple: coefficient} term maps, term by term
     in Fraction arithmetic; zero coefficients dropped."""

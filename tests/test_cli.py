@@ -43,6 +43,15 @@ def test_theorem2_command(capsys):
     assert all(c["verified"] for c in doc["certificates"])
 
 
+def test_theorem2_exit_code_reports_an_unverified_certificate(capsys):
+    # excluding length 9 is beyond the counting certificate: its record is
+    # printed unverified, and that is a certificate failure
+    code, doc = run(capsys, "theorem2", "--poly", WILD, "--vars", WILD_VARS, "--rmax", "9")
+    assert code == 1
+    counting = [c for c in doc["certificates"] if c["kind"] == "rank-lower-counting"]
+    assert len(counting) == 1 and counting[0]["verified"] is False
+
+
 def test_annihilator_command(capsys):
     code, doc = run(capsys, "annihilator", "--poly", WILD, "--vars", WILD_VARS,
                     "--degree", "2")

@@ -4,7 +4,7 @@ from itertools import combinations
 from math import gcd, lcm, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apolar.apolarity import contract
@@ -414,42 +414,10 @@ def test_monomial_residues_are_the_reductions_modulo_the_slice():
 
 
 def test_squares_confined_on_transformed_presentations():
-    for pres in gl5_presentations(3):
-        perp, comp = square_pair_split(pres.square_pairs, T5)
-        assert squares_confined(pres.poly, perp, comp)
-
-
-BF_COEFFS = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)))
-
-
-@st.composite
-def binary_form_matrices(draw):
-    size = draw(st.integers(1, 4))
-    degs = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
-    matrix = [[draw(st.one_of(st.just([0] * (deg + 1)),
-                              st.lists(BF_COEFFS, min_size=deg + 1, max_size=deg + 1)))
-               for deg in degs] for _ in range(size)]
-    return matrix, degs
-
-
-@settings(max_examples=200, deadline=None)
-@given(binary_form_matrices())
-def test_bf_det_matches_naive_cofactor_expansion(case):
-    from apolar.wildcert import _bf_det
-
-    from _oracle import naive_binary_form_det
-
-    matrix, degs = case
-    size = len(degs)
-    memo = {}  # shared by every submatrix, as within one squares_confined call
-    for k in range(size, 0, -1):
-        for rows in combinations(range(size), k):
-            for cols in combinations(range(size), k):
-                det = _bf_det(rows, cols, matrix, degs, memo)
-                assert len(det) == sum(degs[c] for c in cols) + 1
-                expected = naive_binary_form_det([[matrix[r][c] for c in cols] for r in rows])
-                assert det[:len(expected)] == expected
-                assert not any(det[len(expected):])
+    for seed in (1, 7, 11):
+        for pres in gl5_presentations(3, seed):
+            perp, comp = square_pair_split(pres.square_pairs, T5)
+            assert squares_confined(pres.poly, perp, comp)
 
 
 def test_theorem2_report_computes_each_invariant_once_for_a_binary_form(monkeypatch):
@@ -507,9 +475,10 @@ def quadratic_answers(f, perp, comp, facts):
     )
 
 
-def random_square_sums(count, seed=5):
+def random_square_sums(count, seed=5, stray=True):
     """Sums z1^2*w1 + z2^2*w2 + z3^2*w3 with the z's in a 2-space, half of
-    them plus a stray l^2*m, as (f, pairs of the sum without the stray term)."""
+    them plus a stray l^2*m (none when not `stray`), as (f, pairs of the sum
+    without the stray term)."""
     rng = random.Random(seed)
 
     def form():
@@ -522,11 +491,28 @@ def random_square_sums(count, seed=5):
         zs = [b1 * rng.randint(-2, 2) + b2 * rng.randint(-2, 2) for _ in range(3)]
         pairs = tuple((z, form()) for z in zs if not z.is_zero())
         f = sum(((z ** 2) * w for z, w in pairs), Poly.zero(T5))
-        if rng.random() < 0.5:
+        if stray and rng.random() < 0.5:
             f = f + (form() ** 2) * form()
         if pairs and not f.is_zero() and len(square_pair_split(pairs, T5)[1]) == 2:
             out.append((f, pairs))
     return out
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32))
+def test_squares_confined_on_concise_square_sums(seed):
+    # f lies in (z1, z2)^2 and, being concise, has three q_j spanning the
+    # quadrics in z1, z2: confinement holds, and the projection proves it
+    from apolar.apolarity import FormFacts
+
+    f, pairs = random_square_sums(1, seed, stray=False)[0]
+    facts = FormFacts(f)
+    assume(facts.essential.dim == 5)
+    perp, comp = square_pair_split(pairs, T5)
+    assert squares_confined(f, perp, comp)
+    assert squares_confined(f, perp, comp, facts)
+    stages = {s.kind: s for s in rank9_lower_cert(f, square_pairs=pairs, facts=facts).stages}
+    assert stages["square-confinement"].verified
 
 
 def test_table_contractions_match_per_call_contractions(monkeypatch):

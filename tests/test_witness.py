@@ -123,6 +123,15 @@ def test_double_point_span_pure_cube():
     assert cert.point_coeffs == (Fraction(1),)
 
 
+@pytest.mark.parametrize("pair", [("x", "x^2"), ("x^2", "y"), ("0", "y"), ("x", "1")])
+def test_double_point_span_rejects_pairs_that_are_not_linear(pair):
+    t = VarTable.make(("x", "y"))
+    f = parse_poly("x^2*y+y^3", table=t)
+    l, m = (parse_poly(side, table=t) for side in pair)
+    with pytest.raises(ValueError, match="linear"):
+        double_point_span(f, [(parse_poly("x", table=t), parse_poly("y", table=t)), (l, m)])
+
+
 def test_double_point_span_fails_for_generic_cubic():
     rng = random.Random(1009)
     t = VarTable.make(("a", "b", "c"))
