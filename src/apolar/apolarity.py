@@ -212,9 +212,11 @@ def hilbert_function(f: Poly) -> HilbertFn:
     d = f.homogeneous_degree()
     if d is None:
         raise ValueError("hilbert_function requires a homogeneous polynomial")
+    # H(0) = 1: contracting a nonzero f by the constant 1 gives f itself.
     # H(i) = H(d - i): catalecticant d - i is the transpose of catalecticant
-    # i up to invertible diagonal scalings (factorials, characteristic 0)
-    half = [catalecticant(f, i).rank() for i in range(d // 2 + 1)]
+    # i up to invertible diagonal scalings (factorials, characteristic 0), so
+    # only degrees 1..d//2 are ranked
+    half = [1] + [catalecticant(f, i).rank() for i in range(1, d // 2 + 1)]
     return HilbertFn(tuple(half + half[: (d + 1) // 2][::-1]))
 
 

@@ -253,7 +253,7 @@ def _cmd_direct_sum(args):
         raise InputError("--poly2 must be homogeneous and nonzero")
     try:
         rep = direct_sum_extend(p, q)
-        pipeline = theorem2_report(rep.combined)
+        pipeline = theorem2_report(rep.combined, r_max=args.rmax)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     certificates = list(pipeline.certificates)
@@ -276,7 +276,7 @@ def _cmd_direct_sum(args):
         "slice_intersection_equal": cert.verified,
         "final": pipeline.final(),
     }
-    return results, certificates, cert.verified
+    return results, certificates, all(c.verified for c in certificates)
 
 
 _COMMANDS = {

@@ -2,8 +2,8 @@
 
 Inputs are rows of ints and Fractions, and everything is computed in
 integers: each row is cleared of denominators once, and a Fraction is built
-only for an entry that is returned (`rank` builds none).  Two kernels serve
-the two shapes of row that reach this module:
+only for an entry that is returned (`rank` builds none).  Two eliminations
+serve the two shapes of row that reach this module:
 
 - Dense rows (lists, one entry per column: catalecticants, kernels of small
   systems, spans of a few vectors) go through `rref`, `rank`,
@@ -18,9 +18,19 @@ the two shapes of row that reach this module:
   its entries stay the size of reduced-row entries instead of growing to
   minors, so a tall, mostly dependent stack of rows costs little.
 
+A kernel is one reduction: `kernel_basis` reduces A with its columns
+reversed, which picks A's rightmost independent columns as pivots.  By
+matroid duality, a set of columns is a basis of A's column space exactly
+when the kernel projects isomorphically onto the other coordinates, and the
+greedy choice from the right on one side is the greedy choice from the left
+on the other; so the other columns are the pivots of the kernel's reduced
+echelon basis.  That basis is the unique one that is the identity on them,
+so each vector is read straight off the reduced rows: v[free] = 1 and
+v[pivot] = -red[k][free], with no second reduction.
+
 Every routine is deterministic: pivoting always picks the first usable row,
-and reduced echelon bases are unique, so both kernels give the same basis and
-downstream golden tests can compare bases verbatim.
+and reduced echelon bases are unique, so both eliminations give the same
+basis and downstream golden tests can compare bases verbatim.
 """
 
 from __future__ import annotations
@@ -39,7 +49,10 @@ def _to_int_rows(rows: Sequence[Sequence]) -> list:
     out = []
     for r in rows:
         den = lcm(*[c.denominator for c in r])
-        ints = [c.numerator * (den // c.denominator) for c in r]
+        if den == 1:
+            ints = [c.numerator for c in r]
+        else:
+            ints = [c.numerator * (den // c.denominator) for c in r]
         g = gcd(*ints)
         if g == 0:
             continue
@@ -180,6 +193,7 @@ def sparse_rref(rows) -> tuple:
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def rref(rows: Sequence[Sequence]) -> tuple:
@@ -198,26 +212,27 @@ def rank(rows: Sequence[Sequence]) -> int:
 
 
 def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list:
-    """Basis of {v : A v = 0} in reduced echelon form w.r.t. column order."""
-    pivots, red = _int_rref(_to_int_rows(rows))
+    """Basis of {v : A v = 0} in reduced echelon form w.r.t. column order.
+
+    One reduction of A with its columns reversed: its free columns are the
+    kernel's pivots, and row k gives v[pivot_k] = -red[k][free] (see the
+    module docstring).
+    """
+    last = ncols - 1
+    pivots, red = rref([r[::-1] for r in rows])
     pivset = set(pivots)
     vecs = []
-    for fc in range(ncols):
-        if fc in pivset:
+    for free in range(last, -1, -1):
+        if free in pivset:
             continue
-        # v[fc] = 1, v[p] = -red[k][fc] / red[k][p], scaled to integers
-        scale = 1
+        v = [_ZERO] * ncols
+        v[last - free] = _ONE
         for p, row in zip(pivots, red):
-            if row[fc]:
-                scale = lcm(scale, row[p])
-        v = [0] * ncols
-        v[fc] = scale
-        for p, row in zip(pivots, red):
-            if row[fc]:
-                v[p] = -row[fc] * (scale // row[p])
+            x = row[free]
+            if x:
+                v[last - p] = -x
         vecs.append(v)
-    # present the kernel canonically
-    return rref(vecs)[1]
+    return vecs
 
 
 def solve_columns(cols: Sequence[Sequence], target: Sequence) -> Optional[Vector]:

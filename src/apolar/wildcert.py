@@ -228,6 +228,29 @@ def _proportional(u: Poly, v: Poly) -> bool:
                for i in range(len(a)) for j in range(i + 1, len(a)))
 
 
+def _cube_dependency(forms) -> list:
+    """The dependency sum(c_j * l_j^3) = 0 of five linear forms in a 2-space,
+    scaled so that c_0 = 1: the reduced echelon vector of the kernel.
+
+    With p_j the coordinates of l_j in a basis of the plane, the dependency
+    is c_j = 1 / prod_{k != j} det(p_j, p_k).  The two coefficients of one
+    coordinate pair on which the plane projects isomorphically are such
+    coordinates, in another basis; the change of basis, like the common
+    scale of `_int_coeffs`, multiplies every determinant alike, which
+    cancels once c_0 = 1.  A vanishing determinant means two proportional
+    forms, which leave no dependency with every coefficient nonzero.
+    """
+    vecs = _int_coeffs(forms)
+    n = len(vecs[0])
+    i, j = next((i, j) for i in range(n) for j in range(i + 1, n)
+                if any(u[i] * v[j] != u[j] * v[i] for u in vecs for v in vecs))
+    dets = [prod(u[i] * v[j] - u[j] * v[i] for k, v in enumerate(vecs) if k != m)
+            for m, u in enumerate(vecs)]
+    if 0 in dets:
+        raise ValueError("degenerate dependency among the cubes")
+    return [Fraction(dets[0], d) for d in dets]
+
+
 def tangent_data_for_pairs(square_pairs) -> tuple:
     """Limit-family data for a cubic sum of squares-times-lines whose squared
     parts span a 2-dimensional space.
@@ -259,13 +282,7 @@ def tangent_data_for_pairs(square_pairs) -> tuple:
             extras.append(cand)
     if len(extras) < need:
         raise ValueError("could not complete the dependency point set")
-    forms = list(zs) + extras
-    cube_vecs = [(l ** 3).coefficient_vector(3) for l in forms]
-    rows = [[cube_vecs[j][i] for j in range(5)] for i in range(len(cube_vecs[0]))]
-    ker = linalg.kernel_basis(rows, 5)
-    if len(ker) != 1 or any(c == 0 for c in ker[0]):
-        raise ValueError("degenerate dependency among the cubes")
-    coeffs = ker[0]
+    coeffs = _cube_dependency(zs + extras)
     data = []
     zero = Poly.zero(table)
     for i, (z, w) in enumerate(square_pairs):

@@ -186,6 +186,51 @@ def test_hilbert_function_equals_all_catalecticant_ranks():
         assert hilbert_function(f).values == ranks
 
 
+def test_hilbert_function_starts_at_one_for_constants_and_linear_forms():
+    t3 = VarTable.make(("a", "b", "c"))
+    assert hilbert_function(Poly(t3, PRIMAL, {(0, 0, 0): Fraction(-2, 3)})).values == (1,)
+    linear = Poly(t3, PRIMAL, {(1, 0, 0): 2, (0, 1, 0): Fraction(-1, 5)})
+    assert hilbert_function(linear).values == (1, 1)
+    assert hilbert_function(parse_poly("x0", table=T5)).values == (1, 1)
+
+
+def test_hilbert_function_equals_the_oracle_catalecticant_ranks():
+    # every degree, 0 included: the rank of the matrix whose column for the
+    # dual monomial y^c is the naive contraction of f by y^c
+    rng = random.Random(4141)
+    for _ in range(40):
+        table = VarTable.make(("a", "b", "c", "d")[: rng.randint(1, 4)])
+        n, d = table.n, rng.randint(0, 5)
+        monos = list(monomials(n, d))
+        picked = rng.sample(monos, rng.randint(1, min(len(monos), 8)))
+        f = Poly(table, PRIMAL, {m: Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 3))
+                                 for m in picked})
+        ranks = []
+        for i in range(d + 1):
+            cols = [naive_contract({c: 1}, f.terms) for c in monomials(n, i)]
+            ranks.append(naive_rank([[g.get(r, 0) for g in cols]
+                                     for r in monomials(n, d - i)]))
+        assert hilbert_function(f).values == tuple(ranks)
+
+
+def test_hilbert_function_builds_the_catalecticants_of_degrees_one_to_half(monkeypatch):
+    from apolar import apolarity
+
+    degrees = []
+    original = apolarity.catalecticant
+
+    def counted(f, i):
+        degrees.append(i)
+        return original(f, i)
+
+    monkeypatch.setattr(apolarity, "catalecticant", counted)
+    table = VarTable.make(("a", "b", "c"))
+    for d in range(7):
+        degrees.clear()
+        hilbert_function(parse_poly(f"a^{d} + b^{d} + c^{d}" if d else "7", table=table))
+        assert degrees == list(range(1, d // 2 + 1))
+
+
 # -- contraction against its definition, on both the dense and the scanning path
 
 TABLES = [VarTable.make([f"v{i}" for i in range(n)]) for n in range(1, 7)]

@@ -152,6 +152,20 @@ def test_direct_sum_command(capsys):
     assert doc["results"]["final"]["border"] == 6
 
 
+def test_direct_sum_honours_rmax_and_reports_an_unverified_certificate(capsys):
+    # the pipeline on the combined form runs at the requested r_max: excluding
+    # length 9 for the wild summand is beyond the counting certificate, as in
+    # theorem2, and an unverified printed record is a certificate failure
+    code, doc = run(capsys, "direct-sum", "--poly", WILD, "--vars", WILD_VARS,
+                    "--poly2", "u^3", "--rmax", "9")
+    assert code == 1
+    counting = [c for c in doc["certificates"] if c["kind"] == "rank-lower-counting"]
+    assert len(counting) == 1 and counting[0]["verified"] is False
+    assert doc["results"]["slice_intersection_equal"] is True
+    _, ref = run(capsys, "theorem2", "--poly", WILD, "--vars", WILD_VARS, "--rmax", "9")
+    assert counting[0] in ref["certificates"]
+
+
 def test_direct_sum_checks_the_slice_intersection_once(capsys, monkeypatch):
     from apolar import wildcert, witness
 

@@ -151,6 +151,41 @@ def test_kernel_basis_matches_naive_gauss_jordan(case):
     assert all(type(c) is Fraction for v in ker for c in v)
 
 
+@st.composite
+def wide_or_low_rank_matrices(draw):
+    """(rows, ncols) over up to 12 columns: either any shape with entries
+    drawn freely, or catalecticant-like: up to 20 rows, each a small integer
+    combination of at most 4 base rows, so the matrix is tall and of low
+    rank."""
+    ncols = draw(st.integers(1, 12))
+    row = st.lists(ENTRIES, min_size=ncols, max_size=ncols)
+    if draw(st.booleans()):
+        return draw(st.lists(row, max_size=12)), ncols
+    base = draw(st.lists(row, min_size=1, max_size=4))
+    weights = st.lists(st.integers(-3, 3), min_size=len(base), max_size=len(base))
+    rows = [[sum((w * b[j] for w, b in zip(ws, base)), Fraction(0)) for j in range(ncols)]
+            for ws in draw(st.lists(weights, min_size=len(base), max_size=20))]
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_or_low_rank_matrices())
+def test_kernel_basis_is_the_reduced_echelon_kernel(case):
+    rows, ncols = case
+    ker = linalg.kernel_basis(rows, ncols)
+    assert ker == naive_kernel(rows, ncols)
+    assert len(ker) == ncols - naive_rank(rows)
+    for v in ker:
+        assert all(sum((Fraction(a) * c for a, c in zip(r, v)), Fraction(0)) == 0
+                   for r in rows)
+    # reduced echelon: leading 1s in increasing columns, zero in the others' columns
+    leads = [next(j for j, c in enumerate(v) if c) for v in ker]
+    assert leads == sorted(set(leads))
+    for v, lead in zip(ker, leads):
+        assert v[lead] == 1
+        assert all(w[lead] == 0 for w in ker if w is not v)
+
+
 @settings(max_examples=300, deadline=None)
 @given(matrices(), st.data())
 def test_solve_columns_matches_naive_gauss_jordan(case, data):

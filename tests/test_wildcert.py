@@ -591,6 +591,22 @@ def rank_based_tangent_data(square_pairs):
                  + [TangentDatum(coeffs[len(zs) + j], l, zero) for j, l in enumerate(extras)])
 
 
+def test_cube_dependency_is_the_kernel_of_the_cube_vectors():
+    # the closed-form coefficients are the reduced echelon kernel vector of
+    # the five cubes, on the wild cubic and on the gl5 seed-7 presentations
+    for pres in [PRES] + gl5_presentations(6):
+        data = tangent_data_for_pairs(pres.square_pairs)
+        cubes = [(d.base ** 3).coefficient_vector(3) for d in data]
+        ker = linalg.kernel_basis([list(row) for row in zip(*cubes)], 5)
+        assert ker == [[d.coefficient for d in data]]
+        for d, (z, w) in zip(data, pres.square_pairs):
+            assert d.base == z and 3 * d.coefficient * d.direction == w
+    # proportional squared parts leave no dependency with nonzero coefficients
+    u, v = linear_form(T5, [1, 2, 0, 0, 0]), linear_form(T5, [0, 1, -1, 0, 0])
+    with pytest.raises(ValueError, match="degenerate dependency"):
+        tangent_data_for_pairs(((u, v), (v, u), (-2 * u, v)))
+
+
 def test_tangent_data_selection_equals_the_rank_based_choice():
     for pres in [PRES] + gl5_presentations(3):
         pairs = pres.square_pairs
