@@ -56,14 +56,11 @@ from .wildcert import (
 )
 from .witness import (
     DoublePointCertificate,
-    ParamPoly,
     TangentDatum,
-    auto_scale_exponent,
     direct_sum_extend,
     direct_summands,
     double_point_span,
     tangent_limit_family,
-    verify_limit,
 )
 
 __version__ = "0.1.0"

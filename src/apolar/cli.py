@@ -295,6 +295,17 @@ _COMMANDS = {
 }
 
 
+def _length(text: str) -> int:
+    """A decomposition length for --rmax: an integer of at least 1."""
+    try:
+        r = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if r < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {r}")
+    return r
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="apolar",
@@ -306,7 +317,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--poly", help="polynomial expression")
         sp.add_argument("--vars", help="comma-separated variable order")
         sp.add_argument("--degree", type=int, help="slice degree / growth degree")
-        sp.add_argument("--rmax", type=int, default=8, help="decomposition length to exclude")
+        sp.add_argument("--rmax", type=_length, default=8, help="decomposition length to exclude")
         sp.add_argument("--json", dest="json_path", help="also write the report to this path ('-' for stdout only)")
         sp.add_argument("--dual-names", dest="dual_names", help="comma-separated dual variable names")
         if name == "macaulay":

@@ -1,8 +1,9 @@
 """Border-rank witness families and cactus-rank witness schemes.
 
-A ParamPoly is a polynomial whose coefficients are Laurent polynomials in one
-parameter t; tangent-limit families live here, and limits are read off as
-exact t-power coefficients, so no topology is involved anywhere.
+A tangent limit family sum(c_i * (l_i + t*m_i)^d) is kept as its data.  Its
+claim rests on two exact coefficients: the t^0 part sum(c_i * l_i^d) is zero,
+and the t^1 part d * sum(c_i * l_i^(d-1) * m_i) is the limit.  Higher
+t-powers never enter the claim, so they are never expanded.
 """
 
 from __future__ import annotations
@@ -17,68 +18,6 @@ from . import linalg
 from .apolarity import ann_slice, concise_dim
 from .poly import PRIMAL, Poly, TableMismatchError, VarTable, _cleared, _power_terms
 from .ranks import Deduction, EvidenceRecord
-
-
-class ParamPoly:
-    """Polynomial with Laurent-polynomial-in-t coefficients."""
-
-    __slots__ = ("table", "ring", "terms")
-
-    def __init__(self, table: VarTable, ring: str, terms):
-        clean = {}
-        for mono, laurent in terms.items():
-            lt = {int(e): Fraction(c) for e, c in laurent.items() if c != 0}
-            if lt:
-                clean[tuple(mono)] = lt
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ParamPoly is immutable")
-
-    @classmethod
-    def _of(cls, table: VarTable, ring: str, terms: dict) -> "ParamPoly":
-        """A ParamPoly over a term dict that is already canonical: int
-        t-exponents, nonzero Fraction coefficients, no empty Laurent part.
-        Nothing is checked or copied."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "table", table)
-        object.__setattr__(p, "ring", ring)
-        object.__setattr__(p, "terms", terms)
-        return p
-
-    @staticmethod
-    def zero(table: VarTable, ring: str = PRIMAL) -> "ParamPoly":
-        return ParamPoly(table, ring, {})
-
-    @staticmethod
-    def from_poly(p: Poly, t_power: int = 0) -> "ParamPoly":
-        return ParamPoly(p.table, p.ring, {m: {t_power: c} for m, c in p.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def min_t_exponent(self) -> Optional[int]:
-        exps = [e for l in self.terms.values() for e in l]
-        return min(exps) if exps else None
-
-    def coefficient_poly(self, k: int) -> Poly:
-        return Poly(
-            self.table, self.ring,
-            {m: l[k] for m, l in self.terms.items() if k in l},
-        )
-
-    def evaluate(self, t) -> Poly:
-        """Substitute a nonzero rational for t."""
-        t = Fraction(t)
-        if t == 0:
-            raise ValueError("evaluation point must be nonzero (negative powers)")
-        return Poly(
-            self.table, self.ring,
-            {m: sum((c * t ** e for e, c in l.items()), Fraction(0))
-             for m, l in self.terms.items()},
-        )
 
 
 @dataclass(frozen=True)
@@ -96,19 +35,31 @@ class TangentDatum:
             raise ValueError("direction must be linear or zero")
 
 
-def _perturbed_powers(data: Sequence[TangentDatum], d: int) -> ParamPoly:
-    """sum(c * (base + t*direction)^d) over the data.
+@dataclass(frozen=True)
+class TangentFamily:
+    data: tuple  # TangentDatum
+    limit: Poly
 
-    Each datum is one multinomial expansion of a linear form in 2n slots:
-    slot v carries base's coefficient of x_v and slot n + v direction's, so
-    an expanded term's monomial adds its two halves and its t-power is the
-    total exponent on the second half.  Every datum is cleared of
-    denominators once, all of them are expanded into one integer table over
-    a common denominator, and the ParamPoly is built from that table alone.
+    @property
+    def r(self) -> int:
+        return len(self.data)
+
+
+def tangent_limit_family(data: Sequence[TangentDatum], d: int) -> TangentFamily:
+    """The limit of sum(c_i * (base_i + t*direction_i)^d) / t as t -> 0.
+
+    (l + t*m)^d = l^d + t * d * l^(d-1) * m + t^2 * (...), so when the
+    constant term sum(c_i * base_i^d) cancels, the family over t is a sum of
+    r = len(data) d-th powers for every t != 0 and equals
+    d * sum(c_i * base_i^(d-1) * direction_i) + O(t): a border-rank upper
+    bound of r for that limit.  Raises ValueError when the constant term does
+    not cancel.  Both sums are taken in integers over one common denominator.
     """
+    if not data:
+        raise ValueError("empty tangent data")
     table, ring = data[0].base.table, data[0].base.ring
     n = table.n
-    expansions = []  # (weight numerator, weight denominator, entries)
+    cleared = []  # (weight numerator, weight denominator, base entries, direction entries)
     for td in data:
         for form in (td.base, td.direction):
             if form.table != table or form.ring != ring:
@@ -116,68 +67,28 @@ def _perturbed_powers(data: Sequence[TangentDatum], d: int) -> ParamPoly:
         c = Fraction(td.coefficient)
         if c == 0:
             continue
-        slots = [m.index(1) for m in td.base.terms] + [n + m.index(1) for m in td.direction.terms]
         ints, den = _cleared(list(td.base.terms.values()) + list(td.direction.terms.values()))
-        expansions.append((c.numerator, c.denominator * den ** d, list(zip(slots, ints))))
-    common = lcm(*[den for _, den, _ in expansions])
-    expanded = {}
-    for num, den, entries in expansions:
-        _power_terms(entries, d, 2 * n, num * (common // den), expanded)
-    folded = {}  # (monomial, t-power) -> int
-    for key, v in expanded.items():
-        if v:
-            shift = key[n:]
-            folded_key = (tuple(a + b for a, b in zip(key[:n], shift)), sum(shift))
-            folded[folded_key] = folded.get(folded_key, 0) + v
-    terms = {}
-    for (mono, tp), v in folded.items():
-        if v:
-            terms.setdefault(mono, {})[tp] = Fraction(v, common)
-    return ParamPoly._of(table, ring, terms)
-
-
-def perturbed_power(c, base: Poly, direction: Poly, d: int) -> ParamPoly:
-    """c * (base + t*direction)^d for a nonzero linear base and a linear or
-    zero direction, expanded by the multinomial formula."""
-    return _perturbed_powers([TangentDatum(c, base, direction)], d)
-
-
-@dataclass(frozen=True)
-class TangentFamily:
-    family: ParamPoly
-    limit: Poly
-    r: int
-
-
-def tangent_limit_family(data: Sequence[TangentDatum], d: int) -> TangentFamily:
-    """Sum of perturbed d-th powers whose constant term cancels exactly.
-
-    At any t != 0 the family is a combination of r d-th powers, so the t^1
-    coefficient — d * sum(c_i * base_i^(d-1) * direction_i) — carries a
-    border-rank upper bound of r = len(data).
-    """
-    if not data:
-        raise ValueError("empty tangent data")
-    family = _perturbed_powers(data, d)
-    # the t^0 part of the expansion is sum(c_i * base_i^d)
-    if family.min_t_exponent() == 0:
+        slots = [m.index(1) for m in td.base.terms] + [m.index(1) for m in td.direction.terms]
+        entries = list(zip(slots, ints))
+        k = len(td.base.terms)
+        cleared.append((c.numerator, c.denominator * den ** d, entries[:k], entries[k:]))
+    common = lcm(*[den for _, den, _, _ in cleared])
+    constant, limit = {}, {}
+    for num, den, base, direction in cleared:
+        weight = num * (common // den)
+        _power_terms(base, d, n, weight, constant)
+        if d == 0 or not direction:
+            continue
+        for mono, v in _power_terms(base, d - 1, n, d * weight).items():
+            for slot, b in direction:
+                key = mono[:slot] + (mono[slot] + 1,) + mono[slot + 1:]
+                limit[key] = limit.get(key, 0) + v * b
+    if any(constant.values()):
         raise ValueError("tangent bases are not linearly dependent: sum c_i l_i^d != 0")
-    limit = family.coefficient_poly(1)
-    return TangentFamily(family=family, limit=limit, r=len(data))
-
-
-def auto_scale_exponent(family: ParamPoly) -> int:
-    e = family.min_t_exponent()
-    return 0 if e is None else e
-
-
-def verify_limit(family: ParamPoly, k: int, target: Poly) -> bool:
-    """True iff t^-k * family has no negative t-powers and its constant part
-    is exactly target."""
-    e = family.min_t_exponent()
-    if e is not None and e < k:
-        return False
-    return family.coefficient_poly(k) == target
+    return TangentFamily(
+        data=tuple(data),
+        limit=Poly._of(table, ring, {m: Fraction(v, common) for m, v in limit.items() if v}),
+    )
 
 
 @dataclass(frozen=True)

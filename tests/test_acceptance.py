@@ -32,7 +32,6 @@ from apolar.witness import (
     direct_sum_extend,
     double_point_span,
     tangent_limit_family,
-    verify_limit,
 )
 
 from _oracle import random_poly
@@ -120,7 +119,6 @@ def test_criterion_4_cactus_six():
 def test_criterion_5_border_five():
     data = wild_cubic_tangent_witness(T5)
     fam = tangent_limit_family(data, 3)
-    assert verify_limit(fam.family, 1, F)
     assert fam.limit == F and fam.r == 5
     assert catalecticant_lower_bound(F) == 5
     rep = aggregate(F, [

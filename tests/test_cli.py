@@ -52,6 +52,18 @@ def test_theorem2_exit_code_reports_an_unverified_certificate(capsys):
     assert len(counting) == 1 and counting[0]["verified"] is False
 
 
+@pytest.mark.parametrize("command", ["theorem2", "wild-cert", "direct-sum"])
+@pytest.mark.parametrize("rmax", ["0", "-1", "-5"])
+def test_rmax_below_one_is_an_input_error(capsys, command, rmax):
+    # no decomposition has length below 1, so there is nothing to exclude
+    extra = ["--poly2", "u^3"] if command == "direct-sum" else []
+    code = main([command, "--poly", WILD, "--vars", WILD_VARS, *extra, "--rmax", rmax])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: argument --rmax: must be at least 1, got {int(rmax)}" in captured.err
+
+
 def test_annihilator_command(capsys):
     code, doc = run(capsys, "annihilator", "--poly", WILD, "--vars", WILD_VARS,
                     "--degree", "2")

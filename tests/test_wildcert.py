@@ -187,6 +187,12 @@ def test_rank9_lower_cert_weak_rmax():
     assert cert.bound == 5
 
 
+@pytest.mark.parametrize("r_max", [0, -1])
+def test_rank9_lower_cert_rejects_rmax_below_one(r_max):
+    with pytest.raises(ValueError, match="r_max"):
+        rank9_lower_cert(F, r_max)
+
+
 def test_rank9_lower_cert_rejects_diagonal():
     diag = parse_poly("x0^3 + x1^3 + x2^3 + x3^3 + x4^3")
     cert = rank9_lower_cert(diag, 8)
