@@ -26,6 +26,7 @@ from .poly import (
     TableMismatchError,
     VarTable,
     _monomial_index,
+    linear_form,
     monomials,
 )
 
@@ -243,22 +244,17 @@ def concise_dim(f: Poly) -> EssentialSpace:
         raise ValueError("a constant has no essential variables")
     cat = catalecticant(f, 1)
     pivots, red = linalg.rref(cat.rows)
-    basis = tuple(
-        Poly(f.table, PRIMAL, {tuple(1 if j == k else 0 for k in range(f.table.n)): row[j]
-                               for j in range(f.table.n) if row[j] != 0})
-        for row in red
-    )
+    basis = tuple(linear_form(f.table, row) for row in red)
     n = len(pivots)
     names = [f.table.primal[p] for p in pivots]
     duals = [f.table.dual[p] for p in pivots]
     sub_table = VarTable.make(names, dual=duals)
-    # project: pivot variable j -> reduced variable, all others -> 0
-    images = []
-    pivot_pos = {p: k for k, p in enumerate(pivots)}
-    zero = Poly.zero(sub_table, PRIMAL)
-    for j in range(f.table.n):
-        images.append(Poly.variable(sub_table, pivot_pos[j]) if j in pivot_pos else zero)
-    reduced = f.substitute(images)
+    # project: pivot variable j -> reduced variable, all others -> 0; a
+    # renaming, so the terms of f on the pivot variables are kept as they are
+    others = [j for j in range(f.table.n) if j not in pivots]
+    reduced = Poly._of(sub_table, PRIMAL, {tuple(m[p] for p in pivots): c
+                                           for m, c in f.terms.items()
+                                           if not any(m[j] for j in others)})
     # embed back along the basis and confirm nothing was lost
     if reduced.substitute(list(basis)) != f:
         raise ValueError("essential-variable reduction failed to reproduce the input")

@@ -354,8 +354,12 @@ def main(argv=None) -> int:
     text = json.dumps(doc, indent=2, sort_keys=True)
     print(text)
     if getattr(args, "json_path", None) and args.json_path != "-":
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write {args.json_path}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     return 0 if ok else 1
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Optional, Sequence
 
 from . import linalg
@@ -86,7 +87,8 @@ def generated_slice(
     gens: Sequence[Poly], degree: int, table: Optional[VarTable] = None
 ) -> IdealSlice:
     """Degree-d piece of the ideal generated by gens, as span of monomial
-    multiples (each built by shifting the generator's exponents)."""
+    multiples (each built by shifting the generator's exponents, its
+    coefficients reused as they are)."""
     table = _require_table(gens, table)
     ring = gens[0].ring if gens else DUAL
     products = []
@@ -98,8 +100,10 @@ def generated_slice(
             raise ValueError("generators must be homogeneous")
         if e > degree:
             continue
+        # the multipliers come from monomials(), so no shifted exponent needs checking
         for mono in monomials(table.n, degree - e):
-            products.append(g.times_monomial(mono))
+            products.append(Poly._of(table, ring, {tuple(map(add, m, mono)): c
+                                                   for m, c in g.terms.items()}))
     return slice_from_forms(products, degree, table, ring)
 
 

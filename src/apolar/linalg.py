@@ -152,13 +152,15 @@ def sparse_rref(rows) -> tuple:
     denominators, then reduced against every pivot row it meets in a single
     pass, which is valid because a pivot row is zero on every other pivot
     column.  If anything is left, it is divided by its content, its first
-    column becomes a pivot, and that column is cleared from the earlier rows.
+    column becomes a pivot, and that column is cleared from the earlier rows
+    that hold it, which a column index names without scanning every row.
 
     Returns (pivot_columns, rows) in pivot order: row k is a primitive
     {column: int} multiple of the k-th reduced row with a positive pivot
     entry, so the reduced row itself is row k divided by that entry.
     """
     reduced = {}  # pivot column -> primitive row, zero on every other pivot
+    holders = {}  # column -> pivots naming every reduced row with a nonzero entry there
     for row in rows:
         den = lcm(*[x.denominator for x in row.values()])
         v = {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
@@ -178,16 +180,25 @@ def sparse_rref(rows) -> tuple:
         q = min(v)
         v = _primitive_sparse(v, q)
         lead = v[q]
-        for p, r in reduced.items():
-            a = r.get(q)
-            if a:
-                g = gcd(lead, a)
-                s, t = lead // g, a // g
-                acc = {c: s * y for c, y in r.items()} if s != 1 else dict(r)
-                for c, y in v.items():
-                    acc[c] = acc.get(c, 0) - t * y
-                reduced[p] = _primitive_sparse({c: x for c, x in acc.items() if x}, p)
+        # clear column q from the reduced rows that hold it; the column index
+        # may also name rows whose entry there has cancelled since, skipped here
+        updated = [p for p in holders.pop(q, ()) if q in reduced[p]]
+        for p in updated:
+            r = reduced[p]
+            a = r[q]
+            g = gcd(lead, a)
+            s, t = lead // g, a // g
+            acc = {c: s * y for c, y in r.items()} if s != 1 else dict(r)
+            for c, y in v.items():
+                acc[c] = acc.get(c, 0) - t * y
+            reduced[p] = _primitive_sparse({c: x for c, x in acc.items() if x}, p)
         reduced[q] = v
+        # a cleared row may now hold any column of v, and v holds all of them
+        group = set(updated)
+        group.add(q)
+        for c in v:
+            if c != q:
+                holders.setdefault(c, set()).update(group)
     pivots = sorted(reduced)
     return pivots, [reduced[p] for p in pivots]
 

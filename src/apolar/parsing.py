@@ -21,8 +21,10 @@ from .poly import DUAL, PRIMAL, Poly, VarTable
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, line: int, col: int):
-        super().__init__(f"line {line}, column {col}: {message}")
+    """Bad input text, at a line and column, or a bad variable list (no position)."""
+
+    def __init__(self, message: str, line: Optional[int] = None, col: Optional[int] = None):
+        super().__init__(message if line is None else f"line {line}, column {col}: {message}")
         self.line = line
         self.col = col
 
@@ -203,15 +205,27 @@ def parse_poly(
     """Parse an expression into a fully expanded Poly.
 
     Exactly one of `table` / `vars` may pin the variable set; otherwise
-    variables are auto-collected in first-appearance order.
+    variables are auto-collected in first-appearance order.  A variable list
+    with an empty, repeated or clashing name, or dual names that do not match
+    the variables in number, raises ParseError.
     """
     toks = _tokenize(text)
     if table is None:
         names = list(vars) if vars is not None else collect_variables(text)
-        if ring == DUAL:
-            table = VarTable.make(["p_" + v for v in names], dual=names)
-        else:
-            table = VarTable.make(names, dual=dual_names)
+        if dual_names is not None:
+            dual_names = list(dual_names)
+            if len(dual_names) != len(names):
+                raise ParseError(f"{len(dual_names)} dual names for {len(names)} variables")
+        for group in (names, dual_names or ()):
+            if "" in group:
+                raise ParseError("empty variable name")
+        try:
+            if ring == DUAL:
+                table = VarTable.make(["p_" + v for v in names], dual=names)
+            else:
+                table = VarTable.make(names, dual=dual_names)
+        except ValueError as exc:  # repeated or clashing names
+            raise ParseError(str(exc)) from None
     return _Parser(toks, table, ring).parse()
 
 

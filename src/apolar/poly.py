@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
+from operator import add
 from typing import Mapping, Sequence
 
 PRIMAL = "primal"
@@ -116,14 +117,14 @@ def _cleared(coeffs) -> tuple:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _power_terms(entries, k: int, width: int, weight: int = 1, acc=None) -> dict:
-    """Add weight * (sum of a * x_slot over entries)^k, expanded by the
-    multinomial formula, into acc: {exponent tuple of length width: int}.
+def _power_terms(entries, k: int, width: int) -> dict:
+    """(sum of a * x_slot over entries)^k, expanded by the multinomial
+    formula, as {exponent tuple of length width: int}.
 
     `entries` are (slot, int a) pairs with distinct slots.  Everything stays
-    in ints; returns acc, zero sums included.
+    in ints; zero sums are included.
     """
-    acc = {} if acc is None else acc
+    acc = {}
     powers = []  # per entry: [1, a, a^2, ..., a^k]
     for _, a in entries:
         pw = [1]
@@ -131,7 +132,6 @@ def _power_terms(entries, k: int, width: int, weight: int = 1, acc=None) -> dict
             pw.append(pw[-1] * a)
         powers.append(pw)
     for exps, coeff in _multinomials(len(entries), k):
-        coeff *= weight
         mono = [0] * width
         for (slot, _), pw, e in zip(entries, powers, exps):
             if e:
@@ -140,6 +140,65 @@ def _power_terms(entries, k: int, width: int, weight: int = 1, acc=None) -> dict
         key = tuple(mono)
         acc[key] = acc.get(key, 0) + coeff
     return acc
+
+
+def _int_product(a: dict, b: dict) -> dict:
+    """Product of two {exponent tuple: int} term maps, zero sums included."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            key = tuple(map(add, m1, m2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return out
+
+
+def _linear_entries(l: "Poly", table: VarTable, ring: str) -> tuple:
+    """(entries, den) for a linear form over (table, ring): den clears its
+    coefficients and entries are the (slot, int) pairs of den * l."""
+    if l.table != table or l.ring != ring:
+        raise TableMismatchError("factors live over different tables or rings")
+    if l.terms and l.homogeneous_degree() != 1:
+        raise ValueError(f"{l} is not a linear form")
+    ints, den = _cleared(l.terms.values())
+    return [(m.index(1), a) for m, a in zip(l.terms, ints)], den
+
+
+def expand_products(table: VarTable, ring: str, summands) -> "Poly":
+    """sum(w * prod(l ** k for l, k in factors) for w, factors in summands),
+    each l a linear form over (table, ring), zero allowed.
+
+    The sum is taken in integers over one common denominator: each distinct
+    form is cleared of denominators once, each (form, k) power is expanded
+    once by the multinomial formula, and one Fraction is built per output
+    term.  Raises ValueError on a factor that is not linear and
+    TableMismatchError on one over another table or ring.
+    """
+    n = table.n
+    cleared = {}  # id(form) -> (form, entries, den); holding the form keeps its id unique
+    powers = {}  # (id(form), k) -> (int terms of (den * form) ** k, den ** k)
+    parts = []  # (weight numerator, int terms, denominator)
+    for w, factors in summands:
+        w = _as_fraction(w)
+        if not w:
+            continue
+        terms, den = None, w.denominator
+        for l, k in factors:
+            power = powers.get((id(l), k))
+            if power is None:
+                hit = cleared.get(id(l))
+                if hit is None:
+                    hit = cleared[id(l)] = (l, *_linear_entries(l, table, ring))
+                power = powers[id(l), k] = (_power_terms(hit[1], k, n), hit[2] ** k)
+            terms = power[0] if terms is None else _int_product(terms, power[0])
+            den *= power[1]
+        parts.append((w.numerator, {(0,) * n: 1} if terms is None else terms, den))
+    common = lcm(*[den for _, _, den in parts])
+    acc = {}
+    for num, terms, den in parts:
+        scale = num * (common // den)
+        for m, v in terms.items():
+            acc[m] = acc.get(m, 0) + scale * v
+    return Poly._of(table, ring, {m: Fraction(v, common) for m, v in acc.items() if v})
 
 
 def monomial_count(nvars: int, degree: int) -> int:
@@ -287,7 +346,8 @@ class Poly:
         if k < 0:
             raise ValueError("negative power")
         if self.terms and all(sum(m) == 1 for m in self.terms):
-            return self._linear_power(k)
+            # a linear form: one multinomial expansion in integers
+            return expand_products(self.table, self.ring, ((1, ((self, k),)),))
         result = Poly.constant(self.table, 1, self.ring)
         base = self
         while k:
@@ -296,18 +356,6 @@ class Poly:
             base = base * base if k > 1 else base
             k >>= 1
         return result
-
-    def _linear_power(self, k: int) -> "Poly":
-        """self ** k for a nonzero linear form, by the multinomial formula:
-        the coefficients are cleared of denominators once, every output
-        coefficient is an integer over the common denominator den^k, and one
-        Fraction is built per output term."""
-        ints, den = _cleared(self.terms.values())
-        entries = [(m.index(1), a) for m, a in zip(self.terms, ints)]
-        scale = den ** k
-        return Poly._of(self.table, self.ring,
-                        {mono: Fraction(v, scale)
-                         for mono, v in _power_terms(entries, k, self.table.n).items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -381,7 +429,8 @@ class Poly:
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Replace variable i by images[i]; images must be homogeneous of
-        degree 1 (zero allowed) over a common target table and ring."""
+        degree 1 (zero allowed) over a common target table and ring.  The
+        result is one `expand_products` sum, one summand per term."""
         if len(images) != self.table.n:
             raise ValueError("one image per variable required")
         target = None
@@ -395,23 +444,13 @@ class Poly:
             elif img.table != target.table or img.ring != target.ring:
                 raise TableMismatchError("images live over different tables")
         if target is None:
-            # every image is zero: need some table to land in; reuse our own
-            target_table, target_ring = self.table, self.ring
-        else:
-            target_table, target_ring = target.table, target.ring
-        out = Poly.zero(target_table, target_ring)
-        power_cache = {}
-        for mono, c in self.terms.items():
-            term = Poly.constant(target_table, c, target_ring)
-            for i, e in enumerate(mono):
-                if e == 0:
-                    continue
-                key = (i, e)
-                if key not in power_cache:
-                    power_cache[key] = images[i] ** e
-                term = term * power_cache[key]
-            out = out + term
-        return out
+            # every image is zero: only the constant term survives, on our own table
+            return Poly._of(self.table, self.ring,
+                            {m: c for m, c in self.terms.items() if not any(m)})
+        return expand_products(
+            target.table, target.ring,
+            ((c, [(images[i], e) for i, e in enumerate(mono) if e])
+             for mono, c in self.terms.items()))
 
     # -- printing ------------------------------------------------------------
 
@@ -444,14 +483,14 @@ class Poly:
 
 
 def linear_form(table: VarTable, coeffs: Sequence, ring: str = PRIMAL) -> Poly:
-    """Sum of coeffs[i] * variable_i."""
-    terms = {}
-    for i, c in enumerate(coeffs):
-        if c != 0:
-            e = [0] * table.n
-            e[i] = 1
-            terms[tuple(e)] = c
-    return Poly(table, ring, terms)
+    """Sum of coeffs[i] * variable_i, for at most table.n coefficients."""
+    n = table.n
+    if ring not in (PRIMAL, DUAL):
+        raise ValueError(f"unknown ring tag {ring!r}")
+    if len(coeffs) > n:
+        raise ValueError(f"{len(coeffs)} coefficients for {n} variables")
+    return Poly._of(table, ring, {(0,) * i + (1,) + (0,) * (n - 1 - i): _as_fraction(c)
+                                  for i, c in enumerate(coeffs) if c})
 
 
 def linear_coeffs(p: Poly) -> list:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 from typing import Optional, Sequence
 
 from . import linalg
@@ -22,7 +23,9 @@ from .poly import (
     DUAL,
     Poly,
     VarTable,
+    _cleared,
     _monomial_index,
+    expand_products,
     linear_coeffs,
     linear_form,
     monomial_count,
@@ -88,11 +91,13 @@ class WildPresentation:
     square_pairs: tuple
 
     def __post_init__(self):
-        acc = Poly.zero(self.poly.table, self.poly.ring)
-        for z, w in self.square_pairs:
-            acc = acc + (z ** 2) * w
-        if acc != self.poly:
+        if _square_sum(self.poly, self.square_pairs) != self.poly:
             raise ValueError("square pairs do not re-expand to the polynomial")
+
+
+def _square_sum(f: Poly, pairs) -> Poly:
+    """sum(z^2 * w) of linear square pairs over f's table, in integers."""
+    return expand_products(f.table, f.ring, ((1, ((z, 2), (w, 1))) for z, w in pairs))
 
 
 def wild_presentation(table: Optional[VarTable] = None) -> WildPresentation:
@@ -137,26 +142,31 @@ def wild_cubic_tangent_witness(table: Optional[VarTable] = None) -> tuple:
 
 
 def _rank_one_square(q: Poly):
-    """Write a quadric as s * z^2 with z a rational linear form, or None."""
+    """Write a quadric as s * z^2 with z a rational linear form, or None.
+
+    m is the quadric's symmetric matrix times a common positive integer, so
+    m = s' * v * v^T exactly when m[i][j] * m[k][k] == m[k][i] * m[k][j] for
+    the first nonzero row k, and then z has coefficients m[k][j] / m[k][k]
+    and s is the coefficient of x_k^2.
+    """
     n = q.table.n
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for mono, c in q.terms.items():
+    ints, _ = _cleared(q.terms.values())
+    m = [[0] * n for _ in range(n)]
+    for mono, c in zip(q.terms, ints):
         idx = [i for i, e in enumerate(mono) if e]
         if len(idx) == 1:
-            m[idx[0]][idx[0]] = c
+            m[idx[0]][idx[0]] = 2 * c
         else:
             i, j = idx
-            m[i][j] = m[j][i] = c / 2
+            m[i][j] = m[j][i] = c
     k = next((i for i in range(n) if any(m[i])), None)
     if k is None or m[k][k] == 0:
         return None
-    s = m[k][k]
-    v = [m[k][j] / s for j in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if m[i][j] != s * v[i] * v[j]:
-                return None
-    return s, linear_form(q.table, v, q.ring)
+    row, lead = m[k], m[k][k]
+    if any(m[i][j] * lead != row[i] * row[j] for i in range(n) for j in range(i, n)):
+        return None
+    s = q.terms[tuple(2 if i == k else 0 for i in range(n))]
+    return s, linear_form(q.table, [Fraction(x, lead) for x in row], q.ring)
 
 
 def extract_square_pairs(f: Poly):
@@ -196,10 +206,7 @@ def extract_square_pairs(f: Poly):
         pairs = tuple(pairs)
     if not pairs:
         return None
-    acc = Poly.zero(f.table, f.ring)
-    for z, w in pairs:
-        acc = acc + (z ** 2) * w
-    if acc != f:
+    if _square_sum(f, pairs) != f:
         return None
     return pairs
 
@@ -487,11 +494,11 @@ def _combine(a: Sequence, vecs: Sequence) -> list:
     return out
 
 
-def _contractions(f: Poly, left: Sequence[Poly], right: Sequence[Poly],
-                  facts: Optional[FormFacts] = None) -> list:
-    """[[contract(a * b, f) for b in right] for a in left] for dual linear
-    forms, as coefficient vectors over monomials(n, d - 2), read off f's
-    second-derivative table by bilinearity; no product is built.
+def _variable_contractions(f: Poly, forms: Sequence[Poly],
+                           facts: Optional[FormFacts] = None) -> list:
+    """[[contract(a * d_j, f) for every dual variable d_j] for a in forms]
+    for dual linear forms, as coefficient vectors over monomials(n, d - 2),
+    read off f's second-derivative table by bilinearity; no product is built.
 
     Every vector carries one common positive scale (the table's and that of
     the forms' cleared coefficients), which no kernel, rank, vanishing or
@@ -499,13 +506,17 @@ def _contractions(f: Poly, left: Sequence[Poly], right: Sequence[Poly],
     f's; otherwise the table is computed for this call.
     """
     hessian = facts.second_derivatives if facts is not None else second_derivatives(f)
-    coeffs = _int_coeffs(list(left) + list(right))
-    rights = coeffs[len(left):]
-    out = []
-    for a in coeffs[:len(left)]:
-        cols = [_combine(a, column) for column in zip(*hessian)]  # contract(a * d_j, f)
-        out.append([_combine(b, cols) for b in rights])
-    return out
+    # the table is symmetric, so its row j is the column of d_j
+    return [[_combine(a, column) for column in hessian] for a in _int_coeffs(forms)]
+
+
+def _contractions(f: Poly, left: Sequence[Poly], right: Sequence[Poly],
+                  facts: Optional[FormFacts] = None) -> list:
+    """[[contract(a * b, f) for b in right] for a in left] for dual linear
+    forms: `_variable_contractions` of left, combined along the cleared
+    coefficients of each b, so again with one common positive scale."""
+    rights = _int_coeffs(right)
+    return [[_combine(b, cols) for b in rights] for cols in _variable_contractions(f, left, facts)]
 
 
 def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly],
@@ -575,8 +586,9 @@ def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly
 
     # every point lies on the quadric, and together they must pin it uniquely
     eval_rows = [_quadric_monomials(u) for u, _ in points]
-    for sample, value in zip(points, linalg.mat_vec(eval_rows, quadric)):
-        if value:
+    ints = _cleared(quadric)[0]
+    for sample, row in zip(points, eval_rows):
+        if sum(map(mul, row, ints)):
             raise LocusShapeError("solvable point off the quadric", samples=[sample])
     ker = linalg.kernel_basis(eval_rows, len(qmonos))
     if len(ker) != 1 or tuple(ker[0]) != quadric:
@@ -587,12 +599,10 @@ def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly
         )
     smooth = False
     if k == 3:
-        m3 = [
-            [quadric[0], quadric[1] / 2, quadric[2] / 2],
-            [quadric[1] / 2, quadric[3], quadric[4] / 2],
-            [quadric[2] / 2, quadric[4] / 2, quadric[5]],
-        ]
-        smooth = linalg.rank(m3) == 3
+        # twice the quadric's symmetric matrix, up to a positive scale
+        smooth = linalg.rank([[2 * ints[0], ints[1], ints[2]],
+                              [ints[1], 2 * ints[3], ints[4]],
+                              [ints[2], ints[4], 2 * ints[5]]]) == 3
     return ProductLocus(
         quadric=quadric,
         samples=tuple(points[:_SAMPLE_COUNT]),
@@ -609,9 +619,8 @@ def gamma_space(f: Poly, point_form: Poly, facts: Optional[FormFacts] = None):
     if point_form.is_zero() or point_form.homogeneous_degree() != 1:
         raise ValueError("the point form must be a nonzero dual linear form")
     n = f.table.n
-    variables = [Poly.variable(f.table, j, DUAL) for j in range(n)]
-    rows = [list(row) for row in zip(*_contractions(f, [point_form], variables, facts)[0])]
-    vecs = linalg.kernel_basis(rows, n)
+    cols = _variable_contractions(f, [point_form], facts)[0]
+    vecs = linalg.kernel_basis([list(row) for row in zip(*cols)], n)
     return len(vecs), tuple(linear_form(f.table, v, DUAL) for v in vecs)
 
 
@@ -621,9 +630,8 @@ def forced_square_check(f: Poly, perp_basis: Sequence[Poly],
     annihilate f already lies in the span of the perp basis.  `facts`, when
     given, must be f's."""
     n = f.table.n
-    variables = [Poly.variable(f.table, j, DUAL) for j in range(n)]
     rows = []
-    for cols in _contractions(f, perp_basis, variables, facts):
+    for cols in _variable_contractions(f, perp_basis, facts):
         rows.extend(list(row) for row in zip(*cols) if any(row))
     vecs = linalg.kernel_basis(rows, n)
     span = [linear_coeffs(b) for b in perp_basis]
@@ -836,10 +844,8 @@ class PowerSumDecomposition:
         return len(self.terms)
 
     def verify(self) -> bool:
-        acc = Poly.zero(self.target.table, self.target.ring)
-        for lam, l in self.terms:
-            acc = acc + (l ** 3) * lam
-        return acc == self.target
+        return expand_products(self.target.table, self.target.ring,
+                               ((lam, ((l, 3),)) for lam, l in self.terms)) == self.target
 
 
 def rank9_upper(f: Poly, square_pairs=None) -> PowerSumDecomposition:

@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Optional, Sequence
 
 from . import linalg
 from .apolarity import ann_slice, concise_dim
-from .poly import PRIMAL, Poly, TableMismatchError, VarTable, _cleared, _power_terms
+from .poly import PRIMAL, Poly, VarTable, expand_products
 from .ranks import Deduction, EvidenceRecord
 
 
@@ -58,37 +57,12 @@ def tangent_limit_family(data: Sequence[TangentDatum], d: int) -> TangentFamily:
     if not data:
         raise ValueError("empty tangent data")
     table, ring = data[0].base.table, data[0].base.ring
-    n = table.n
-    cleared = []  # (weight numerator, weight denominator, base entries, direction entries)
-    for td in data:
-        for form in (td.base, td.direction):
-            if form.table != table or form.ring != ring:
-                raise TableMismatchError("tangent data live over different tables or rings")
-        c = Fraction(td.coefficient)
-        if c == 0:
-            continue
-        ints, den = _cleared(list(td.base.terms.values()) + list(td.direction.terms.values()))
-        slots = [m.index(1) for m in td.base.terms] + [m.index(1) for m in td.direction.terms]
-        entries = list(zip(slots, ints))
-        k = len(td.base.terms)
-        cleared.append((c.numerator, c.denominator * den ** d, entries[:k], entries[k:]))
-    common = lcm(*[den for _, den, _, _ in cleared])
-    constant, limit = {}, {}
-    for num, den, base, direction in cleared:
-        weight = num * (common // den)
-        _power_terms(base, d, n, weight, constant)
-        if d == 0 or not direction:
-            continue
-        for mono, v in _power_terms(base, d - 1, n, d * weight).items():
-            for slot, b in direction:
-                key = mono[:slot] + (mono[slot] + 1,) + mono[slot + 1:]
-                limit[key] = limit.get(key, 0) + v * b
-    if any(constant.values()):
+    constant = expand_products(table, ring, ((td.coefficient, ((td.base, d),)) for td in data))
+    if not constant.is_zero():
         raise ValueError("tangent bases are not linearly dependent: sum c_i l_i^d != 0")
-    return TangentFamily(
-        data=tuple(data),
-        limit=Poly._of(table, ring, {m: Fraction(v, common) for m, v in limit.items() if v}),
-    )
+    limit = expand_products(table, ring, (
+        (d * td.coefficient, ((td.base, d - 1), (td.direction, 1))) for td in data if d))
+    return TangentFamily(data=tuple(data), limit=limit)
 
 
 @dataclass(frozen=True)
@@ -112,12 +86,11 @@ class DoublePointCertificate:
 
     def verify(self) -> bool:
         d = self.target.homogeneous_degree()
-        acc = Poly.zero(self.target.table, self.target.ring)
-        for (l, m), a, b in zip(self.pairs, self.point_coeffs, self.jet_coeffs):
-            acc = acc + (l ** d) * a
-            if not m.is_zero():
-                acc = acc + (l ** (d - 1)) * m * b
-        return acc == self.target
+        return expand_products(self.target.table, self.target.ring, [
+            summand
+            for (l, m), a, b in zip(self.pairs, self.point_coeffs, self.jet_coeffs)
+            for summand in ((a, ((l, d),)), (b, ((l, d - 1), (m, 1))))
+        ]) == self.target
 
 
 def double_point_span(f: Poly, pairs: Sequence) -> Optional[DoublePointCertificate]:
@@ -130,8 +103,8 @@ def double_point_span(f: Poly, pairs: Sequence) -> Optional[DoublePointCertifica
     for l, m in pairs:
         if l.homogeneous_degree() != 1 or not (m.is_zero() or m.homogeneous_degree() == 1):
             raise ValueError(f"({l}, {m}): l must be a nonzero linear form, m linear or 0")
-        cols.append(((l ** d)).coefficient_vector(d))
-        cols.append((l ** (d - 1) * m).coefficient_vector(d))
+        for factors in (((l, d),), ((l, d - 1), (m, 1))):
+            cols.append(expand_products(f.table, f.ring, ((1, factors),)).coefficient_vector(d))
     sol = linalg.solve_columns(cols, f.coefficient_vector(d))
     if sol is None:
         return None

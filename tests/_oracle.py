@@ -101,6 +101,20 @@ def naive_power_terms(terms, nvars, k):
     return out
 
 
+def naive_substitute(terms, images, nvars):
+    """terms with variable i replaced by the term map images[i] in nvars
+    variables: per term, the coefficient times the product of the image
+    powers, by repeated products; zero coefficients dropped."""
+    out = {}
+    for mono, c in terms.items():
+        piece = {(0,) * nvars: Fraction(c)}
+        for image, e in zip(images, mono):
+            piece = naive_product_terms(piece, naive_power_terms(image, nvars, e))
+        for m, v in piece.items():
+            out[m] = out.get(m, Fraction(0)) + v
+    return {m: v for m, v in out.items() if v}
+
+
 def naive_perturbed_power(c, base, direction, nvars, d):
     """c * (base + t*direction)^d as {monomial: {t-power: coefficient}}, one
     binomial piece c * C(d, j) * base^(d-j) * direction^j per t-power j."""

@@ -262,6 +262,31 @@ def test_json_file_output(tmp_path, capsys):
     assert on_disk == doc
 
 
+def test_json_to_an_unwritable_path_is_an_input_error(tmp_path, capsys):
+    # a missing directory and a directory in place of the file
+    for path in (tmp_path / "missing" / "out.json", tmp_path):
+        code = main(["hilbert", "--poly", "x^2*y", "--json", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: cannot write {path}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["concise", "--poly", "x^2", "--vars", "x,x"],
+    ["hilbert", "--poly", "x^2", "--dual-names", "x"],
+    ["hilbert", "--poly", "x^2*y", "--vars", "x,y", "--dual-names", "a"],
+    ["hilbert", "--poly", "x^2*y", "--vars", "x,,y"],
+    ["theorem2", "--poly", WILD, "--vars", "x0,x1,y0,y1,y1"],
+    ["direct-sum", "--poly", "x^3", "--poly2", "u^3", "--vars2", "u,u"],
+])
+def test_bad_variable_lists_are_input_errors(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_theorem2_stdout_matches_golden(capsys):
     assert main(["theorem2", "--poly", WILD, "--vars", WILD_VARS]) == 0
     assert capsys.readouterr().out == GOLDEN.read_text(encoding="utf-8")

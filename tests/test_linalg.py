@@ -256,6 +256,14 @@ def test_sparse_rref_matches_naive_gauss_jordan_on_dense_rows(case):
     _check_sparse_rref([dict(enumerate(r)) for r in rows], ncols)
 
 
+def test_sparse_rref_skips_rows_whose_entry_cancelled():
+    # clearing column 2 with x2 + x3 also cancels column 3 in the first two
+    # rows, so the column index still names them when x3 becomes a pivot
+    rows = [{0: 1, 2: 1, 3: 1}, {1: 1, 2: 1, 3: 1}, {2: 1, 3: 1}, {3: 1}]
+    assert linalg.sparse_rref(rows) == ([0, 1, 2, 3], [{0: 1}, {1: 1}, {2: 1}, {3: 1}])
+    _check_sparse_rref(rows, 4)
+
+
 def test_empty_input():
     assert linalg.rref([]) == ([], [])
     assert linalg.rank([]) == 0

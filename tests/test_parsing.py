@@ -57,6 +57,23 @@ def test_error_carries_line_and_column():
     assert err.value.col == 1
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"vars": ["x", "x"]}, "unique"),
+    ({"vars": ["x", "", "y"]}, "empty"),
+    ({"vars": ["x", "y"], "dual_names": ["a"]}, "1 dual names for 2 variables"),
+    ({"dual_names": ["x"]}, "unique"),
+    ({"vars": ["x", "y"], "dual_names": ["a", "a"]}, "unique"),
+    ({"vars": ["x", "y"], "dual_names": ["a", ""]}, "empty"),
+    ({"vars": ["x", "d_x"]}, "unique"),  # d_x is also x's default dual name
+])
+def test_bad_variable_lists_are_parse_errors(kwargs, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_poly("x^2", **kwargs)
+    # a variable list has no position in the text
+    assert err.value.line is None and err.value.col is None
+    assert "line" not in str(err.value)
+
+
 def test_leading_sign_and_parentheses():
     p = parse_poly("-y1", vars=["y1"])
     assert p.coeff((1,)) == Fraction(-1)

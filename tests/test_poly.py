@@ -23,7 +23,7 @@ from apolar.poly import (
 )
 from apolar.parsing import parse_poly
 
-from _oracle import naive_power_terms, random_poly
+from _oracle import naive_power_terms, naive_substitute, random_poly
 
 
 T2 = VarTable.make(("x", "y"))
@@ -261,6 +261,37 @@ def test_linear_power_equals_repeated_multiplication(l, k):
     assert_canonical(power)
     assert power.ring == l.ring and power.table == l.table
     assert power.terms == naive_power_terms(l.terms, l.table.n, k)
+
+
+# -- substitution is one integer expansion over a common denominator
+
+@settings(max_examples=300, deadline=None)
+@given(polys(PRIMAL), st.data())
+def test_substitute_matches_the_naive_expansion(p, data):
+    # images on another table (1-6 variables), Fraction coefficients, some zero
+    target = data.draw(st.sampled_from(TABLES))
+    zero_or_coeff = st.one_of(st.just(0), COEFFS)
+    images = [linear_form(target, data.draw(st.lists(zero_or_coeff, min_size=target.n,
+                                                     max_size=target.n)))
+              for _ in range(3)]
+    if data.draw(st.booleans()):
+        images[data.draw(st.integers(0, 2))] = Poly.zero(target)
+    out = p.substitute(images)
+    assert_canonical(out)
+    if all(img.is_zero() for img in images):
+        # nothing to land in but our own table: only the constant term is left
+        assert out.table == T3
+        assert out.terms == {m: c for m, c in p.terms.items() if not any(m)}
+    else:
+        assert out.table == target and out.ring == PRIMAL
+        assert out.terms == naive_substitute(p.terms, [img.terms for img in images], target.n)
+
+
+def test_substitute_rejects_an_image_on_a_third_table():
+    p = parse_poly("x*y + z^2", table=T3)
+    images = [linear_form(T2, [1, 2]), Poly.zero(T5), linear_form(T2, [0, 1])]
+    with pytest.raises(TableMismatchError):
+        p.substitute(images)
 
 
 # -- homogeneous_degree is remembered per polynomial

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
@@ -13,6 +14,8 @@ from apolar.poly import DUAL, PRIMAL, Poly, VarTable, linear_form, monomials
 from apolar import linalg
 from apolar.wildcert import (
     LocusShapeError,
+    PowerSumDecomposition,
+    WildPresentation,
     cactus_lower_via_slice,
     extract_square_pairs,
     forced_square_check,
@@ -60,6 +63,20 @@ def test_extract_square_pairs_rejects_generic():
 
     f = random_poly(rng, t, PRIMAL, 3, max_terms=10)
     assert extract_square_pairs(f) is None
+
+
+def test_square_sum_with_one_perturbed_coefficient_is_rejected():
+    # x0 and x1 are not linear variables, so the monomial reading still
+    # returns the three pairs of F, and only their re-expansion misses x0^3
+    assert extract_square_pairs(F + parse_poly("1/7*x0^3", table=T5)) is None
+    pairs = extract_square_pairs(F)
+    assert WildPresentation(F, pairs).poly == F
+    for i in range(3):
+        moved = list(pairs)
+        z, w = moved[i]
+        moved[i] = (z, w * Fraction(1010, 1009))
+        with pytest.raises(ValueError, match="re-expand"):
+            WildPresentation(F, tuple(moved))
 
 
 def test_square_pair_split():
@@ -222,6 +239,16 @@ def test_rank9_upper_wild_nine_cubes():
     dec = rank9_upper(F)
     assert len(dec) == 9
     assert dec.verify()
+
+
+def test_power_sum_with_one_perturbed_coefficient_is_rejected():
+    dec = rank9_upper(F)
+    for i, (lam, l) in enumerate(dec.terms):
+        for term in ((lam + Fraction(1, 1009), l), (lam, l * Fraction(1010, 1009))):
+            terms = list(dec.terms)
+            terms[i] = term
+            assert not replace(dec, terms=tuple(terms)).verify()
+    assert PowerSumDecomposition(F, dec.terms).verify()
 
 
 def test_rank9_upper_pure_cube_collapses():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,23 @@ def test_double_point_span_wild_pairs():
     assert cert.point_coeffs == (Fraction(0),) * 3
     assert cert.jet_coeffs == (Fraction(1),) * 3
     assert cert.curvilinear
+
+
+def test_double_point_certificate_with_one_perturbed_coefficient_is_rejected():
+    # in GL5 coordinates, so the re-expansion runs over Fraction forms
+    images = [linear_form(T5, row) for row in
+              ((1, 2, 0, -1, 0), (0, 1, 3, 0, 1), (1, 0, 1, 1, 0), (0, -1, 0, 2, 1), (2, 0, 0, 0, 1))]
+    pres = transform_presentation(wild_presentation(T5), images)
+    pairs = [(z * Fraction(1, 2), w * Fraction(-3, 5)) for z, w in pres.square_pairs]
+    cert = double_point_span(pres.poly, pairs)
+    assert cert is not None and cert.verify()
+    for field in ("point_coeffs", "jet_coeffs"):
+        for i in range(3):
+            coeffs = list(getattr(cert, field))
+            coeffs[i] += Fraction(1, 1009)
+            assert not replace(cert, **{field: tuple(coeffs)}).verify()
+    (l, m), *rest = cert.pairs
+    assert not replace(cert, pairs=((l, m * Fraction(1010, 1009)), *rest)).verify()
 
 
 def test_double_point_span_pure_cube():
