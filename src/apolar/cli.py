@@ -1,6 +1,9 @@
 """Command-line interface: parse polynomials, run the certified computations,
 emit a machine-readable JSON report.
 
+The certificate commands print the records their builders return, verified
+or not; a builder's ValueError on malformed input is an input error.
+
 Exit codes: 0 success, 1 certificate failure, 2 input error.
 """
 
@@ -22,10 +25,11 @@ from .apolarity import (
 from .ideals import macaulay_bound
 from .parsing import ParseError, parse_poly
 from .poly import Poly
-from .ranks import EvidenceRecord, sylvester_binary
+from .ranks import sylvester_binary
 from .wildcert import (
     classical_report,
     counting_certificate,
+    extract_square_pairs,
     limit_family_certificate,
     slice_saturation_certificate,
     theorem2_report,
@@ -148,17 +152,11 @@ def _cmd_rank_bounds(args):
 
 def _cmd_witness_verify(args):
     _, g = essential_form(_parse_form(args))
-    try:
-        found = limit_family_certificate(g)
-    except ValueError as exc:
-        found, reason, log = None, str(exc), str(exc)
-    else:
-        reason, log = "no squares-times-lines shape found", "shape extraction failed"
-    if found is None:
-        return {"verified": False, "reason": reason}, [
-            EvidenceRecord("border-limit-family", False, (log,))
-        ], False
-    fam, cert = found
+    pairs = extract_square_pairs(g)
+    fam, cert = limit_family_certificate(g, pairs)
+    if fam is None:
+        reason = cert.stage_log[0] if pairs else "no squares-times-lines shape found"
+        return {"verified": False, "reason": reason}, [cert], False
     ok = cert.verified
     return {"verified": ok, "r": fam.r, "k": 1, "border_upper": fam.r if ok else None}, [cert], ok
 
@@ -184,15 +182,11 @@ def _cmd_double_points(args):
     p = _parse_form(args)
     pairs = _parse_pairs(args, p.table)
     try:
-        found = double_point_certificate(p, pairs)
+        dps, cert = double_point_certificate(p, pairs)
     except ValueError as exc:
         raise InputError(f"bad pair: {exc}") from exc
-    if found is None:
-        return {"verified": False}, [
-            EvidenceRecord("double-point-span", False,
-                           ("no exact solution in the span of the given 2-jets",))
-        ], False
-    dps, cert = found
+    if dps is None:
+        return {"verified": False}, [cert], False
     return {
         "verified": True,
         "cactus_upper": dps.cactus_upper,
@@ -206,16 +200,10 @@ def _cmd_wild_cert(args):
     facts = FormFacts(_parse_form(args))
     g = facts.form
     try:
-        found = slice_saturation_certificate(g, facts)
+        csl, saturation = slice_saturation_certificate(g, facts)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if found is None:
-        csl, saturation = None, EvidenceRecord(
-            "cactus-slice-saturation", False,
-            ("the slice-saturation pattern found no linear drop",))
-    else:
-        csl, saturation = found
-    r9, counting = counting_certificate(g, r_max=args.rmax, facts=facts)
+    r9, counting = counting_certificate(g, args.rmax, extract_square_pairs(g), facts)
     results = {
         "cactus_lower": csl.bound if csl else None,
         "rank_lower": r9.bound,

@@ -376,10 +376,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """Max total degree of a term; -1 for the zero polynomial."""
-        return max((sum(m) for m in self.terms), default=-1)
-
     def is_homogeneous(self) -> bool:
         return len({sum(m) for m in self.terms}) <= 1
 

@@ -30,7 +30,6 @@ from .poly import (
     linear_form,
     monomial_count,
     monomials,
-    uni_gcd,
 )
 from .ranks import (
     NOTIONS,
@@ -44,6 +43,7 @@ from .ranks import (
 )
 from .witness import (
     TangentDatum,
+    _check_linear_pairs,
     direct_summands,
     double_point_certificate,
     slice_intersection_certificate,
@@ -298,18 +298,21 @@ def tangent_data_for_pairs(square_pairs) -> tuple:
     return tuple(data)
 
 
-def limit_family_certificate(f: Poly, square_pairs=None):
-    """The cubic tangent limit family of f's square pairs and its record,
-    whose verification re-reads f as the t-coefficient.
+def limit_family_certificate(f: Poly, pairs):
+    """(family, record) of the cubic tangent limit family of f's square
+    pairs, whose verification re-reads f as the t-coefficient.
 
-    The pairs are read from f's monomials when not given; returns None when
-    f shows no squares-times-lines shape, and raises ValueError when the
-    squared parts carry no five-point dependency.
+    (None, unverified record) when there are no pairs (f showed no
+    squares-times-lines shape) or the squared parts carry no five-point
+    dependency; ValueError when a pair is not linear.
     """
-    pairs = square_pairs if square_pairs is not None else extract_square_pairs(f)
     if not pairs:
-        return None
-    fam = tangent_limit_family(tangent_data_for_pairs(pairs), 3)
+        return None, EvidenceRecord("border-limit-family", False, ("shape extraction failed",))
+    _check_linear_pairs(pairs)
+    try:
+        fam = tangent_limit_family(tangent_data_for_pairs(pairs), 3)
+    except ValueError as exc:
+        return None, EvidenceRecord("border-limit-family", False, (str(exc),))
     ok = fam.limit == f
     return fam, EvidenceRecord(
         kind="border-limit-family",
@@ -409,11 +412,13 @@ def cactus_lower_via_slice(f: Poly,
 
 
 def slice_saturation_certificate(f: Poly, facts: Optional[FormFacts] = None):
-    """The slice-saturation cactus bound and its record, or None when the
-    pattern finds no linear drop; ValueError as cactus_lower_via_slice."""
+    """(bound, record) of the slice-saturation cactus bound; (None, unverified
+    record) when the pattern finds no linear drop.  ValueError as
+    cactus_lower_via_slice: f not a cubic, or not concise."""
     csl = cactus_lower_via_slice(f, facts)
     if csl is None:
-        return None
+        return None, EvidenceRecord("cactus-slice-saturation", False,
+                                    ("the slice-saturation pattern found no linear drop",))
     return csl, EvidenceRecord(
         kind="cactus-slice-saturation",
         verified=True,
@@ -638,30 +643,16 @@ def forced_square_check(f: Poly, perp_basis: Sequence[Poly],
     return all(linalg.in_span(v, span) is not None for v in vecs)
 
 
-# binary forms in (c0, c1) are kept as coefficient lists ascending in the
-# c0-power, padded to formal degree + 1; root data is (trimmed list, mult of
-# the root at infinity), with None standing for the identically-zero form
-
-
-def _bf_roots(form: list):
-    end = len(form)
-    while end and not form[end - 1]:
-        end -= 1
-    if not end:
-        return None
-    return form[:end], len(form) - end
-
-
-def _bf_roots_gcd(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return uni_gcd(a[0], b[0]), min(a[1], b[1])
-
-
-def _bf_is_nonvanishing(a) -> bool:
-    return a is not None and len(a[0]) == 1 and a[1] == 0
+def _no_common_zero(quadrics) -> bool:
+    """Whether binary quadrics, as coefficients (a0, a1, a2) of (c1^2, c0*c1,
+    c0^2), share no zero over the algebraic closure: they span all binary
+    quadrics, or a pencil whose two generators have a nonzero resultant.
+    A single nonzero quadric has a zero there."""
+    _, basis = linalg.rref(quadrics)
+    if len(basis) != 2:
+        return len(basis) == 3
+    (a0, a1, a2), (b0, b1, b2) = basis
+    return (a0 * b2 - a2 * b0) ** 2 != (a0 * b1 - a1 * b0) * (a1 * b2 - a2 * b1)
 
 
 def _perp_products_vanish(f: Poly, perp_basis: Sequence[Poly],
@@ -682,7 +673,7 @@ def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[P
     c1^2*E11 plus a vector in U, the span of the comp_i * perp_j
     contractions.  Each functional vanishing on U therefore takes A to a
     binary quadric in c that the candidate must zero; when those quadrics
-    have a constant gcd, no nonzero c does, over the algebraic closure too.
+    share no zero over the algebraic closure, no nonzero c zeroes them all.
     `facts`, when given, must be f's.
     """
     if len(comp_basis) != 2:
@@ -694,15 +685,10 @@ def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[P
         return False
     (E00, E01, *C0), (_, E11, *C1) = _contractions(
         f, comp_basis, list(comp_basis) + list(perp_basis), facts)
-    acc = None
-    for phi in linalg.kernel_basis(C0 + C1, len(E00)):
-        # phi(A(c)), ascending in the c0-power
-        quadric = [sum(a * e for a, e in zip(phi, E)) for E in (E11, E01, E00)]
-        quadric[1] *= 2
-        acc = _bf_roots_gcd(acc, _bf_roots(quadric))
-        if _bf_is_nonvanishing(acc):
-            return True
-    return False
+    # phi(A(c)) over (c1^2, c0*c1, c0^2)
+    quadrics = [[sum(map(mul, phi, E11)), 2 * sum(map(mul, phi, E01)), sum(map(mul, phi, E00))]
+                for phi in linalg.kernel_basis(C0 + C1, len(E00))]
+    return _no_common_zero(quadrics)
 
 
 # ---------------------------------------------------------------------------
@@ -811,11 +797,11 @@ def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None,
     return Rank9Certificate(True, r_max + 1, r_max, tuple(stages), locus=locus)
 
 
-def counting_certificate(f: Poly, r_max: int = 8, square_pairs=None,
-                         facts: Optional[FormFacts] = None):
-    """rank9_lower_cert and its record, verified or naming the failed stage;
-    one log line per stage, with its basis."""
-    r9 = rank9_lower_cert(f, r_max=r_max, square_pairs=square_pairs, facts=facts)
+def counting_certificate(f: Poly, r_max: int, pairs, facts: Optional[FormFacts] = None):
+    """rank9_lower_cert on the given square pairs and its record, verified or
+    naming the failed stage; one log line per stage, with its basis.  No
+    pairs fail the shape stage."""
+    r9 = rank9_lower_cert(f, r_max=r_max, square_pairs=pairs or (), facts=facts)
     return r9, EvidenceRecord(
         kind="rank-lower-counting",
         verified=r9.verified,
@@ -876,9 +862,16 @@ def rank9_upper(f: Poly, square_pairs=None) -> PowerSumDecomposition:
     return dec
 
 
-def power_sum_certificate(f: Poly, square_pairs=None):
-    """rank9_upper and its record; ValueError without the shape."""
-    dec = rank9_upper(f, square_pairs)
+def power_sum_certificate(f: Poly, pairs):
+    """(decomposition, record) of rank9_upper on the given square pairs;
+    (None, unverified record) when there are none or they do not re-expand
+    to f, and ValueError when a pair is not linear."""
+    pairs = pairs or ()
+    _check_linear_pairs(pairs)
+    try:
+        dec = rank9_upper(f, pairs)
+    except ValueError as exc:
+        return None, EvidenceRecord("power-sum-decomposition", False, (str(exc),))
     return dec, EvidenceRecord(
         kind="power-sum-decomposition",
         verified=True,
@@ -919,23 +912,15 @@ class WildReport:
 
 
 def _square_pair_records(g: Poly, pairs) -> tuple:
-    """(records, notes): the upper-bound certificates of a concise cubic g
-    with square-pair data, and a note for each one that does not apply."""
-    records, notes = [], []
-    z_rows = [linear_coeffs(z) for z, _ in pairs]
-    if linalg.rank(z_rows) == 2 and len(pairs) <= 3:
-        try:
-            records.append(limit_family_certificate(g, pairs)[1])
-        except ValueError as exc:
-            notes.append(f"limit family unavailable: {exc}")
-    found = double_point_certificate(g, pairs)
-    if found is not None:
-        records.append(found[1])
-    try:
-        records.append(power_sum_certificate(g, pairs)[1])
-    except ValueError as exc:
-        notes.append(f"power-sum upper bound unavailable: {exc}")
-    return records, notes
+    """(records, notes): the verified upper-bound certificates of a concise
+    cubic g with square-pair data, and a note for each one that does not
+    apply."""
+    built = [("double-point span", double_point_certificate(g, pairs)[1]),
+             ("power-sum upper bound", power_sum_certificate(g, pairs)[1])]
+    if linalg.rank([linear_coeffs(z) for z, _ in pairs]) == 2 and len(pairs) <= 3:
+        built.insert(0, ("limit family", limit_family_certificate(g, pairs)[1]))
+    return ([r for _, r in built if r.verified],
+            [f"{name} unavailable: {r.stage_log[0]}" for name, r in built if not r.verified])
 
 
 def _classical_evidence(facts: FormFacts, d: int) -> list:
@@ -1023,9 +1008,8 @@ def theorem2_report(f, r_max: int = 8) -> WildReport:
             else:
                 notes.append("no squares-times-lines shape found; reporting catalecticant bounds")
         if d == 3:
-            found = slice_saturation_certificate(g, facts)
-            if found is not None:
-                csl, record = found
+            csl, record = slice_saturation_certificate(g, facts)
+            if csl is not None:
                 records.append(record)
                 sat_gammas = tuple(str(gamma) for gamma in csl.gamma_basis)
         if pairs:

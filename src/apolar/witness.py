@@ -93,18 +93,23 @@ class DoublePointCertificate:
         ]) == self.target
 
 
+def _check_linear_pairs(pairs: Sequence) -> None:
+    """ValueError unless each pair (l, m) is a nonzero linear form l and a
+    linear or zero m."""
+    for l, m in pairs:
+        if l.homogeneous_degree() != 1 or not (m.is_zero() or m.homogeneous_degree() == 1):
+            raise ValueError(f"({l}, {m}): l must be a nonzero linear form, m linear or 0")
+
+
 def double_point_span(f: Poly, pairs: Sequence) -> Optional[DoublePointCertificate]:
     """Solve for f in the span of the given 2-jets; None when unsolvable.
     Each pair (l, m) needs a nonzero linear form l and a linear or zero m."""
     d = f.homogeneous_degree()
     if d is None or f.is_zero():
         raise ValueError("expected a homogeneous nonzero polynomial")
-    cols = []
-    for l, m in pairs:
-        if l.homogeneous_degree() != 1 or not (m.is_zero() or m.homogeneous_degree() == 1):
-            raise ValueError(f"({l}, {m}): l must be a nonzero linear form, m linear or 0")
-        for factors in (((l, d),), ((l, d - 1), (m, 1))):
-            cols.append(expand_products(f.table, f.ring, ((1, factors),)).coefficient_vector(d))
+    _check_linear_pairs(pairs)
+    cols = [expand_products(f.table, f.ring, ((1, factors),)).coefficient_vector(d)
+            for l, m in pairs for factors in (((l, d),), ((l, d - 1), (m, 1)))]
     sol = linalg.solve_columns(cols, f.coefficient_vector(d))
     if sol is None:
         return None
@@ -120,11 +125,12 @@ def double_point_span(f: Poly, pairs: Sequence) -> Optional[DoublePointCertifica
 
 
 def double_point_certificate(f: Poly, pairs: Sequence):
-    """The double-point span certificate and its record, or None when the
-    2-jets do not span f."""
+    """(certificate, record) of the double-point span; (None, unverified
+    record) when the 2-jets do not span f.  ValueError as double_point_span."""
     cert = double_point_span(f, pairs)
     if cert is None:
-        return None
+        return None, EvidenceRecord("double-point-span", False,
+                                    ("no exact solution in the span of the given 2-jets",))
     upper = cert.cactus_upper
     return cert, EvidenceRecord(
         kind="double-point-span",

@@ -4,7 +4,15 @@ from pathlib import Path
 import pytest
 
 from apolar import parse_poly, theorem2_report
-from apolar.cli import main
+from apolar.apolarity import FormFacts
+from apolar.cli import _cert_dicts, main
+from apolar.wildcert import (
+    counting_certificate,
+    extract_square_pairs,
+    limit_family_certificate,
+    slice_saturation_certificate,
+)
+from apolar.witness import double_point_certificate
 
 WILD = "x0^2*y0 - (x0+x1)^2*y1 + x1^2*y2"
 WILD_VARS = "x0,x1,y0,y1,y2"
@@ -323,10 +331,11 @@ def test_direct_sum_prints_each_certificate_once(capsys):
       "--pairs", "x0,y0;x0+x1,-y1;x1,y2"], 0),
     (["double-points", "--poly", WILD, "--vars", WILD_VARS, "--pairs", "x0,y0;x1,y2"], 1),
     (["wild-cert", "--poly", WILD, "--vars", WILD_VARS], 0),
+    (["wild-cert", "--poly", "x^3"], 1),
     (["theorem2", "--poly", WILD, "--vars", WILD_VARS], 0),
     (["direct-sum", "--poly", WILD, "--vars", WILD_VARS, "--poly2", "u^3"], 0),
 ], ids=["witness-verify", "witness-verify-failure", "double-points", "double-points-failure",
-        "wild-cert", "theorem2", "direct-sum"])
+        "wild-cert", "wild-cert-failure", "theorem2", "direct-sum"])
 def test_certificates_print_kind_stage_log_and_verified_only(capsys, argv, code):
     # the records also carry a basis and certified bounds; neither is printed
     got, doc = run(capsys, *argv)
@@ -334,3 +343,33 @@ def test_certificates_print_kind_stage_log_and_verified_only(capsys, argv, code)
     assert doc["certificates"]
     for cert in doc["certificates"]:
         assert set(cert) == {"kind", "stage_log", "verified"}
+
+
+def _wild_pairs(text):
+    table = parse_poly(WILD, vars=WILD_VARS.split(",")).table
+    return [tuple(parse_poly(side, table=table) for side in chunk.split(","))
+            for chunk in text.split(";")]
+
+
+def _wild_cert_records(poly):
+    facts = FormFacts(parse_poly(poly))
+    g = facts.form
+    return [slice_saturation_certificate(g, facts)[1],
+            counting_certificate(g, 8, extract_square_pairs(g), facts)[1]]
+
+
+@pytest.mark.parametrize("argv, records", [
+    (["witness-verify", "--poly", "x0*x1*x2"],
+     lambda: [limit_family_certificate(parse_poly("x0*x1*x2"), None)[1]]),
+    (["double-points", "--poly", WILD, "--vars", WILD_VARS, "--pairs", "x0,y0;x1,y2"],
+     lambda: [double_point_certificate(parse_poly(WILD, vars=WILD_VARS.split(",")),
+                                       _wild_pairs("x0,y0;x1,y2"))[1]]),
+    (["wild-cert", "--poly", "x^3"], lambda: _wild_cert_records("x^3")),
+], ids=["witness-verify", "double-points", "wild-cert"])
+def test_failure_records_are_the_builders_own(capsys, argv, records):
+    # the commands print the unverified records their builders return
+    code, doc = run(capsys, *argv)
+    assert code == 1
+    expected = records()
+    assert not all(r.verified for r in expected)
+    assert doc["certificates"] == json.loads(json.dumps(_cert_dicts(expected)))

@@ -16,13 +16,18 @@ from apolar.wildcert import (
     LocusShapeError,
     PowerSumDecomposition,
     WildPresentation,
+    _no_common_zero,
     cactus_lower_via_slice,
+    counting_certificate,
     extract_square_pairs,
     forced_square_check,
     gamma_space,
+    limit_family_certificate,
+    power_sum_certificate,
     product_locus,
     rank9_lower_cert,
     rank9_upper,
+    slice_saturation_certificate,
     square_pair_split,
     squares_confined,
     tangent_data_for_pairs,
@@ -32,6 +37,7 @@ from apolar.wildcert import (
     wild_presentation,
     wild_table,
 )
+from apolar.witness import double_point_certificate
 
 T5 = wild_table()
 F = wild_cubic(T5)
@@ -100,10 +106,12 @@ def test_cactus_lower_via_slice_no_drop_for_diagonal():
 
 
 def test_cactus_lower_requires_concise_cubic():
-    with pytest.raises(ValueError):
-        cactus_lower_via_slice(parse_poly("x0^3", table=T5))
-    with pytest.raises(ValueError):
-        cactus_lower_via_slice(parse_poly("x0^2 + x1^2"))
+    # the record builder raises on the same malformed input
+    for build in (cactus_lower_via_slice, slice_saturation_certificate):
+        with pytest.raises(ValueError):
+            build(parse_poly("x0^3", table=T5))
+        with pytest.raises(ValueError):
+            build(parse_poly("x0^2 + x1^2"))
 
 
 def test_product_locus_conic():
@@ -652,3 +660,122 @@ def test_tangent_data_selection_equals_the_rank_based_choice():
         ws = [linear_form(T5, [rng.randint(-2, 2) for _ in range(5)]) for _ in range(3)]
         pairs = tuple(zip((u, v, u + v), ws))
         assert tangent_data_for_pairs(pairs) == rank_based_tangent_data(pairs)
+
+
+def gcd_rule_no_common_zero(quadrics):
+    """The square-confinement decision as written before the closed form:
+    each quadric is a list ascending in the c0-power, kept as its trimmed
+    list and the multiplicity of its root at infinity; True once the running
+    gcd of the nonzero quadrics is a constant with no root at infinity."""
+    from apolar.poly import uni_gcd
+
+    acc = None
+    for q in quadrics:
+        end = len(q)
+        while end and not q[end - 1]:
+            end -= 1
+        if not end:
+            continue
+        roots = (list(q[:end]), len(q) - end)
+        acc = roots if acc is None else (uni_gcd(acc[0], roots[0]), min(acc[1], roots[1]))
+        if len(acc[0]) == 1 and acc[1] == 0:
+            return True
+    return False
+
+
+def random_quadric_lists(count, seed=31):
+    """Lists of 0 to 4 binary quadrics (a0, a1, a2) over (c1^2, c0*c1, c0^2),
+    half of them with a planted common zero (r0, r1), which includes the
+    zeros (1, 0) and (0, 1) that make the last or the first coefficient 0;
+    in the others a first or last coefficient is zeroed at random."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        size = rng.randint(0, 4)
+        if rng.random() < 0.5:
+            # (r1*c0 - r0*c1) * (s*c0 + t*c1) vanishes at (c0, c1) = (r0, r1)
+            r0, r1 = rng.choice(((1, 0), (0, 1), (rng.randint(-3, 3), rng.randint(1, 3))))
+            quadrics = []
+            for _ in range(size):
+                s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+                quadrics.append([-r0 * t, r1 * t - r0 * s, r1 * s])
+        else:
+            quadrics = [[rng.randint(-3, 3) for _ in range(3)] for _ in range(size)]
+            for q in quadrics:
+                if rng.random() < 0.3:
+                    q[rng.choice((0, 2))] = 0
+        out.append(quadrics)
+    return out
+
+
+def test_no_common_zero_agrees_with_the_gcd_rule():
+    lists = random_quadric_lists(4000)
+    decisions = [_no_common_zero(qs) for qs in lists]
+    assert decisions == [gcd_rule_no_common_zero(qs) for qs in lists]
+    assert True in decisions and False in decisions
+    # a pencil with a shared zero at infinity or at 0, a full span, one quadric
+    assert not _no_common_zero([[1, 2, 0], [3, -1, 0]])
+    assert not _no_common_zero([[0, 1, 1], [0, 2, -1]])
+    assert _no_common_zero([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert _no_common_zero([[1, 0, 0], [0, 0, 1]])
+    assert not _no_common_zero([[1, 0, 1]]) and not _no_common_zero([])
+
+
+def square_pairs_of(text, table=T5):
+    """Pairs written as "z,w;z,w" over the table."""
+    return tuple(tuple(parse_poly(side, table=table) for side in chunk.split(","))
+                 for chunk in text.split(";"))
+
+
+FERMAT = parse_poly("x^3+y^3+z^3")
+
+
+@pytest.mark.parametrize("build, kind, reason", [
+    (lambda: limit_family_certificate(F, None), "border-limit-family",
+     "shape extraction failed"),
+    (lambda: limit_family_certificate(F, ()), "border-limit-family",
+     "shape extraction failed"),
+    (lambda: limit_family_certificate(FERMAT, extract_square_pairs(FERMAT)),
+     "border-limit-family", "squared parts must span a 2-dimensional space"),
+    (lambda: double_point_certificate(F, square_pairs_of("x0,y0;x1,y2")), "double-point-span",
+     "no exact solution in the span of the given 2-jets"),
+    (lambda: slice_saturation_certificate(parse_poly("x^3")), "cactus-slice-saturation",
+     "the slice-saturation pattern found no linear drop"),
+    (lambda: power_sum_certificate(F, square_pairs_of("x0,y0;x1,y2")),
+     "power-sum-decomposition", "shape mismatch: decomposition does not re-expand to f"),
+    (lambda: power_sum_certificate(F, None), "power-sum-decomposition",
+     "shape mismatch: no squares-times-lines presentation"),
+], ids=["limit-family-no-pairs", "limit-family-empty-pairs", "limit-family-fermat",
+        "double-points", "saturation", "power-sum", "power-sum-no-pairs"])
+def test_builders_return_an_unverified_record_when_they_do_not_apply(build, kind, reason):
+    witness, record = build()
+    assert witness is None
+    assert record.verified is False and record.certified() == ()
+    assert (record.kind, record.stage_log) == (kind, (reason,))
+
+
+@pytest.mark.parametrize("build", [limit_family_certificate, double_point_certificate,
+                                   power_sum_certificate])
+@pytest.mark.parametrize("pairs", ["x0^2,y0;x1,y2", "x0,y0^2;x1,y2", "0,y0;x1,y2", "x0,1;x1,y2"])
+def test_pair_builders_reject_pairs_that_are_not_linear(build, pairs):
+    with pytest.raises(ValueError, match="l must be a nonzero linear form"):
+        build(F, square_pairs_of(pairs))
+
+
+def test_record_builders_never_read_pairs_off_the_monomials(monkeypatch):
+    from apolar import wildcert
+
+    def refuse(f):
+        raise AssertionError("a record builder scanned the monomials")
+
+    monkeypatch.setattr(wildcert, "extract_square_pairs", refuse)
+    pairs = PRES.square_pairs
+    assert limit_family_certificate(F, pairs)[1].verified
+    assert power_sum_certificate(F, pairs)[1].verified
+    assert counting_certificate(F, 8, pairs)[1].verified
+    assert limit_family_certificate(F, None)[0] is None
+    assert power_sum_certificate(F, None)[0] is None
+    r9, record = counting_certificate(F, 8, None)
+    assert not record.verified and r9.failed_stage == "shape"
+    assert record.stage_log == (
+        "shape [computed]: FAILED — no squares-times-lines presentation available",)
