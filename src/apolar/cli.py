@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 certificate failure, 2 input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -155,8 +156,7 @@ def _cmd_witness_verify(args):
     pairs = extract_square_pairs(g)
     fam, cert = limit_family_certificate(g, pairs)
     if fam is None:
-        reason = cert.stage_log[0] if pairs else "no squares-times-lines shape found"
-        return {"verified": False, "reason": reason}, [cert], False
+        return {"verified": False, "reason": cert.stage_log[0]}, [cert], False
     ok = cert.verified
     return {"verified": ok, "r": fam.r, "k": 1, "border_upper": fam.r if ok else None}, [cert], ok
 
@@ -294,7 +294,10 @@ def _length(text: str) -> int:
     return r
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: every default is
+    immutable, and argparse reads sys.stdout/sys.stderr only when it prints."""
     top = argparse.ArgumentParser(
         prog="apolar",
         description="exact apolarity computations and certified rank bounds",

@@ -186,13 +186,13 @@ class _Parser:
         self.fail(f"expected a number, variable or '(', found {t.text or 'end of input'!r}")
 
 
+def _identifiers(toks) -> list:
+    return list(dict.fromkeys(t.text for t in toks if t.kind == "ident"))
+
+
 def collect_variables(text: str) -> list:
     """Identifiers in first-appearance order."""
-    seen = []
-    for t in _tokenize(text):
-        if t.kind == "ident" and t.text not in seen:
-            seen.append(t.text)
-    return seen
+    return _identifiers(_tokenize(text))
 
 
 def parse_poly(
@@ -211,7 +211,7 @@ def parse_poly(
     """
     toks = _tokenize(text)
     if table is None:
-        names = list(vars) if vars is not None else collect_variables(text)
+        names = list(vars) if vars is not None else _identifiers(toks)
         if dual_names is not None:
             dual_names = list(dual_names)
             if len(dual_names) != len(names):

@@ -345,6 +345,10 @@ class Poly:
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power")
+        if len(self.terms) == 1:
+            # one term: exponents times k, coefficient to the k
+            (m, c), = self.terms.items()
+            return Poly._of(self.table, self.ring, {tuple(e * k for e in m): c ** k})
         if self.terms and all(sum(m) == 1 for m in self.terms):
             # a linear form: one multinomial expansion in integers
             return expand_products(self.table, self.ring, ((1, ((self, k),)),))

@@ -307,7 +307,7 @@ def limit_family_certificate(f: Poly, pairs):
     dependency; ValueError when a pair is not linear.
     """
     if not pairs:
-        return None, EvidenceRecord("border-limit-family", False, ("shape extraction failed",))
+        return None, EvidenceRecord("border-limit-family", False, ("no squares-times-lines shape found",))
     _check_linear_pairs(pairs)
     try:
         fam = tangent_limit_family(tangent_data_for_pairs(pairs), 3)

@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from apolar import parse_poly, theorem2_report
 from apolar.apolarity import FormFacts
-from apolar.cli import _cert_dicts, main
+from apolar.cli import _build_parser, _cert_dicts, main
 from apolar.wildcert import (
     counting_certificate,
     extract_square_pairs,
@@ -16,7 +19,9 @@ from apolar.witness import double_point_certificate
 
 WILD = "x0^2*y0 - (x0+x1)^2*y1 + x1^2*y2"
 WILD_VARS = "x0,x1,y0,y1,y2"
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "theorem2_wild.json"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "perfbench" / "golden" / "theorem2_wild.json"
+SRC = ROOT / "src"
 
 
 def run(capsys, *argv):
@@ -132,6 +137,9 @@ def test_witness_verify_failure_exit_code(capsys):
     code, doc = run(capsys, "witness-verify", "--poly", "x0*x1*x2")
     assert code == 1
     assert doc["results"]["verified"] is False
+    # the reason is the certificate's own first stage-log line
+    assert doc["results"]["reason"] == doc["certificates"][0]["stage_log"][0]
+    assert doc["results"]["reason"] == "no squares-times-lines shape found"
 
 
 def test_double_points_command(capsys):
@@ -251,6 +259,34 @@ def test_slice_degree_outside_the_form_is_an_input_error(capsys, command, degree
 def test_unknown_command_exit_code(capsys):
     code = main(["does-not-exist"])
     assert code == 2
+
+
+def test_the_parser_is_built_once_and_reused(capsys, monkeypatch):
+    # each request in one process gets the exit code and the output it gets
+    # in a process of its own
+    assert _build_parser() is _build_parser()
+    monkeypatch.setenv("COLUMNS", "100")  # help text wraps at the terminal width
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    first = ["hilbert", "--poly", "x^2*y - 3*z^3"]
+    requests = [
+        (first, 0),
+        (["does-not-exist"], 2),
+        (["theorem2", "--poly", WILD, "--vars", WILD_VARS, "--rmax", "0"], 2),
+        (["concise", "--poly", "x^2", "--vars", "x,x"], 2),
+        (["hilbert", "--poly", "2x"], 2),
+        (["hilbert", "--help"], 0),
+        (first, 0),
+    ]
+    outputs = []
+    for argv, code in requests:
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-m", "apolar.cli", *argv], env=env,
+                               capture_output=True, text=True)
+        assert (alone.returncode, alone.stdout, alone.stderr) == (code, captured.out, captured.err)
+        outputs.append(captured.out)
+    assert outputs[-2].startswith("usage: apolar hilbert")
+    assert outputs[-1] == outputs[0] and json.loads(outputs[0])["results"]["hilbert"] == [1, 3, 3, 1]
 
 
 def test_json_output_is_byte_stable(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from apolar.parsing import ParseError, collect_variables, parse_poly, poly_to_string
-from apolar.poly import PRIMAL, Poly, VarTable
+from apolar.poly import DUAL, PRIMAL, Poly, VarTable
 
 from _oracle import random_poly
 
@@ -34,6 +34,8 @@ def test_inhomogeneous_detected_not_rejected_by_parser():
 
 def test_variables_collected_in_first_appearance_order():
     assert collect_variables("b*a + c*b") == ["b", "a", "c"]
+    assert parse_poly("y*x + z").table.primal == ("y", "x", "z")
+    assert parse_poly("y*x + z", ring=DUAL).table.dual == ("y", "x", "z")
 
 
 def test_declared_variable_order_and_unknowns():
@@ -55,6 +57,18 @@ def test_error_carries_line_and_column():
         parse_poly("x +\n* y")
     assert err.value.line == 2
     assert err.value.col == 1
+
+
+@pytest.mark.parametrize("text, kwargs, line, col", [
+    ("x + y\n  $", {}, 2, 3),
+    ("2x", {}, 1, 2),
+    ("(x + y", {}, 1, 7),
+    ("x +\n  z", {"vars": ["x", "y"]}, 2, 3),
+])
+def test_error_positions_with_and_without_a_variable_list(text, kwargs, line, col):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, **kwargs)
+    assert (err.value.line, err.value.col) == (line, col)
 
 
 @pytest.mark.parametrize("kwargs, message", [

@@ -263,6 +263,36 @@ def test_linear_power_equals_repeated_multiplication(l, k):
     assert power.terms == naive_power_terms(l.terms, l.table.n, k)
 
 
+# -- a single term is raised directly: exponents times k, coefficient to the k
+
+def repeated_product(p, k):
+    out = Poly.constant(p.table, 1, p.ring)
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(EXPONENTS, COEFFS.filter(bool), st.sampled_from((PRIMAL, DUAL)), st.integers(0, 6))
+def test_single_term_power_equals_repeated_multiplication(mono, c, ring, k):
+    # constants (mono all zero), Fraction coefficients and negative signs included
+    p = Poly(T3, ring, {mono: c})
+    power = p ** k
+    assert_canonical(power)
+    assert power == repeated_product(p, k)
+
+
+@pytest.mark.parametrize("text, expected, base, k", [
+    ("x^0", "1", "x", 0),
+    ("(2/3)^3", "8/27", "2/3", 3),
+    ("(-2*x*y^2)^3", "-8*x^3*y^6", "-2*x*y^2", 3),
+])
+def test_parsed_single_term_powers(text, expected, base, k):
+    power = parse_poly(text, table=T3)
+    assert power == parse_poly(expected, table=T3)
+    assert power == repeated_product(parse_poly(base, table=T3), k)
+
+
 # -- substitution is one integer expansion over a common denominator
 
 @settings(max_examples=300, deadline=None)

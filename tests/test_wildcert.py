@@ -732,9 +732,9 @@ FERMAT = parse_poly("x^3+y^3+z^3")
 
 @pytest.mark.parametrize("build, kind, reason", [
     (lambda: limit_family_certificate(F, None), "border-limit-family",
-     "shape extraction failed"),
+     "no squares-times-lines shape found"),
     (lambda: limit_family_certificate(F, ()), "border-limit-family",
-     "shape extraction failed"),
+     "no squares-times-lines shape found"),
     (lambda: limit_family_certificate(FERMAT, extract_square_pairs(FERMAT)),
      "border-limit-family", "squared parts must span a 2-dimensional space"),
     (lambda: double_point_certificate(F, square_pairs_of("x0,y0;x1,y2")), "double-point-span",
