@@ -8,13 +8,18 @@ Grammar (juxtaposition is not multiplication; '*' is required):
     atom     := rational | ident | '(' expr ')'
     rational := int ['/' posint]
 
-Identifiers match [A-Za-z_][A-Za-z0-9_]*.  When no variable list is supplied,
-variables are collected in first-appearance order.
+Tokens are ASCII: identifiers match [A-Za-z_][A-Za-z0-9_]* and integers
+[0-9]+; any other character except whitespace is an error at its line and
+column.  When no variable list is supplied, variables are collected in
+first-appearance order.  Text is parsed into a term dict and one Poly is
+built at the end.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from operator import add
 from typing import Optional, Sequence
 
 from .poly import DUAL, PRIMAL, Poly, VarTable
@@ -29,165 +34,146 @@ class ParseError(ValueError):
         self.col = col
 
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+# whitespace, then one token; "bad" is the first character no token starts with
+_TOKEN = re.compile(r"\s*(?:(?P<num>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+                    r"|(?P<op>[-+*^/()])|(?P<bad>\S))")
 
 
-_OPS = set("+-*^/()")
+def _error(message: str, text: str, offset: int) -> ParseError:
+    """A ParseError at `offset` in `text`: lines end at '\\n', and every
+    other character, a tab included, is one column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, line_start) + 1, offset - line_start + 1)
 
 
 def _tokenize(text: str) -> list:
+    """(kind, text, offset) triples, kind one of "num", "ident", "op",
+    ending with ("eof", "", len(text))."""
     toks = []
-    line, col = 1, 1
+    match = _TOKEN.match
     i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch in _OPS:
-            toks.append(_Token("op", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(_Token("num", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("eof", "", line, col))
+    while (m := match(text, i)) is not None:
+        kind = m.lastgroup
+        if kind == "bad":
+            raise _error(f"unexpected character {m[kind]!r}", text, m.start(kind))
+        toks.append((kind, m[kind], m.start(kind)))
+        i = m.end()
+    toks.append(("eof", "", len(text)))
     return toks
 
 
+def _times(a: dict, b: dict) -> dict:
+    """Product of two term dicts, zeros dropped."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = tuple(map(add, m1, m2))
+            c = out.get(m, 0) + c1 * c2
+            if c:
+                out[m] = c
+            else:
+                out.pop(m, None)
+    return out
+
+
 class _Parser:
-    def __init__(self, tokens, table: VarTable, ring: str):
+    """Parses tokens into a term dict {exponent tuple: nonzero int or Fraction}."""
+
+    def __init__(self, text: str, tokens, table: VarTable, ring: str):
+        self.text = text
         self.toks = tokens
         self.pos = 0
         self.table = table
         self.ring = ring
-        self.names = table.names(ring)
+        self.one = (0,) * table.n  # the exponent tuple of the monomial 1
+        self.units = {name: self.one[:i] + (1,) + self.one[i + 1:]
+                      for i, name in enumerate(table.names(ring))}
 
-    def peek(self) -> _Token:
-        return self.toks[self.pos]
+    def fail(self, message: str):
+        raise _error(message, self.text, self.toks[self.pos][2])
 
-    def next(self) -> _Token:
-        t = self.toks[self.pos]
+    def expect_op(self, op: str):
+        tok = self.toks[self.pos][1]
+        if tok != op:
+            self.fail(f"expected {op!r}, found {tok or 'end of input'!r}")
         self.pos += 1
-        return t
-
-    def expect_op(self, ch: str) -> _Token:
-        t = self.peek()
-        if t.kind != "op" or t.text != ch:
-            raise ParseError(f"expected {ch!r}, found {t.text or 'end of input'!r}", t.line, t.col)
-        return self.next()
-
-    def fail(self, msg: str):
-        t = self.peek()
-        raise ParseError(msg, t.line, t.col)
 
     def parse(self) -> Poly:
-        p = self.expr()
-        t = self.peek()
-        if t.kind != "eof":
-            raise ParseError(f"trailing input {t.text!r}", t.line, t.col)
-        return p
+        terms = self.expr()
+        kind, tok, _ = self.toks[self.pos]
+        if kind != "eof":
+            self.fail(f"trailing input {tok!r}")
+        return Poly(self.table, self.ring, terms)
 
-    def expr(self) -> Poly:
-        sign = 1
-        t = self.peek()
-        if t.kind == "op" and t.text in "+-":
-            self.next()
-            sign = -1 if t.text == "-" else 1
-        p = self.term()
-        if sign < 0:
-            p = -p
-        while True:
-            t = self.peek()
-            if t.kind == "op" and t.text in "+-":
-                self.next()
-                q = self.term()
-                p = p + q if t.text == "+" else p - q
-            else:
-                return p
+    def expr(self) -> dict:
+        sign = self.toks[self.pos][1]
+        if sign == "+" or sign == "-":
+            self.pos += 1
+        acc = self.term()
+        if sign == "-":
+            acc = {m: -c for m, c in acc.items()}
+        while (op := self.toks[self.pos][1]) == "+" or op == "-":
+            self.pos += 1
+            for m, c in self.term().items():
+                c = acc.get(m, 0) + c if op == "+" else acc.get(m, 0) - c
+                if c:
+                    acc[m] = c
+                else:
+                    del acc[m]
+        return acc
 
-    def term(self) -> Poly:
-        p = self.factor()
-        while True:
-            t = self.peek()
-            if t.kind == "op" and t.text == "*":
-                self.next()
-                p = p * self.factor()
-            else:
-                return p
+    def term(self) -> dict:
+        acc = self.factor()
+        while self.toks[self.pos][1] == "*":
+            self.pos += 1
+            acc = _times(acc, self.factor())
+        return acc
 
-    def factor(self) -> Poly:
-        p = self.atom()
-        t = self.peek()
-        if t.kind == "op" and t.text == "^":
-            self.next()
-            e = self.peek()
-            if e.kind != "num":
-                self.fail("exponent must be a non-negative integer")
-            self.next()
-            p = p ** int(e.text)
-        return p
+    def factor(self) -> dict:
+        base = self.atom()
+        if self.toks[self.pos][1] != "^":
+            return base
+        self.pos += 1
+        kind, exp, _ = self.toks[self.pos]
+        if kind != "num":
+            self.fail("exponent must be a non-negative integer")
+        self.pos += 1
+        k = int(exp)
+        if len(base) == 1:
+            (m, c), = base.items()
+            return {tuple(e * k for e in m): c ** k}
+        # several terms (or none): linear forms take the multinomial kernel
+        return (Poly(self.table, self.ring, base) ** k).terms
 
-    def atom(self) -> Poly:
-        t = self.peek()
-        if t.kind == "num":
-            self.next()
-            num = int(t.text)
-            nxt = self.peek()
-            if nxt.kind == "op" and nxt.text == "/":
-                self.next()
-                d = self.peek()
-                if d.kind != "num" or int(d.text) == 0:
+    def atom(self) -> dict:
+        kind, tok, _ = self.toks[self.pos]
+        if kind == "num":
+            self.pos += 1
+            c = int(tok)
+            if self.toks[self.pos][1] == "/":
+                self.pos += 1
+                kind, den, _ = self.toks[self.pos]
+                if kind != "num" or int(den) == 0:
                     self.fail("denominator must be a positive integer")
-                self.next()
-                return Poly.constant(self.table, Fraction(num, int(d.text)), self.ring)
-            return Poly.constant(self.table, num, self.ring)
-        if t.kind == "ident":
-            self.next()
-            try:
-                idx = self.names.index(t.text)
-            except ValueError:
-                raise ParseError(f"unknown variable {t.text!r}", t.line, t.col) from None
-            return Poly.variable(self.table, idx, self.ring)
-        if t.kind == "op" and t.text == "(":
-            self.next()
-            p = self.expr()
+                self.pos += 1
+                c = Fraction(c, int(den))
+            return {self.one: c} if c else {}
+        if kind == "ident":
+            unit = self.units.get(tok)
+            if unit is None:
+                self.fail(f"unknown variable {tok!r}")
+            self.pos += 1
+            return {unit: 1}
+        if tok == "(":
+            self.pos += 1
+            inner = self.expr()
             self.expect_op(")")
-            return p
-        self.fail(f"expected a number, variable or '(', found {t.text or 'end of input'!r}")
+            return inner
+        self.fail(f"expected a number, variable or '(', found {tok or 'end of input'!r}")
 
 
 def _identifiers(toks) -> list:
-    return list(dict.fromkeys(t.text for t in toks if t.kind == "ident"))
+    return list(dict.fromkeys(tok for kind, tok, _ in toks if kind == "ident"))
 
 
 def collect_variables(text: str) -> list:
@@ -206,8 +192,8 @@ def parse_poly(
 
     Exactly one of `table` / `vars` may pin the variable set; otherwise
     variables are auto-collected in first-appearance order.  A variable list
-    with an empty, repeated or clashing name, or dual names that do not match
-    the variables in number, raises ParseError.
+    with an empty, non-identifier, repeated or clashing name, or dual names
+    that do not match the variables in number, raises ParseError.
     """
     toks = _tokenize(text)
     if table is None:
@@ -219,6 +205,9 @@ def parse_poly(
         for group in (names, dual_names or ()):
             if "" in group:
                 raise ParseError("empty variable name")
+            for name in group:
+                if not (name.isascii() and name.isidentifier()):  # [A-Za-z_][A-Za-z0-9_]*
+                    raise ParseError(f"variable name {name!r} is not an identifier")
         try:
             if ring == DUAL:
                 table = VarTable.make(["p_" + v for v in names], dual=names)
@@ -226,7 +215,7 @@ def parse_poly(
                 table = VarTable.make(names, dual=dual_names)
         except ValueError as exc:  # repeated or clashing names
             raise ParseError(str(exc)) from None
-    return _Parser(toks, table, ring).parse()
+    return _Parser(text, toks, table, ring).parse()
 
 
 def poly_to_string(p: Poly) -> str:

@@ -331,6 +331,19 @@ def test_bad_variable_lists_are_input_errors(capsys, argv):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["hilbert", "--poly", "x^\u00b2"], "error: line 1, column 3: unexpected character '\u00b2'"),
+    (["hilbert", "--poly", "x^2+y^2", "--vars", "x, y"],
+     "error: variable name ' y' is not an identifier"),
+])
+def test_non_ascii_text_and_non_identifier_names_are_input_errors(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_theorem2_stdout_matches_golden(capsys):
     assert main(["theorem2", "--poly", WILD, "--vars", WILD_VARS]) == 0
     assert capsys.readouterr().out == GOLDEN.read_text(encoding="utf-8")

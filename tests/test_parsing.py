@@ -64,6 +64,14 @@ def test_error_carries_line_and_column():
     ("2x", {}, 1, 2),
     ("(x + y", {}, 1, 7),
     ("x +\n  z", {"vars": ["x", "y"]}, 2, 3),
+    ("x +\t\t$", {}, 1, 6),  # a tab is one column
+    ("x +\r\n  $", {}, 2, 3),
+    ("x\r\n+\r\ny +\n\n\t*", {}, 5, 2),
+    ("(x +\n y", {}, 2, 3),  # end of input
+    ("(x\n\t", {}, 2, 2),  # end of input after trailing whitespace
+    ("x^2 +\n\t3/0", {}, 2, 4),
+    ("x\n\n\t*y^z", {}, 3, 5),
+    ("a +\r\n  b\r\n\tc", {"vars": ["a", "b"]}, 3, 2),
 ])
 def test_error_positions_with_and_without_a_variable_list(text, kwargs, line, col):
     with pytest.raises(ParseError) as err:
@@ -79,6 +87,10 @@ def test_error_positions_with_and_without_a_variable_list(text, kwargs, line, co
     ({"vars": ["x", "y"], "dual_names": ["a", "a"]}, "unique"),
     ({"vars": ["x", "y"], "dual_names": ["a", ""]}, "empty"),
     ({"vars": ["x", "d_x"]}, "unique"),  # d_x is also x's default dual name
+    ({"vars": ["x", " y"]}, "variable name ' y' is not an identifier"),
+    ({"vars": ["x", "y²"]}, "variable name 'y²' is not an identifier"),
+    ({"vars": ["2x"]}, "variable name '2x' is not an identifier"),
+    ({"vars": ["x", "y"], "dual_names": ["a", "b c"]}, "variable name 'b c' is not an identifier"),
 ])
 def test_bad_variable_lists_are_parse_errors(kwargs, message):
     with pytest.raises(ParseError, match=message) as err:
@@ -86,6 +98,22 @@ def test_bad_variable_lists_are_parse_errors(kwargs, message):
     # a variable list has no position in the text
     assert err.value.line is None and err.value.col is None
     assert "line" not in str(err.value)
+
+
+@pytest.mark.parametrize("text, char, line, col", [
+    ("x^²", "²", 1, 3),  # a superscript digit is not an exponent
+    ("x*y²", "²", 1, 4),  # nor part of a name
+    ("３*x", "３", 1, 1),  # a full-width digit is not a number
+    ("x +\n  é", "é", 2, 3),  # a non-ASCII letter starts no name
+])
+def test_non_ascii_digits_and_letters_are_parse_errors(text, char, line, col):
+    with pytest.raises(ParseError, match=f"unexpected character {char!r}") as err:
+        parse_poly(text)
+    assert (err.value.line, err.value.col) == (line, col)
+
+
+def test_unicode_whitespace_separates_tokens():
+    assert parse_poly("x\u00a0+\u2003y") == parse_poly("x + y")
 
 
 def test_leading_sign_and_parentheses():
@@ -137,3 +165,72 @@ def test_roundtrip_property(p):
     if p.is_zero():
         return
     assert parse_poly(poly_to_string(p), table=p.table) == p
+
+
+NAMES = ("x", "y", "z")
+LEVEL = {"add": 0, "sub": 0, "neg": 0, "mul": 1, "pow": 2, "num": 3, "var": 3}
+
+
+def _random_tree(rng, depth):
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.5:
+            return ("var", rng.choice(NAMES))
+        return ("num", rng.randint(0, 5), rng.choice((1, 1, 2, 3)))
+    kind = rng.choice(("add", "sub", "mul", "mul", "pow", "neg"))
+    if kind == "neg":
+        return (kind, _random_tree(rng, depth - 1))
+    if kind == "pow":
+        return (kind, _random_tree(rng, depth - 1), rng.randint(0, 3))
+    return (kind, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+
+
+def _text(rng, node, level=0):
+    """node as text that parses back to node, wrapped in parentheses when
+    it binds looser than `level` (0 expr, 1 term, 2 factor, 3 atom)."""
+    kind = node[0]
+    if kind == "num":
+        out = str(node[1]) if node[2] == 1 else f"{node[1]}/{node[2]}"
+    elif kind == "var":
+        out = node[1]
+    elif kind == "neg":
+        out = "-" + _text(rng, node[1], 1)
+    elif kind == "pow":
+        out = _text(rng, node[1], 3) + "^" + str(node[2])
+    else:
+        op = {"add": "+", "sub": "-", "mul": "*"}[kind]
+        space = rng.choice(("", " ", "\t", "\n", " \r\n "))
+        right = 2 if kind == "mul" else 1
+        out = _text(rng, node[1], LEVEL[kind]) + space + op + space + _text(rng, node[2], right)
+    return out if LEVEL[kind] >= level else "(" + out + ")"
+
+
+def _evaluate(node, table):
+    """node computed with Poly arithmetic; a power is repeated multiplication."""
+    kind = node[0]
+    if kind == "num":
+        return Poly.constant(table, Fraction(node[1], node[2]))
+    if kind == "var":
+        return Poly.variable(table, NAMES.index(node[1]))
+    if kind == "neg":
+        return -_evaluate(node[1], table)
+    if kind == "pow":
+        base, out = _evaluate(node[1], table), Poly.constant(table, 1)
+        for _ in range(node[2]):
+            out = out * base
+        return out
+    a, b = _evaluate(node[1], table), _evaluate(node[2], table)
+    return {"add": a + b, "sub": a - b, "mul": a * b}[kind]
+
+
+def test_parse_equals_poly_arithmetic_on_random_nested_expressions():
+    rng = random.Random(1616)
+    table = VarTable.make(NAMES)
+    # powers of sums, unary minus, a/b constants, zero factors and ^0 all occur
+    shapes = {")^2", "(-", "/", "*0", "^0"}
+    seen = set()
+    for _ in range(600):
+        tree = _random_tree(rng, rng.randint(1, 5))
+        text = _text(rng, tree)
+        seen.update(k for k in shapes if k in "".join(text.split()))
+        assert parse_poly(text, table=table) == _evaluate(tree, table), text
+    assert seen == shapes
