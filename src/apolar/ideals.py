@@ -88,10 +88,16 @@ def generated_slice(
 ) -> IdealSlice:
     """Degree-d piece of the ideal generated by gens, as span of monomial
     multiples (each built by shifting the generator's exponents, its
-    coefficients reused as they are)."""
+    coefficients reused as they are).
+
+    A single-term multiple whose monomial an earlier single-term multiple
+    already produced spans the same line, so it is skipped: the monomial
+    generators of an annihilator share most of their multiples.
+    """
     table = _require_table(gens, table)
     ring = gens[0].ring if gens else DUAL
     products = []
+    seen = set()  # monomials of the single-term multiples kept so far
     for g in gens:
         if g.is_zero():
             continue
@@ -101,6 +107,14 @@ def generated_slice(
         if e > degree:
             continue
         # the multipliers come from monomials(), so no shifted exponent needs checking
+        if len(g.terms) == 1:
+            ((m, c),) = g.terms.items()
+            for mono in monomials(table.n, degree - e):
+                shifted = tuple(map(add, m, mono))
+                if shifted not in seen:
+                    seen.add(shifted)
+                    products.append(Poly._of(table, ring, {shifted: c}))
+            continue
         for mono in monomials(table.n, degree - e):
             products.append(Poly._of(table, ring, {tuple(map(add, m, mono)): c
                                                    for m, c in g.terms.items()}))

@@ -13,10 +13,11 @@ serve the two shapes of row that reach this module:
   content.  On full rows this is the faster of the two.
 - Sparse rows (`{column: value}` dicts with a handful of entries out of many
   columns: the monomial multiples that span an ideal slice) go through
-  `sparse_rref`, a fraction-free Gauss-Jordan that reduces one row at a time
-  against the reduced rows kept so far.  It touches only nonzero entries, and
-  its entries stay the size of reduced-row entries instead of growing to
-  minors, so a tall, mostly dependent stack of rows costs little.
+  `sparse_rref`, a fraction-free Gauss-Jordan that reduces one row at a
+  time, shortest rows first, against the reduced rows kept so far.  It
+  touches only nonzero entries, and its entries stay the size of reduced-row
+  entries instead of growing to minors, so a tall, mostly dependent stack of
+  rows costs little.
 
 A kernel is one reduction: `kernel_basis` reduces A with its columns
 reversed, which picks A's rightmost independent columns as pivots.  By
@@ -26,7 +27,9 @@ greedy choice from the right on one side is the greedy choice from the left
 on the other; so the other columns are the pivots of the kernel's reduced
 echelon basis.  That basis is the unique one that is the identity on them,
 so each vector is read straight off the reduced rows: v[free] = 1 and
-v[pivot] = -red[k][free], with no second reduction.
+v[pivot] = -red[k][free], with no second reduction.  `int_kernel_basis`
+reads the same vectors off the integer rows, each cleared to coprime ints,
+for callers that go on in integers.
 
 Every routine is deterministic: pivoting always picks the first usable row,
 and reduced echelon bases are unique, so both eliminations give the same
@@ -148,12 +151,15 @@ def sparse_rref(rows) -> tuple:
     """Reduced echelon form of sparse rows, kept in integers.
 
     Each row is a {column: int or Fraction} dict, zero entries allowed and
-    missing columns zero.  Rows are taken one at a time: a row is cleared of
-    denominators, then reduced against every pivot row it meets in a single
-    pass, which is valid because a pivot row is zero on every other pivot
-    column.  If anything is left, it is divided by its content, its first
-    column becomes a pivot, and that column is cleared from the earlier rows
-    that hold it, which a column index names without scanning every row.
+    missing columns zero.  Rows are taken one at a time, shortest first (a
+    stable sort by entry count; the reduced echelon form does not depend on
+    the order, and short rows make short pivot rows to reduce against): a
+    row is cleared of denominators, then reduced against every pivot row it
+    meets in a single pass, which is valid because a pivot row is zero on
+    every other pivot column.  If anything is left, it is divided by its
+    content, its first column becomes a pivot, and that column is cleared
+    from the earlier rows that hold it, which a column index names without
+    scanning every row.
 
     Returns (pivot_columns, rows) in pivot order: row k is a primitive
     {column: int} multiple of the k-th reduced row with a positive pivot
@@ -161,7 +167,7 @@ def sparse_rref(rows) -> tuple:
     """
     reduced = {}  # pivot column -> primitive row, zero on every other pivot
     holders = {}  # column -> pivots naming every reduced row with a nonzero entry there
-    for row in rows:
+    for row in sorted(rows, key=len):
         den = lcm(*[x.denominator for x in row.values()])
         v = {c: x.numerator * (den // x.denominator) for c, x in row.items() if x}
         hits = [c for c in v if c in reduced]
@@ -242,6 +248,30 @@ def kernel_basis(rows: Sequence[Sequence], ncols: int) -> list:
             x = row[free]
             if x:
                 v[last - p] = -x
+        vecs.append(v)
+    return vecs
+
+
+def int_kernel_basis(rows: Sequence[Sequence], ncols: int) -> list:
+    """The vectors of `kernel_basis(rows, ncols)`, each multiplied by the
+    least positive integer that clears its denominators: coprime ints with a
+    positive leading entry.  Read off the same integer reduction, so no
+    Fraction is built."""
+    last = ncols - 1
+    pivots, red = _int_rref(_to_int_rows([r[::-1] for r in rows]))
+    pivset = set(pivots)
+    vecs = []
+    for free in range(last, -1, -1):
+        if free in pivset:
+            continue
+        # v[pivot] = -x / lead in lowest terms; the lcm of those denominators
+        # scales v[free] = 1 to the cleared vector
+        hits = [(p, row[free], row[p]) for p, row in zip(pivots, red) if row[free]]
+        scale = lcm(*[lead // gcd(x, lead) for _, x, lead in hits])
+        v = [0] * ncols
+        v[last - free] = scale
+        for p, x, lead in hits:
+            v[last - p] = -x * scale // lead
         vecs.append(v)
     return vecs
 

@@ -482,10 +482,17 @@ _POINT_COUNT = 11
 
 def _int_coeffs(forms: Sequence[Poly]) -> list:
     """Coefficient lists of dual linear forms, all multiplied by the least
-    positive integer that makes every entry an int."""
-    vecs = [linear_coeffs(b) for b in forms]
-    scale = lcm(*[c.denominator for v in vecs for c in v])
-    return [[c.numerator * (scale // c.denominator) for c in v] for v in vecs]
+    positive integer that makes every entry an int; read off the terms."""
+    scale = lcm(*[c.denominator for b in forms for c in b.terms.values()])
+    out = []
+    for b in forms:
+        v = [0] * b.table.n
+        for m, c in b.terms.items():
+            if sum(m) != 1:
+                raise ValueError("not a linear form")
+            v[m.index(1)] = c.numerator * (scale // c.denominator)
+        out.append(v)
+    return out
 
 
 def _combine(a: Sequence, vecs: Sequence) -> list:
@@ -573,14 +580,12 @@ def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly
         if len(points) == _POINT_COUNT:
             break
         rows = [[c0 * base[j][0][i] + c1 * base[j][1][i] for j in range(k)] for i in range(ncoord)]
-        ker = linalg.kernel_basis(rows, k)
+        # the reduced kernel vector cleared to coprime ints, first nonzero
+        # entry positive; the quadric evaluation and the re-solve run on them
+        ker = linalg.int_kernel_basis(rows, k)
         if len(ker) != 1:
             continue
-        # the reduced kernel vector leads with 1, so clearing its denominators
-        # leaves coprime ints with the first nonzero entry positive; the
-        # quadric evaluation and the re-solve below run on these ints
-        den = lcm(*(x.denominator for x in ker[0]))
-        u = tuple(x.numerator * (den // x.denominator) for x in ker[0])
+        u = tuple(ker[0])
         cols = [[sum(u[j] * base[j][t][i] for j in range(k)) for t in range(2)]
                 for i in range(ncoord)]
         factor = linalg.kernel_basis(cols, 2)
@@ -626,21 +631,25 @@ def gamma_space(f: Poly, point_form: Poly, facts: Optional[FormFacts] = None):
     n = f.table.n
     cols = _variable_contractions(f, [point_form], facts)[0]
     vecs = linalg.kernel_basis([list(row) for row in zip(*cols)], n)
-    return len(vecs), tuple(linear_form(f.table, v, DUAL) for v in vecs)
+    # kernel entries are already canonical Fractions
+    return len(vecs), tuple(
+        Poly._of(f.table, DUAL, {(0,) * j + (1,) + (0,) * (n - 1 - j): c
+                                 for j, c in enumerate(v) if c})
+        for v in vecs)
 
 
 def forced_square_check(f: Poly, perp_basis: Sequence[Poly],
                         facts: Optional[FormFacts] = None) -> bool:
     """True iff every linear form whose products with the whole perp basis
-    annihilate f already lies in the span of the perp basis.  `facts`, when
-    given, must be f's."""
+    annihilate f already lies in the span of the perp basis: adding those
+    forms to the perp basis leaves its rank unchanged.  `facts`, when given,
+    must be f's."""
     n = f.table.n
     rows = []
     for cols in _variable_contractions(f, perp_basis, facts):
         rows.extend(list(row) for row in zip(*cols) if any(row))
-    vecs = linalg.kernel_basis(rows, n)
-    span = [linear_coeffs(b) for b in perp_basis]
-    return all(linalg.in_span(v, span) is not None for v in vecs)
+    span = _int_coeffs(perp_basis)
+    return linalg.rank(span + linalg.int_kernel_basis(rows, n)) == linalg.rank(span)
 
 
 def _no_common_zero(quadrics) -> bool:
@@ -658,9 +667,13 @@ def _no_common_zero(quadrics) -> bool:
 def _perp_products_vanish(f: Poly, perp_basis: Sequence[Poly],
                           facts: Optional[FormFacts] = None) -> bool:
     """Do all pairwise products of the perp basis, squares included,
-    annihilate f?"""
-    return not any(any(vec) for vecs in _contractions(f, perp_basis, perp_basis, facts)
-                   for vec in vecs)
+    annihilate f?  Each unordered pair is contracted once, up to the first
+    product that does not."""
+    rights = _int_coeffs(perp_basis)
+    for i, cols in enumerate(_variable_contractions(f, perp_basis, facts)):
+        if any(any(_combine(b, cols)) for b in rights[i:]):
+            return False
+    return True
 
 
 def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly],
@@ -678,8 +691,7 @@ def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[P
     """
     if len(comp_basis) != 2:
         raise ValueError("the complement must be 2-dimensional")
-    span_rows = [linear_coeffs(b) for b in list(perp_basis) + list(comp_basis)]
-    if linalg.rank(span_rows) != f.table.n:
+    if linalg.rank(_int_coeffs(list(perp_basis) + list(comp_basis))) != f.table.n:
         raise ValueError("perp and complement together must span the dual space")
     if not _perp_products_vanish(f, perp_basis, facts):
         return False
@@ -748,11 +760,15 @@ def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None,
         return fail("slice-dimension", f"degree-2 annihilator slice has dimension {slice2.dim}, need 10")
     ok("slice-dimension", "degree-2 annihilator slice is 10-dimensional")
 
-    if not _perp_products_vanish(f, perp, facts):
+    # squares_confined proves nothing unless the perp products vanish, so a
+    # True settles both stages; only a False asks which of them failed (its
+    # span check holds, since the complement is made of coordinates)
+    confined = squares_confined(f, perp, comp, facts)
+    if not confined and not _perp_products_vanish(f, perp, facts):
         return fail("perp-squares", "a product of perp forms does not annihilate f")
     ok("perp-squares", "all pairwise products of the perp basis annihilate f")
 
-    if not squares_confined(f, perp, comp, facts):
+    if not confined:
         return fail("square-confinement", "not proved that every square in the annihilator slice comes from the perp span")
     ok("square-confinement", "every square in the annihilator slice comes from the perp span")
 

@@ -18,7 +18,7 @@ from apolar.parsing import parse_poly
 from apolar.poly import DUAL, Poly, VarTable, linear_form, monomials
 from apolar.wildcert import wild_cubic, wild_table
 
-from _oracle import random_poly
+from _oracle import naive_rref, random_poly
 
 T5 = wild_table()
 F = wild_cubic(T5)
@@ -94,6 +94,39 @@ def test_generated_slice_equals_the_dense_route():
             for b, e in zip(basis, expected):
                 assert list(b.terms.items()) == list(e.terms.items())
                 assert all(type(c) is Fraction for c in b.terms.values())
+
+
+def naive_generated_slice(gens, degree):
+    """Every monomial multiple of every generator, none skipped, reduced by
+    the oracle's Fraction Gauss-Jordan."""
+    vecs = [g.times_monomial(m).coefficient_vector(degree)
+            for g in gens if not g.is_zero()
+            for m in monomials(T5.n, degree - g.homogeneous_degree())]
+    return [Poly.from_vector(T5, DUAL, degree, v) for v in naive_rref(vecs)[1]]
+
+
+def test_generated_slice_equals_the_naive_span_of_every_multiple():
+    # the wild cubic's 8 monomial generators share most of their multiples,
+    # and its degree-4 slice keeps its 65 dimensions; in the seeded sets,
+    # monomials of degrees 1 to 3 share many multiples and binomials (and
+    # the odd trinomial) tie the monomial lines to the rest
+    wild = list(SLICE2.basis)
+    assert sum(len(g.terms) == 1 for g in wild) == 8
+    assert generated_slice(wild, 4).dim == 65
+    cases = [wild]
+    rng = random.Random(2024)
+    monos = {e: list(monomials(T5.n, e)) for e in (1, 2, 3)}
+    for _ in range(40):
+        gens = []
+        for _ in range(rng.randint(1, 7)):
+            e = rng.choice((1, 2, 2, 3))
+            terms = rng.choice((1, 1, 2, 2, 3))
+            gens.append(Poly(T5, DUAL, {m: Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 2))
+                                        for m in rng.sample(monos[e], terms)}))
+        cases.append(gens)
+    for gens in cases:
+        for degree in (3, 4):
+            assert list(generated_slice(gens, degree).basis) == naive_generated_slice(gens, degree)
 
 
 def test_slice_from_forms_rejects_forms_of_another_degree():

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -262,6 +262,55 @@ def test_sparse_rref_skips_rows_whose_entry_cancelled():
     rows = [{0: 1, 2: 1, 3: 1}, {1: 1, 2: 1, 3: 1}, {2: 1, 3: 1}, {3: 1}]
     assert linalg.sparse_rref(rows) == ([0, 1, 2, 3], [{0: 1}, {1: 1}, {2: 1}, {3: 1}])
     _check_sparse_rref(rows, 4)
+
+
+def _cleared(vec):
+    """A Fraction vector times the lcm of its denominators."""
+    den = lcm(*(Fraction(x).denominator for x in vec))
+    return [int(x * den) for x in vec]
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_rows(), st.randoms(use_true_random=False))
+def test_sparse_rref_ignores_row_order_duplicates_and_scaling(case, rng):
+    rows, _ = case
+    # single-entry rows, which the slice builder hands over most
+    rows = rows + [{rng.randrange(20): Fraction(rng.randint(1, 5), rng.randint(1, 3))}
+                   for _ in range(rng.randint(0, 4))]
+    expected = linalg.sparse_rref(rows)
+    moved = [dict(r) for r in rows]
+    moved += [dict(rng.choice(rows)) for _ in range(rng.randint(0, 5))] if rows else []
+    for i, r in enumerate(moved):
+        if rng.random() < 0.5:
+            scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 5))
+            moved[i] = {c: x * scale for c, x in r.items()}
+    rng.shuffle(moved)
+    assert linalg.sparse_rref(moved) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_or_low_rank_matrices())
+def test_int_kernel_basis_is_the_cleared_kernel_basis(case):
+    rows, ncols = case
+    ints = linalg.int_kernel_basis(rows, ncols)
+    assert ints == [_cleared(v) for v in linalg.kernel_basis(rows, ncols)]
+    for v in ints:
+        assert all(type(x) is int for x in v)
+        assert gcd(*v) == 1 and next(x for x in v if x) > 0
+
+
+def test_int_kernel_basis_edge_cases():
+    rng = random.Random(17)
+    for _ in range(60):
+        rows = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        ncols = len(rows[0])
+        assert (linalg.int_kernel_basis(rows, ncols)
+                == [_cleared(v) for v in naive_kernel(rows, ncols)])
+    assert linalg.int_kernel_basis([[0] * 3, [0] * 3], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    full = [[2, 1, 0, 0], [0, Fraction(1, 3), 1, 0], [1, 0, 0, 5], [0, 0, 7, 1]]
+    assert naive_rank(full) == 4 and linalg.int_kernel_basis(full, 4) == []
+    assert linalg.int_kernel_basis([], 2) == [[1, 0], [0, 1]]
+    assert linalg.int_kernel_basis([[Fraction(1, 2), Fraction(1, 3)]], 2) == [[2, -3]]
 
 
 def test_empty_input():

@@ -779,3 +779,61 @@ def test_record_builders_never_read_pairs_off_the_monomials(monkeypatch):
     assert not record.verified and r9.failed_stage == "shape"
     assert record.stage_log == (
         "shape [computed]: FAILED — no squares-times-lines presentation available",)
+
+
+def test_perp_products_are_evaluated_once_per_verified_counting_certificate(monkeypatch):
+    from apolar import wildcert
+
+    calls = []
+    original = wildcert._perp_products_vanish
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(wildcert, "_perp_products_vanish", counted)
+    for pres in [PRES] + gl5_presentations(2):
+        calls.clear()
+        _, record = counting_certificate(pres.poly, 8, pres.square_pairs)
+        assert record.verified
+        assert calls == [pres.poly]
+    calls.clear()
+    assert theorem2_report(PRES).final() == {"border": 5, "smoothable": 6, "cactus": 6, "rank": 9}
+    assert len(calls) == 1
+
+
+def test_counting_certificate_stops_at_perp_squares_when_a_perp_product_survives():
+    # y0*y1*y2 is contracted to 1 by d_y0*d_y1*d_y2, so the perp products of
+    # the wild pairs no longer all annihilate f; f stays concise, so its
+    # degree-2 annihilator slice is still 10-dimensional
+    f = F + parse_poly("y0*y1*y2", table=T5)
+    cert = rank9_lower_cert(f, 8, square_pairs=PRES.square_pairs)
+    assert [(s.kind, s.verified, s.stage_log) for s in cert.stages] == [
+        ("shape", True, ("concise 5-variable cubic with a 3+2 dual split",)),
+        ("slice-dimension", True, ("degree-2 annihilator slice is 10-dimensional",)),
+        ("perp-squares", False, ("a product of perp forms does not annihilate f",)),
+    ]
+    assert cert.failed_stage == "perp-squares" and cert.bound is None
+
+
+def test_counting_stages_follow_the_perp_products_and_the_confinement_proof():
+    # perp-squares passes exactly when every perp product contracts f to zero
+    # (checked per product here), and square-confinement is then
+    # squares_confined's answer
+    from apolar.apolarity import FormFacts
+
+    outcomes = set()
+    for f, pairs in random_square_sums(24, seed=13) + [(F, PRES.square_pairs)]:
+        facts = FormFacts(f)
+        if facts.essential.dim != 5:
+            continue
+        perp, comp = square_pair_split(pairs, T5)
+        stages = [(s.kind, s.verified) for s in
+                  rank9_lower_cert(f, 8, square_pairs=pairs, facts=facts).stages][:4]
+        vanish = not any(any(v) for vs in per_call_contractions(f, perp, perp) for v in vs)
+        expected = [("shape", True), ("slice-dimension", True), ("perp-squares", vanish)]
+        if vanish:
+            expected.append(("square-confinement", squares_confined(f, perp, comp)))
+        assert stages == expected
+        outcomes.add(tuple(expected))
+    assert len(outcomes) >= 2
