@@ -71,13 +71,19 @@ def _contraction_table(d: int, c: tuple) -> tuple:
 
 def _dense_terms(c: tuple, ca: Fraction, f: Poly, d: int) -> dict:
     """contract(ca * y^c, f) for f homogeneous of degree d >= |c|: one lookup
-    in f per output monomial and one Fraction per nonzero output term."""
+    in f per output monomial.  When ca is 1, an output term of weight 1 is
+    f's own coefficient, shared rather than copied (Fractions are
+    immutable); every other nonzero output term is one new Fraction."""
     num, den = ca.numerator, ca.denominator
+    unit = num == 1 and den == 1
     get = f.terms.get
     out = {}
     for r, m, w in _contraction_table(d, c):
         cf = get(m)
         if cf is not None:
+            if unit and w == 1:
+                out[r] = cf
+                continue
             q = den * cf.denominator
             v = num * w * cf.numerator
             out[r] = Fraction(v) if q == 1 else Fraction(v, q)
@@ -186,7 +192,10 @@ def catalecticant(f: Poly, i: int) -> Catalecticant:
 def ann_slice(f: Poly, i: int) -> IdealSlice:
     """Degree-i slice of the annihilator of f, as an echelonized basis."""
     ker = catalecticant(f, i).kernel()
-    basis = tuple(Poly.from_vector(f.table, DUAL, i, v) for v in ker)
+    monos = monomials(f.table.n, i)
+    # kernel entries are already canonical Fractions
+    basis = tuple(Poly._of(f.table, DUAL, {m: c for m, c in zip(monos, v) if c})
+                  for v in ker)
     return IdealSlice(degree=i, basis=basis, table=f.table, ring=DUAL)
 
 
@@ -289,7 +298,7 @@ def second_derivatives(f: Poly) -> tuple:
             mono = [0] * n
             mono[i] += 1
             mono[j] += 1
-            cells[i, j] = contract(Poly(f.table, DUAL, {tuple(mono): 1}), f).terms
+            cells[i, j] = contract(Poly._of(f.table, DUAL, {tuple(mono): _ONE}), f).terms
     scale = lcm(*[c.denominator for terms in cells.values() for c in terms.values()])
     table = [[None] * n for _ in range(n)]
     for (i, j), terms in cells.items():

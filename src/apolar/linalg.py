@@ -2,8 +2,9 @@
 
 Inputs are rows of ints and Fractions, and everything is computed in
 integers: each row is cleared of denominators once, and a Fraction is built
-only for an entry that is returned (`rank` builds none).  Two eliminations
-serve the two shapes of row that reach this module:
+only for an entry that is returned (`rank` builds none; since rank(A) =
+rank(A^T), it eliminates whichever of the two has fewer rows).  Two
+eliminations serve the two shapes of row that reach this module:
 
 - Dense rows (lists, one entry per column: catalecticants, kernels of small
   systems, spans of a few vectors) go through `rref`, `rank`,
@@ -225,6 +226,11 @@ def rref(rows: Sequence[Sequence]) -> tuple:
 
 
 def rank(rows: Sequence[Sequence]) -> int:
+    """Rank over Q.  rank(A) = rank(A^T), so the orientation with fewer rows
+    is eliminated: a tall matrix is transposed first, which keeps the
+    per-row clearing and the Bareiss row updates to the short side."""
+    if rows and len(rows) > len(rows[0]):
+        rows = list(zip(*rows))
     return len(_bareiss_echelon(_to_int_rows(rows))[1])
 
 

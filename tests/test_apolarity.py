@@ -284,6 +284,38 @@ def test_contract_equals_the_definition(pair):
             assert _dense_terms(c, ca, f, d) == scanned
 
 
+def test_unit_operators_on_a_dense_cubic_equal_the_definition():
+    # every cubic monomial present, so every contraction reads the table:
+    # some entries have weight 1 (f's own coefficient), and some weights
+    # cancel a denominator (d_x on 1/3*x^3 gives x^2)
+    f = parse_poly("1/3*x^3 + 1/2*x^2*y + 1/3*x*y^2 + 1/6*y^3 + 2/3*x^2*z + 1/2*x*y*z"
+                   " + 3/4*y^2*z + 1/2*x*z^2 + 5/2*y*z^2 + 1/6*z^3", table=VarTable.make("xyz"))
+    assert len(f.terms) == len(monomials(3, 3))
+    for i in range(4):
+        for c in monomials(3, i):
+            got = contract(Poly(f.table, DUAL, {c: 1}), f)
+            assert got.terms == naive_contract({c: 1}, f.terms)
+            assert all(type(v) is Fraction and v != 0 for v in got.terms.values())
+    assert contract(dual("d_x", f.table), f).terms[(2, 0, 0)] == 1
+
+
+def test_ann_slice_wraps_the_catalecticant_kernel():
+    rng = random.Random(2718)
+    for _ in range(30):
+        table = VarTable.make(("a", "b", "c", "d")[: rng.randint(1, 4)])
+        n = table.n
+        d = rng.randint(1, 4)
+        monos = list(monomials(n, d))
+        picked = rng.sample(monos, rng.randint(1, len(monos)))
+        f = Poly(table, PRIMAL, {m: Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))
+                                 for m in picked})
+        for i in range(d + 1):
+            basis = ann_slice(f, i).basis
+            assert basis == tuple(Poly.from_vector(table, DUAL, i, v)
+                                  for v in catalecticant(f, i).kernel())
+            assert all(type(c) is Fraction and c != 0 for b in basis for c in b.terms.values())
+
+
 def test_catalecticant_entries_equal_the_naive_contraction():
     # entry (row r, column c) is the coefficient of x^r in y^c applied to f,
     # computed from the definition; Fraction coefficients included

@@ -43,11 +43,29 @@ def test_rref_matches_naive_oracle():
 
 
 def test_rank_equals_transpose_rank():
+    # rank eliminates whichever orientation has fewer rows, so wide, square
+    # and tall matrices, rank-deficient products and empty shapes all count
     rng = random.Random(77)
-    for _ in range(100):
-        rows = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+    cases = [random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6)) for _ in range(100)]
+    cases += [random_matrix(rng, rng.randint(7, 40), rng.randint(1, 6)) for _ in range(40)]
+    for _ in range(20):
+        # 40xk times kx6: tall, and of rank at most k
+        k = rng.randint(1, 5)
+        left, right = random_matrix(rng, 40, k), random_matrix(rng, k, 6)
+        cases.append([[sum((a * b for a, b in zip(row, col)), Fraction(0))
+                       for col in zip(*right)] for row in left])
+    for rows in cases[100:110]:
+        # zero rows and zero columns inserted
+        zero = [Fraction(0)] * (len(rows[0]) + 1)
+        cases.append([zero] + [[Fraction(0)] + r for r in rows] + [zero])
+    cases += [[], [[], []], [[Fraction(0)] * 6 for _ in range(40)], [[Fraction(0)]] * 3]
+    for rows in cases:
+        expected = naive_rank(rows)
+        transpose = [list(col) for col in zip(*rows)]
+        assert linalg.rank(rows) == linalg.rank(transpose) == expected
+        assert linalg.rank(tuple(map(tuple, rows))) == expected
         m = QMatrix.from_rows(rows)
-        assert m.rank() == m.transpose().rank() == naive_rank(rows)
+        assert m.rank() == m.transpose().rank() == expected
 
 
 def test_kernel_vectors_annihilate_exactly():
