@@ -21,7 +21,7 @@ from .ideals import (
     saturation_witness,
 )
 from .linalg import QMatrix
-from .parsing import ParseError, parse_poly, poly_to_string
+from .parsing import ParseError, parse_poly
 from .poly import DUAL, PRIMAL, Poly, TableMismatchError, VarTable, linear_form, monomials
 from .ranks import (
     Deduction,

@@ -34,17 +34,6 @@ from .poly import (
 _ONE = Fraction(1)
 
 
-def _mono_str(table: VarTable, ring: str, mono) -> str:
-    names = table.names(ring)
-    parts = []
-    for name, e in zip(names, mono):
-        if e == 1:
-            parts.append(name)
-        elif e > 1:
-            parts.append(f"{name}^{e}")
-    return "*".join(parts) if parts else "1"
-
-
 _CONTRACTIONS: dict = {}  # (degree, operator exponent tuple) -> ((r, r + c, weight), ...)
 
 
@@ -165,12 +154,12 @@ class Catalecticant:
     @cached_property
     def matrix(self) -> QMatrix:
         n, i = self.table.n, self.source_degree
-        return QMatrix(
-            self.rows,
-            row_labels=tuple(_mono_str(self.table, PRIMAL, m)
-                             for m in monomials(n, self.form_degree - i)),
-            col_labels=tuple(_mono_str(self.table, DUAL, m) for m in monomials(n, i)),
-        )
+
+        def labels(ring, degree):  # each monomial printed as a Poly, so 1 is "1"
+            return tuple(str(Poly._of(self.table, ring, {m: _ONE})) for m in monomials(n, degree))
+
+        return QMatrix(self.rows, row_labels=labels(PRIMAL, self.form_degree - i),
+                       col_labels=labels(DUAL, i))
 
 
 def catalecticant(f: Poly, i: int) -> Catalecticant:

@@ -47,10 +47,7 @@ def _parse_input_poly(args) -> Poly:
         raise InputError("--poly is required for this command")
     vars_ = args.vars.split(",") if args.vars else None
     duals = args.dual_names.split(",") if args.dual_names else None
-    try:
-        p = parse_poly(args.poly, vars=vars_, dual_names=duals)
-    except ParseError as exc:
-        raise InputError(str(exc)) from exc
+    p = parse_poly(args.poly, vars=vars_, dual_names=duals)
     if p.is_zero():
         raise InputError("the zero polynomial is not a valid input here")
     if not p.is_homogeneous():
@@ -169,12 +166,8 @@ def _parse_pairs(args, table):
         sides = chunk.split(",")
         if len(sides) != 2:
             raise InputError(f"bad pair {chunk!r}: expected \"l,m\"")
-        try:
-            l = parse_poly(sides[0].strip(), table=table)
-            m = parse_poly(sides[1].strip(), table=table)
-        except ParseError as exc:
-            raise InputError(str(exc)) from exc
-        pairs.append((l, m))
+        pairs.append((parse_poly(sides[0].strip(), table=table),
+                      parse_poly(sides[1].strip(), table=table)))
     return pairs
 
 
@@ -233,10 +226,7 @@ def _cmd_direct_sum(args):
     if not args.poly2:
         raise InputError("--poly2 is required for direct-sum")
     vars2 = args.vars2.split(",") if args.vars2 else None
-    try:
-        q = parse_poly(args.poly2, vars=vars2)
-    except ParseError as exc:
-        raise InputError(str(exc)) from exc
+    q = parse_poly(args.poly2, vars=vars2)
     if not q.is_homogeneous() or q.is_zero():
         raise InputError("--poly2 must be homogeneous and nonzero")
     try:
@@ -267,22 +257,6 @@ def _cmd_direct_sum(args):
     return results, certificates, all(c.verified for c in certificates)
 
 
-_COMMANDS = {
-    "hilbert": _cmd_hilbert,
-    "annihilator": _cmd_annihilator,
-    "catalecticant": _cmd_catalecticant,
-    "concise": _cmd_concise,
-    "macaulay": _cmd_macaulay,
-    "sylvester": _cmd_sylvester,
-    "rank-bounds": _cmd_rank_bounds,
-    "witness-verify": _cmd_witness_verify,
-    "double-points": _cmd_double_points,
-    "wild-cert": _cmd_wild_cert,
-    "theorem2": _cmd_theorem2,
-    "direct-sum": _cmd_direct_sum,
-}
-
-
 def _length(text: str) -> int:
     """A decomposition length for --rmax: an integer of at least 1."""
     try:
@@ -294,6 +268,39 @@ def _length(text: str) -> int:
     return r
 
 
+# every option, in the order --help lists them
+_OPTIONS = {
+    "--poly": {"help": "polynomial expression"},
+    "--vars": {"help": "comma-separated variable order"},
+    "--degree": {"type": int, "help": "slice degree / growth degree"},
+    "--rmax": {"type": _length, "default": 8, "help": "decomposition length to exclude"},
+    "--json": {"dest": "json_path", "help": "also write the report to this path ('-' for stdout only)"},
+    "--dual-names": {"dest": "dual_names", "help": "comma-separated dual variable names"},
+    "--dim": {"type": int, "help": "current graded dimension"},
+    "--pairs": {"help": "semicolon-separated l,m pairs"},
+    "--poly2": {"help": "second summand (disjoint variables)"},
+    "--vars2": {"help": "variable order for the second summand"},
+}
+
+_FORM = ("--poly", "--vars", "--dual-names", "--json")  # read by every command on a form
+
+# each command's handler and the options it reads
+_COMMANDS = {
+    "hilbert": (_cmd_hilbert, _FORM),
+    "annihilator": (_cmd_annihilator, _FORM + ("--degree",)),
+    "catalecticant": (_cmd_catalecticant, _FORM + ("--degree",)),
+    "concise": (_cmd_concise, _FORM),
+    "macaulay": (_cmd_macaulay, ("--dim", "--degree", "--json")),
+    "sylvester": (_cmd_sylvester, _FORM),
+    "rank-bounds": (_cmd_rank_bounds, _FORM),
+    "witness-verify": (_cmd_witness_verify, _FORM),
+    "double-points": (_cmd_double_points, _FORM + ("--pairs",)),
+    "wild-cert": (_cmd_wild_cert, _FORM + ("--rmax",)),
+    "theorem2": (_cmd_theorem2, _FORM + ("--rmax",)),
+    "direct-sum": (_cmd_direct_sum, _FORM + ("--rmax", "--poly2", "--vars2")),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and reused: every default is
@@ -303,21 +310,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="exact apolarity computations and certified rank bounds",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, reads) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--poly", help="polynomial expression")
-        sp.add_argument("--vars", help="comma-separated variable order")
-        sp.add_argument("--degree", type=int, help="slice degree / growth degree")
-        sp.add_argument("--rmax", type=_length, default=8, help="decomposition length to exclude")
-        sp.add_argument("--json", dest="json_path", help="also write the report to this path ('-' for stdout only)")
-        sp.add_argument("--dual-names", dest="dual_names", help="comma-separated dual variable names")
-        if name == "macaulay":
-            sp.add_argument("--dim", type=int, help="current graded dimension")
-        if name == "double-points":
-            sp.add_argument("--pairs", help="semicolon-separated l,m pairs")
-        if name == "direct-sum":
-            sp.add_argument("--poly2", help="second summand (disjoint variables)")
-            sp.add_argument("--vars2", help="variable order for the second summand")
+        for flag, spec in _OPTIONS.items():
+            if flag in reads:
+                sp.add_argument(flag, **spec)
     return top
 
 
@@ -336,7 +333,7 @@ def main(argv=None) -> int:
         "version": __version__,
     }
     try:
-        results, certs, ok = _COMMANDS[args.command](args)
+        results, certs, ok = _COMMANDS[args.command][0](args)
     except (InputError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -344,7 +341,7 @@ def main(argv=None) -> int:
     doc["certificates"] = _cert_dicts(certs)
     text = json.dumps(doc, indent=2, sort_keys=True)
     print(text)
-    if getattr(args, "json_path", None) and args.json_path != "-":
+    if args.json_path and args.json_path != "-":
         try:
             with open(args.json_path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from operator import add
 from typing import Optional, Sequence
 
-from .poly import DUAL, PRIMAL, Poly, VarTable
+from .poly import DUAL, PRIMAL, Poly, VarTable, _int_product
 
 
 class ParseError(ValueError):
@@ -60,20 +59,6 @@ def _tokenize(text: str) -> list:
         i = m.end()
     toks.append(("eof", "", len(text)))
     return toks
-
-
-def _times(a: dict, b: dict) -> dict:
-    """Product of two term dicts, zeros dropped."""
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(map(add, m1, m2))
-            c = out.get(m, 0) + c1 * c2
-            if c:
-                out[m] = c
-            else:
-                out.pop(m, None)
-    return out
 
 
 class _Parser:
@@ -126,7 +111,7 @@ class _Parser:
         acc = self.factor()
         while self.toks[self.pos][1] == "*":
             self.pos += 1
-            acc = _times(acc, self.factor())
+            acc = {m: c for m, c in _int_product(acc, self.factor()).items() if c}
         return acc
 
     def factor(self) -> dict:
@@ -216,7 +201,3 @@ def parse_poly(
         except ValueError as exc:  # repeated or clashing names
             raise ParseError(str(exc)) from None
     return _Parser(text, toks, table, ring).parse()
-
-
-def poly_to_string(p: Poly) -> str:
-    return str(p)

@@ -143,7 +143,8 @@ def _power_terms(entries, k: int, width: int) -> dict:
 
 
 def _int_product(a: dict, b: dict) -> dict:
-    """Product of two {exponent tuple: int} term maps, zero sums included."""
+    """Product of two {exponent tuple: coefficient} term maps, zero sums
+    included; coefficients are ints or Fractions."""
     out = {}
     for m1, c1 in a.items():
         for m2, c2 in b.items():
@@ -310,16 +311,8 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
-        terms = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = terms.get(m, _ZERO) + c1 * c2
-                if s == 0:
-                    terms.pop(m, None)
-                else:
-                    terms[m] = s
-        return Poly._of(self.table, self.ring, terms)
+        return Poly._of(self.table, self.ring,
+                        {m: c for m, c in _int_product(self.terms, other.terms).items() if c})
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -527,17 +520,13 @@ def uni_divmod(a: list, b: list) -> tuple:
     return uni_trim(quot), a
 
 
-def uni_rem(a: list, b: list) -> list:
-    return uni_divmod(a, b)[1]
-
-
 def uni_gcd(a: list, b: list) -> list:
     """Monic gcd of univariate coefficient lists (empty list for gcd(0,0)),
     as a Fraction list."""
     a = uni_trim([_as_fraction(c) for c in a])
     b = uni_trim([_as_fraction(c) for c in b])
     while b:
-        a, b = b, uni_rem(a, b)
+        a, b = b, uni_divmod(a, b)[1]
     if a:
         lead = a[-1]
         a = [c / lead for c in a]

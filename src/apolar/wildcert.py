@@ -631,11 +631,7 @@ def gamma_space(f: Poly, point_form: Poly, facts: Optional[FormFacts] = None):
     n = f.table.n
     cols = _variable_contractions(f, [point_form], facts)[0]
     vecs = linalg.kernel_basis([list(row) for row in zip(*cols)], n)
-    # kernel entries are already canonical Fractions
-    return len(vecs), tuple(
-        Poly._of(f.table, DUAL, {(0,) * j + (1,) + (0,) * (n - 1 - j): c
-                                 for j, c in enumerate(v) if c})
-        for v in vecs)
+    return len(vecs), tuple(linear_form(f.table, v, DUAL) for v in vecs)
 
 
 def forced_square_check(f: Poly, perp_basis: Sequence[Poly],

@@ -75,6 +75,15 @@ def test_catalecticant_shape_and_labels():
     assert rank == 5 and len(ker) == 10
 
 
+@pytest.mark.parametrize("i", [0, 3])
+def test_catalecticant_labels_print_as_unit_monomials(i):
+    # at slice degree 0 the one column is the monomial 1, at slice degree d the one row
+    m = catalecticant(F, i).matrix
+    assert m.row_labels == tuple(str(Poly(T5, PRIMAL, {e: 1})) for e in monomials(5, 3 - i))
+    assert m.col_labels == tuple(str(Poly(T5, DUAL, {e: 1})) for e in monomials(5, i))
+    assert (m.col_labels if i == 0 else m.row_labels) == ("1",)
+
+
 def test_hilbert_function_values():
     assert hilbert_function(F).values == (1, 5, 5, 1)
     four = parse_poly("x0^3 + x1^3 + x2^3 + x3^3")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 from apolar import parse_poly, theorem2_report
 from apolar.apolarity import FormFacts
-from apolar.cli import _build_parser, _cert_dicts, main
+from apolar.cli import _COMMANDS, _OPTIONS, _build_parser, _cert_dicts, main
 from apolar.wildcert import (
     counting_certificate,
     extract_square_pairs,
@@ -232,6 +233,53 @@ def test_parse_error_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "column" in err
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["double-points", "--poly", "x^2*y", "--pairs", "x,2y"], "y"),
+    (["direct-sum", "--poly", WILD, "--vars", WILD_VARS, "--poly2", "2u"], "u"),
+])
+def test_parse_errors_in_pairs_and_poly2_are_input_errors(capsys, argv, bad):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: line 1, column 2: trailing input {bad!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--poly", "x^3", "--rmax", "3"],
+    ["theorem2", "--poly", "x^3", "--degree", "2"],
+    ["macaulay", "--dim", "5", "--degree", "3", "--poly", "x"],
+])
+def test_a_command_rejects_an_option_it_does_not_read(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {argv[-2]} {argv[-1]}" in captured.err
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, (_, reads) in _COMMANDS.items()
+                                           for flag in reads])
+def test_a_command_accepts_every_option_it_reads(command, flag):
+    value = {"--degree": "1", "--rmax": "9", "--dim": "3"}.get(flag, "x")
+    args = _build_parser().parse_args([command, flag, value])
+    dest = _OPTIONS[flag].get("dest", flag[2:])
+    assert str(getattr(args, dest)) == value
+
+
+def test_the_parser_has_only_the_options_each_command_reads():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: [o for a in sp._actions for o in a.option_strings if o not in ("-h", "--help")]
+               for name, sp in sub.choices.items()}
+    assert options == {name: [f for f in _OPTIONS if f in reads]
+                       for name, (_, reads) in _COMMANDS.items()}
+    assert sum(map(len, options.values())) == 55
+    assert [name for name, flags in options.items() if "--degree" in flags] == [
+        "annihilator", "catalecticant", "macaulay"]
+    assert [name for name, flags in options.items() if "--rmax" in flags] == [
+        "wild-cert", "theorem2", "direct-sum"]
 
 
 def test_inhomogeneous_rejected(capsys):

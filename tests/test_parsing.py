@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from apolar.parsing import ParseError, collect_variables, parse_poly, poly_to_string
+from apolar.parsing import ParseError, collect_variables, parse_poly
 from apolar.poly import DUAL, PRIMAL, Poly, VarTable
 
 from _oracle import random_poly
@@ -142,7 +142,7 @@ def test_roundtrip_500_random_polynomials():
         p = random_poly(rng, table, PRIMAL, rng.randint(0, 4), max_terms=6)
         if p.is_zero():
             continue
-        assert parse_poly(poly_to_string(p), table=table) == p
+        assert parse_poly(str(p), table=table) == p
 
 
 @st.composite
@@ -164,7 +164,7 @@ def small_polys(draw):
 def test_roundtrip_property(p):
     if p.is_zero():
         return
-    assert parse_poly(poly_to_string(p), table=p.table) == p
+    assert parse_poly(str(p), table=p.table) == p
 
 
 NAMES = ("x", "y", "z")
@@ -234,3 +234,21 @@ def test_parse_equals_poly_arithmetic_on_random_nested_expressions():
         seen.update(k for k in shapes if k in "".join(text.split()))
         assert parse_poly(text, table=table) == _evaluate(tree, table), text
     assert seen == shapes
+
+
+XY = VarTable.make(["x", "y"])
+X, Y = Poly.variable(XY, 0), Poly.variable(XY, 1)
+D = (X + Y) * (X - Y) - X * X + Y * Y  # zero, after products whose x*y terms cancel
+
+
+@pytest.mark.parametrize("text, expected, printed", [
+    ("(x+y)*(x-y) - x^2 + y^2", D, "0"),
+    ("((x+y)*(x-y) - x^2 + y^2)^2", D * D, "0"),
+    ("((x+y)*(x-y) - x^2 + y^2 + x*y)^3", (D + X * Y) ** 3, "x^3*y^3"),
+    ("x^2 + (x+y)*(x-y)", X * X + (X + Y) * (X - Y), "2*x^2 - y^2"),
+    ("x^4 + ((x+y)*(x-y) - x^2 + y^2)^2", X ** 4 + D * D, "x^4"),
+])
+def test_cancelling_products_parse_as_poly_arithmetic(text, expected, printed):
+    p = parse_poly(text, table=XY)
+    assert p == expected
+    assert str(p) == printed
