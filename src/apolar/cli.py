@@ -304,7 +304,9 @@ _COMMANDS = {
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and reused: every default is
-    immutable, and argparse reads sys.stdout/sys.stderr only when it prints."""
+    immutable, and argparse reads sys.stdout/sys.stderr only when it prints.
+    Each command's parser is stored as its `command_parser` default, so an
+    option the command does not read is reported with the command's usage."""
     top = argparse.ArgumentParser(
         prog="apolar",
         description="exact apolarity computations and certified rank bounds",
@@ -312,6 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = top.add_subparsers(dest="command", required=True)
     for name, (_, reads) in _COMMANDS.items():
         sp = sub.add_parser(name)
+        sp.set_defaults(command_parser=sp)
         for flag, spec in _OPTIONS.items():
             if flag in reads:
                 sp.add_argument(flag, **spec)
@@ -321,7 +324,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     doc = {

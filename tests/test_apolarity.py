@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apolar import linalg
 from apolar.apolarity import (
     _dense_terms,
+    _int_catalecticant,
     _scanned_terms,
     ann_slice,
     catalecticant,
@@ -15,7 +18,7 @@ from apolar.apolarity import (
     hilbert_function,
 )
 from apolar.parsing import parse_poly
-from apolar.poly import DUAL, PRIMAL, Poly, VarTable, monomials
+from apolar.poly import DUAL, PRIMAL, Poly, VarTable, linear_form, monomials
 from apolar.wildcert import wild_cubic, wild_table
 
 from _oracle import naive_contract, naive_rank, random_poly
@@ -226,18 +229,78 @@ def test_hilbert_function_builds_the_catalecticants_of_degrees_one_to_half(monke
     from apolar import apolarity
 
     degrees = []
-    original = apolarity.catalecticant
+    original = apolarity._int_catalecticant
 
     def counted(f, i):
         degrees.append(i)
         return original(f, i)
 
-    monkeypatch.setattr(apolarity, "catalecticant", counted)
+    monkeypatch.setattr(apolarity, "_int_catalecticant", counted)
     table = VarTable.make(("a", "b", "c"))
     for d in range(7):
         degrees.clear()
         hilbert_function(parse_poly(f"a^{d} + b^{d} + c^{d}" if d else "7", table=table))
         assert degrees == list(range(1, d // 2 + 1))
+
+
+def test_hilbert_function_of_a_sparse_form_builds_no_contraction_table():
+    # three terms against hundreds of degree-(12 - i) monomials: every column
+    # is a scan of f, so no (d, c) table is built or kept
+    from apolar import apolarity
+
+    f = parse_poly("v0^12 + v1^12 - 3*v2^5*v3^7", table=VarTable.make([f"v{i}" for i in range(6)]))
+    before = dict(apolarity._CONTRACTIONS)
+    values = hilbert_function(f).values
+    assert apolarity._CONTRACTIONS == before
+    assert values == (1,) + tuple(catalecticant(f, i).rank() for i in range(1, 12)) + (1,)
+
+
+def _sweep_forms(seed, count):
+    """Homogeneous forms with Fraction coefficients in 1-4 variables: sparse,
+    dense, and sums of powers of forms in fewer variables (not concise)."""
+    rng = random.Random(seed)
+    forms = []
+    while len(forms) < count:
+        table = VarTable.make(("a", "b", "c", "d")[: rng.randint(1, 4)])
+        n, d = table.n, rng.randint(1, 5)
+        def coeff():
+            return Fraction(rng.choice((-5, -2, -1, 1, 3, 4)), rng.randint(1, 9))
+        kind = rng.choice(("sparse", "dense", "fewer"))
+        if kind == "fewer":
+            k = rng.randint(1, n)
+            basis = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+            f = Poly.zero(table)
+            for _ in range(rng.randint(1, 3)):
+                a = [rng.randint(-2, 2) for _ in range(k)]
+                form = linear_form(table, [sum(a[j] * basis[j][v] for j in range(k)) for v in range(n)])
+                f = f + (form ** d).scale(coeff())
+        else:
+            monos = list(monomials(n, d))
+            picked = monos if kind == "dense" else rng.sample(monos, rng.randint(1, min(len(monos), 5)))
+            f = Poly(table, PRIMAL, {m: coeff() for m in picked})
+        if not f.is_zero():
+            forms.append(f)
+    return forms
+
+
+def test_hilbert_function_and_concise_dim_equal_the_exact_catalecticants():
+    # the integer rows give the ranks and the reduced row space of the
+    # Fraction catalecticants, read through their own public methods
+    not_concise = 0
+    for f in _sweep_forms(2020, 150):
+        d, table = f.homogeneous_degree(), f.table
+        half = [1] + [catalecticant(f, i).rank() for i in range(1, d // 2 + 1)]
+        assert hilbert_function(f).values == tuple(half + half[: (d + 1) // 2][::-1])
+        pivots, red = linalg.rref(catalecticant(f, 1).rows)
+        es = concise_dim(f)
+        assert es.dim == len(pivots)
+        assert es.basis == tuple(linear_form(table, row) for row in red)
+        assert es.table.primal == tuple(table.primal[p] for p in pivots)
+        assert es.reduced == Poly(es.table, PRIMAL, {
+            tuple(m[p] for p in pivots): c for m, c in f.terms.items()
+            if not any(m[j] for j in range(table.n) if j not in pivots)})
+        not_concise += es.dim < table.n
+    assert not_concise >= 20
 
 
 # -- contraction against its definition, on both the dense and the scanning path
@@ -291,6 +354,33 @@ def test_contract_equals_the_definition(pair):
         assert scanned == naive_contract({c: ca}, f.terms)
         if d is not None and sum(c) <= d:
             assert _dense_terms(c, ca, f, d) == scanned
+
+
+@st.composite
+def homogeneous_forms(draw):
+    """Nonzero forms of degree 0-6 in 1-5 variables with int and Fraction
+    coefficients: dense ones (most monomials present) read the (d, c)
+    tables, sparse ones scan their terms."""
+    table = draw(st.sampled_from(TABLES[:5]))
+    n = table.n
+    d = draw(st.integers(0, 6))
+    monos = list(monomials(n, d))
+    if draw(st.booleans()):
+        chosen = [m for m in monos if draw(st.integers(0, 5))] or monos[:1]
+    else:
+        chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4))
+    return Poly(table, PRIMAL, {m: draw(COEFFS) for m in chosen})
+
+
+@settings(max_examples=200, deadline=None)
+@given(homogeneous_forms())
+def test_int_catalecticant_is_the_cleared_catalecticant(f):
+    den = math.lcm(*[c.denominator for c in f.terms.values()])
+    for i in range(f.homogeneous_degree() + 1):
+        rows = _int_catalecticant(f, i)
+        assert all(type(x) is int for row in rows for x in row)
+        assert [list(row) for row in rows] == [[den * x for x in row]
+                                               for row in catalecticant(f, i).rows]
 
 
 def test_unit_operators_on_a_dense_cubic_equal_the_definition():

@@ -257,6 +257,7 @@ def test_a_command_rejects_an_option_it_does_not_read(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
+    assert captured.err.startswith(f"usage: apolar {argv[0]} ")
     assert f"error: unrecognized arguments: {argv[-2]} {argv[-1]}" in captured.err
 
 
