@@ -235,12 +235,10 @@ def _cmd_direct_sum(args):
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     certificates = list(pipeline.certificates)
-    issued = certificates[0] if certificates else None
-    if (issued is not None and issued.kind == "direct-sum-slice-intersection"
-            and issued.verified and pipeline.conciseness == rep.combined.table.n):
+    if pipeline.direct_sum and certificates[0].verified and pipeline.conciseness == rep.combined.table.n:
         # the pipeline checked the same concise sum over its variable-disjoint
         # components, which refine the two summands; equality there implies it here
-        cert = issued
+        cert = certificates[0]
     else:
         cert = rep.certificate
         if cert not in certificates:

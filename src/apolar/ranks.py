@@ -79,9 +79,6 @@ class RankReport:
         u = self.ups[notion]
         return u if u is not None and u == self.lows[notion] else None
 
-    def extended(self, extra: Sequence[Deduction]) -> "RankReport":
-        return _aggregate_deductions(list(self.provenance) + list(extra))
-
     def as_dict(self) -> dict:
         out = {}
         for n in NOTIONS:
@@ -249,10 +246,9 @@ def tameness_rule(report: RankReport, d: int) -> RankReport:
     b_up = report.upper("border")
     if b_up is None or b_up > d + 1:
         return report
-    extra = [
+    return _aggregate_deductions(report.provenance + (
         Deduction("smoothable", "upper", b_up, rule="tameness",
                   detail=f"border rank <= {d + 1}", basis="cited"),
         Deduction("smoothable", "lower", report.lower("border"),
                   rule="tameness", basis="cited"),
-    ]
-    return report.extended(extra)
+    ))

@@ -6,6 +6,14 @@ report share one `FormFacts`, so each invariant is computed once), and
 applications of literature rules are recorded as "cited" stages over
 machine-verified hypotheses so an auditor can see precisely what was
 computed.
+
+A rank report runs the bound sources of `_STAGES` in order: the classical
+bounds, variable-disjoint summands, the upper bounds from square pairs,
+slice saturation and the counting certificate.  Each stage is a plain
+function of the run's `WildReport` that decides for itself whether it
+applies and appends its records, notes and deductions there; `_report`
+aggregates them once and applies the cited tameness rule once.
+`classical_report` is the same run over the classical stage alone.
 """
 
 from __future__ import annotations
@@ -900,17 +908,41 @@ def power_sum_certificate(f: Poly, pairs):
 
 @dataclass
 class WildReport:
-    """Everything the pipeline certified about one polynomial."""
+    """Everything the pipeline certified about one polynomial.
+
+    The stages of one run share it: they add to `certificates`, `notes` and
+    `evidence` and leave what later stages read in `pairs`, `direct_sum` and
+    `saturation_gammas`.
+    """
 
     poly: Poly
-    conciseness: int
-    hilbert: tuple
-    slice2_dim: Optional[int]
-    saturation_gammas: tuple  # printable linear forms in the saturation
-    border_witness_rank: Optional[int]  # r of the verified limit family
-    report: RankReport
-    certificates: tuple  # EvidenceRecord
-    notes: tuple
+    facts: FormFacts
+    r_max: int
+    pairs: Optional[tuple] = None  # a presentation's square pairs, or those found
+    direct_sum: bool = False  # variable-disjoint summands settled the shape
+    evidence: tuple = ()  # deductions that are not records
+    certificates: tuple = ()  # EvidenceRecord
+    notes: tuple = ()
+    saturation_gammas: tuple = ()  # printable linear forms in the saturation
+    report: Optional[RankReport] = None
+
+    @property
+    def conciseness(self) -> int:
+        return self.facts.essential.dim
+
+    @property
+    def hilbert(self) -> tuple:
+        return tuple(self.facts.hilbert.values)
+
+    @property
+    def slice2_dim(self) -> Optional[int]:
+        return self.facts.slice2.dim if self.poly.homogeneous_degree() >= 2 else None
+
+    @property
+    def border_witness_rank(self) -> Optional[int]:
+        """r of the verified limit family."""
+        return next((b.value for r in self.certificates if r.kind == "border-limit-family"
+                     for b in r.certified()), None)
 
     def final(self) -> dict:
         out = {}
@@ -923,124 +955,131 @@ class WildReport:
         return out
 
 
-def _square_pair_records(g: Poly, pairs) -> tuple:
-    """(records, notes): the verified upper-bound certificates of a concise
-    cubic g with square-pair data, and a note for each one that does not
-    apply."""
-    built = [("double-point span", double_point_certificate(g, pairs)[1]),
-             ("power-sum upper bound", power_sum_certificate(g, pairs)[1])]
-    if linalg.rank([linear_coeffs(z) for z, _ in pairs]) == 2 and len(pairs) <= 3:
-        built.insert(0, ("limit family", limit_family_certificate(g, pairs)[1]))
-    return ([r for _, r in built if r.verified],
-            [f"{name} unavailable: {r.stage_log[0]}" for name, r in built if not r.verified])
-
-
-def _classical_evidence(facts: FormFacts, d: int) -> list:
-    """The catalecticant bound for facts.form, plus the exact values of
-    quadrics (H(1), as quadric_rank) and of essentially binary forms."""
-    evidence = [catalecticant_deduction(facts.hilbert)]
-    if d == 2:
-        evidence.append(Deduction("all", "exact", facts.hilbert(1), rule="quadric-conciseness",
-                                  detail="all notions coincide for quadrics"))
+def _classical(rep: WildReport) -> bool:
+    """The catalecticant bound for every form, plus the exact values of
+    quadrics (H(1), as quadric_rank) and of essentially binary forms; True,
+    which ends the run, when those settle the form."""
+    facts = rep.facts
+    rep.evidence += (catalecticant_deduction(facts.hilbert),)
+    if rep.poly.homogeneous_degree() == 2:
+        rep.evidence += (Deduction("all", "exact", facts.hilbert(1), rule="quadric-conciseness",
+                                   detail="all notions coincide for quadrics"),)
     elif facts.essential.dim <= 2:
         # the first deduction is conciseness, which aggregate() re-injects
-        evidence += sylvester_binary(facts.form, facts).report.provenance[1:]
-    return evidence
+        rep.evidence += sylvester_binary(facts.form, facts).report.provenance[1:]
+    else:
+        return False
+    return True
+
+
+def _direct_sums(rep: WildReport) -> None:
+    """A sum over disjoint variables, not given as a presentation: each
+    summand's own report, the degree-2 slice check, and the summands' upper
+    bounds glued by subadditivity."""
+    components = direct_summands(rep.facts.form)
+    if len(components) < 2 or rep.pairs is not None:  # only a presentation has pairs yet
+        return
+    sub_reports = [theorem2_report(comp, r_max=rep.r_max) for comp in components]
+    # machine-verified: conciseness adds up over disjoint summands
+    if sum(r.conciseness for r in sub_reports) != rep.conciseness:
+        raise ValueError("conciseness failed to add over disjoint summands")
+    rep.direct_sum = True
+    rep.notes += (
+        f"direct sum of {len(components)} variable-disjoint summands;"
+        f" conciseness {rep.conciseness} = " + " + ".join(str(r.conciseness) for r in sub_reports),
+    )
+    rep.certificates += (slice_intersection_certificate(components, rep.facts.form),)
+    # shown, but certifying nothing here: a summand's bounds are its
+    # own (the wild cubic's border <= 5 is no bound on it plus u^3)
+    rep.certificates += tuple(replace(c, bounds=()) for r in sub_reports for c in r.certificates)
+    for notion in NOTIONS:
+        ups = [r.report.upper(notion) for r in sub_reports]
+        if all(u is not None for u in ups):
+            rep.evidence += (
+                Deduction(notion, "upper", sum(ups), rule="direct-sum-subadditivity",
+                          detail="summand witnesses glued over disjoint variables",
+                          basis="cited"),
+            )
+
+
+def _square_pairs(rep: WildReport) -> None:
+    """The upper-bound certificates of a cubic's square pairs, found here
+    unless a presentation gave them; a note for each one that does not
+    apply."""
+    g = rep.facts.form
+    if g.homogeneous_degree() != 3 or rep.direct_sum:
+        return
+    rep.pairs = rep.pairs or extract_square_pairs(g)  # a presentation's, or found here
+    if not rep.pairs:
+        rep.notes += ("no squares-times-lines shape found; reporting catalecticant bounds",)
+        return
+    built = [("double-point span", double_point_certificate(g, rep.pairs)[1]),
+             ("power-sum upper bound", power_sum_certificate(g, rep.pairs)[1])]
+    if linalg.rank([linear_coeffs(z) for z, _ in rep.pairs]) == 2 and len(rep.pairs) <= 3:
+        built.insert(0, ("limit family", limit_family_certificate(g, rep.pairs)[1]))
+    rep.certificates += tuple(r for _, r in built if r.verified)
+    rep.notes += tuple(f"{name} unavailable: {r.stage_log[0]}" for name, r in built if not r.verified)
+
+
+def _slice_saturation(rep: WildReport) -> None:
+    """The cactus lower bound of a cubic whose degree-2 slice saturates to
+    too few linear forms; nothing when it does not."""
+    if rep.facts.form.homogeneous_degree() == 3:
+        csl, record = slice_saturation_certificate(rep.facts.form, rep.facts)
+        if csl is not None:
+            rep.certificates += (record,)
+            rep.saturation_gammas = tuple(str(gamma) for gamma in csl.gamma_basis)
+
+
+def _counting(rep: WildReport) -> None:
+    """The rank lower bound r_max + 1 from the counting certificate, for the
+    5-variable three-pair shape once square pairs are known."""
+    if not rep.pairs:
+        return
+    if rep.facts.form.table.n == 5 and len(rep.pairs) == 3:
+        rep.certificates += (counting_certificate(rep.facts.form, rep.r_max, rep.pairs, rep.facts)[1],)
+    else:
+        rep.notes += ("counting certificate skipped: not the 5-variable three-pair shape",)
+
+
+# every bound source, in the order its records and notes are reported
+_STAGES = (_classical, _direct_sums, _square_pairs, _slice_saturation, _counting)
+
+
+def _report(f, stages, r_max: int = 8) -> WildReport:
+    """Run the given stages on f (a Poly or a WildPresentation) over one
+    FormFacts, up to the first that settles f, then aggregate the bounds of
+    their evidence and verified records and apply the cited rules."""
+    f, pairs = (f.poly, f.square_pairs) if isinstance(f, WildPresentation) else (f, None)
+    d = f.homogeneous_degree()
+    if d is None:
+        raise ValueError("rank reports need a nonzero homogeneous polynomial")
+    rep = WildReport(poly=f, facts=FormFacts(f), r_max=r_max, pairs=pairs)
+    if pairs is not None and rep.conciseness != f.table.n:
+        raise ValueError("presentations must already be concise")
+    for stage in stages:
+        if stage(rep):
+            break
+    evidence = rep.evidence + tuple(b for r in rep.certificates for b in r.certified())
+    rep.report = tameness_rule(aggregate(rep.facts.form, evidence, rep.facts), d)
+    return rep
 
 
 def classical_report(f: Poly) -> tuple:
-    """(conciseness, bounds) from the routes theorem2_report takes before its
-    cubic stages: the catalecticant bound for every form, exact values for
-    quadrics and essentially binary forms."""
-    facts = FormFacts(f)
-    d = f.homogeneous_degree()
-    evidence = _classical_evidence(facts, d)
-    return facts.essential.dim, tameness_rule(aggregate(facts.form, evidence, facts), d)
+    """(conciseness, bounds) from the classical stage alone: the
+    catalecticant bound for every form, exact values for quadrics and
+    essentially binary forms."""
+    rep = _report(f, (_classical,))
+    return rep.conciseness, rep.report
 
 
 def theorem2_report(f, r_max: int = 8) -> WildReport:
     """Run every applicable certificate and aggregate the certified bounds.
 
-    Accepts a Poly or a WildPresentation; degenerate inputs are reduced to
-    their essential variables first, quadrics and essentially-binary forms
-    take their exact classical routes, variable-disjoint sums recurse, and
-    cubics with square-pair data get the full certificate pipeline.
+    Accepts a Poly or a WildPresentation (which must be concise); the stages
+    run in the order of `_STAGES`: the classical bounds, which settle
+    quadrics and essentially binary forms; then, for the rest, the summands
+    of a variable-disjoint sum, the upper bounds from square pairs, the
+    slice-saturation cactus bound of a cubic and the counting rank bound.
     """
-    pres = None
-    if isinstance(f, WildPresentation):
-        pres = f
-        f = pres.poly
-    if f.is_zero():
-        raise ValueError("the zero polynomial has no rank report")
-    d = f.homogeneous_degree()
-    if d is None:
-        raise ValueError("rank reports need a homogeneous polynomial")
-
-    # computed once here and read by every stage below
-    facts = FormFacts(f)
-    es, g = facts.essential, facts.form
-    if pres is not None and es.dim != f.table.n:
-        raise ValueError("presentations must already be concise")
-
-    evidence = _classical_evidence(facts, d)
-    records, notes = [], []
-    pairs, sat_gammas = None, ()
-    slice2_dim = facts.slice2.dim if d >= 2 else None
-
-    if d != 2 and es.dim > 2:
-        components = direct_summands(g)
-        if len(components) >= 2 and pres is None:
-            sub_reports = [theorem2_report(comp, r_max=r_max) for comp in components]
-            # machine-verified: conciseness adds up over disjoint summands
-            total = sum(r.conciseness for r in sub_reports)
-            if total != es.dim:
-                raise ValueError("conciseness failed to add over disjoint summands")
-            notes.append(
-                f"direct sum of {len(components)} variable-disjoint summands;"
-                f" conciseness {es.dim} = " + " + ".join(str(r.conciseness) for r in sub_reports)
-            )
-            records.append(slice_intersection_certificate(components, g))
-            # shown, but certifying nothing here: a summand's bounds are its
-            # own (the wild cubic's border <= 5 is no bound on it plus u^3)
-            records += [replace(c, bounds=()) for r in sub_reports for c in r.certificates]
-            for notion in NOTIONS:
-                ups = [r.report.upper(notion) for r in sub_reports]
-                if all(u is not None for u in ups):
-                    evidence.append(
-                        Deduction(notion, "upper", sum(ups), rule="direct-sum-subadditivity",
-                                  detail="summand witnesses glued over disjoint variables",
-                                  basis="cited")
-                    )
-        elif d == 3:
-            pairs = pres.square_pairs if pres is not None else extract_square_pairs(g)
-            if pairs:
-                pair_records, pair_notes = _square_pair_records(g, pairs)
-                records += pair_records
-                notes += pair_notes
-            else:
-                notes.append("no squares-times-lines shape found; reporting catalecticant bounds")
-        if d == 3:
-            csl, record = slice_saturation_certificate(g, facts)
-            if csl is not None:
-                records.append(record)
-                sat_gammas = tuple(str(gamma) for gamma in csl.gamma_basis)
-        if pairs:
-            if g.table.n == 5 and len(pairs) == 3:
-                records.append(counting_certificate(g, r_max, pairs, facts)[1])
-            else:
-                notes.append("counting certificate skipped: not the 5-variable three-pair shape")
-
-    evidence += [b for r in records for b in r.certified()]
-    report = tameness_rule(aggregate(g, evidence, facts), d)
-    return WildReport(
-        poly=f,
-        conciseness=es.dim,
-        hilbert=tuple(facts.hilbert.values),
-        slice2_dim=slice2_dim,
-        saturation_gammas=sat_gammas,
-        border_witness_rank=next((b.value for r in records if r.kind == "border-limit-family"
-                                  for b in r.certified()), None),
-        report=report,
-        certificates=tuple(records),
-        notes=tuple(notes),
-    )
+    return _report(f, _STAGES, r_max)

@@ -215,11 +215,14 @@ class DirectSumReport:
 def direct_sum_extend(f: Poly, g: Poly) -> DirectSumReport:
     """f + g over disjoint variables, with the conciseness of both summands
     and of the sum; the report's certificate checks the degree-2 annihilator
-    slice of the sum against the intersection of the summands' slices."""
+    slice of the sum against the intersection of the summands' slices, so
+    the summands must have degree at least 2."""
     if g.is_zero() or f.is_zero():
         raise ValueError("both summands must be nonzero")
     if f.homogeneous_degree() != g.homogeneous_degree():
         raise ValueError("summands must share one degree")
+    if f.homogeneous_degree() is None or f.homogeneous_degree() < 2:
+        raise ValueError("summands must be forms of degree at least 2: the check compares degree-2 slices")
     if f.table == g.table:
         if f.support_vars() & g.support_vars():
             raise ValueError("summands share variables")

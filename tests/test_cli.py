@@ -305,6 +305,19 @@ def test_slice_degree_outside_the_form_is_an_input_error(capsys, command, degree
     assert err == f"error: slice degree {degree} outside 0..3\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["direct-sum", "--poly", "x", "--poly2", "y"],
+    ["direct-sum", "--poly", "x+z", "--vars", "x,z", "--poly2", "y"],
+])
+def test_direct_sum_of_linear_forms_is_an_input_error(capsys, argv):
+    # the slice-intersection check compares degree-2 annihilator slices
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_unknown_command_exit_code(capsys):
     code = main(["does-not-exist"])
     assert code == 2

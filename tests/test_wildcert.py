@@ -18,6 +18,7 @@ from apolar.wildcert import (
     WildPresentation,
     _no_common_zero,
     cactus_lower_via_slice,
+    classical_report,
     counting_certificate,
     extract_square_pairs,
     forced_square_check,
@@ -334,6 +335,36 @@ def test_report_bounds_are_read_off_the_verified_records():
     assert counting.bounds and counting.certified() == ()
     assert "counting-certificate" not in [d.rule for d in weak.report.provenance]
     assert weak.final()["rank"] == [6, 9]
+
+
+@pytest.mark.parametrize("poly, notes, kinds", [
+    ("x0^2*y0 - (x0+x1)^2*y1 + x1^2*y2", (),
+     ["border-limit-family", "double-point-span", "power-sum-decomposition",
+      "cactus-slice-saturation", "rank-lower-counting"]),
+    ("x*y*z", ("no squares-times-lines shape found; reporting catalecticant bounds",),
+     ["cactus-slice-saturation"]),
+    ("x^2*y + (x+z)^2*w", ("counting certificate skipped: not the 5-variable three-pair shape",),
+     ["border-limit-family", "double-point-span", "power-sum-decomposition"]),
+    ("x^3+y^3+z^3", ("direct sum of 3 variable-disjoint summands; conciseness 3 = 1 + 1 + 1",),
+     ["direct-sum-slice-intersection"]),
+    ("x^2*y", (), []),
+    ("x0*x1+x2^2", (), []),
+])
+def test_each_route_writes_its_notes_and_records(poly, notes, kinds):
+    rep = theorem2_report(parse_poly(poly))
+    assert (rep.notes, [c.kind for c in rep.certificates]) == (notes, kinds)
+
+
+def test_classical_report_is_the_first_stage_of_theorem2():
+    # rank-bounds stops after the classical stage; theorem2's later stages
+    # add the limit family's border <= 4 on this form
+    f = parse_poly("x^2*y + (x+z)^2*w")
+    conciseness, bounds = classical_report(f)
+    rep = theorem2_report(f)
+    assert conciseness == rep.conciseness == 4
+    assert (bounds.lower("border"), bounds.upper("border")) == (4, None)
+    assert rep.final()["border"] == 4
+    assert bounds.provenance == rep.report.provenance[:len(bounds.provenance)]
 
 
 def test_theorem2_quadric_route():

@@ -158,6 +158,13 @@ def test_direct_sum_rejects_degenerate_inputs():
         direct_sum_extend(F, F)
 
 
+def test_direct_sum_rejects_summands_below_degree_two():
+    with pytest.raises(ValueError, match="degree at least 2"):
+        direct_sum_extend(parse_poly("x"), parse_poly("y"))
+    with pytest.raises(ValueError, match="degree at least 2"):
+        direct_sum_extend(parse_poly("x+z", vars=["x", "z"]), parse_poly("y"))
+
+
 def test_direct_sum_across_tables():
     ta = VarTable.make(("u",))
     tb = VarTable.make(("v",))
