@@ -7,9 +7,10 @@ factorials differ).  Catalecticant matrices are the degree-i slices of this
 action; their ranks form the Hilbert function, their kernels the annihilator
 slices, and the row space of the degree-1 one spans the essential variables.
 
-Ranks and the essential basis are read off integer rows
-(`_int_catalecticant`: the catalecticant times the least common denominator
-of f's coefficients), since one positive scale changes neither.  The exact
+Ranks, the essential basis and the second-derivative table are read off
+integer rows (`_int_catalecticant`: the catalecticant times the least common
+denominator of f's coefficients), since one positive scale changes no rank,
+reduced row space or kernel.  The exact
 `Catalecticant`, filled from `contract`, serves `ann_slice` and the
 `catalecticant` command; `ann_slice` stays on it while the benchmark's
 `powers` workload requires `catalecticant` and `contract` to be reached,
@@ -21,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, perm
+from math import perm
 
 from . import linalg
 from .ideals import IdealSlice
@@ -311,33 +312,24 @@ def essential_form(f: Poly) -> tuple:
 
 def second_derivatives(f: Poly) -> tuple:
     """The table H with H[i][j] = contract(d_i * d_j, f) for every pair of
-    dual variables, each entry a coefficient vector over monomials(n, d - 2).
+    dual variables, each entry a coefficient vector over monomials(n, d - 2):
+    the column of `_int_catalecticant(f, 2)` for the dual monomial d_i * d_j.
 
     Contraction is bilinear, so contract(a * b, f) for dual linear forms a and
     b is sum(a_i * b_j * H[i][j]): the table answers every quadratic
-    contraction against f without building a product.  All vectors carry one
-    common positive scale, the least that makes every entry an int; it changes
-    no kernel, rank, vanishing or proportionality.
+    contraction against f without building a product.  All vectors carry the
+    integer catalecticant's one common positive scale, the least that clears
+    f's coefficients; it changes no kernel, rank, vanishing or
+    proportionality.
     """
     d = f.homogeneous_degree()
-    if d is None:
-        raise ValueError("second derivatives need a homogeneous nonzero polynomial")
+    if d is None or d < 2:
+        raise ValueError("second derivatives need a homogeneous polynomial of degree >= 2")
     n = f.table.n
-    index = _monomial_index(n, d - 2)
-    cells = {}
-    for i in range(n):
-        for j in range(i, n):
-            mono = [0] * n
-            mono[i] += 1
-            mono[j] += 1
-            cells[i, j] = contract(Poly._of(f.table, DUAL, {tuple(mono): _ONE}), f).terms
-    scale = lcm(*[c.denominator for terms in cells.values() for c in terms.values()])
     table = [[None] * n for _ in range(n)]
-    for (i, j), terms in cells.items():
-        vec = [0] * len(index)
-        for m, c in terms.items():
-            vec[index[m]] = c.numerator * (scale // c.denominator)
-        table[i][j] = table[j][i] = vec
+    for mono, col in zip(monomials(n, 2), zip(*_int_catalecticant(f, 2))):
+        i, j = [k for k, e in enumerate(mono) for _ in range(e)]
+        table[i][j] = table[j][i] = col
     return tuple(map(tuple, table))
 
 

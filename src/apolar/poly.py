@@ -491,47 +491,3 @@ def linear_coeffs(p: Poly) -> list:
     if not p.is_zero() and p.homogeneous_degree() != 1:
         raise ValueError("not a linear form")
     return p.coefficient_vector(1)
-
-
-# -- univariate coefficient-list helpers (used by square-freeness tests and
-#    parametric eliminations; lists are ascending in the variable, entries
-#    ints or Fractions; the helpers that divide convert to Fraction first) ----
-
-
-def uni_trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def uni_divmod(a: list, b: list) -> tuple:
-    """Quotient and remainder of a by b (b nonzero), as Fraction lists."""
-    a = [_as_fraction(c) for c in a]
-    b = [_as_fraction(c) for c in b]
-    db, lead = len(b) - 1, b[-1]
-    quot = [Fraction(0)] * max(len(a) - db, 0)
-    while len(a) - 1 >= db and a:
-        q = a[-1] / lead
-        shift = len(a) - 1 - db
-        quot[shift] = q
-        for i, c in enumerate(b):
-            a[shift + i] -= q * c
-        uni_trim(a)
-    return uni_trim(quot), a
-
-
-def uni_gcd(a: list, b: list) -> list:
-    """Monic gcd of univariate coefficient lists (empty list for gcd(0,0)),
-    as a Fraction list."""
-    a = uni_trim([_as_fraction(c) for c in a])
-    b = uni_trim([_as_fraction(c) for c in b])
-    while b:
-        a, b = b, uni_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def uni_derivative(a: list) -> list:
-    return uni_trim([c * i for i, c in enumerate(a)][1:])

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from . import linalg
 from .apolarity import FormFacts, HilbertFn, ann_slice, hilbert_function
 from .poly import Poly
-from .poly import uni_derivative, uni_gcd, uni_trim
 
 NOTIONS = ("border", "smoothable", "cactus", "rank")
 
@@ -163,23 +163,34 @@ def quadric_rank(f: Poly) -> int:
     return hilbert_function(f)(1)
 
 
-def _binary_coeff_list(g: Poly) -> list:
-    """Ascending coefficients of a binary form in (first variable)^k."""
-    d = g.homogeneous_degree()
-    out = [g.coeff((k, d - k)) for k in range(d + 1)]
-    return uni_trim(out)
+def _square_free(u: list) -> bool:
+    """Whether the univariate polynomial with ascending coefficients u (ints
+    or Fractions, degree m = len(u) - 1 >= 2) has no repeated root over the
+    algebraic closure, i.e. shares no root with its derivative u'.  In
+    characteristic zero u' has degree m - 1, so the Sylvester matrix of u and
+    u' has size 2m - 1, and it is nonsingular exactly when gcd(u, u') is
+    constant."""
+    m = len(u) - 1
+    du = [k * c for k, c in enumerate(u)][1:]
+    size = 2 * m - 1
+    rows = [[0] * s + p + [0] * (size - s - len(p))
+            for p, shifts in ((u, m - 1), (du, m)) for s in range(shifts)]
+    return linalg.rank(rows) == size
 
 
 def _binary_square_free(g: Poly) -> bool:
-    """Square-freeness of a binary form over the algebraic closure, decided
-    by gcd with the derivative over Q (valid in characteristic zero)."""
+    """Square-freeness of a nonzero binary form over the algebraic closure.
+    Its roots are those of its coefficient list u, ascending in the first
+    variable, plus a root at infinity of multiplicity the power of the
+    second variable that divides g; so g is square-free when that power is
+    at most 1 and u has degree at most 1 or passes `_square_free`."""
     d = g.homogeneous_degree()
-    u = _binary_coeff_list(g)
+    u = [g.coeff((k, d - k)) for k in range(d + 1)]
+    while not u[-1]:
+        u.pop()
     if d - (len(u) - 1) > 1:
         return False  # the second variable divides at least twice
-    if len(u) - 1 <= 1:
-        return True
-    return len(uni_gcd(u, uni_derivative(u))) == 1
+    return len(u) - 1 <= 1 or _square_free(u)
 
 
 @dataclass(frozen=True)
@@ -188,7 +199,7 @@ class SylvesterResult:
     d2: int
     border: int
     rank: int
-    report: RankReport
+    evidence: tuple  # the four exact-value Deductions
 
 
 def sylvester_binary(f: Poly, facts: Optional[FormFacts] = None) -> SylvesterResult:
@@ -197,8 +208,9 @@ def sylvester_binary(f: Poly, facts: Optional[FormFacts] = None) -> SylvesterRes
     The annihilator of a binary form is a complete intersection in degrees
     d1 <= d2 with d1 + d2 = d + 2; cactus, smoothable and border rank all
     equal d1, and the rank is d1 exactly when the degree-d1 slice contains a
-    square-free form, else d2.  `facts`, when given, must be f's or those of
-    a form whose essential form f is.
+    square-free form, else d2.  The result carries these four exact values
+    as Deductions, for the caller to aggregate.  `facts`, when given, must be
+    f's or those of a form whose essential form f is.
     """
     d = f.homogeneous_degree()
     if d is None or f.is_zero():
@@ -228,16 +240,15 @@ def sylvester_binary(f: Poly, facts: Optional[FormFacts] = None) -> SylvesterRes
                 sl.basis[0] + t * sl.basis[1] for t in range(2 * d1 - 1)
             ]
             rank_val = d1 if any(_binary_square_free(m) for m in members) else d2
-    evidence = [
+    evidence = (
         Deduction("border", "exact", d1, rule="binary-kernel",
                   detail=f"complete intersection degrees d1={d1}, d2={d2}"),
         Deduction("smoothable", "exact", d1, rule="binary-kernel"),
         Deduction("cactus", "exact", d1, rule="binary-kernel"),
         Deduction("rank", "exact", rank_val, rule="binary-square-free",
                   detail="square-free slice member" if rank_val == d1 else "no square-free member in first slice"),
-    ]
-    report = aggregate(f, evidence, facts)
-    return SylvesterResult(d1=d1, d2=d2, border=d1, rank=rank_val, report=report)
+    )
+    return SylvesterResult(d1=d1, d2=d2, border=d1, rank=rank_val, evidence=evidence)
 
 
 def tameness_rule(report: RankReport, d: int) -> RankReport:

@@ -62,10 +62,6 @@ from .witness import (
 class LocusShapeError(ValueError):
     """The bilinear solution locus is not a degree-2 hypersurface."""
 
-    def __init__(self, message: str, samples=()):
-        super().__init__(message)
-        self.samples = tuple(samples)
-
 
 # ---------------------------------------------------------------------------
 # the distinguished cubic and its presentation
@@ -598,22 +594,20 @@ def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly
                 for i in range(ncoord)]
         factor = linalg.kernel_basis(cols, 2)
         if len(factor) != 1 or factor[0][0] * c1 != factor[0][1] * c0:
-            raise LocusShapeError(f"the point of factor {(c0, c1)} does not solve back to it",
-                                  samples=points)
+            raise LocusShapeError(f"the point of factor {(c0, c1)} does not solve back to it")
         points.append((u, tuple(factor[0])))
 
     # every point lies on the quadric, and together they must pin it uniquely
     eval_rows = [_quadric_monomials(u) for u, _ in points]
     ints = _cleared(quadric)[0]
-    for sample, row in zip(points, eval_rows):
+    for row in eval_rows:
         if sum(map(mul, row, ints)):
-            raise LocusShapeError("solvable point off the quadric", samples=[sample])
+            raise LocusShapeError("solvable point off the quadric")
     ker = linalg.kernel_basis(eval_rows, len(qmonos))
     if len(ker) != 1 or tuple(ker[0]) != quadric:
         raise LocusShapeError(
             f"samples do not pin a unique quadric ({len(points)} samples,"
-            f" kernel dimension {len(ker)})",
-            samples=points,
+            f" kernel dimension {len(ker)})"
         )
     smooth = False
     if k == 3:
@@ -965,8 +959,7 @@ def _classical(rep: WildReport) -> bool:
         rep.evidence += (Deduction("all", "exact", facts.hilbert(1), rule="quadric-conciseness",
                                    detail="all notions coincide for quadrics"),)
     elif facts.essential.dim <= 2:
-        # the first deduction is conciseness, which aggregate() re-injects
-        rep.evidence += sylvester_binary(facts.form, facts).report.provenance[1:]
+        rep.evidence += sylvester_binary(facts.form, facts).evidence
     else:
         return False
     return True

@@ -68,6 +68,25 @@ def naive_solve(cols, target):
     return sol
 
 
+def naive_poly_gcd(a, b):
+    """Monic gcd of two univariate polynomials given as ascending coefficient
+    lists (ints or Fractions), by Euclid's algorithm over Fractions; the
+    empty list for gcd(0, 0)."""
+    def trim(p):
+        p = [Fraction(c) for c in p]
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    a, b = trim(a), trim(b)
+    while b:
+        while len(a) >= len(b):  # a := a mod b
+            q, shift = a[-1] / b[-1], len(a) - len(b)
+            a = trim([c - q * b[k - shift] if k >= shift else c for k, c in enumerate(a)])
+        a, b = b, a
+    return [c / a[-1] for c in a]
+
+
 def random_poly(rng, table, ring, degree, max_terms=4, allow_zero=False):
     """Random polynomial with small integer coefficients, exact degree bound."""
     from apolar.poly import Poly, monomials

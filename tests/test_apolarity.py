@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from apolar import linalg
 from apolar.apolarity import (
+    FormFacts,
     _dense_terms,
     _int_catalecticant,
     _scanned_terms,
@@ -16,6 +17,7 @@ from apolar.apolarity import (
     concise_dim,
     contract,
     hilbert_function,
+    second_derivatives,
 )
 from apolar.parsing import parse_poly
 from apolar.poly import DUAL, PRIMAL, Poly, VarTable, linear_form, monomials
@@ -435,3 +437,60 @@ def test_catalecticant_entries_equal_the_naive_contraction():
                 g = naive_contract({col_mono: 1}, f.terms)
                 for k, row_mono in enumerate(monomials(n, d - i)):
                     assert entries[k][j] == g.get(row_mono, 0)
+
+
+def test_second_derivatives_are_the_contractions_by_dual_quadratic_monomials():
+    # H[i][j] is contract(d_i * d_j, f) up to one common positive scale, on
+    # dense forms (the integer catalecticant reads its (d, 2) tables) and
+    # sparse ones (it scans the terms of f)
+    rng = random.Random(4242)
+    branches = set()
+    for _ in range(120):
+        table = VarTable.make(("a", "b", "c", "d", "e")[: rng.randint(1, 5)])
+        n = table.n
+        d = rng.randint(2, 4)
+        monos = list(monomials(n, d))
+        size = rng.choice((1, 2, len(monos) // 2 + 1, len(monos)))
+        picked = rng.sample(monos, min(size, len(monos)))
+        f = Poly(table, PRIMAL, {m: Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))
+                                 for m in picked})
+        branches.add(len(monomials(n, d - 2)) <= len(f.terms))
+        H = second_derivatives(f)
+        assert len(H) == n and all(len(row) == n for row in H)
+        scale = None
+        for i in range(n):
+            for j in range(n):
+                assert H[i][j] == H[j][i]
+                mono = tuple((k == i) + (k == j) for k in range(n))
+                want = contract(Poly(table, DUAL, {mono: 1}), f).coefficient_vector(d - 2)
+                if scale is None and any(want):
+                    k = next(k for k, x in enumerate(want) if x)
+                    scale = Fraction(H[i][j][k]) / want[k]
+                    assert scale > 0
+                if scale is not None:
+                    assert list(H[i][j]) == [scale * x for x in want]
+        assert scale is not None
+    assert branches == {True, False}
+
+
+def test_second_derivatives_reject_degrees_below_two():
+    for text in ("x + y", "7", "0", "x^2 + y"):
+        with pytest.raises(ValueError):
+            second_derivatives(parse_poly(text, table=VarTable.make(("x", "y"))))
+
+
+def test_form_facts_read_the_second_derivatives_without_contracting(monkeypatch):
+    from apolar import apolarity
+
+    calls = []
+    original = apolarity.contract
+
+    def counted(alpha, f):
+        calls.append(alpha)
+        return original(alpha, f)
+
+    facts = FormFacts(F)
+    monkeypatch.setattr(apolarity, "contract", counted)
+    assert facts.second_derivatives == second_derivatives(F)
+    assert calls == []
+

