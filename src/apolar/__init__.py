@@ -37,16 +37,15 @@ from .ranks import (
 from .wildcert import (
     LocusShapeError,
     ProductLocus,
-    Rank9Certificate,
     WildPresentation,
     WildReport,
     cactus_lower_via_slice,
     extract_square_pairs,
     forced_square_check,
     gamma_space,
+    power_sum_certificate,
     product_locus,
     rank9_lower_cert,
-    rank9_upper,
     theorem2_report,
     transform_presentation,
     wild_cubic,

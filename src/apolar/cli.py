@@ -28,14 +28,14 @@ from .parsing import ParseError, parse_poly
 from .poly import Poly
 from .ranks import sylvester_binary
 from .wildcert import (
+    cactus_lower_via_slice,
     classical_report,
-    counting_certificate,
     extract_square_pairs,
     limit_family_certificate,
-    slice_saturation_certificate,
+    rank9_lower_cert,
     theorem2_report,
 )
-from .witness import direct_sum_extend, double_point_certificate
+from .witness import direct_sum_extend, double_point_span
 
 
 class InputError(ValueError):
@@ -175,7 +175,7 @@ def _cmd_double_points(args):
     p = _parse_form(args)
     pairs = _parse_pairs(args, p.table)
     try:
-        dps, cert = double_point_certificate(p, pairs)
+        dps, cert = double_point_span(p, pairs)
     except ValueError as exc:
         raise InputError(f"bad pair: {exc}") from exc
     if dps is None:
@@ -193,14 +193,14 @@ def _cmd_wild_cert(args):
     facts = FormFacts(_parse_form(args))
     g = facts.form
     try:
-        csl, saturation = slice_saturation_certificate(g, facts)
+        csl, saturation = cactus_lower_via_slice(g, facts)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    r9, counting = counting_certificate(g, args.rmax, extract_square_pairs(g), facts)
+    _, counting = rank9_lower_cert(g, args.rmax, extract_square_pairs(g), facts)
     results = {
         "cactus_lower": csl.bound if csl else None,
-        "rank_lower": r9.bound,
-        "rmax": r9.r_max,
+        "rank_lower": args.rmax + 1 if counting.verified else None,
+        "rmax": args.rmax,
     }
     return results, [saturation, counting], saturation.verified and counting.verified
 
@@ -231,9 +231,9 @@ def _cmd_direct_sum(args):
         raise InputError("--poly2 must be homogeneous and nonzero")
     try:
         rep = direct_sum_extend(p, q)
-        pipeline = theorem2_report(rep.combined, r_max=args.rmax)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    pipeline = theorem2_report(rep.combined, r_max=args.rmax)
     certificates = list(pipeline.certificates)
     if pipeline.direct_sum and certificates[0].verified and pipeline.conciseness == rep.combined.table.n:
         # the pipeline checked the same concise sum over its variable-disjoint

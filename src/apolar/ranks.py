@@ -49,16 +49,23 @@ class Deduction:
 class EvidenceRecord:
     """One certificate, or one stage of a certificate: its kind, whether it
     verified, a stage-by-stage log, whether it was computed or cites a
-    literature rule over verified hypotheses, and the bounds it certifies."""
+    literature rule over verified hypotheses, the bounds it certifies and,
+    for a certificate checked in stages, the record of each stage run."""
 
     kind: str
     verified: bool
     stage_log: tuple
     basis: str = "computed"  # "computed" | "cited"
     bounds: tuple = ()  # Deductions, certified only when verified
+    stages: tuple = ()  # EvidenceRecord per stage, up to the first that failed
 
     def certified(self) -> tuple:
         return self.bounds if self.verified else ()
+
+    @property
+    def failed_stage(self) -> Optional[str]:
+        """The kind of the first unverified stage, or None."""
+        return next((s.kind for s in self.stages if not s.verified), None)
 
 
 @dataclass

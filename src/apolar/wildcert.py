@@ -7,6 +7,13 @@ applications of literature rules are recorded as "cited" stages over
 machine-verified hypotheses so an auditor can see precisely what was
 computed.
 
+Each certificate has one builder, which computes it and records it:
+`limit_family_certificate` (border), `double_point_span` (cactus and
+smoothable), `power_sum_certificate` (rank upper), `cactus_lower_via_slice`
+(cactus lower) and `rank9_lower_cert` (rank lower, its stage records kept in
+the record's `stages`).  Each returns (witness or None, EvidenceRecord), and
+raises ValueError only on malformed input.
+
 A rank report runs the bound sources of `_STAGES` in order: the classical
 bounds, variable-disjoint summands, the upper bounds from square pairs,
 slice saturation and the counting certificate.  Each stage is a plain
@@ -53,7 +60,7 @@ from .witness import (
     TangentDatum,
     _check_linear_pairs,
     direct_summands,
-    double_point_certificate,
+    double_point_span,
     slice_intersection_certificate,
     tangent_limit_family,
 )
@@ -363,16 +370,17 @@ class CactusSliceCertificate:
     conciseness: int
 
 
-def cactus_lower_via_slice(f: Poly,
-                           facts: Optional[FormFacts] = None) -> Optional[CactusSliceCertificate]:
-    """Lower-bound the cactus rank by showing the degree-2 annihilator slice
-    saturates to too small a linear space.
+def cactus_lower_via_slice(f: Poly, facts: Optional[FormFacts] = None):
+    """(certificate, record) of the cactus lower bound from showing that the
+    degree-2 annihilator slice saturates to too small a linear space.
 
     Any length-<= H_f(2) scheme spanning f pins its degree-2 ideal slice to
     the full annihilator slice; if the saturation of that slice contains
     enough independent linear forms to drop the linear Hilbert value below
     the number of essential variables, no such scheme exists and the cactus
-    rank is at least H_f(2) + 1.  `facts`, when given, must be f's.
+    rank is at least H_f(2) + 1.  (None, unverified record) when the pattern
+    finds no linear drop; ValueError when f is not a cubic or not concise.
+    `facts`, when given, must be f's.
     """
     if f.homogeneous_degree() != 3:
         raise ValueError("the slice-saturation pattern is for cubics")
@@ -399,41 +407,29 @@ def cactus_lower_via_slice(f: Poly,
                 by_coord.setdefault(coord, [0] * n)[j] = c
         rows.extend(by_coord[coord] for coord in sorted(by_coord))
     gamma_vecs = linalg.kernel_basis(rows, n)
-    if not gamma_vecs:
-        return None
     quotient_h1 = n - len(gamma_vecs)
     if quotient_h1 >= es_dim:
-        return None
-    gamma_basis = tuple(linear_form(f.table, v, DUAL) for v in gamma_vecs)
-    return CactusSliceCertificate(
+        return None, EvidenceRecord("cactus-slice-saturation", False,
+                                    ("the slice-saturation pattern found no linear drop",))
+    csl = CactusSliceCertificate(
         bound=r + 1,
         scheme_quotient_dim=r,
-        gamma_basis=gamma_basis,
+        gamma_basis=tuple(linear_form(f.table, v, DUAL) for v in gamma_vecs),
         witness_power=k,
         quotient_h1=quotient_h1,
         conciseness=es_dim,
     )
-
-
-def slice_saturation_certificate(f: Poly, facts: Optional[FormFacts] = None):
-    """(bound, record) of the slice-saturation cactus bound; (None, unverified
-    record) when the pattern finds no linear drop.  ValueError as
-    cactus_lower_via_slice: f not a cubic, or not concise."""
-    csl = cactus_lower_via_slice(f, facts)
-    if csl is None:
-        return None, EvidenceRecord("cactus-slice-saturation", False,
-                                    ("the slice-saturation pattern found no linear drop",))
     return csl, EvidenceRecord(
         kind="cactus-slice-saturation",
         verified=True,
         stage_log=(
-            f"degree-2 quotient dimension {csl.scheme_quotient_dim}",
-            f"{len(csl.gamma_basis)} linear forms in the saturation (k={csl.witness_power})",
-            f"saturated quotient has {csl.quotient_h1} < {csl.conciseness} linear dimensions",
-            f"cactus rank >= {csl.bound}",
+            f"degree-2 quotient dimension {r}",
+            f"{len(gamma_vecs)} linear forms in the saturation (k={k})",
+            f"saturated quotient has {quotient_h1} < {es_dim} linear dimensions",
+            f"cactus rank >= {r + 1}",
         ),
-        bounds=(Deduction("cactus", "lower", csl.bound, rule="slice-saturation",
-                          detail=f"saturated linear quotient {csl.quotient_h1} < {csl.conciseness}"),),
+        bounds=(Deduction("cactus", "lower", r + 1, rule="slice-saturation",
+                          detail=f"saturated linear quotient {quotient_h1} < {es_dim}"),),
     )
 
 
@@ -449,19 +445,16 @@ class ProductLocus:
     `quadric` is the implicit degree-2 equation in point coordinates over the
     perp basis, eliminated from the 2x2 minors.  Each sample pairs the point
     solved from one fixed factor over the complement basis with the factor
-    re-solved at that point; `samples` holds the first six and
-    `extra_samples` the rest, all verified the same way.
+    re-solved at that point.
     """
 
     quadric: tuple  # coefficients over monomials(k, 2)
     samples: tuple  # ((u...), (c0, c1)) pairs, u coprime ints
-    extra_samples: tuple
-    perp_basis: tuple
-    comp_basis: tuple
     smooth: bool
 
     def all_samples(self) -> tuple:
-        return self.samples + self.extra_samples
+        """`samples`; the benchmark's tracer counts them through this name."""
+        return self.samples
 
     def quadric_value(self, u) -> Fraction:
         return linalg.mat_vec([_quadric_monomials(u)], self.quadric)[0]
@@ -480,7 +473,6 @@ _FACTORS = (
     (3, -1), (2, 1), (4, -1), (2, -3), (4, -3),
     (1, 2), (1, -3), (3, 1), (1, 3), (3, -2),
 )
-_SAMPLE_COUNT = 6
 _POINT_COUNT = 11
 
 
@@ -615,14 +607,7 @@ def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly
         smooth = linalg.rank([[2 * ints[0], ints[1], ints[2]],
                               [ints[1], 2 * ints[3], ints[4]],
                               [ints[2], ints[4], 2 * ints[5]]]) == 3
-    return ProductLocus(
-        quadric=quadric,
-        samples=tuple(points[:_SAMPLE_COUNT]),
-        extra_samples=tuple(points[_SAMPLE_COUNT:]),
-        perp_basis=tuple(perp_basis),
-        comp_basis=tuple(comp_basis),
-        smooth=smooth,
-    )
+    return ProductLocus(quadric=quadric, samples=tuple(points), smooth=smooth)
 
 
 def gamma_space(f: Poly, point_form: Poly, facts: Optional[FormFacts] = None):
@@ -706,35 +691,36 @@ def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[P
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Rank9Certificate:
-    verified: bool
-    bound: Optional[int]
-    r_max: int
-    stages: tuple  # EvidenceRecord per stage, named by its kind
-    locus: Optional[ProductLocus] = None
+def rank9_lower_cert(f: Poly, r_max: int, pairs, facts: Optional[FormFacts] = None):
+    """(locus, record) of the counting certificate on f's square pairs: the
+    hypotheses that rule out reduced decompositions of length <= r_max for
+    the wild-cubic pattern, so rank >= r_max + 1.
 
-    @property
-    def failed_stage(self) -> Optional[str]:
-        for s in self.stages:
-            if not s.verified:
-                return s.kind
-        return None
-
-
-def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None,
-                     facts: Optional[FormFacts] = None) -> Rank9Certificate:
-    """Verify the counting hypotheses ruling out reduced decompositions of
-    length <= r_max for the wild-cubic pattern; the returned bound is
-    r_max + 1.  On any failed stage the certificate is unverified and names
-    the stage.  `facts`, when given, must be f's."""
+    The record keeps the record of each stage in `stages`, up to the first
+    that failed, with one log line per stage; the witness is the product
+    locus, or None unless every stage verified.  No pairs fail the shape
+    stage.  ValueError when r_max < 1.  `facts`, when given, must be f's.
+    """
     if r_max < 1:
         raise ValueError(f"r_max must be at least 1, got {r_max}")
     stages = []
 
+    def done(locus=None):
+        return locus, EvidenceRecord(
+            kind="rank-lower-counting",
+            verified=locus is not None,
+            stage_log=tuple(
+                f"{s.kind} [{s.basis}]: {'ok' if s.verified else 'FAILED'} — {s.stage_log[0]}"
+                for s in stages
+            ),
+            bounds=(Deduction("rank", "lower", r_max + 1, rule="counting-certificate",
+                              detail=f"no reduced scheme of length <= {r_max}"),),
+            stages=tuple(stages),
+        )
+
     def fail(name, detail):
         stages.append(EvidenceRecord(name, False, (detail,)))
-        return Rank9Certificate(False, None, r_max, tuple(stages))
+        return done()
 
     def ok(name, detail, basis="computed"):
         stages.append(EvidenceRecord(name, True, (detail,), basis))
@@ -745,7 +731,6 @@ def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None,
     facts = facts or FormFacts(f)
     if facts.essential.dim != 5:
         return fail("shape", "not concise: fewer than 5 essential variables")
-    pairs = square_pairs if square_pairs is not None else extract_square_pairs(f)
     if not pairs:
         return fail("shape", "no squares-times-lines presentation available")
     perp, comp = square_pair_split(pairs, f.table)
@@ -780,7 +765,7 @@ def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None,
         locus = product_locus(f, perp, comp, facts)
     except LocusShapeError as exc:
         return fail("product-locus", str(exc))
-    nsamples = len(locus.all_samples())
+    nsamples = len(locus.samples)
     if not locus.smooth:
         return fail("product-locus", "the solution quadric is not a smooth conic")
     if nsamples < 5:
@@ -788,7 +773,7 @@ def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None,
     ok("product-locus", f"smooth conic with {nsamples} verified rational samples")
 
     perp_coeffs = _int_coeffs(perp)  # a positive multiple of each point form moves no kernel
-    for u, _ in locus.all_samples():
+    for u, _ in locus.samples:
         point_form = linear_form(f.table, _combine(u, perp_coeffs), DUAL)
         dim, _basis = gamma_space(f, point_form, facts)
         if dim != 4:
@@ -808,24 +793,7 @@ def rank9_lower_cert(f: Poly, r_max: int = 8, square_pairs=None,
         f" rank >= {r_max + 1}",
         basis="cited",
     )
-    return Rank9Certificate(True, r_max + 1, r_max, tuple(stages), locus=locus)
-
-
-def counting_certificate(f: Poly, r_max: int, pairs, facts: Optional[FormFacts] = None):
-    """rank9_lower_cert on the given square pairs and its record, verified or
-    naming the failed stage; one log line per stage, with its basis.  No
-    pairs fail the shape stage."""
-    r9 = rank9_lower_cert(f, r_max=r_max, square_pairs=pairs or (), facts=facts)
-    return r9, EvidenceRecord(
-        kind="rank-lower-counting",
-        verified=r9.verified,
-        stage_log=tuple(
-            f"{s.kind} [{s.basis}]: {'ok' if s.verified else 'FAILED'} — {s.stage_log[0]}"
-            for s in r9.stages
-        ),
-        bounds=(Deduction("rank", "lower", r_max + 1, rule="counting-certificate",
-                          detail=f"no reduced scheme of length <= {r_max}"),),
-    )
+    return done(locus)
 
 
 # ---------------------------------------------------------------------------
@@ -848,13 +816,16 @@ class PowerSumDecomposition:
                                ((lam, ((l, 3),)) for lam, l in self.terms)) == self.target
 
 
-def rank9_upper(f: Poly, square_pairs=None) -> PowerSumDecomposition:
-    """Explicit power-sum decomposition from the squares-times-lines shape:
+def power_sum_certificate(f: Poly, pairs):
+    """(decomposition, record) of the explicit power sum of f's square pairs:
     z^2*w = ((z+w)^3 - (z-w)^3 - 2*w^3)/6, with proportional pairs collapsed
-    to a single cube."""
-    pairs = square_pairs if square_pairs is not None else extract_square_pairs(f)
+    to a single cube.  (None, unverified record) when there are no pairs or
+    the cubes do not re-expand to f; ValueError when a pair is not linear or
+    lies over another table."""
     if not pairs:
-        raise ValueError("shape mismatch: no squares-times-lines presentation")
+        return None, EvidenceRecord("power-sum-decomposition", False,
+                                    ("shape mismatch: no squares-times-lines presentation",))
+    _check_linear_pairs(pairs)
     terms = []
     for z, w in pairs:
         if w.is_zero():
@@ -872,20 +843,8 @@ def rank9_upper(f: Poly, square_pairs=None) -> PowerSumDecomposition:
         terms.append((Fraction(-1, 3), w))
     dec = PowerSumDecomposition(target=f, terms=tuple(terms))
     if not dec.verify():
-        raise ValueError("shape mismatch: decomposition does not re-expand to f")
-    return dec
-
-
-def power_sum_certificate(f: Poly, pairs):
-    """(decomposition, record) of rank9_upper on the given square pairs;
-    (None, unverified record) when there are none or they do not re-expand
-    to f, and ValueError when a pair is not linear."""
-    pairs = pairs or ()
-    _check_linear_pairs(pairs)
-    try:
-        dec = rank9_upper(f, pairs)
-    except ValueError as exc:
-        return None, EvidenceRecord("power-sum-decomposition", False, (str(exc),))
+        return None, EvidenceRecord("power-sum-decomposition", False,
+                                    ("shape mismatch: decomposition does not re-expand to f",))
     return dec, EvidenceRecord(
         kind="power-sum-decomposition",
         verified=True,
@@ -1006,7 +965,7 @@ def _square_pairs(rep: WildReport) -> None:
     if not rep.pairs:
         rep.notes += ("no squares-times-lines shape found; reporting catalecticant bounds",)
         return
-    built = [("double-point span", double_point_certificate(g, rep.pairs)[1]),
+    built = [("double-point span", double_point_span(g, rep.pairs)[1]),
              ("power-sum upper bound", power_sum_certificate(g, rep.pairs)[1])]
     if linalg.rank([linear_coeffs(z) for z, _ in rep.pairs]) == 2 and len(rep.pairs) <= 3:
         built.insert(0, ("limit family", limit_family_certificate(g, rep.pairs)[1]))
@@ -1018,7 +977,7 @@ def _slice_saturation(rep: WildReport) -> None:
     """The cactus lower bound of a cubic whose degree-2 slice saturates to
     too few linear forms; nothing when it does not."""
     if rep.facts.form.homogeneous_degree() == 3:
-        csl, record = slice_saturation_certificate(rep.facts.form, rep.facts)
+        csl, record = cactus_lower_via_slice(rep.facts.form, rep.facts)
         if csl is not None:
             rep.certificates += (record,)
             rep.saturation_gammas = tuple(str(gamma) for gamma in csl.gamma_basis)
@@ -1030,7 +989,7 @@ def _counting(rep: WildReport) -> None:
     if not rep.pairs:
         return
     if rep.facts.form.table.n == 5 and len(rep.pairs) == 3:
-        rep.certificates += (counting_certificate(rep.facts.form, rep.r_max, rep.pairs, rep.facts)[1],)
+        rep.certificates += (rank9_lower_cert(rep.facts.form, rep.r_max, rep.pairs, rep.facts)[1],)
     else:
         rep.notes += ("counting certificate skipped: not the 5-variable three-pair shape",)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import linalg
 from .apolarity import ann_slice, concise_dim
@@ -101,9 +101,11 @@ def _check_linear_pairs(pairs: Sequence) -> None:
             raise ValueError(f"({l}, {m}): l must be a nonzero linear form, m linear or 0")
 
 
-def double_point_span(f: Poly, pairs: Sequence) -> Optional[DoublePointCertificate]:
-    """Solve for f in the span of the given 2-jets; None when unsolvable.
-    Each pair (l, m) needs a nonzero linear form l and a linear or zero m."""
+def double_point_span(f: Poly, pairs: Sequence):
+    """(certificate, record) of f solved in the span of the given 2-jets;
+    (None, unverified record) when they do not span f.  ValueError unless
+    f is a nonzero form and each pair (l, m) is a nonzero linear form l and
+    a linear or zero m."""
     d = f.homogeneous_degree()
     if d is None or f.is_zero():
         raise ValueError("expected a homogeneous nonzero polynomial")
@@ -112,7 +114,8 @@ def double_point_span(f: Poly, pairs: Sequence) -> Optional[DoublePointCertifica
             for l, m in pairs for factors in (((l, d),), ((l, d - 1), (m, 1)))]
     sol = linalg.solve_columns(cols, f.coefficient_vector(d))
     if sol is None:
-        return None
+        return None, EvidenceRecord("double-point-span", False,
+                                    ("no exact solution in the span of the given 2-jets",))
     cert = DoublePointCertificate(
         target=f,
         pairs=tuple(tuple(p) for p in pairs),
@@ -121,16 +124,6 @@ def double_point_span(f: Poly, pairs: Sequence) -> Optional[DoublePointCertifica
     )
     if not cert.verify():
         raise AssertionError("double-point certificate failed to re-expand")
-    return cert
-
-
-def double_point_certificate(f: Poly, pairs: Sequence):
-    """(certificate, record) of the double-point span; (None, unverified
-    record) when the 2-jets do not span f.  ValueError as double_point_span."""
-    cert = double_point_span(f, pairs)
-    if cert is None:
-        return None, EvidenceRecord("double-point-span", False,
-                                    ("no exact solution in the span of the given 2-jets",))
     upper = cert.cactus_upper
     return cert, EvidenceRecord(
         kind="double-point-span",

@@ -19,8 +19,8 @@ from apolar.ranks import (
 )
 from apolar.wildcert import (
     cactus_lower_via_slice,
+    power_sum_certificate,
     rank9_lower_cert,
-    rank9_upper,
     theorem2_report,
     transform_presentation,
     wild_cubic,
@@ -99,10 +99,10 @@ def test_criterion_3_membership_and_saturation():
 
 
 def test_criterion_4_cactus_six():
-    cert = cactus_lower_via_slice(F)
+    cert, _ = cactus_lower_via_slice(F)
     assert cert is not None and cert.bound == 6
     x0, x1, y0, y1, y2 = (Poly.variable(T5, i) for i in range(5))
-    span = double_point_span(F, [(x0, y0), (x0 + x1, -y1), (x1, y2)])
+    span, _ = double_point_span(F, [(x0, y0), (x0 + x1, -y1), (x1, y2)])
     assert span is not None and span.verify() and span.cactus_upper == 6
     rep = aggregate(F, [
         Deduction("cactus", "lower", cert.bound, rule="slice-saturation"),
@@ -131,14 +131,15 @@ def test_criterion_5_border_five():
 
 
 def test_criterion_6_rank_nine():
-    dec = rank9_upper(F)
+    pairs = wild_presentation(T5).square_pairs
+    dec, _ = power_sum_certificate(F, pairs)
     assert len(dec) == 9 and dec.verify()
-    cert = rank9_lower_cert(F, 8)
-    assert cert.verified and cert.bound == 9
-    stage_names = [s.kind for s in cert.stages]
+    locus, record = rank9_lower_cert(F, 8, pairs)
+    assert record.verified and record.certified()[0].value == 9
+    stage_names = [s.kind for s in record.stages]
     for needed in ("slice-dimension", "product-locus", "factor-family", "forced-square"):
         assert needed in stage_names
-    assert len(cert.locus.all_samples()) >= 5
+    assert len(locus.samples) >= 5
     rep = theorem2_report(F)
     assert rep.final()["rank"] == 9
     print("PASS criterion 6: nine exact cubes re-expand to the wild cubic and "

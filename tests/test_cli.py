@@ -11,12 +11,12 @@ from apolar import parse_poly, theorem2_report
 from apolar.apolarity import FormFacts
 from apolar.cli import _COMMANDS, _OPTIONS, _build_parser, _cert_dicts, main
 from apolar.wildcert import (
-    counting_certificate,
+    cactus_lower_via_slice,
     extract_square_pairs,
     limit_family_certificate,
-    slice_saturation_certificate,
+    rank9_lower_cert,
 )
-from apolar.witness import double_point_certificate
+from apolar.witness import double_point_span
 
 WILD = "x0^2*y0 - (x0+x1)^2*y1 + x1^2*y2"
 WILD_VARS = "x0,x1,y0,y1,y2"
@@ -318,6 +318,22 @@ def test_direct_sum_of_linear_forms_is_an_input_error(capsys, argv):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["theorem2", "--poly", "x^2*y+z^2*w"],
+    ["direct-sum", "--poly", "x^2*y", "--poly2", "z^3"],
+], ids=["theorem2", "direct-sum"])
+def test_inconsistent_evidence_is_a_hard_error_not_an_input_error(monkeypatch, argv):
+    from apolar import wildcert
+    from apolar.ranks import InconsistentEvidenceError
+
+    def contradict(report, degree):
+        raise InconsistentEvidenceError("border: lower 3 > upper 2")
+
+    monkeypatch.setattr(wildcert, "tameness_rule", contradict)
+    with pytest.raises(InconsistentEvidenceError):
+        main(argv)
+
+
 def test_unknown_command_exit_code(capsys):
     code = main(["does-not-exist"])
     assert code == 2
@@ -465,16 +481,16 @@ def _wild_pairs(text):
 def _wild_cert_records(poly):
     facts = FormFacts(parse_poly(poly))
     g = facts.form
-    return [slice_saturation_certificate(g, facts)[1],
-            counting_certificate(g, 8, extract_square_pairs(g), facts)[1]]
+    return [cactus_lower_via_slice(g, facts)[1],
+            rank9_lower_cert(g, 8, extract_square_pairs(g), facts)[1]]
 
 
 @pytest.mark.parametrize("argv, records", [
     (["witness-verify", "--poly", "x0*x1*x2"],
      lambda: [limit_family_certificate(parse_poly("x0*x1*x2"), None)[1]]),
     (["double-points", "--poly", WILD, "--vars", WILD_VARS, "--pairs", "x0,y0;x1,y2"],
-     lambda: [double_point_certificate(parse_poly(WILD, vars=WILD_VARS.split(",")),
-                                       _wild_pairs("x0,y0;x1,y2"))[1]]),
+     lambda: [double_point_span(parse_poly(WILD, vars=WILD_VARS.split(",")),
+                                _wild_pairs("x0,y0;x1,y2"))[1]]),
     (["wild-cert", "--poly", "x^3"], lambda: _wild_cert_records("x^3")),
 ], ids=["witness-verify", "double-points", "wild-cert"])
 def test_failure_records_are_the_builders_own(capsys, argv, records):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from apolar.apolarity import contract
 from apolar.parsing import parse_poly
-from apolar.poly import DUAL, PRIMAL, Poly, VarTable, linear_form, monomials
+from apolar.poly import DUAL, PRIMAL, Poly, TableMismatchError, VarTable, linear_form, monomials
 from apolar import linalg
 from apolar.wildcert import (
     LocusShapeError,
@@ -19,7 +19,6 @@ from apolar.wildcert import (
     _no_common_zero,
     cactus_lower_via_slice,
     classical_report,
-    counting_certificate,
     extract_square_pairs,
     forced_square_check,
     gamma_space,
@@ -27,8 +26,6 @@ from apolar.wildcert import (
     power_sum_certificate,
     product_locus,
     rank9_lower_cert,
-    rank9_upper,
-    slice_saturation_certificate,
     square_pair_split,
     squares_confined,
     tangent_data_for_pairs,
@@ -38,7 +35,7 @@ from apolar.wildcert import (
     wild_presentation,
     wild_table,
 )
-from apolar.witness import double_point_certificate
+from apolar.witness import double_point_span
 
 T5 = wild_table()
 F = wild_cubic(T5)
@@ -93,9 +90,10 @@ def test_square_pair_split():
 
 
 def test_cactus_lower_via_slice_wild():
-    cert = cactus_lower_via_slice(F)
+    cert, record = cactus_lower_via_slice(F)
     assert cert is not None
     assert cert.bound == 6
+    assert record.verified and record.certified()[0].value == 6
     assert cert.scheme_quotient_dim == 5
     assert cert.quotient_h1 == 2
     assert [str(g) for g in cert.gamma_basis] == ["d_y0", "d_y1", "d_y2"]
@@ -103,16 +101,14 @@ def test_cactus_lower_via_slice_wild():
 
 def test_cactus_lower_via_slice_no_drop_for_diagonal():
     diag = parse_poly("x0^3 + x1^3 + x2^3")
-    assert cactus_lower_via_slice(diag) is None
+    assert cactus_lower_via_slice(diag)[0] is None
 
 
 def test_cactus_lower_requires_concise_cubic():
-    # the record builder raises on the same malformed input
-    for build in (cactus_lower_via_slice, slice_saturation_certificate):
-        with pytest.raises(ValueError):
-            build(parse_poly("x0^3", table=T5))
-        with pytest.raises(ValueError):
-            build(parse_poly("x0^2 + x1^2"))
+    with pytest.raises(ValueError):
+        cactus_lower_via_slice(parse_poly("x0^3", table=T5))
+    with pytest.raises(ValueError):
+        cactus_lower_via_slice(parse_poly("x0^2 + x1^2"))
 
 
 def test_product_locus_conic():
@@ -125,7 +121,7 @@ def test_product_locus_conic():
     pts = {u for u, _ in locus.samples}
     for expected in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, -2), (2, 1, 2), (2, -2, -1)):
         assert tuple(Fraction(c) for c in expected) in pts
-    assert len(locus.extra_samples) >= 5
+    assert len(locus.samples) >= 11
     for u, c in locus.all_samples():
         assert locus.quadric_value(u) == 0
         point = sum((b * ui for ui, b in zip(u, perp)), Poly.zero(T5, DUAL))
@@ -199,43 +195,68 @@ def test_squares_confined_counterexample():
 
 
 def test_rank9_lower_cert_wild():
-    cert = rank9_lower_cert(F, 8)
-    assert cert.verified
-    assert cert.bound == 9
-    assert cert.failed_stage is None
-    assert len(cert.locus.all_samples()) >= 5
-    assert any(s.basis == "cited" for s in cert.stages)
+    locus, record = rank9_lower_cert(F, 8, PRES.square_pairs)
+    assert record.verified
+    assert record.certified()[0].value == 9
+    assert record.failed_stage is None
+    assert len(locus.samples) >= 5
+    assert any(s.basis == "cited" for s in record.stages)
 
 
 def test_rank9_lower_cert_weak_rmax():
-    cert = rank9_lower_cert(F, 4)
-    assert cert.verified
-    assert cert.bound == 5
+    locus, record = rank9_lower_cert(F, 4, PRES.square_pairs)
+    assert record.verified and locus is not None
+    assert record.certified()[0].value == 5
 
 
 @pytest.mark.parametrize("r_max", [0, -1])
 def test_rank9_lower_cert_rejects_rmax_below_one(r_max):
     with pytest.raises(ValueError, match="r_max"):
-        rank9_lower_cert(F, r_max)
+        rank9_lower_cert(F, r_max, PRES.square_pairs)
+
+
+DIAG5 = parse_poly("x0^3 + x1^3 + x2^3 + x3^3 + x4^3")
 
 
 def test_rank9_lower_cert_rejects_diagonal():
-    diag = parse_poly("x0^3 + x1^3 + x2^3 + x3^3 + x4^3")
-    cert = rank9_lower_cert(diag, 8)
-    assert not cert.verified
-    assert cert.failed_stage == "shape"
+    locus, record = rank9_lower_cert(DIAG5, 8, extract_square_pairs(DIAG5))
+    assert not record.verified and locus is None
+    assert record.failed_stage == "shape"
 
 
 def test_rank9_lower_cert_rejects_large_rmax():
-    cert = rank9_lower_cert(F, 9)
-    assert not cert.verified
-    assert cert.failed_stage == "quadric-count"
+    locus, record = rank9_lower_cert(F, 9, PRES.square_pairs)
+    assert not record.verified and locus is None
+    assert record.failed_stage == "quadric-count"
+
+
+def stage_line(stage):
+    return f"{stage.kind} [{stage.basis}]: {'ok' if stage.verified else 'FAILED'} — {stage.stage_log[0]}"
+
+
+@pytest.mark.parametrize("f, r_max, pairs, failed", [
+    (DIAG5, 8, extract_square_pairs(DIAG5), "shape"),
+    (F, 9, PRES.square_pairs, "quadric-count"),
+    (F + parse_poly("y0*y1*y2", table=T5), 8, PRES.square_pairs, "perp-squares"),
+    (F, 8, PRES.square_pairs, None),
+], ids=["diagonal", "large-rmax", "perp-product", "verified"])
+def test_counting_record_nests_its_stages_up_to_the_failed_one(f, r_max, pairs, failed):
+    locus, record = rank9_lower_cert(f, r_max, pairs)
+    assert record.kind == "rank-lower-counting"
+    assert record.stage_log == tuple(stage_line(s) for s in record.stages)
+    assert all(s.verified for s in record.stages[:-1])
+    assert record.stages[-1].verified is (failed is None)
+    assert record.stages[-1].kind == (failed or "product-propagation")
+    assert record.failed_stage == failed
+    assert record.verified == (failed is None) == (locus is not None)
+    assert replace(record, stages=()).failed_stage is None
 
 
 def test_rank9_upper_single_monomial():
     t = VarTable.make(("x0", "y0"))
     f = parse_poly("x0^2*y0", table=t)
-    dec = rank9_upper(f)
+    dec, record = power_sum_certificate(f, extract_square_pairs(f))
+    assert record.verified and record.certified()[0].value == 3
     assert len(dec) == 3
     terms = {(str(l)): lam for lam, l in dec.terms}
     assert terms["x0 + y0"] == Fraction(1, 6)
@@ -245,13 +266,14 @@ def test_rank9_upper_single_monomial():
 
 
 def test_rank9_upper_wild_nine_cubes():
-    dec = rank9_upper(F)
+    dec, record = power_sum_certificate(F, extract_square_pairs(F))
+    assert record.certified()[0].value == 9
     assert len(dec) == 9
     assert dec.verify()
 
 
 def test_power_sum_with_one_perturbed_coefficient_is_rejected():
-    dec = rank9_upper(F)
+    dec, _ = power_sum_certificate(F, PRES.square_pairs)
     for i, (lam, l) in enumerate(dec.terms):
         for term in ((lam + Fraction(1, 1009), l), (lam, l * Fraction(1010, 1009))):
             terms = list(dec.terms)
@@ -262,7 +284,8 @@ def test_power_sum_with_one_perturbed_coefficient_is_rejected():
 
 def test_rank9_upper_pure_cube_collapses():
     t = VarTable.make(("x",))
-    dec = rank9_upper(parse_poly("x^3", table=t))
+    f = parse_poly("x^3", table=t)
+    dec, _ = power_sum_certificate(f, extract_square_pairs(f))
     assert len(dec) == 1
     assert dec.terms[0][0] == Fraction(1)
 
@@ -273,8 +296,15 @@ def test_rank9_upper_shape_mismatch():
     from _oracle import random_poly
 
     f = random_poly(rng, t, PRIMAL, 3, max_terms=10)
-    with pytest.raises(ValueError):
-        rank9_upper(f)
+    dec, record = power_sum_certificate(f, extract_square_pairs(f))
+    assert dec is None and not record.verified
+    assert record.stage_log == ("shape mismatch: no squares-times-lines presentation",)
+
+
+def test_power_sum_certificate_rejects_pairs_over_another_table():
+    other = wild_table(("e0", "e1", "e2", "e3", "e4"))
+    with pytest.raises(TableMismatchError):
+        power_sum_certificate(F, wild_presentation(other).square_pairs)
 
 
 def test_theorem2_wild_cubic():
@@ -455,7 +485,7 @@ def test_saturation_gammas_pass_the_witness_check():
     from apolar.ideals import saturation_witness
 
     for f in [F] + [p.poly for p in gl5_presentations(3)]:
-        cert = cactus_lower_via_slice(f)
+        cert, _ = cactus_lower_via_slice(f)
         assert cert is not None and cert.bound == 6 and len(cert.gamma_basis) == 3
         slice2 = ann_slice(f, 2)
         for gamma in cert.gamma_basis:
@@ -583,7 +613,7 @@ def test_squares_confined_on_concise_square_sums(seed):
     perp, comp = square_pair_split(pairs, T5)
     assert squares_confined(f, perp, comp)
     assert squares_confined(f, perp, comp, facts)
-    stages = {s.kind: s for s in rank9_lower_cert(f, square_pairs=pairs, facts=facts).stages}
+    stages = {s.kind: s for s in rank9_lower_cert(f, 8, pairs, facts)[1].stages}
     assert stages["square-confinement"].verified
 
 
@@ -768,9 +798,9 @@ FERMAT = parse_poly("x^3+y^3+z^3")
      "no squares-times-lines shape found"),
     (lambda: limit_family_certificate(FERMAT, extract_square_pairs(FERMAT)),
      "border-limit-family", "squared parts must span a 2-dimensional space"),
-    (lambda: double_point_certificate(F, square_pairs_of("x0,y0;x1,y2")), "double-point-span",
+    (lambda: double_point_span(F, square_pairs_of("x0,y0;x1,y2")), "double-point-span",
      "no exact solution in the span of the given 2-jets"),
-    (lambda: slice_saturation_certificate(parse_poly("x^3")), "cactus-slice-saturation",
+    (lambda: cactus_lower_via_slice(parse_poly("x^3")), "cactus-slice-saturation",
      "the slice-saturation pattern found no linear drop"),
     (lambda: power_sum_certificate(F, square_pairs_of("x0,y0;x1,y2")),
      "power-sum-decomposition", "shape mismatch: decomposition does not re-expand to f"),
@@ -785,7 +815,7 @@ def test_builders_return_an_unverified_record_when_they_do_not_apply(build, kind
     assert (record.kind, record.stage_log) == (kind, (reason,))
 
 
-@pytest.mark.parametrize("build", [limit_family_certificate, double_point_certificate,
+@pytest.mark.parametrize("build", [limit_family_certificate, double_point_span,
                                    power_sum_certificate])
 @pytest.mark.parametrize("pairs", ["x0^2,y0;x1,y2", "x0,y0^2;x1,y2", "0,y0;x1,y2", "x0,1;x1,y2"])
 def test_pair_builders_reject_pairs_that_are_not_linear(build, pairs):
@@ -803,11 +833,11 @@ def test_record_builders_never_read_pairs_off_the_monomials(monkeypatch):
     pairs = PRES.square_pairs
     assert limit_family_certificate(F, pairs)[1].verified
     assert power_sum_certificate(F, pairs)[1].verified
-    assert counting_certificate(F, 8, pairs)[1].verified
+    assert rank9_lower_cert(F, 8, pairs)[1].verified
     assert limit_family_certificate(F, None)[0] is None
     assert power_sum_certificate(F, None)[0] is None
-    r9, record = counting_certificate(F, 8, None)
-    assert not record.verified and r9.failed_stage == "shape"
+    locus, record = rank9_lower_cert(F, 8, None)
+    assert not record.verified and locus is None and record.failed_stage == "shape"
     assert record.stage_log == (
         "shape [computed]: FAILED — no squares-times-lines presentation available",)
 
@@ -825,7 +855,7 @@ def test_perp_products_are_evaluated_once_per_verified_counting_certificate(monk
     monkeypatch.setattr(wildcert, "_perp_products_vanish", counted)
     for pres in [PRES] + gl5_presentations(2):
         calls.clear()
-        _, record = counting_certificate(pres.poly, 8, pres.square_pairs)
+        _, record = rank9_lower_cert(pres.poly, 8, pres.square_pairs)
         assert record.verified
         assert calls == [pres.poly]
     calls.clear()
@@ -838,13 +868,13 @@ def test_counting_certificate_stops_at_perp_squares_when_a_perp_product_survives
     # the wild pairs no longer all annihilate f; f stays concise, so its
     # degree-2 annihilator slice is still 10-dimensional
     f = F + parse_poly("y0*y1*y2", table=T5)
-    cert = rank9_lower_cert(f, 8, square_pairs=PRES.square_pairs)
-    assert [(s.kind, s.verified, s.stage_log) for s in cert.stages] == [
+    locus, record = rank9_lower_cert(f, 8, PRES.square_pairs)
+    assert [(s.kind, s.verified, s.stage_log) for s in record.stages] == [
         ("shape", True, ("concise 5-variable cubic with a 3+2 dual split",)),
         ("slice-dimension", True, ("degree-2 annihilator slice is 10-dimensional",)),
         ("perp-squares", False, ("a product of perp forms does not annihilate f",)),
     ]
-    assert cert.failed_stage == "perp-squares" and cert.bound is None
+    assert record.failed_stage == "perp-squares" and locus is None and record.certified() == ()
 
 
 def test_counting_stages_follow_the_perp_products_and_the_confinement_proof():
@@ -860,7 +890,7 @@ def test_counting_stages_follow_the_perp_products_and_the_confinement_proof():
             continue
         perp, comp = square_pair_split(pairs, T5)
         stages = [(s.kind, s.verified) for s in
-                  rank9_lower_cert(f, 8, square_pairs=pairs, facts=facts).stages][:4]
+                  rank9_lower_cert(f, 8, pairs, facts)[1].stages][:4]
         vanish = not any(any(v) for vs in per_call_contractions(f, perp, perp) for v in vs)
         expected = [("shape", True), ("slice-dimension", True), ("perp-squares", vanish)]
         if vanish:
