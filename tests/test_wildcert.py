@@ -816,7 +816,9 @@ def test_builders_return_an_unverified_record_when_they_do_not_apply(build, kind
 
 
 @pytest.mark.parametrize("build", [limit_family_certificate, double_point_span,
-                                   power_sum_certificate])
+                                   power_sum_certificate],
+                         ids=["limit_family_certificate", "double_point_certificate",
+                              "power_sum_certificate"])
 @pytest.mark.parametrize("pairs", ["x0^2,y0;x1,y2", "x0,y0^2;x1,y2", "0,y0;x1,y2", "x0,1;x1,y2"])
 def test_pair_builders_reject_pairs_that_are_not_linear(build, pairs):
     with pytest.raises(ValueError, match="l must be a nonzero linear form"):
