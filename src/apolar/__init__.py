@@ -2,7 +2,6 @@
 Waring-rank bounds for homogeneous polynomials over the rationals."""
 
 from .apolarity import (
-    Catalecticant,
     EssentialSpace,
     HilbertFn,
     ann_slice,
@@ -20,7 +19,6 @@ from .ideals import (
     quotient_hilbert,
     saturation_witness,
 )
-from .linalg import QMatrix
 from .parsing import ParseError, parse_poly
 from .poly import DUAL, PRIMAL, Poly, TableMismatchError, VarTable, linear_form, monomials
 from .ranks import (

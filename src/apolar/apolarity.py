@@ -3,16 +3,18 @@
 Dual variables act as partial derivatives (honest differentiation, not
 divided powers; in characteristic zero the two conventions give the same
 kernels and ranks, which is all downstream code consumes — only the scalar
-factorials differ).  Catalecticant matrices are the degree-i slices of this
-action; their ranks form the Hilbert function, their kernels the annihilator
-slices, and the row space of the degree-1 one spans the essential variables.
+factorials differ).  The catalecticant matrices are the degree-i slices of
+this action; their ranks form the Hilbert function, their kernels the
+annihilator slices, and the row space of the degree-1 one spans the
+essential variables.
 
-Ranks, the essential basis and the second-derivative table are read off
-integer rows (`_int_catalecticant`: the catalecticant times the least common
-denominator of f's coefficients), since one positive scale changes no rank,
-reduced row space or kernel.  The exact
-`Catalecticant`, filled from `contract`, serves `ann_slice` and the
-`catalecticant` command; `ann_slice` stays on it while the benchmark's
+A catalecticant is its rows, a tuple of row tuples handed to `linalg`, like
+every matrix in the package.  Ranks, the essential basis and the
+second-derivative table are read off integer rows (`_int_catalecticant`: the
+catalecticant times the least common denominator of f's coefficients), since
+one positive scale changes no rank, reduced row space or kernel.  The exact
+rows of `catalecticant`, filled from `contract`, serve `ann_slice` and the
+`catalecticant` command; `ann_slice` stays on them while the benchmark's
 `powers` workload requires `catalecticant` and `contract` to be reached,
 which in that workload only `ann_slice` does.
 """
@@ -26,7 +28,6 @@ from math import perm
 
 from . import linalg
 from .ideals import IdealSlice
-from .linalg import QMatrix
 from .poly import (
     _ZERO,
     DUAL,
@@ -144,40 +145,13 @@ def contract(alpha: Poly, f: Poly) -> Poly:
     return Poly._of(f.table, PRIMAL, terms)
 
 
-@dataclass(frozen=True)
-class Catalecticant:
-    """Matrix of contraction by degree-i dual monomials against f.
+def catalecticant(f: Poly, i: int) -> tuple:
+    """Matrix of contraction by degree-i dual monomials against f, as a
+    tuple of row tuples of Fractions, each entry filled from `contract`.
 
     Columns are indexed by the degree-i dual monomials, rows by the
-    degree-(d-i) primal monomials, both in canonical order.  `rows` holds
-    the entries as filled from `contract`; the labelled `matrix` is built
-    only when read.
+    degree-(d-i) primal monomials, both in canonical order.
     """
-
-    source_degree: int
-    table: VarTable
-    form_degree: int
-    rows: tuple  # one tuple of Fractions per degree-(d-i) primal monomial
-
-    def rank(self) -> int:
-        return linalg.rank(self.rows)
-
-    def kernel(self) -> list:
-        """Reduced echelon basis of the kernel, one vector per free column."""
-        return linalg.kernel_basis(self.rows, len(self.rows[0]))
-
-    @cached_property
-    def matrix(self) -> QMatrix:
-        n, i = self.table.n, self.source_degree
-
-        def labels(ring, degree):  # each monomial printed as a Poly, so 1 is "1"
-            return tuple(str(Poly._of(self.table, ring, {m: _ONE})) for m in monomials(n, degree))
-
-        return QMatrix(self.rows, row_labels=labels(PRIMAL, self.form_degree - i),
-                       col_labels=labels(DUAL, i))
-
-
-def catalecticant(f: Poly, i: int) -> Catalecticant:
     d = f.homogeneous_degree()
     if d is None:
         raise ValueError("catalecticant requires a homogeneous nonzero polynomial")
@@ -190,7 +164,7 @@ def catalecticant(f: Poly, i: int) -> Catalecticant:
     for j, mono in enumerate(col_monos):
         for m, c in contract(Poly._of(f.table, DUAL, {mono: _ONE}), f).terms.items():
             rows[row_index[m]][j] = c
-    return Catalecticant(i, f.table, d, tuple(map(tuple, rows)))
+    return tuple(map(tuple, rows))
 
 
 def _int_catalecticant(f: Poly, i: int) -> list:
@@ -222,7 +196,8 @@ def _int_catalecticant(f: Poly, i: int) -> list:
 
 def ann_slice(f: Poly, i: int) -> IdealSlice:
     """Degree-i slice of the annihilator of f, as an echelonized basis."""
-    ker = catalecticant(f, i).kernel()
+    rows = catalecticant(f, i)
+    ker = linalg.kernel_basis(rows, len(rows[0]))
     monos = monomials(f.table.n, i)
     # kernel entries are already canonical Fractions
     basis = tuple(Poly._of(f.table, DUAL, {m: c for m, c in zip(monos, v) if c})

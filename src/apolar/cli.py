@@ -14,7 +14,7 @@ import functools
 import json
 import sys
 
-from . import __version__
+from . import __version__, linalg
 from .apolarity import (
     FormFacts,
     ann_slice,
@@ -25,7 +25,7 @@ from .apolarity import (
 )
 from .ideals import macaulay_bound
 from .parsing import ParseError, parse_poly
-from .poly import Poly
+from .poly import DUAL, PRIMAL, Poly, monomials
 from .ranks import sylvester_binary
 from .wildcert import (
     cactus_lower_via_slice,
@@ -94,20 +94,25 @@ def _cmd_annihilator(args):
     }, [], True
 
 
+def _labels(table, ring, degree) -> list:
+    """The degree-`degree` monomials of `ring`, each printed as a Poly, so
+    the monomial 1 is "1"."""
+    return [str(Poly(table, ring, {m: 1})) for m in monomials(table.n, degree)]
+
+
 def _cmd_catalecticant(args):
     p = _parse_input_poly(args)
     if args.degree is None:
         raise InputError("--degree is required")
-    cat = _slice_degree(catalecticant, p, args.degree)
-    m = cat.matrix
+    rows = _slice_degree(catalecticant, p, args.degree)
     return {
-        "source_degree": cat.source_degree,
-        "rank": cat.rank(),
-        "rows": m.nrows,
-        "cols": m.ncols,
-        "row_labels": list(m.row_labels),
-        "col_labels": list(m.col_labels),
-        "entries": [[str(c) for c in row] for row in m.entries],
+        "source_degree": args.degree,
+        "rank": linalg.rank(rows),
+        "rows": len(rows),
+        "cols": len(rows[0]),
+        "row_labels": _labels(p.table, PRIMAL, p.homogeneous_degree() - args.degree),
+        "col_labels": _labels(p.table, DUAL, args.degree),
+        "entries": [[str(c) for c in row] for row in rows],
     }, [], True
 
 

@@ -43,7 +43,7 @@ class IdealSlice:
             return True
         if form.homogeneous_degree() != self.degree:
             return False
-        return linalg.in_span(form.coefficient_vector(self.degree), self.vectors()) is not None
+        return linalg.solve_columns(self.vectors(), form.coefficient_vector(self.degree)) is not None
 
     def same_span(self, other: "IdealSlice") -> bool:
         if self.degree != other.degree or self.table != other.table:

@@ -39,7 +39,6 @@ basis and downstream golden tests can compare bases verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -298,13 +297,6 @@ def solve_columns(cols: Sequence[Sequence], target: Sequence) -> Optional[Vector
     return sol
 
 
-def in_span(v: Sequence, basis: Sequence[Sequence]) -> Optional[Vector]:
-    """Coefficients expressing v in terms of basis, or None if outside."""
-    if not basis:
-        return [] if not any(v) else None
-    return solve_columns(basis, v)
-
-
 def intersect_spans(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> list:
     """Reduced basis of span(basis_a) ∩ span(basis_b)."""
     if not basis_a or not basis_b:
@@ -326,42 +318,3 @@ def intersect_spans(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) ->
     _, red = rref(vecs)
     return red
 
-
-def mat_vec(rows: Sequence[Sequence], v: Sequence) -> Vector:
-    return [sum((Fraction(a) * Fraction(b) for a, b in zip(row, v)), Fraction(0)) for row in rows]
-
-
-@dataclass(frozen=True)
-class QMatrix:
-    """Dense exact rational matrix with optional row/column labels."""
-
-    entries: tuple  # tuple of tuples of Fraction
-    row_labels: tuple = ()
-    col_labels: tuple = ()
-
-    @staticmethod
-    def from_rows(rows, row_labels=(), col_labels=()) -> "QMatrix":
-        ent = tuple(tuple(Fraction(c) for c in r) for r in rows)
-        return QMatrix(ent, tuple(row_labels), tuple(col_labels))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
-    def rank(self) -> int:
-        return rank(self.entries)
-
-    def kernel(self) -> tuple:
-        """(rank, kernel basis vectors); rank + dim kernel = ncols."""
-        vecs = kernel_basis(self.entries, self.ncols)
-        return self.ncols - len(vecs), vecs
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(tuple(zip(*self.entries)) if self.entries else ())
-
-    def apply(self, v: Sequence) -> Vector:
-        return mat_vec(self.entries, v)

@@ -229,13 +229,10 @@ def sylvester_binary(f: Poly, facts: Optional[FormFacts] = None) -> SylvesterRes
     if es.dim == 1:
         d1, d2, rank_val = 1, d + 1, 1
     else:
-        g = facts.form
-        d1 = None
-        for i in range(1, d + 1):
-            sl = facts.slice2 if i == 2 else ann_slice(g, i)
-            if sl.dim > 0:
-                d1 = i
-                break
+        # dim Ann(g)_i = (i + 1) - H(i) for a concise binary form g, so the
+        # first nonzero slice is the first degree where H(i) <= i
+        d1 = next(i for i in range(1, d + 1) if facts.hilbert(i) <= i)
+        sl = facts.slice2 if d1 == 2 else ann_slice(facts.form, d1)
         d2 = d + 2 - d1
         if sl.dim == 1:
             rank_val = d1 if _binary_square_free(sl.basis[0]) else d2

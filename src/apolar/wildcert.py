@@ -456,9 +456,6 @@ class ProductLocus:
         """`samples`; the benchmark's tracer counts them through this name."""
         return self.samples
 
-    def quadric_value(self, u) -> Fraction:
-        return linalg.mat_vec([_quadric_monomials(u)], self.quadric)[0]
-
 
 def _quadric_monomials(u) -> list:
     """The degree-2 monomials in the point coordinates, evaluated at u."""
@@ -699,10 +696,13 @@ def rank9_lower_cert(f: Poly, r_max: int, pairs, facts: Optional[FormFacts] = No
     The record keeps the record of each stage in `stages`, up to the first
     that failed, with one log line per stage; the witness is the product
     locus, or None unless every stage verified.  No pairs fail the shape
-    stage.  ValueError when r_max < 1.  `facts`, when given, must be f's.
+    stage.  ValueError when r_max < 1 or a pair is not linear.  `facts`,
+    when given, must be f's.
     """
     if r_max < 1:
         raise ValueError(f"r_max must be at least 1, got {r_max}")
+    if pairs:
+        _check_linear_pairs(pairs)
     stages = []
 
     def done(locus=None):

@@ -101,6 +101,32 @@ def test_catalecticant_command(capsys):
     assert doc["results"]["rows"] == 15
 
 
+CUBIC_LABELS = ["x^3", "x^2*y", "x^2*z", "x*y^2", "x*y*z", "x*z^2", "y^3", "y^2*z", "y*z^2", "z^3"]
+
+
+@pytest.mark.parametrize("degree, results", [
+    (0, {"source_degree": 0, "rank": 1, "rows": 10, "cols": 1,
+         "row_labels": CUBIC_LABELS, "col_labels": ["1"],
+         "entries": [["0"], ["1"], ["0"], ["0"], ["0"], ["0"], ["0"], ["0"], ["0"], ["3/2"]]}),
+    (1, {"source_degree": 1, "rank": 3, "rows": 6, "cols": 3,
+         "row_labels": ["x^2", "x*y", "x*z", "y^2", "y*z", "z^2"],
+         "col_labels": ["d_x", "d_y", "d_z"],
+         "entries": [["0", "1", "0"], ["2", "0", "0"], ["0", "0", "0"], ["0", "0", "0"],
+                     ["0", "0", "0"], ["0", "0", "9/2"]]}),
+    (3, {"source_degree": 3, "rank": 1, "rows": 1, "cols": 10,
+         "row_labels": ["1"],
+         "col_labels": ["d_x^3", "d_x^2*d_y", "d_x^2*d_z", "d_x*d_y^2", "d_x*d_y*d_z",
+                        "d_x*d_z^2", "d_y^3", "d_y^2*d_z", "d_y*d_z^2", "d_z^3"],
+         "entries": [["0", "2", "0", "0", "0", "0", "0", "0", "0", "9"]]}),
+], ids=["0", "1", "3"])
+def test_catalecticant_command_document(capsys, degree, results):
+    # the unit monomial is labelled "1": the one column at slice degree 0,
+    # the one row at slice degree d
+    code, doc = run(capsys, "catalecticant", "--poly", "x^2*y + 3/2*z^3", "--degree", str(degree))
+    assert code == 0
+    assert doc["results"] == results
+
+
 def test_concise_command(capsys):
     code, doc = run(capsys, "concise", "--poly", "x0^3", "--vars", WILD_VARS)
     assert code == 0

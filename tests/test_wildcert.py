@@ -123,7 +123,8 @@ def test_product_locus_conic():
         assert tuple(Fraction(c) for c in expected) in pts
     assert len(locus.samples) >= 11
     for u, c in locus.all_samples():
-        assert locus.quadric_value(u) == 0
+        assert sum(q * prod(ui ** e for ui, e in zip(u, mono))
+                   for q, mono in zip(locus.quadric, monomials(3, 2))) == 0
         point = sum((b * ui for ui, b in zip(u, perp)), Poly.zero(T5, DUAL))
         factor = sum((a * ci for ci, a in zip(c, comp)), Poly.zero(T5, DUAL))
         assert contract(point * factor, F).is_zero()
@@ -512,7 +513,7 @@ def test_monomial_residues_are_the_reductions_modulo_the_slice():
             # the normal form: zero on every pivot, and e_m minus it in the span
             assert all(full[p] == 0 for p in pivots)
             e_m = [Fraction(int(k == m)) for k in range(len(monos))]
-            assert linalg.in_span([a - b for a, b in zip(e_m, full)], vecs) is not None
+            assert linalg.solve_columns(vecs, [a - b for a, b in zip(e_m, full)]) is not None
 
 
 def test_squares_confined_on_transformed_presentations():
@@ -816,9 +817,10 @@ def test_builders_return_an_unverified_record_when_they_do_not_apply(build, kind
 
 
 @pytest.mark.parametrize("build", [limit_family_certificate, double_point_span,
-                                   power_sum_certificate],
+                                   power_sum_certificate,
+                                   lambda f, pairs: rank9_lower_cert(f, 8, pairs)],
                          ids=["limit_family_certificate", "double_point_certificate",
-                              "power_sum_certificate"])
+                              "power_sum_certificate", "rank9_lower_cert"])
 @pytest.mark.parametrize("pairs", ["x0^2,y0;x1,y2", "x0,y0^2;x1,y2", "0,y0;x1,y2", "x0,1;x1,y2"])
 def test_pair_builders_reject_pairs_that_are_not_linear(build, pairs):
     with pytest.raises(ValueError, match="l must be a nonzero linear form"):
