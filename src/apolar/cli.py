@@ -4,6 +4,10 @@ emit a machine-readable JSON report.
 The certificate commands print the records their builders return, verified
 or not; a builder's ValueError on malformed input is an input error.
 
+Each handler imports the library modules it calls when it runs, so
+`import apolar.cli` loads only the parser, and a process loads only what its
+command needs.
+
 Exit codes: 0 success, 1 certificate failure, 2 input error.
 """
 
@@ -14,35 +18,15 @@ import functools
 import json
 import sys
 
-from . import __version__, linalg
-from .apolarity import (
-    FormFacts,
-    ann_slice,
-    catalecticant,
-    concise_dim,
-    essential_form,
-    hilbert_function,
-)
-from .ideals import macaulay_bound
+from . import __version__
 from .parsing import ParseError, parse_poly
-from .poly import DUAL, PRIMAL, Poly, monomials
-from .ranks import sylvester_binary
-from .wildcert import (
-    cactus_lower_via_slice,
-    classical_report,
-    extract_square_pairs,
-    limit_family_certificate,
-    rank9_lower_cert,
-    theorem2_report,
-)
-from .witness import direct_sum_extend, double_point_span
 
 
 class InputError(ValueError):
     pass
 
 
-def _parse_input_poly(args) -> Poly:
+def _parse_input_poly(args):
     if not args.poly:
         raise InputError("--poly is required for this command")
     vars_ = args.vars.split(",") if args.vars else None
@@ -55,7 +39,7 @@ def _parse_input_poly(args) -> Poly:
     return p
 
 
-def _parse_form(args) -> Poly:
+def _parse_form(args):
     """The input polynomial, for commands that need its essential variables."""
     p = _parse_input_poly(args)
     if p.homogeneous_degree() == 0:
@@ -69,6 +53,8 @@ def _cert_dicts(records) -> list:
 
 
 def _cmd_hilbert(args):
+    from .apolarity import hilbert_function
+
     p = _parse_input_poly(args)
     h = hilbert_function(p)
     return {"hilbert": list(h.values), "degree": h.top_degree}, [], True
@@ -83,6 +69,8 @@ def _slice_degree(build, p, degree):
 
 
 def _cmd_annihilator(args):
+    from .apolarity import ann_slice
+
     p = _parse_input_poly(args)
     if args.degree is None:
         raise InputError("--degree is required")
@@ -97,10 +85,16 @@ def _cmd_annihilator(args):
 def _labels(table, ring, degree) -> list:
     """The degree-`degree` monomials of `ring`, each printed as a Poly, so
     the monomial 1 is "1"."""
+    from .poly import Poly, monomials
+
     return [str(Poly(table, ring, {m: 1})) for m in monomials(table.n, degree)]
 
 
 def _cmd_catalecticant(args):
+    from . import linalg
+    from .apolarity import catalecticant
+    from .poly import DUAL, PRIMAL
+
     p = _parse_input_poly(args)
     if args.degree is None:
         raise InputError("--degree is required")
@@ -117,12 +111,16 @@ def _cmd_catalecticant(args):
 
 
 def _cmd_concise(args):
+    from .apolarity import concise_dim
+
     p = _parse_form(args)
     es = concise_dim(p)
     return {"dimension": es.dim, "basis": [str(b) for b in es.basis]}, [], True
 
 
 def _cmd_macaulay(args):
+    from .ideals import macaulay_bound
+
     if args.dim is None or args.degree is None:
         raise InputError("--dim and --degree are required")
     try:
@@ -133,6 +131,8 @@ def _cmd_macaulay(args):
 
 
 def _cmd_sylvester(args):
+    from .ranks import sylvester_binary
+
     p = _parse_form(args)
     try:
         res = sylvester_binary(p)
@@ -149,11 +149,16 @@ def _cmd_sylvester(args):
 
 
 def _cmd_rank_bounds(args):
+    from .wildcert import classical_report
+
     conciseness, report = classical_report(_parse_form(args))
     return {"bounds": report.as_dict(), "conciseness": conciseness}, [], True
 
 
 def _cmd_witness_verify(args):
+    from .apolarity import essential_form
+    from .wildcert import extract_square_pairs, limit_family_certificate
+
     _, g = essential_form(_parse_form(args))
     pairs = extract_square_pairs(g)
     fam, cert = limit_family_certificate(g, pairs)
@@ -177,6 +182,8 @@ def _parse_pairs(args, table):
 
 
 def _cmd_double_points(args):
+    from .witness import double_point_span
+
     p = _parse_form(args)
     pairs = _parse_pairs(args, p.table)
     try:
@@ -195,6 +202,9 @@ def _cmd_double_points(args):
 
 
 def _cmd_wild_cert(args):
+    from .apolarity import FormFacts
+    from .wildcert import cactus_lower_via_slice, extract_square_pairs, rank9_lower_cert
+
     facts = FormFacts(_parse_form(args))
     g = facts.form
     try:
@@ -211,6 +221,8 @@ def _cmd_wild_cert(args):
 
 
 def _cmd_theorem2(args):
+    from .wildcert import theorem2_report
+
     p = _parse_form(args)
     rep = theorem2_report(p, r_max=args.rmax)
     results = {
@@ -227,6 +239,9 @@ def _cmd_theorem2(args):
 
 
 def _cmd_direct_sum(args):
+    from .wildcert import theorem2_report
+    from .witness import direct_sum_extend
+
     p = _parse_form(args)
     if not args.poly2:
         raise InputError("--poly2 is required for direct-sum")

@@ -759,7 +759,9 @@ def rank9_lower_cert(f: Poly, r_max: int, pairs, facts: Optional[FormFacts] = No
     forced = total_quadrics - r_max
     if forced < 7:
         return fail("quadric-count", f"{total_quadrics} - {r_max} = {forced} < 7 quadrics forced")
-    ok("quadric-count", f"any length-{r_max} scheme forces >= {forced} quadrics; codimension <= {slice2.dim - forced}")
+    room = (f", more than the {slice2.dim}-dimensional annihilator slice holds" if forced > slice2.dim
+            else f"; codimension <= {slice2.dim - forced}")
+    ok("quadric-count", f"any length-{r_max} scheme forces >= {forced} quadrics{room}")
 
     try:
         locus = product_locus(f, perp, comp, facts)

@@ -209,27 +209,25 @@ def direct_sum_extend(f: Poly, g: Poly) -> DirectSumReport:
     """f + g over disjoint variables, with the conciseness of both summands
     and of the sum; the report's certificate checks the degree-2 annihilator
     slice of the sum against the intersection of the summands' slices, so
-    the summands must have degree at least 2."""
+    the summands must have degree at least 2.
+
+    The two tables are merged by name: f's variables, then those of g's that
+    f's table lacks, each with its own table's dual name (a shared name keeps
+    f's).  The summands may not both use one variable."""
     if g.is_zero() or f.is_zero():
         raise ValueError("both summands must be nonzero")
     if f.homogeneous_degree() != g.homogeneous_degree():
         raise ValueError("summands must share one degree")
     if f.homogeneous_degree() is None or f.homogeneous_degree() < 2:
         raise ValueError("summands must be forms of degree at least 2: the check compares degree-2 slices")
-    if f.table == g.table:
-        if f.support_vars() & g.support_vars():
-            raise ValueError("summands share variables")
-        table = f.table
-        F, G = f, g
-    else:
-        names = f.table.primal + g.table.primal
-        duals = f.table.dual + g.table.dual
-        table = VarTable.make(names, dual=duals)
-        off = f.table.n
-        F = Poly(table, PRIMAL,
-                 {m + (0,) * g.table.n: c for m, c in f.terms.items()})
-        G = Poly(table, PRIMAL,
-                 {(0,) * off + m: c for m, c in g.terms.items()})
+    f_names, g_names = f.table.primal, g.table.primal
+    if {f_names[i] for i in f.support_vars()} & {g_names[i] for i in g.support_vars()}:
+        raise ValueError("summands share variables")
+    new = [i for i, v in enumerate(g_names) if v not in f_names]
+    table = VarTable.make(f_names + tuple(g_names[i] for i in new),
+                          dual=f.table.dual + tuple(g.table.dual[i] for i in new))
+    F, G = (p.substitute([Poly.variable(table, table.index(v, PRIMAL)) for v in p.table.primal])
+            for p in (f, g))
     total = F + G
     return DirectSumReport(
         combined=total,

@@ -344,6 +344,26 @@ def test_direct_sum_of_linear_forms_is_an_input_error(capsys, argv):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+def test_direct_sum_merges_the_variable_tables_by_name(capsys):
+    # f's table names y, but only g uses it: x^3 + y^3 is a direct sum
+    code, doc = run(capsys, "direct-sum", "--poly", "x^3", "--vars", "x,y", "--poly2", "y^3")
+    assert code == 0
+    assert doc["results"]["conciseness"] == {"left": 1, "right": 1, "total": 2}
+    assert doc["results"]["final"]["rank"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--poly", "x^3", "--poly2", "x^3"],
+    ["--poly", "x^3", "--poly2", "x^3", "--vars2", "x,y"],
+    ["--poly", "x^3+y^3", "--vars", "x,y,z", "--poly2", "y^3", "--vars2", "y,u"],
+], ids=["equal-tables", "g-table-longer", "f-table-longer"])
+def test_summands_that_both_use_a_variable_are_an_input_error(capsys, argv):
+    code = main(["direct-sum", *argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: summands share variables\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["theorem2", "--poly", "x^2*y+z^2*w"],
     ["direct-sum", "--poly", "x^2*y", "--poly2", "z^3"],
@@ -391,6 +411,40 @@ def test_the_parser_is_built_once_and_reused(capsys, monkeypatch):
         outputs.append(captured.out)
     assert outputs[-2].startswith("usage: apolar hilbert")
     assert outputs[-1] == outputs[0] and json.loads(outputs[0])["results"]["hilbert"] == [1, 3, 3, 1]
+
+
+# one accepted request per command
+COLD_REQUESTS = {
+    "hilbert": ["--poly", "x^2*y - 3*z^3"],
+    "annihilator": ["--poly", "x^2*y - 3*z^3", "--degree", "2"],
+    "catalecticant": ["--poly", "x^2*y - 3*z^3", "--degree", "1"],
+    "concise": ["--poly", "(x+y)^3 + (x-y)^3", "--vars", "x,y,z"],
+    "macaulay": ["--dim", "5", "--degree", "3"],
+    "sylvester": ["--poly", "x^2*y"],
+    "rank-bounds": ["--poly", "x^2*y + (x+z)^2*w"],
+    "witness-verify": ["--poly", WILD, "--vars", WILD_VARS],
+    "double-points": ["--poly", WILD, "--vars", WILD_VARS, "--pairs", "x0,y0;x0+x1,-y1;x1,y2"],
+    "wild-cert": ["--poly", WILD, "--vars", WILD_VARS],
+    "theorem2": ["--poly", "x^2*y"],
+    "direct-sum": ["--poly", "x^3", "--poly2", "u^3"],
+}
+
+
+def test_cold_requests_cover_every_command():
+    assert set(COLD_REQUESTS) == set(_COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(COLD_REQUESTS))
+def test_each_command_run_cold_matches_main(capsys, command):
+    # a handler imports the modules it calls, so the first request of a
+    # process takes its own path; it must print what main() prints in-process
+    argv = [command, *COLD_REQUESTS[command]]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    alone = subprocess.run([sys.executable, "-m", "apolar.cli", *argv],
+                           env={**os.environ, "PYTHONPATH": str(SRC)},
+                           capture_output=True, text=True)
+    assert (alone.returncode, alone.stdout, alone.stderr) == (0, captured.out, captured.err)
 
 
 def test_json_output_is_byte_stable(capsys):

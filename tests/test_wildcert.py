@@ -210,6 +210,22 @@ def test_rank9_lower_cert_weak_rmax():
     assert record.certified()[0].value == 5
 
 
+@pytest.mark.parametrize("r_max", [1, 2, 3, 4, 5])
+def test_quadric_count_of_a_small_rmax_names_no_negative_codimension(r_max):
+    # 15 - r_max quadrics forced; from r_max 4 down they exceed the
+    # 10-dimensional slice, which is no codimension
+    locus, record = rank9_lower_cert(F, r_max, PRES.square_pairs)
+    assert record.verified and locus is not None
+    assert record.certified()[0].value == r_max + 1
+    (stage,) = [s for s in record.stages if s.kind == "quadric-count"]
+    assert stage.verified
+    forced = f"any length-{r_max} scheme forces >= {15 - r_max} quadrics"
+    if r_max == 5:
+        assert stage.stage_log == (forced + "; codimension <= 0",)
+    else:
+        assert stage.stage_log == (forced + ", more than the 10-dimensional annihilator slice holds",)
+
+
 @pytest.mark.parametrize("r_max", [0, -1])
 def test_rank9_lower_cert_rejects_rmax_below_one(r_max):
     with pytest.raises(ValueError, match="r_max"):

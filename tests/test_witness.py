@@ -166,6 +166,18 @@ def test_direct_sum_rejects_summands_below_degree_two():
         direct_sum_extend(parse_poly("x+z", vars=["x", "z"]), parse_poly("y"))
 
 
+def test_direct_sum_merges_tables_by_name():
+    # f's names first, then g's new ones; the shared name y keeps f's dual name
+    f = parse_poly("x^3", table=VarTable.make(("x", "y"), dual=("a", "b")))
+    g = parse_poly("z^3", table=VarTable.make(("y", "z"), dual=("c", "e")))
+    rep = direct_sum_extend(f, g)
+    assert rep.combined.table == VarTable.make(("x", "y", "z"), dual=("a", "b", "e"))
+    assert rep.combined == parse_poly("x^3 + z^3", table=rep.combined.table)
+    assert (rep.concise_left, rep.concise_right, rep.concise_total) == (1, 1, 2)
+    with pytest.raises(ValueError, match="summands share variables"):
+        direct_sum_extend(parse_poly("x^3 + y^3", table=f.table), parse_poly("y^3", table=g.table))
+
+
 def test_direct_sum_across_tables():
     ta = VarTable.make(("u",))
     tb = VarTable.make(("v",))
