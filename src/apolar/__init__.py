@@ -20,11 +20,11 @@ _EXPORTS = {
     "parsing": "ParseError parse_poly",
     "poly": "DUAL PRIMAL Poly TableMismatchError VarTable linear_form monomials",
     "ranks": "Deduction InconsistentEvidenceError RankReport SylvesterResult aggregate"
-             " catalecticant_lower_bound quadric_rank sylvester_binary tameness_rule",
+             " quadric_rank sylvester_binary tameness_rule",
     "wildcert": "LocusShapeError ProductLocus WildPresentation WildReport cactus_lower_via_slice"
                 " extract_square_pairs forced_square_check gamma_space power_sum_certificate"
                 " product_locus rank9_lower_cert theorem2_report transform_presentation"
-                " wild_cubic wild_cubic_tangent_witness wild_presentation wild_table",
+                " wild_cubic wild_presentation wild_table",
     "witness": "DoublePointCertificate TangentDatum direct_sum_extend direct_summands"
                " double_point_span tangent_limit_family",
 }

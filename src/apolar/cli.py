@@ -8,7 +8,10 @@ Each handler imports the library modules it calls when it runs, so
 `import apolar.cli` loads only the parser, and a process loads only what its
 command needs.
 
-Exit codes: 0 success, 1 certificate failure, 2 input error.
+Exit codes: 0 success, 1 certificate failure, 2 input error, 3 standard
+output closed by its reader before the report was written.  A certificate
+failure keeps 1 when the pipe is closed too.  After a closed pipe, file
+descriptor 1 points at os.devnull for the rest of the process.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import __version__
@@ -363,7 +367,17 @@ def main(argv=None) -> int:
     doc["results"] = results
     doc["certificates"] = _cert_dicts(certs)
     text = json.dumps(doc, indent=2, sort_keys=True)
-    print(text)
+    code = 0 if ok else 1
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # stdout goes to devnull, so the interpreter's flush at exit cannot
+        # raise again; the --json file is still written
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        if ok:
+            code = 3
     if args.json_path and args.json_path != "-":
         try:
             with open(args.json_path, "w", encoding="utf-8") as fh:
@@ -371,7 +385,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             print(f"error: cannot write {args.json_path}: {exc.strerror or exc}", file=sys.stderr)
             return 2
-    return 0 if ok else 1
+    return code
 
 
 if __name__ == "__main__":

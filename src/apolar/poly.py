@@ -387,11 +387,6 @@ class Poly:
         object.__setattr__(self, "_degree", d)
         return d
 
-    def graded_component(self, d: int) -> "Poly":
-        return Poly(
-            self.table, self.ring, {m: c for m, c in self.terms.items() if sum(m) == d}
-        )
-
     def coeff(self, mono: Monomial) -> Fraction:
         return self.terms.get(tuple(mono), Fraction(0))
 
@@ -400,8 +395,8 @@ class Poly:
         return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
 
     def coefficient_vector(self, degree: int) -> list:
-        """Coefficients aligned with monomials(n, degree); requires all terms
-        of that degree (use graded_component first otherwise)."""
+        """Coefficients aligned with monomials(n, degree); terms of any other
+        degree are left out."""
         index = _monomial_index(self.table.n, degree)
         vec = [_ZERO] * len(index)
         for mono, c in self.terms.items():

@@ -147,11 +147,6 @@ def aggregate(f: Poly, evidence: Sequence[Deduction],
     return _aggregate_deductions([conciseness_deduction(dim)] + list(evidence))
 
 
-def catalecticant_lower_bound(f: Poly) -> int:
-    """max_i H_f(i); a lower bound for all four notions."""
-    return hilbert_function(f).max()
-
-
 def catalecticant_deduction(h: HilbertFn) -> Deduction:
     """The catalecticant bound max_i H(i), from the Hilbert function h."""
     return Deduction(

@@ -130,23 +130,6 @@ def transform_presentation(pres: WildPresentation, images: Sequence[Poly]) -> Wi
     )
 
 
-def wild_cubic_tangent_witness(table: Optional[VarTable] = None) -> tuple:
-    """Hand-picked five-term limit family certifying border rank <= 5 for the
-    wild cubic: coefficients (1/3, -1/3, -1/12, -1/9, 1/9) on the bases
-    x0, x0+x1, 2*x1, x0-x1, x0+2*x1 with directions y0, y1, -y2, 0, 0."""
-    if table is None:
-        table = wild_table()
-    x0, x1, y0, y1, y2 = (Poly.variable(table, i) for i in range(5))
-    zero = Poly.zero(table)
-    return (
-        TangentDatum(Fraction(1, 3), x0, y0),
-        TangentDatum(Fraction(-1, 3), x0 + x1, y1),
-        TangentDatum(Fraction(-1, 12), 2 * x1, -y2),
-        TangentDatum(Fraction(-1, 9), x0 - x1, zero),
-        TangentDatum(Fraction(1, 9), x0 + 2 * x1, zero),
-    )
-
-
 # ---------------------------------------------------------------------------
 # structural shape extraction
 # ---------------------------------------------------------------------------
@@ -592,8 +575,10 @@ def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly
     for row in eval_rows:
         if sum(map(mul, row, ints)):
             raise LocusShapeError("solvable point off the quadric")
-    ker = linalg.kernel_basis(eval_rows, len(qmonos))
-    if len(ker) != 1 or tuple(ker[0]) != quadric:
+    # both vectors are primitive with a positive leading entry: the kernel's
+    # by construction, and the cleared quadric because its leading entry is 1
+    ker = linalg.int_kernel_basis(eval_rows, len(qmonos))
+    if ker != [ints]:
         raise LocusShapeError(
             f"samples do not pin a unique quadric ({len(points)} samples,"
             f" kernel dimension {len(ker)})"
@@ -607,15 +592,14 @@ def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly
     return ProductLocus(quadric=quadric, samples=tuple(points), smooth=smooth)
 
 
-def gamma_space(f: Poly, point_form: Poly, facts: Optional[FormFacts] = None):
-    """Dimension and basis of the linear forms whose product with the given
-    dual linear form annihilates f.  `facts`, when given, must be f's."""
+def gamma_space(f: Poly, point_form: Poly, facts: Optional[FormFacts] = None) -> int:
+    """Dimension of the space of linear forms whose product with the given
+    dual linear form annihilates f: n minus the rank of the integer columns
+    contract(point_form * d_j, f), whose common scale moves no rank.
+    `facts`, when given, must be f's."""
     if point_form.is_zero() or point_form.homogeneous_degree() != 1:
         raise ValueError("the point form must be a nonzero dual linear form")
-    n = f.table.n
-    cols = _variable_contractions(f, [point_form], facts)[0]
-    vecs = linalg.kernel_basis([list(row) for row in zip(*cols)], n)
-    return len(vecs), tuple(linear_form(f.table, v, DUAL) for v in vecs)
+    return f.table.n - linalg.rank(_variable_contractions(f, [point_form], facts)[0])
 
 
 def forced_square_check(f: Poly, perp_basis: Sequence[Poly],
@@ -677,9 +661,10 @@ def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[P
         return False
     (E00, E01, *C0), (_, E11, *C1) = _contractions(
         f, comp_basis, list(comp_basis) + list(perp_basis), facts)
-    # phi(A(c)) over (c1^2, c0*c1, c0^2)
+    # phi(A(c)) over (c1^2, c0*c1, c0^2); phi is cleared to ints, and a
+    # positive multiple of a quadric moves none of its zeros
     quadrics = [[sum(map(mul, phi, E11)), 2 * sum(map(mul, phi, E01)), sum(map(mul, phi, E00))]
-                for phi in linalg.kernel_basis(C0 + C1, len(E00))]
+                for phi in linalg.int_kernel_basis(C0 + C1, len(E00))]
     return _no_common_zero(quadrics)
 
 
@@ -774,10 +759,10 @@ def rank9_lower_cert(f: Poly, r_max: int, pairs, facts: Optional[FormFacts] = No
         return fail("product-locus", f"only {nsamples} verified rational samples")
     ok("product-locus", f"smooth conic with {nsamples} verified rational samples")
 
-    perp_coeffs = _int_coeffs(perp)  # a positive multiple of each point form moves no kernel
+    perp_coeffs = _int_coeffs(perp)  # a positive multiple of each point form moves no rank
     for u, _ in locus.samples:
         point_form = linear_form(f.table, _combine(u, perp_coeffs), DUAL)
-        dim, _basis = gamma_space(f, point_form, facts)
+        dim = gamma_space(f, point_form, facts)
         if dim != 4:
             return fail("factor-family", f"factor family at {tuple(u)} has dimension {dim}, need 4")
     if 4 + forced <= slice2.dim:

@@ -14,17 +14,16 @@ from apolar.poly import DUAL, PRIMAL, Poly, VarTable, linear_form
 from apolar.ranks import (
     Deduction,
     aggregate,
-    catalecticant_lower_bound,
     sylvester_binary,
 )
 from apolar.wildcert import (
     cactus_lower_via_slice,
     power_sum_certificate,
     rank9_lower_cert,
+    tangent_data_for_pairs,
     theorem2_report,
     transform_presentation,
     wild_cubic,
-    wild_cubic_tangent_witness,
     wild_presentation,
     wild_table,
 )
@@ -117,10 +116,10 @@ def test_criterion_4_cactus_six():
 
 
 def test_criterion_5_border_five():
-    data = wild_cubic_tangent_witness(T5)
+    data = tangent_data_for_pairs(wild_presentation(T5).square_pairs)
     fam = tangent_limit_family(data, 3)
     assert fam.limit == F and fam.r == 5
-    assert catalecticant_lower_bound(F) == 5
+    assert hilbert_function(F).max() == 5
     rep = aggregate(F, [
         Deduction("all", "lower", 5, rule="catalecticant"),
         Deduction("border", "upper", fam.r, rule="limit-family"),

@@ -447,6 +447,42 @@ def test_each_command_run_cold_matches_main(capsys, command):
     assert (alone.returncode, alone.stdout, alone.stderr) == (0, captured.out, captured.err)
 
 
+def test_a_closed_stdout_ends_with_exit_code_3_and_no_traceback(tmp_path):
+    # the read end is closed before the process starts, so its first write
+    # meets a closed pipe; the --json file is still written
+    path = tmp_path / "report.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "apolar.cli", "theorem2", "--poly", WILD, "--vars", WILD_VARS,
+             "--json", str(path)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert "Traceback" not in err and err == ""
+    assert proc.returncode == 3
+    assert path.read_text() == GOLDEN.read_text()
+
+
+def test_a_closed_stdout_keeps_exit_code_1_for_an_unverified_certificate():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "apolar.cli", "theorem2", "--poly", WILD, "--vars", WILD_VARS,
+             "--rmax", "9"],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    _, err = proc.communicate(timeout=120)
+    assert err == ""
+    assert proc.returncode == 1
+
+
 def test_json_output_is_byte_stable(capsys):
     argv = ["theorem2", "--poly", WILD, "--vars", WILD_VARS]
     main(argv)

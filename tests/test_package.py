@@ -24,13 +24,12 @@ EXPORTS = {
     "poly": ["DUAL", "PRIMAL", "Poly", "TableMismatchError", "VarTable", "linear_form",
              "monomials"],
     "ranks": ["Deduction", "InconsistentEvidenceError", "RankReport", "SylvesterResult",
-              "aggregate", "catalecticant_lower_bound", "quadric_rank", "sylvester_binary",
-              "tameness_rule"],
+              "aggregate", "quadric_rank", "sylvester_binary", "tameness_rule"],
     "wildcert": ["LocusShapeError", "ProductLocus", "WildPresentation", "WildReport",
                  "cactus_lower_via_slice", "extract_square_pairs", "forced_square_check",
                  "gamma_space", "power_sum_certificate", "product_locus", "rank9_lower_cert",
                  "theorem2_report", "transform_presentation", "wild_cubic",
-                 "wild_cubic_tangent_witness", "wild_presentation", "wild_table"],
+                 "wild_presentation", "wild_table"],
     "witness": ["DoublePointCertificate", "TangentDatum", "direct_sum_extend", "direct_summands",
                 "double_point_span", "tangent_limit_family"],
 }
@@ -67,7 +66,7 @@ def test_a_fresh_request_loads_only_what_its_command_calls(argv, unused):
 
 
 def test_the_exported_names_are_todays():
-    assert len(NAMES) == 55
+    assert len(NAMES) == 53
     assert sorted(apolar.__all__) == sorted(name for _, name in NAMES)
 
 

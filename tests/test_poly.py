@@ -125,15 +125,6 @@ def test_nonlinear_image_rejected():
         p.substitute([v(T2, 0) ** 2, v(T2, 1)])
 
 
-def test_graded_component():
-    p = parse_poly("x^2 + x^3", table=T2)
-    assert p.graded_component(2) == parse_poly("x^2", table=T2)
-    assert p.graded_component(1).is_zero()
-    f = parse_poly("x0^2*y0 - (x0+x1)^2*y1 + x1^2*y2", table=T5)
-    assert f.graded_component(3) == f
-    assert f.graded_component(2).is_zero()
-
-
 def test_homogeneous_degree_query():
     assert parse_poly("x^2 + y^2", table=T2).homogeneous_degree() == 2
     assert parse_poly("x^2 + y", table=T2).homogeneous_degree() is None

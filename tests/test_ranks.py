@@ -11,7 +11,6 @@ from apolar.ranks import (
     InconsistentEvidenceError,
     _binary_square_free,
     aggregate,
-    catalecticant_lower_bound,
     quadric_rank,
     sylvester_binary,
     tameness_rule,
@@ -26,9 +25,9 @@ T2 = VarTable.make(("x", "y"))
 
 
 def test_catalecticant_lower_bound_values():
-    assert catalecticant_lower_bound(F) == 5
-    assert catalecticant_lower_bound(parse_poly("x^3", table=T2)) == 1
-    assert catalecticant_lower_bound(parse_poly("x0^3 + x1^3 + x2^3")) == 3
+    assert hilbert_function(F).max() == 5
+    assert hilbert_function(parse_poly("x^3", table=T2)).max() == 1
+    assert hilbert_function(parse_poly("x0^3 + x1^3 + x2^3")).max() == 3
 
 
 def test_quadric_rank_values():
@@ -96,7 +95,7 @@ def test_sylvester_random_binary_forms():
         res = sylvester_binary(f)
         assert res.d1 + res.d2 == d + 2
         assert res.d1 <= res.d2
-        assert res.border == catalecticant_lower_bound(f)
+        assert res.border == hilbert_function(f).max()
         assert res.rank in (res.d1, res.d2)
         checked += 1
 

@@ -158,15 +158,53 @@ def test_product_locus_shape_mismatch_for_diagonal():
         product_locus(diag, perp, comp)
 
 
+def test_product_locus_needs_enough_samples_to_pin_the_quadric(monkeypatch):
+    # four points on a conic leave a pencil of quadrics through them
+    from apolar import wildcert
+
+    perp, comp = square_pair_split(PRES.square_pairs, T5)
+    monkeypatch.setattr(wildcert, "_POINT_COUNT", 4)
+    with pytest.raises(LocusShapeError, match=r"samples do not pin a unique quadric "
+                                              r"\(4 samples, kernel dimension 2\)"):
+        product_locus(F, perp, comp)
+    monkeypatch.setattr(wildcert, "_POINT_COUNT", 5)
+    assert len(product_locus(F, perp, comp).all_samples()) == 5
+
+
+def naive_gamma_basis(f, point_form):
+    """Reduced basis of the linear forms whose product with point_form
+    annihilates f: the naive kernel of the columns contract(point_form * d_j, f)."""
+    from _oracle import naive_kernel
+
+    d = f.homogeneous_degree()
+    cols = [contract(point_form * Poly.variable(f.table, j, DUAL), f).coefficient_vector(d - 2)
+            for j in range(f.table.n)]
+    return [linear_form(f.table, v, DUAL) for v in naive_kernel([list(r) for r in zip(*cols)], f.table.n)]
+
+
 def test_gamma_space_at_sample_points():
-    dim, basis = gamma_space(F, dual("d_y0"))
-    assert dim == 4
-    assert [str(b) for b in basis] == ["d_x1", "d_y0", "d_y1", "d_y2"]
-    dim2, basis2 = gamma_space(F, dual("d_y2"))
-    assert dim2 == 4
-    assert any(str(b) == "d_x0" for b in basis2)
-    with pytest.raises(ValueError):
-        gamma_space(F, Poly.zero(T5, DUAL))
+    assert gamma_space(F, dual("d_y0")) == 4
+    assert [str(b) for b in naive_gamma_basis(F, dual("d_y0"))] == ["d_x1", "d_y0", "d_y1", "d_y2"]
+    assert gamma_space(F, dual("d_y2")) == 4
+    assert any(str(b) == "d_x0" for b in naive_gamma_basis(F, dual("d_y2")))
+    for bad in (Poly.zero(T5, DUAL), dual("d_y0*d_y1")):
+        with pytest.raises(ValueError):
+            gamma_space(F, bad)
+
+
+def test_gamma_space_is_the_naive_kernel_dimension():
+    from apolar.apolarity import FormFacts
+
+    dims = set()
+    for f, pairs in random_square_sums(16) + [(p.poly, p.square_pairs) for p in gl5_presentations(3)]:
+        facts = FormFacts(f)
+        for point in answer_points(*square_pair_split(pairs, T5)):
+            dim = len(naive_gamma_basis(f, point))
+            assert gamma_space(f, point) == dim
+            if facts.form is f:  # facts are f's only when f is concise
+                assert gamma_space(f, point, facts) == dim
+            dims.add(dim)
+    assert dims - {4}
 
 
 def test_forced_square_check_wild():
@@ -572,6 +610,11 @@ def per_call_contractions(f, left, right, facts=None):
     return [[contract(a * b, f).coefficient_vector(d - 2) for b in right] for a in left]
 
 
+def answer_points(perp, comp):
+    """The point forms at which quadratic_answers asks gamma_space."""
+    return list(perp) + list(comp) + [perp[0] + 2 * comp[-1] - comp[0]]
+
+
 def quadratic_answers(f, perp, comp, facts):
     """What gamma_space, product_locus, squares_confined and
     forced_square_check answer on f, an exception standing for its text."""
@@ -585,9 +628,8 @@ def quadratic_answers(f, perp, comp, facts):
         loc = product_locus(f, perp, comp, facts)
         return loc.quadric, loc.all_samples(), loc.smooth
 
-    points = list(perp) + list(comp) + [perp[0] + 2 * comp[-1] - comp[0]]
     return (
-        [attempt(lambda: gamma_space(f, p, facts)) for p in points],
+        [attempt(lambda: gamma_space(f, p, facts)) for p in answer_points(perp, comp)],
         attempt(locus),
         attempt(lambda: squares_confined(f, perp, comp, facts)),
         attempt(lambda: forced_square_check(f, perp, facts)),
