@@ -243,8 +243,9 @@ def _cmd_theorem2(args):
 
 
 def _cmd_direct_sum(args):
+    from .apolarity import concise_dim
     from .wildcert import theorem2_report
-    from .witness import direct_sum_extend
+    from .witness import direct_sum_extend, slice_intersection_certificate
 
     p = _parse_form(args)
     if not args.poly2:
@@ -254,25 +255,23 @@ def _cmd_direct_sum(args):
     if not q.is_homogeneous() or q.is_zero():
         raise InputError("--poly2 must be homogeneous and nonzero")
     try:
-        rep = direct_sum_extend(p, q)
+        summands = direct_sum_extend(p, q)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    pipeline = theorem2_report(rep.combined, r_max=args.rmax)
+    total = summands[0] + summands[1]
+    pipeline = theorem2_report(total, r_max=args.rmax)
     certificates = list(pipeline.certificates)
-    if pipeline.direct_sum and certificates[0].verified and pipeline.conciseness == rep.combined.table.n:
+    if pipeline.direct_sum and certificates[0].verified and pipeline.conciseness == total.table.n:
         # the pipeline checked the same concise sum over its variable-disjoint
         # components, which refine the two summands; equality there implies it here
         cert = certificates[0]
     else:
-        cert = rep.certificate
+        cert = slice_intersection_certificate(summands, total)
         if cert not in certificates:
             certificates.insert(0, cert)
+    left, right = (concise_dim(s).dim for s in summands)
     results = {
-        "conciseness": {
-            "left": rep.concise_left,
-            "right": rep.concise_right,
-            "total": rep.concise_total,
-        },
+        "conciseness": {"left": left, "right": right, "total": pipeline.conciseness},
         "slice_intersection_equal": cert.verified,
         "final": pipeline.final(),
     }

@@ -45,11 +45,6 @@ class IdealSlice:
             return False
         return linalg.solve_columns(self.vectors(), form.coefficient_vector(self.degree)) is not None
 
-    def same_span(self, other: "IdealSlice") -> bool:
-        if self.degree != other.degree or self.table != other.table:
-            return False
-        return self.vectors() == other.vectors()  # reduced bases are canonical
-
 
 def slice_from_forms(forms: Sequence[Poly], degree: int, table: VarTable, ring: str = DUAL) -> IdealSlice:
     """Echelonize degree-d forms into a canonical IdealSlice.
@@ -201,7 +196,9 @@ def macaulay_bound(h: int, d: int) -> int:
 
     Writes h in its d-th Macaulay binomial representation
     h = C(a_d, d) + C(a_{d-1}, d-1) + ... + C(a_j, j) with a_d > a_{d-1} > ...
-    and shifts both indices up by one.
+    and shifts both indices up by one.  Each a_k, the largest a with
+    C(a, k) <= the remainder, is found by doubling a step, then bisecting,
+    so degree 1 (a_1 = h) takes O(log h) binomials.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
@@ -213,9 +210,15 @@ def macaulay_bound(h: int, d: int) -> int:
     bound = 0
     k = d
     while rem > 0 and k >= 1:
-        a = k
-        while comb(a + 1, k) <= rem:
-            a += 1
+        # C(a, k) <= rem < C(a + step, k) once the doubling stops
+        a, step = k, 1
+        while comb(a + step, k) <= rem:
+            a += step
+            step *= 2
+        while step > 1:
+            step //= 2
+            if comb(a + step, k) <= rem:
+                a += step
         rem -= comb(a, k)
         bound += comb(a + 1, k + 1)
         k -= 1

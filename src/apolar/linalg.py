@@ -8,10 +8,10 @@ eliminations serve the two shapes of row that reach this module:
 
 - Dense rows (lists, one entry per column: catalecticants, kernels of small
   systems, spans of a few vectors) go through `rref`, `rank`,
-  `kernel_basis`, `solve_columns` and `intersect_spans`.  The forward pass is
-  fraction-free (Bareiss), which keeps intermediate entries to minor-sized
-  integers, and the back-substitution divides every combined row by its
-  content.  On full rows this is the faster of the two.
+  `kernel_basis` and `solve_columns`.  The forward pass is fraction-free
+  (Bareiss), which keeps intermediate entries to minor-sized integers, and
+  the back-substitution divides every combined row by its content.  On full
+  rows this is the faster of the two.
 - Sparse rows (`{column: value}` dicts with a handful of entries out of many
   columns: the monomial multiples that span an ideal slice) go through
   `sparse_rref`, a fraction-free Gauss-Jordan that reduces one row at a
@@ -295,26 +295,3 @@ def solve_columns(cols: Sequence[Sequence], target: Sequence) -> Optional[Vector
     for p, row in zip(pivots, red):
         sol[p] = Fraction(row[ncols], row[p])
     return sol
-
-
-def intersect_spans(basis_a: Sequence[Sequence], basis_b: Sequence[Sequence]) -> list:
-    """Reduced basis of span(basis_a) ∩ span(basis_b)."""
-    if not basis_a or not basis_b:
-        return []
-    n = len(basis_a[0])
-    ka, kb = len(basis_a), len(basis_b)
-    # columns: the a-vectors then the negated b-vectors; kernel rows give
-    # coefficient pairs (u, w) with u·A = w·B
-    rows = [[a[i] for a in basis_a] + [-b[i] for b in basis_b] for i in range(n)]
-    combos = kernel_basis(rows, ka + kb)
-    vecs = []
-    for c in combos:
-        v = [Fraction(0)] * n
-        for j in range(ka):
-            if c[j]:
-                for i in range(n):
-                    v[i] += c[j] * basis_a[j][i]
-        vecs.append(v)
-    _, red = rref(vecs)
-    return red
-

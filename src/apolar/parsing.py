@@ -161,11 +161,6 @@ def _identifiers(toks) -> list:
     return list(dict.fromkeys(tok for kind, tok, _ in toks if kind == "ident"))
 
 
-def collect_variables(text: str) -> list:
-    """Identifiers in first-appearance order."""
-    return _identifiers(_tokenize(text))
-
-
 def parse_poly(
     text: str,
     vars: Optional[Sequence[str]] = None,

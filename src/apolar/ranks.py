@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import linalg
-from .apolarity import FormFacts, HilbertFn, ann_slice, hilbert_function
+from .apolarity import FormFacts, HilbertFn, ann_slice
 from .poly import Poly
 
 NOTIONS = ("border", "smoothable", "cactus", "rank")
@@ -156,13 +156,6 @@ def catalecticant_deduction(h: HilbertFn) -> Deduction:
         rule="catalecticant",
         detail=f"hilbert function {tuple(h.values)}",
     )
-
-
-def quadric_rank(f: Poly) -> int:
-    """All four notions coincide for quadrics; the common value is H_f(1)."""
-    if f.homogeneous_degree() != 2:
-        raise ValueError("quadric_rank expects a homogeneous quadric")
-    return hilbert_function(f)(1)
 
 
 def _square_free(u: list) -> bool:

@@ -897,8 +897,8 @@ class WildReport:
 
 def _classical(rep: WildReport) -> bool:
     """The catalecticant bound for every form, plus the exact values of
-    quadrics (H(1), as quadric_rank) and of essentially binary forms; True,
-    which ends the run, when those settle the form."""
+    quadrics (H(1)) and of essentially binary forms; True, which ends the
+    run, when those settle the form."""
     facts = rep.facts
     rep.evidence += (catalecticant_deduction(facts.hilbert),)
     if rep.poly.homogeneous_degree() == 2:

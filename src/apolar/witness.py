@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from . import linalg
-from .apolarity import ann_slice, concise_dim
+from .apolarity import ann_slice, contract
 from .poly import PRIMAL, Poly, VarTable, expand_products
 from .ranks import Deduction, EvidenceRecord
 
@@ -169,14 +168,16 @@ def direct_summands(p: Poly) -> list:
 
 
 def slice_intersection_certificate(summands: Sequence[Poly], total: Poly) -> EvidenceRecord:
-    """Check that the degree-2 annihilator slice of a sum over disjoint
-    variables is the intersection of the summands' slices; the check bounds
-    no rank by itself."""
-    inter = None
-    for s in summands:
-        vecs = ann_slice(s, 2).vectors()
-        inter = vecs if inter is None else linalg.intersect_spans(inter, vecs)
-    equal = inter == ann_slice(total, 2).vectors()
+    """Check that the degree-2 annihilator slice of `total` is the
+    intersection of the summands' slices; the check bounds no rank by itself.
+
+    A form that annihilates every summand annihilates their sum, so the
+    intersection always lies in the slice of `total`; the two are equal
+    exactly when every basis form of that slice contracts every summand to
+    zero.  Raises ValueError unless the summands add up to `total`."""
+    if sum(summands, Poly.zero(total.table)) != total:
+        raise ValueError("the summands do not add up to the total")
+    equal = all(contract(b, s).is_zero() for b in ann_slice(total, 2).basis for s in summands)
     return EvidenceRecord(
         kind="direct-sum-slice-intersection",
         verified=equal,
@@ -187,29 +188,10 @@ def slice_intersection_certificate(summands: Sequence[Poly], total: Poly) -> Evi
     )
 
 
-@dataclass(frozen=True)
-class DirectSumReport:
-    combined: Poly
-    summands: tuple  # the two summands over the combined table
-    concise_left: int
-    concise_right: int
-    concise_total: int
-
-    @cached_property
-    def certificate(self) -> EvidenceRecord:
-        """The slice-intersection check, computed on first use."""
-        return slice_intersection_certificate(self.summands, self.combined)
-
-    @property
-    def slice_intersection_equal(self) -> bool:
-        return self.certificate.verified
-
-
-def direct_sum_extend(f: Poly, g: Poly) -> DirectSumReport:
-    """f + g over disjoint variables, with the conciseness of both summands
-    and of the sum; the report's certificate checks the degree-2 annihilator
-    slice of the sum against the intersection of the summands' slices, so
-    the summands must have degree at least 2.
+def direct_sum_extend(f: Poly, g: Poly) -> tuple:
+    """(F, G): f and g over one merged table, as summands of a sum over
+    disjoint variables whose degree-2 slice `slice_intersection_certificate`
+    can check, so both must have one degree of at least 2.
 
     The two tables are merged by name: f's variables, then those of g's that
     f's table lacks, each with its own table's dual name (a shared name keeps
@@ -226,13 +208,5 @@ def direct_sum_extend(f: Poly, g: Poly) -> DirectSumReport:
     new = [i for i, v in enumerate(g_names) if v not in f_names]
     table = VarTable.make(f_names + tuple(g_names[i] for i in new),
                           dual=f.table.dual + tuple(g.table.dual[i] for i in new))
-    F, G = (p.substitute([Poly.variable(table, table.index(v, PRIMAL)) for v in p.table.primal])
-            for p in (f, g))
-    total = F + G
-    return DirectSumReport(
-        combined=total,
-        summands=(F, G),
-        concise_left=concise_dim(F).dim,
-        concise_right=concise_dim(G).dim,
-        concise_total=concise_dim(total).dim,
-    )
+    return tuple(p.substitute([Poly.variable(table, table.index(v, PRIMAL)) for v in p.table.primal])
+                 for p in (f, g))

@@ -30,6 +30,7 @@ from apolar.wildcert import (
 from apolar.witness import (
     direct_sum_extend,
     double_point_span,
+    slice_intersection_certificate,
     tangent_limit_family,
 )
 
@@ -69,7 +70,7 @@ def test_criterion_2_annihilator_slice_span_equality():
     assert listed.dim == 10
     # span equality both ways: identical canonical echelon bases, plus
     # explicit containment checks in each direction
-    assert listed.same_span(sl)
+    assert listed.vectors() == sl.vectors()
     assert all(sl.contains(g) for g in squares + phis)
     assert all(listed.contains(b) for b in sl.basis)
     print("PASS criterion 2: degree-2 annihilator slice is 10-dimensional and "
@@ -227,9 +228,10 @@ def test_criterion_9_direct_sum_extension():
     t6 = VarTable.make(("x0", "x1", "y0", "y1", "y2", "y3"))
     f = parse_poly("x0^2*y0 - (x0+x1)^2*y1 + x1^2*y2", table=t6)
     g = parse_poly("y3^3", table=t6)
-    ext = direct_sum_extend(f, g)
-    assert ext.slice_intersection_equal
-    rep = theorem2_report(ext.combined)
+    summands = direct_sum_extend(f, g)
+    total = summands[0] + summands[1]
+    assert slice_intersection_certificate(summands, total).verified
+    rep = theorem2_report(total)
     assert rep.conciseness == 6
     assert rep.report.value("border") == 6
     assert rep.report.lower("cactus") >= 7

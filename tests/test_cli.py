@@ -140,6 +140,12 @@ def test_macaulay_command(capsys):
     assert doc["results"]["bound"] == 6
 
 
+def test_macaulay_command_at_degree_one_and_a_large_dimension(capsys):
+    code, doc = run(capsys, "macaulay", "--dim", "1000000000", "--degree", "1")
+    assert code == 0
+    assert doc["results"]["bound"] == 500000000500000000
+
+
 def test_rank_bounds_command(capsys):
     code, doc = run(capsys, "rank-bounds", "--poly", "x0^3 + x1^3 + x2^3")
     assert code == 0

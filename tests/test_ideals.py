@@ -229,6 +229,31 @@ def test_macaulay_bound_grid():
         macaulay_bound(3, 0)
 
 
+def _macaulay_linear_search(h, d):
+    """The bound with each a_k raised one step at a time, the reference for
+    the doubling and bisection of macaulay_bound."""
+    rem, bound, k = h, 0, d
+    while rem > 0 and k >= 1:
+        a = k
+        while comb(a + 1, k) <= rem:
+            a += 1
+        rem -= comb(a, k)
+        bound += comb(a + 1, k + 1)
+        k -= 1
+    return bound
+
+
+def test_macaulay_bound_equals_the_linear_search():
+    for d in range(1, 9):
+        for h in range(2001):
+            assert macaulay_bound(h, d) == _macaulay_linear_search(h, d), (h, d)
+
+
+def test_macaulay_bound_at_degree_one_takes_logarithmic_steps():
+    # the linear search would take 10^12 steps here
+    assert macaulay_bound(10**12, 1) == comb(10**12 + 1, 2)
+
+
 def test_quotient_growth_obeys_macaulay_bound():
     rng = random.Random(2025)
     table = VarTable.make(("a", "b", "c", "d"))

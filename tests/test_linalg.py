@@ -122,13 +122,6 @@ def test_solve_columns_exact():
         assert rebuilt == target
 
 
-def test_intersect_spans():
-    e = [[Fraction(1 if i == j else 0) for j in range(3)] for i in range(3)]
-    inter = linalg.intersect_spans([e[0], e[1]], [e[1], e[2]])
-    assert inter == [e[1]]
-    assert linalg.intersect_spans([e[0]], [e[1]]) == []
-
-
 # -- the integer-native routines against a naive Fraction Gauss-Jordan --------
 
 # ints and Fractions with different denominators, in one matrix

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apolar import linalg
+from apolar.apolarity import concise_dim
 from apolar.parsing import parse_poly
 from apolar.poly import PRIMAL, Poly, TableMismatchError, VarTable, linear_form
 from apolar.witness import (
@@ -14,6 +16,7 @@ from apolar.witness import (
     direct_sum_extend,
     direct_summands,
     double_point_span,
+    slice_intersection_certificate,
     tangent_limit_family,
 )
 from apolar.wildcert import (
@@ -24,7 +27,13 @@ from apolar.wildcert import (
     wild_table,
 )
 
-from _oracle import naive_add_laurent, naive_perturbed_power, random_poly
+from _oracle import (
+    naive_add_laurent,
+    naive_contract,
+    naive_perturbed_power,
+    naive_rank,
+    random_poly,
+)
 
 T5 = wild_table()
 F = wild_cubic(T5)
@@ -136,8 +145,6 @@ def test_double_point_span_fails_for_generic_cubic():
     rng = random.Random(1009)
     t = VarTable.make(("a", "b", "c"))
     f = random_poly(rng, t, PRIMAL, 3, max_terms=10)
-    from apolar.apolarity import concise_dim
-
     assert concise_dim(f).dim == 3
     a, b = Poly.variable(t, 0), Poly.variable(t, 1)
     assert double_point_span(f, [(a, b)])[0] is None
@@ -148,22 +155,26 @@ def test_direct_summands():
     assert len(direct_summands(parse_poly("x0^3 + x1^3 + x2^3"))) == 3
 
 
+def _slice_check(f, g):
+    return slice_intersection_certificate((f, g), f + g).verified
+
+
 def test_direct_sum_extension_wild_plus_cube():
     t6 = VarTable.make(("x0", "x1", "y0", "y1", "y2", "y3"))
     f = parse_poly("x0^2*y0 - (x0+x1)^2*y1 + x1^2*y2", table=t6)
     g = parse_poly("y3^3", table=t6)
-    rep = direct_sum_extend(f, g)
-    assert rep.slice_intersection_equal
-    assert (rep.concise_left, rep.concise_right, rep.concise_total) == (5, 1, 6)
+    F6, G6 = direct_sum_extend(f, g)
+    assert _slice_check(F6, G6)
+    assert [concise_dim(p).dim for p in (F6, G6, F6 + G6)] == [5, 1, 6]
 
 
 def test_direct_sum_disjoint_cubes():
     t = VarTable.make(("x0", "x1"))
     f = parse_poly("x0^3", table=t)
     g = parse_poly("x1^3", table=t)
-    rep = direct_sum_extend(f, g)
-    assert rep.slice_intersection_equal
-    assert rep.concise_total == 2
+    summands = direct_sum_extend(f, g)
+    assert _slice_check(*summands)
+    assert concise_dim(summands[0] + summands[1]).dim == 2
 
 
 def test_direct_sum_rejects_degenerate_inputs():
@@ -184,10 +195,11 @@ def test_direct_sum_merges_tables_by_name():
     # f's names first, then g's new ones; the shared name y keeps f's dual name
     f = parse_poly("x^3", table=VarTable.make(("x", "y"), dual=("a", "b")))
     g = parse_poly("z^3", table=VarTable.make(("y", "z"), dual=("c", "e")))
-    rep = direct_sum_extend(f, g)
-    assert rep.combined.table == VarTable.make(("x", "y", "z"), dual=("a", "b", "e"))
-    assert rep.combined == parse_poly("x^3 + z^3", table=rep.combined.table)
-    assert (rep.concise_left, rep.concise_right, rep.concise_total) == (1, 1, 2)
+    fx, gz = direct_sum_extend(f, g)
+    total = fx + gz
+    assert total.table == VarTable.make(("x", "y", "z"), dual=("a", "b", "e"))
+    assert total == parse_poly("x^3 + z^3", table=total.table)
+    assert [concise_dim(p).dim for p in (fx, gz, total)] == [1, 1, 2]
     with pytest.raises(ValueError, match="summands share variables"):
         direct_sum_extend(parse_poly("x^3 + y^3", table=f.table), parse_poly("y^3", table=g.table))
 
@@ -195,9 +207,75 @@ def test_direct_sum_merges_tables_by_name():
 def test_direct_sum_across_tables():
     ta = VarTable.make(("u",))
     tb = VarTable.make(("v",))
-    rep = direct_sum_extend(parse_poly("u^3", table=ta), parse_poly("v^3", table=tb))
-    assert rep.combined.table.primal == ("u", "v")
-    assert rep.slice_intersection_equal
+    summands = direct_sum_extend(parse_poly("u^3", table=ta), parse_poly("v^3", table=tb))
+    assert summands[0].table.primal == summands[1].table.primal == ("u", "v")
+    assert _slice_check(*summands)
+
+
+# -- the slice check against stacked contraction ranks
+
+
+def _exponents(n, k):
+    return [m for m in itertools.product(range(k + 1), repeat=n) if sum(m) == k]
+
+
+def _contraction_rows(p, d):
+    """The degree-2 contraction matrix of p, from the definition: a row per
+    degree-(d - 2) monomial, a column per degree-2 dual monomial."""
+    n = p.table.n
+    cols = [naive_contract({c: 1}, p.terms) for c in _exponents(n, 2)]
+    return [[col.get(m, 0) for col in cols] for m in _exponents(n, d - 2)]
+
+
+def _slice_check_reference(summands, total, d):
+    """A degree-2 dual form kills every summand exactly when it kills the
+    rows of their stacked matrices, and the common kernel lies in the
+    total's, so the two are equal exactly when the ranks are."""
+    stacked = [row for s in summands for row in _contraction_rows(s, d)]
+    return naive_rank(stacked) == naive_rank(_contraction_rows(total, d))
+
+
+def _nonzero_form(rng, table, d):
+    while True:
+        f = random_poly(rng, table, PRIMAL, d)
+        if not f.is_zero():
+            return f
+
+
+def _seeded_summand_lists(rng, count):
+    """(summands, total, degree): nonzero variable-disjoint pairs and splits
+    (q, f - q) of a nonzero form, in 2-6 variables and degree 2-4."""
+    for i in range(count):
+        n, d = rng.randint(2, 6), rng.randint(2, 4)
+        table = VarTable.make([f"v{j}" for j in range(n)])
+        if i % 2:
+            f = _nonzero_form(rng, table, d)
+            q = random_poly(rng, table, PRIMAL, d, allow_zero=True)
+            summands = (q, f - q)
+        else:
+            split = rng.randint(1, n - 1)
+            summands = tuple(
+                _nonzero_form(rng, VarTable.make([f"w{j}" for j in group]), d)
+                .substitute([Poly.variable(table, j) for j in group])
+                for group in (range(split), range(split, n)))
+        yield summands, summands[0] + summands[1], d
+
+
+def test_slice_check_matches_stacked_contraction_ranks():
+    verdicts = set()
+    for summands, total, d in _seeded_summand_lists(random.Random(27), 240):
+        verdict = slice_intersection_certificate(summands, total).verified
+        assert verdict == _slice_check_reference(summands, total, d), (summands, total)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_slice_check_rejects_summands_that_do_not_add_up():
+    f, g = direct_sum_extend(parse_poly("x^3"), parse_poly("u^3"))
+    with pytest.raises(ValueError, match="do not add up"):
+        slice_intersection_certificate((f, g), f)
+    with pytest.raises(ValueError, match="do not add up"):
+        slice_intersection_certificate((f,), f + g)
 
 
 # -- the two coefficients of a limit family against the binomial reference
