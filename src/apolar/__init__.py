@@ -20,7 +20,7 @@ _EXPORTS = {
     "parsing": "ParseError parse_poly",
     "poly": "DUAL PRIMAL Poly TableMismatchError VarTable linear_form monomials",
     "ranks": "Deduction InconsistentEvidenceError RankReport SylvesterResult aggregate"
-             " sylvester_binary tameness_rule",
+             " sylvester_binary",
     "wildcert": "LocusShapeError ProductLocus WildPresentation WildReport cactus_lower_via_slice"
                 " extract_square_pairs forced_square_check gamma_space power_sum_certificate"
                 " product_locus rank9_lower_cert theorem2_report transform_presentation"

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import perm
+from typing import Optional
 
 from . import linalg
 from .ideals import IdealSlice
@@ -320,6 +321,16 @@ class FormFacts:
 
     def __init__(self, f: Poly):
         self.essential, self.form = essential_form(f)
+
+    @classmethod
+    def of(cls, f: Poly, facts: Optional[FormFacts] = None) -> FormFacts:
+        """`facts`, checked to describe f (their essential form is f), or
+        FormFacts(f) when None; ValueError for the facts of another form."""
+        if facts is None:
+            return cls(f)
+        if facts.form is not f and facts.form != f:
+            raise ValueError("the facts given are those of another form")
+        return facts
 
     @cached_property
     def hilbert(self) -> HilbertFn:

@@ -1,17 +1,19 @@
 """Command-line interface: parse polynomials, run the certified computations,
 emit a machine-readable JSON report.
 
-The certificate commands print the records their builders return, verified
-or not; a builder's ValueError on malformed input is an input error.
+Each handler returns its results and the records it prints.  The
+certificate commands print the records their builders return, verified or
+not; a builder's ValueError on malformed input is an input error.
 
 Each handler imports the library modules it calls when it runs, so
 `import apolar.cli` loads only the parser, and a process loads only what its
 command needs.
 
-Exit codes: 0 success, 1 certificate failure, 2 input error, 3 standard
-output closed by its reader before the report was written.  A certificate
-failure keeps 1 when the pipe is closed too.  After a closed pipe, file
-descriptor 1 points at os.devnull for the rest of the process.
+Exit codes: 0 success, 1 certificate failure (a printed record is
+unverified), 2 input error, 3 standard output closed by its reader before
+the report was written.  A certificate failure keeps 1 when the pipe is
+closed too.  After a closed pipe, file descriptor 1 points at os.devnull for
+the rest of the process.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ def _parse_form(args):
 
 
 def _cert_dicts(records) -> list:
-    """The printed part of each record; its basis and bounds stay out."""
+    """The printed part of each record; its basis, bounds and witness stay out."""
     return [{"kind": c.kind, "stage_log": c.stage_log, "verified": c.verified} for c in records]
 
 
@@ -61,7 +63,7 @@ def _cmd_hilbert(args):
 
     p = _parse_input_poly(args)
     h = hilbert_function(p)
-    return {"hilbert": list(h.values), "degree": h.top_degree}, [], True
+    return {"hilbert": list(h.values), "degree": h.top_degree}, []
 
 
 def _slice_degree(build, p, degree):
@@ -83,7 +85,7 @@ def _cmd_annihilator(args):
         "degree": sl.degree,
         "dimension": sl.dim,
         "basis": [str(b) for b in sl.basis],
-    }, [], True
+    }, []
 
 
 def _labels(table, ring, degree) -> list:
@@ -111,7 +113,7 @@ def _cmd_catalecticant(args):
         "row_labels": _labels(p.table, PRIMAL, p.homogeneous_degree() - args.degree),
         "col_labels": _labels(p.table, DUAL, args.degree),
         "entries": [[str(c) for c in row] for row in rows],
-    }, [], True
+    }, []
 
 
 def _cmd_concise(args):
@@ -119,7 +121,7 @@ def _cmd_concise(args):
 
     p = _parse_form(args)
     es = concise_dim(p)
-    return {"dimension": es.dim, "basis": [str(b) for b in es.basis]}, [], True
+    return {"dimension": es.dim, "basis": [str(b) for b in es.basis]}, []
 
 
 def _cmd_macaulay(args):
@@ -131,7 +133,7 @@ def _cmd_macaulay(args):
         bound = macaulay_bound(args.dim, args.degree)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return {"dim": args.dim, "degree": args.degree, "bound": bound}, [], True
+    return {"dim": args.dim, "degree": args.degree, "bound": bound}, []
 
 
 def _cmd_sylvester(args):
@@ -145,18 +147,18 @@ def _cmd_sylvester(args):
     return {
         "d1": res.d1,
         "d2": res.d2,
-        "border": res.border,
+        "border": res.d1,
         "rank": res.rank,
-        "smoothable": res.border,
-        "cactus": res.border,
-    }, [], True
+        "smoothable": res.d1,
+        "cactus": res.d1,
+    }, []
 
 
 def _cmd_rank_bounds(args):
     from .wildcert import classical_report
 
     conciseness, report = classical_report(_parse_form(args))
-    return {"bounds": report.as_dict(), "conciseness": conciseness}, [], True
+    return {"bounds": report.as_dict(), "conciseness": conciseness}, []
 
 
 def _cmd_witness_verify(args):
@@ -165,11 +167,12 @@ def _cmd_witness_verify(args):
 
     _, g = essential_form(_parse_form(args))
     pairs = extract_square_pairs(g)
-    fam, cert = limit_family_certificate(g, pairs)
+    cert = limit_family_certificate(g, pairs)
+    fam = cert.witness
     if fam is None:
-        return {"verified": False, "reason": cert.stage_log[0]}, [cert], False
+        return {"verified": False, "reason": cert.stage_log[0]}, [cert]
     ok = cert.verified
-    return {"verified": ok, "r": fam.r, "k": 1, "border_upper": fam.r if ok else None}, [cert], ok
+    return {"verified": ok, "r": fam.r, "k": 1, "border_upper": fam.r if ok else None}, [cert]
 
 
 def _parse_pairs(args, table):
@@ -191,18 +194,19 @@ def _cmd_double_points(args):
     p = _parse_form(args)
     pairs = _parse_pairs(args, p.table)
     try:
-        dps, cert = double_point_span(p, pairs)
+        cert = double_point_span(p, pairs)
     except ValueError as exc:
         raise InputError(f"bad pair: {exc}") from exc
+    dps = cert.witness
     if dps is None:
-        return {"verified": False}, [cert], False
+        return {"verified": False}, [cert]
     return {
         "verified": True,
         "cactus_upper": dps.cactus_upper,
         "point_coeffs": [str(c) for c in dps.point_coeffs],
         "jet_coeffs": [str(c) for c in dps.jet_coeffs],
-        "curvilinear": dps.curvilinear,
-    }, [cert], True
+        "curvilinear": True,
+    }, [cert]
 
 
 def _cmd_wild_cert(args):
@@ -212,16 +216,16 @@ def _cmd_wild_cert(args):
     facts = FormFacts(_parse_form(args))
     g = facts.form
     try:
-        csl, saturation = cactus_lower_via_slice(g, facts)
+        saturation = cactus_lower_via_slice(g, facts)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    _, counting = rank9_lower_cert(g, args.rmax, extract_square_pairs(g), facts)
+    counting = rank9_lower_cert(g, args.rmax, extract_square_pairs(g), facts)
     results = {
-        "cactus_lower": csl.bound if csl else None,
+        "cactus_lower": saturation.certified()[0].value if saturation.verified else None,
         "rank_lower": args.rmax + 1 if counting.verified else None,
         "rmax": args.rmax,
     }
-    return results, [saturation, counting], saturation.verified and counting.verified
+    return results, [saturation, counting]
 
 
 def _cmd_theorem2(args):
@@ -239,7 +243,7 @@ def _cmd_theorem2(args):
         "border_witness_rank": rep.border_witness_rank,
         "notes": list(rep.notes),
     }
-    return results, rep.certificates, all(c.verified for c in rep.certificates)
+    return results, rep.certificates
 
 
 def _cmd_direct_sum(args):
@@ -275,7 +279,7 @@ def _cmd_direct_sum(args):
         "slice_intersection_equal": cert.verified,
         "final": pipeline.final(),
     }
-    return results, certificates, all(c.verified for c in certificates)
+    return results, certificates
 
 
 def _length(text: str) -> int:
@@ -359,14 +363,14 @@ def main(argv=None) -> int:
         "version": __version__,
     }
     try:
-        results, certs, ok = _COMMANDS[args.command][0](args)
+        results, certs = _COMMANDS[args.command][0](args)
     except (InputError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc["results"] = results
     doc["certificates"] = _cert_dicts(certs)
     text = json.dumps(doc, indent=2, sort_keys=True)
-    code = 0 if ok else 1
+    code = 0 if all(c.verified for c in certs) else 1
     try:
         print(text, flush=True)
     except BrokenPipeError:
@@ -375,7 +379,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        if ok:
+        if code == 0:
             code = 3
     if args.json_path and args.json_path != "-":
         try:

@@ -3,17 +3,18 @@
 Bounds for the four notions (border, smoothable, cactus, rank) are kept with
 their provenance and closed under the two inequality chains
 border <= smoothable <= rank and cactus <= smoothable <= rank; every notion
-is also bounded below by the number of essential variables.  Inconsistent
-evidence is an error, since it means some certificate is wrong.
+is also bounded below by the number of essential variables, and `aggregate`
+applies the cited tameness rule.  Inconsistent evidence is an error, since it
+means some certificate is wrong.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import linalg
-from .apolarity import FormFacts, HilbertFn, ann_slice
+from .apolarity import FormFacts, ann_slice
 from .poly import Poly
 
 NOTIONS = ("border", "smoothable", "cactus", "rank")
@@ -50,7 +51,11 @@ class EvidenceRecord:
     """One certificate, or one stage of a certificate: its kind, whether it
     verified, a stage-by-stage log, whether it was computed or cites a
     literature rule over verified hypotheses, the bounds it certifies and,
-    for a certificate checked in stages, the record of each stage run."""
+    for a certificate checked in stages, the record of each stage run.
+
+    `witness` is the object the certificate was built from (a limit family,
+    a decomposition, a locus, ...), or None; it takes no part in equality,
+    hashing or repr, and is never printed."""
 
     kind: str
     verified: bool
@@ -58,6 +63,7 @@ class EvidenceRecord:
     basis: str = "computed"  # "computed" | "cited"
     bounds: tuple = ()  # Deductions, certified only when verified
     stages: tuple = ()  # EvidenceRecord per stage, up to the first that failed
+    witness: object = field(default=None, compare=False, repr=False)
 
     def certified(self) -> tuple:
         return self.bounds if self.verified else ()
@@ -129,33 +135,26 @@ def _aggregate_deductions(deductions: Sequence[Deduction]) -> RankReport:
     return RankReport(lows=lows, ups=ups, provenance=tuple(deductions))
 
 
-def conciseness_deduction(dim: int) -> Deduction:
-    return Deduction(
-        notion="all",
-        side="lower",
-        value=dim,
-        rule="conciseness",
-        detail="every notion is at least the number of essential variables",
-    )
-
-
 def aggregate(f: Poly, evidence: Sequence[Deduction],
               facts: Optional[FormFacts] = None) -> RankReport:
-    """Close the given evidence under the inequality chains; the conciseness
-    lower bound is always injected, read from facts (f's) when given."""
-    dim = (facts or FormFacts(f)).essential.dim
-    return _aggregate_deductions([conciseness_deduction(dim)] + list(evidence))
-
-
-def catalecticant_deduction(h: HilbertFn) -> Deduction:
-    """The catalecticant bound max_i H(i), from the Hilbert function h."""
-    return Deduction(
-        notion="all",
-        side="lower",
-        value=h.max(),
-        rule="catalecticant",
-        detail=f"hilbert function {tuple(h.values)}",
-    )
+    """Close the given evidence under the inequality chains, with the
+    conciseness lower bound injected first (read from `facts` when given,
+    which must be f's); then apply the cited tameness rule: when the
+    certified border-rank upper bound is at most deg f + 1, smoothable rank
+    equals border rank, so the border bounds are copied across."""
+    report = _aggregate_deductions([
+        Deduction("all", "lower", FormFacts.of(f, facts).essential.dim, rule="conciseness",
+                  detail="every notion is at least the number of essential variables"),
+    ] + list(evidence))
+    b_up, d = report.upper("border"), f.homogeneous_degree()
+    if b_up is None or b_up > d + 1:
+        return report
+    return _aggregate_deductions(report.provenance + (
+        Deduction("smoothable", "upper", b_up, rule="tameness",
+                  detail=f"border rank <= {d + 1}", basis="cited"),
+        Deduction("smoothable", "lower", report.lower("border"),
+                  rule="tameness", basis="cited"),
+    ))
 
 
 def _square_free(u: list) -> bool:
@@ -192,7 +191,6 @@ def _binary_square_free(g: Poly) -> bool:
 class SylvesterResult:
     d1: int
     d2: int
-    border: int
     rank: int
     evidence: tuple  # the four exact-value Deductions
 
@@ -205,12 +203,12 @@ def sylvester_binary(f: Poly, facts: Optional[FormFacts] = None) -> SylvesterRes
     equal d1, and the rank is d1 exactly when the degree-d1 slice contains a
     square-free form, else d2.  The result carries these four exact values
     as Deductions, for the caller to aggregate.  `facts`, when given, must be
-    f's or those of a form whose essential form f is.
+    f's or those of a form whose essential form f is; ValueError otherwise.
     """
     d = f.homogeneous_degree()
     if d is None or f.is_zero():
         raise ValueError("sylvester_binary expects a homogeneous nonzero polynomial")
-    facts = facts or FormFacts(f)
+    facts = FormFacts.of(f, facts)
     es = facts.essential
     if es.dim > 2:
         raise ValueError(f"not essentially binary: {es.dim} essential variables")
@@ -240,18 +238,4 @@ def sylvester_binary(f: Poly, facts: Optional[FormFacts] = None) -> SylvesterRes
         Deduction("rank", "exact", rank_val, rule="binary-square-free",
                   detail="square-free slice member" if rank_val == d1 else "no square-free member in first slice"),
     )
-    return SylvesterResult(d1=d1, d2=d2, border=d1, rank=rank_val, evidence=evidence)
-
-
-def tameness_rule(report: RankReport, d: int) -> RankReport:
-    """If the certified border-rank upper bound is at most d+1, smoothable
-    rank equals border rank; copy the border bounds across."""
-    b_up = report.upper("border")
-    if b_up is None or b_up > d + 1:
-        return report
-    return _aggregate_deductions(report.provenance + (
-        Deduction("smoothable", "upper", b_up, rule="tameness",
-                  detail=f"border rank <= {d + 1}", basis="cited"),
-        Deduction("smoothable", "lower", report.lower("border"),
-                  rule="tameness", basis="cited"),
-    ))
+    return SylvesterResult(d1=d1, d2=d2, rank=rank_val, evidence=evidence)

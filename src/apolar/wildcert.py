@@ -11,15 +11,16 @@ Each certificate has one builder, which computes it and records it:
 `limit_family_certificate` (border), `double_point_span` (cactus and
 smoothable), `power_sum_certificate` (rank upper), `cactus_lower_via_slice`
 (cactus lower) and `rank9_lower_cert` (rank lower, its stage records kept in
-the record's `stages`).  Each returns (witness or None, EvidenceRecord), and
-raises ValueError only on malformed input.
+the record's `stages`).  Each returns one EvidenceRecord, whose `witness` is
+what the certificate was built from (None when there is nothing to keep),
+and raises ValueError only on malformed input.
 
 A rank report runs the bound sources of `_STAGES` in order: the classical
 bounds, variable-disjoint summands, the upper bounds from square pairs,
 slice saturation and the counting certificate.  Each stage is a plain
 function of the run's `WildReport` that decides for itself whether it
 applies and appends its records, notes and deductions there; `_report`
-aggregates them once and applies the cited tameness rule once.
+aggregates them once, with the cited rules `aggregate` applies.
 `classical_report` is the same run over the classical stage alone.
 """
 
@@ -52,9 +53,7 @@ from .ranks import (
     EvidenceRecord,
     RankReport,
     aggregate,
-    catalecticant_deduction,
     sylvester_binary,
-    tameness_rule,
 )
 from .witness import (
     TangentDatum,
@@ -293,22 +292,22 @@ def tangent_data_for_pairs(square_pairs) -> tuple:
 
 
 def limit_family_certificate(f: Poly, pairs):
-    """(family, record) of the cubic tangent limit family of f's square
-    pairs, whose verification re-reads f as the t-coefficient.
+    """The record of the cubic tangent limit family of f's square pairs, its
+    witness the family, whose verification re-reads f as the t-coefficient.
 
-    (None, unverified record) when there are no pairs (f showed no
-    squares-times-lines shape) or the squared parts carry no five-point
+    An unverified record with no witness when there are no pairs (f showed
+    no squares-times-lines shape) or the squared parts carry no five-point
     dependency; ValueError when a pair is not linear.
     """
     if not pairs:
-        return None, EvidenceRecord("border-limit-family", False, ("no squares-times-lines shape found",))
+        return EvidenceRecord("border-limit-family", False, ("no squares-times-lines shape found",))
     _check_linear_pairs(pairs)
     try:
         fam = tangent_limit_family(tangent_data_for_pairs(pairs), 3)
     except ValueError as exc:
-        return None, EvidenceRecord("border-limit-family", False, (str(exc),))
+        return EvidenceRecord("border-limit-family", False, (str(exc),))
     ok = fam.limit == f
-    return fam, EvidenceRecord(
+    return EvidenceRecord(
         kind="border-limit-family",
         verified=ok,
         stage_log=(
@@ -317,6 +316,7 @@ def limit_family_certificate(f: Poly, pairs):
         ),
         bounds=(Deduction("border", "upper", fam.r, rule="limit-family",
                           detail=f"{fam.r}-term perturbed power family"),),
+        witness=fam,
     )
 
 
@@ -343,32 +343,24 @@ def _monomial_residues(slice_: IdealSlice) -> list:
     return residues
 
 
-@dataclass(frozen=True)
-class CactusSliceCertificate:
-    bound: int
-    scheme_quotient_dim: int  # H_f(2): schemes up to this length pin the slice
-    gamma_basis: tuple  # linear forms certified to lie in the saturation
-    witness_power: int  # gamma * m^k lies in the generated ideal
-    quotient_h1: int  # linear-degree Hilbert value after saturating
-    conciseness: int
-
-
-def cactus_lower_via_slice(f: Poly, facts: Optional[FormFacts] = None):
-    """(certificate, record) of the cactus lower bound from showing that the
-    degree-2 annihilator slice saturates to too small a linear space.
+def cactus_lower_via_slice(f: Poly, facts: Optional[FormFacts] = None) -> EvidenceRecord:
+    """The record of the cactus lower bound from showing that the degree-2
+    annihilator slice saturates to too small a linear space; its witness is
+    the tuple of dual linear forms that span the saturation's linear part:
+    each times every cubic monomial lies in the ideal the slice generates.
 
     Any length-<= H_f(2) scheme spanning f pins its degree-2 ideal slice to
     the full annihilator slice; if the saturation of that slice contains
     enough independent linear forms to drop the linear Hilbert value below
     the number of essential variables, no such scheme exists and the cactus
-    rank is at least H_f(2) + 1.  (None, unverified record) when the pattern
-    finds no linear drop; ValueError when f is not a cubic or not concise.
-    `facts`, when given, must be f's.
+    rank is at least H_f(2) + 1.  An unverified record with no witness when
+    the pattern finds no linear drop; ValueError when f is not a cubic or
+    not concise.  `facts`, when given, must be f's, else ValueError.
     """
     if f.homogeneous_degree() != 3:
         raise ValueError("the slice-saturation pattern is for cubics")
     n = f.table.n
-    facts = facts or FormFacts(f)
+    facts = FormFacts.of(f, facts)
     es_dim = facts.essential.dim
     if es_dim != n:
         raise ValueError("reduce to essential variables before this pattern")
@@ -392,17 +384,9 @@ def cactus_lower_via_slice(f: Poly, facts: Optional[FormFacts] = None):
     gamma_vecs = linalg.kernel_basis(rows, n)
     quotient_h1 = n - len(gamma_vecs)
     if quotient_h1 >= es_dim:
-        return None, EvidenceRecord("cactus-slice-saturation", False,
-                                    ("the slice-saturation pattern found no linear drop",))
-    csl = CactusSliceCertificate(
-        bound=r + 1,
-        scheme_quotient_dim=r,
-        gamma_basis=tuple(linear_form(f.table, v, DUAL) for v in gamma_vecs),
-        witness_power=k,
-        quotient_h1=quotient_h1,
-        conciseness=es_dim,
-    )
-    return csl, EvidenceRecord(
+        return EvidenceRecord("cactus-slice-saturation", False,
+                              ("the slice-saturation pattern found no linear drop",))
+    return EvidenceRecord(
         kind="cactus-slice-saturation",
         verified=True,
         stage_log=(
@@ -413,6 +397,7 @@ def cactus_lower_via_slice(f: Poly, facts: Optional[FormFacts] = None):
         ),
         bounds=(Deduction("cactus", "lower", r + 1, rule="slice-saturation",
                           detail=f"saturated linear quotient {quotient_h1} < {es_dim}"),),
+        witness=tuple(linear_form(f.table, v, DUAL) for v in gamma_vecs),
     )
 
 
@@ -491,9 +476,10 @@ def _variable_contractions(f: Poly, forms: Sequence[Poly],
     Every vector carries one common positive scale (the table's and that of
     the forms' cleared coefficients), which no kernel, rank, vanishing or
     proportionality computed from them sees.  `facts`, when given, must be
-    f's; otherwise the table is computed for this call.
+    f's (ValueError otherwise); without them the table is computed for this
+    call, since FormFacts(f) describes the essential form of a non-concise f.
     """
-    hessian = facts.second_derivatives if facts is not None else second_derivatives(f)
+    hessian = second_derivatives(f) if facts is None else FormFacts.of(f, facts).second_derivatives
     # the table is symmetric, so its row j is the column of d_j
     return [[_combine(a, column) for column in hessian] for a in _int_coeffs(forms)]
 
@@ -518,7 +504,7 @@ def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly
     one-dimensional kernel of the linear map u -> contract(u-form * c-form, f).
     Every point must lie on the quadric and solve back to a factor
     proportional to c, and the points together must pin the quadric.
-    `facts`, when given, must be f's.
+    `facts`, when given, must be f's, else ValueError.
     """
     if len(comp_basis) != 2:
         raise ValueError("the factor space must be 2-dimensional")
@@ -596,7 +582,7 @@ def gamma_space(f: Poly, point_form: Poly, facts: Optional[FormFacts] = None) ->
     """Dimension of the space of linear forms whose product with the given
     dual linear form annihilates f: n minus the rank of the integer columns
     contract(point_form * d_j, f), whose common scale moves no rank.
-    `facts`, when given, must be f's."""
+    `facts`, when given, must be f's, else ValueError."""
     if point_form.is_zero() or point_form.homogeneous_degree() != 1:
         raise ValueError("the point form must be a nonzero dual linear form")
     return f.table.n - linalg.rank(_variable_contractions(f, [point_form], facts)[0])
@@ -607,7 +593,7 @@ def forced_square_check(f: Poly, perp_basis: Sequence[Poly],
     """True iff every linear form whose products with the whole perp basis
     annihilate f already lies in the span of the perp basis: adding those
     forms to the perp basis leaves its rank unchanged.  `facts`, when given,
-    must be f's."""
+    must be f's, else ValueError."""
     n = f.table.n
     rows = []
     for cols in _variable_contractions(f, perp_basis, facts):
@@ -651,7 +637,7 @@ def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[P
     contractions.  Each functional vanishing on U therefore takes A to a
     binary quadric in c that the candidate must zero; when those quadrics
     share no zero over the algebraic closure, no nonzero c zeroes them all.
-    `facts`, when given, must be f's.
+    `facts`, when given, must be f's, else ValueError.
     """
     if len(comp_basis) != 2:
         raise ValueError("the complement must be 2-dimensional")
@@ -674,15 +660,15 @@ def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[P
 
 
 def rank9_lower_cert(f: Poly, r_max: int, pairs, facts: Optional[FormFacts] = None):
-    """(locus, record) of the counting certificate on f's square pairs: the
+    """The record of the counting certificate on f's square pairs: the
     hypotheses that rule out reduced decompositions of length <= r_max for
     the wild-cubic pattern, so rank >= r_max + 1.
 
     The record keeps the record of each stage in `stages`, up to the first
-    that failed, with one log line per stage; the witness is the product
+    that failed, with one log line per stage; its witness is the product
     locus, or None unless every stage verified.  No pairs fail the shape
     stage.  ValueError when r_max < 1 or a pair is not linear.  `facts`,
-    when given, must be f's.
+    when given, must be f's, else ValueError.
     """
     if r_max < 1:
         raise ValueError(f"r_max must be at least 1, got {r_max}")
@@ -691,7 +677,7 @@ def rank9_lower_cert(f: Poly, r_max: int, pairs, facts: Optional[FormFacts] = No
     stages = []
 
     def done(locus=None):
-        return locus, EvidenceRecord(
+        return EvidenceRecord(
             kind="rank-lower-counting",
             verified=locus is not None,
             stage_log=tuple(
@@ -701,6 +687,7 @@ def rank9_lower_cert(f: Poly, r_max: int, pairs, facts: Optional[FormFacts] = No
             bounds=(Deduction("rank", "lower", r_max + 1, rule="counting-certificate",
                               detail=f"no reduced scheme of length <= {r_max}"),),
             stages=tuple(stages),
+            witness=locus,
         )
 
     def fail(name, detail):
@@ -713,7 +700,7 @@ def rank9_lower_cert(f: Poly, r_max: int, pairs, facts: Optional[FormFacts] = No
     n = f.table.n
     if f.homogeneous_degree() != 3 or n != 5:
         return fail("shape", "expected a cubic in exactly 5 variables")
-    facts = facts or FormFacts(f)
+    facts = FormFacts.of(f, facts)
     if facts.essential.dim != 5:
         return fail("shape", "not concise: fewer than 5 essential variables")
     if not pairs:
@@ -804,14 +791,14 @@ class PowerSumDecomposition:
 
 
 def power_sum_certificate(f: Poly, pairs):
-    """(decomposition, record) of the explicit power sum of f's square pairs:
-    z^2*w = ((z+w)^3 - (z-w)^3 - 2*w^3)/6, with proportional pairs collapsed
-    to a single cube.  (None, unverified record) when there are no pairs or
-    the cubes do not re-expand to f; ValueError when a pair is not linear or
-    lies over another table."""
+    """The record of the explicit power sum of f's square pairs, its witness
+    the PowerSumDecomposition: z^2*w = ((z+w)^3 - (z-w)^3 - 2*w^3)/6, with
+    proportional pairs collapsed to a single cube.  An unverified record with
+    no witness when there are no pairs or the cubes do not re-expand to f;
+    ValueError when a pair is not linear or lies over another table."""
     if not pairs:
-        return None, EvidenceRecord("power-sum-decomposition", False,
-                                    ("shape mismatch: no squares-times-lines presentation",))
+        return EvidenceRecord("power-sum-decomposition", False,
+                              ("shape mismatch: no squares-times-lines presentation",))
     _check_linear_pairs(pairs)
     terms = []
     for z, w in pairs:
@@ -830,14 +817,15 @@ def power_sum_certificate(f: Poly, pairs):
         terms.append((Fraction(-1, 3), w))
     dec = PowerSumDecomposition(target=f, terms=tuple(terms))
     if not dec.verify():
-        return None, EvidenceRecord("power-sum-decomposition", False,
-                                    ("shape mismatch: decomposition does not re-expand to f",))
-    return dec, EvidenceRecord(
+        return EvidenceRecord("power-sum-decomposition", False,
+                              ("shape mismatch: decomposition does not re-expand to f",))
+    return EvidenceRecord(
         kind="power-sum-decomposition",
         verified=True,
         stage_log=(f"{len(dec)} cubes re-expand to the target",),
         bounds=(Deduction("rank", "upper", len(dec), rule="power-sum",
                           detail=f"{len(dec)} exact cubes"),),
+        witness=dec,
     )
 
 
@@ -900,7 +888,8 @@ def _classical(rep: WildReport) -> bool:
     quadrics (H(1)) and of essentially binary forms; True, which ends the
     run, when those settle the form."""
     facts = rep.facts
-    rep.evidence += (catalecticant_deduction(facts.hilbert),)
+    rep.evidence += (Deduction("all", "lower", facts.hilbert.max(), rule="catalecticant",
+                               detail=f"hilbert function {tuple(facts.hilbert.values)}"),)
     if rep.poly.homogeneous_degree() == 2:
         rep.evidence += (Deduction("all", "exact", facts.hilbert(1), rule="quadric-conciseness",
                                    detail="all notions coincide for quadrics"),)
@@ -952,10 +941,10 @@ def _square_pairs(rep: WildReport) -> None:
     if not rep.pairs:
         rep.notes += ("no squares-times-lines shape found; reporting catalecticant bounds",)
         return
-    built = [("double-point span", double_point_span(g, rep.pairs)[1]),
-             ("power-sum upper bound", power_sum_certificate(g, rep.pairs)[1])]
+    built = [("double-point span", double_point_span(g, rep.pairs)),
+             ("power-sum upper bound", power_sum_certificate(g, rep.pairs))]
     if linalg.rank([linear_coeffs(z) for z, _ in rep.pairs]) == 2 and len(rep.pairs) <= 3:
-        built.insert(0, ("limit family", limit_family_certificate(g, rep.pairs)[1]))
+        built.insert(0, ("limit family", limit_family_certificate(g, rep.pairs)))
     rep.certificates += tuple(r for _, r in built if r.verified)
     rep.notes += tuple(f"{name} unavailable: {r.stage_log[0]}" for name, r in built if not r.verified)
 
@@ -964,10 +953,10 @@ def _slice_saturation(rep: WildReport) -> None:
     """The cactus lower bound of a cubic whose degree-2 slice saturates to
     too few linear forms; nothing when it does not."""
     if rep.facts.form.homogeneous_degree() == 3:
-        csl, record = cactus_lower_via_slice(rep.facts.form, rep.facts)
-        if csl is not None:
+        record = cactus_lower_via_slice(rep.facts.form, rep.facts)
+        if record.verified:
             rep.certificates += (record,)
-            rep.saturation_gammas = tuple(str(gamma) for gamma in csl.gamma_basis)
+            rep.saturation_gammas = tuple(str(gamma) for gamma in record.witness)
 
 
 def _counting(rep: WildReport) -> None:
@@ -976,7 +965,7 @@ def _counting(rep: WildReport) -> None:
     if not rep.pairs:
         return
     if rep.facts.form.table.n == 5 and len(rep.pairs) == 3:
-        rep.certificates += (rank9_lower_cert(rep.facts.form, rep.r_max, rep.pairs, rep.facts)[1],)
+        rep.certificates += (rank9_lower_cert(rep.facts.form, rep.r_max, rep.pairs, rep.facts),)
     else:
         rep.notes += ("counting certificate skipped: not the 5-variable three-pair shape",)
 
@@ -988,10 +977,10 @@ _STAGES = (_classical, _direct_sums, _square_pairs, _slice_saturation, _counting
 def _report(f, stages, r_max: int = 8) -> WildReport:
     """Run the given stages on f (a Poly or a WildPresentation) over one
     FormFacts, up to the first that settles f, then aggregate the bounds of
-    their evidence and verified records and apply the cited rules."""
+    their evidence and verified records, with the cited rules `aggregate`
+    applies."""
     f, pairs = (f.poly, f.square_pairs) if isinstance(f, WildPresentation) else (f, None)
-    d = f.homogeneous_degree()
-    if d is None:
+    if f.homogeneous_degree() is None:
         raise ValueError("rank reports need a nonzero homogeneous polynomial")
     rep = WildReport(poly=f, facts=FormFacts(f), r_max=r_max, pairs=pairs)
     if pairs is not None and rep.conciseness != f.table.n:
@@ -1000,7 +989,7 @@ def _report(f, stages, r_max: int = 8) -> WildReport:
         if stage(rep):
             break
     evidence = rep.evidence + tuple(b for r in rep.certificates for b in r.certified())
-    rep.report = tameness_rule(aggregate(rep.facts.form, evidence, rep.facts), d)
+    rep.report = aggregate(rep.facts.form, evidence, rep.facts)
     return rep
 
 

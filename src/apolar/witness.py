@@ -69,15 +69,15 @@ class DoublePointCertificate:
     """f = sum(a_i * l_i^d + b_i * l_i^(d-1) * m_i), solved exactly.
 
     Each (l_i, m_i) pair is a 2-jet at a point on a line, hence curvilinear;
-    the certified cactus bound is twice the number of pairs, and the
-    curvilinear flag records why the witness scheme is also smoothable.
+    the certified cactus bound is twice the number of pairs, and the record's
+    cited curvilinear-smoothable deduction says why the witness scheme is
+    also smoothable.
     """
 
     target: Poly
     pairs: tuple
     point_coeffs: tuple  # a_i
     jet_coeffs: tuple  # b_i
-    curvilinear: bool = True
 
     @property
     def cactus_upper(self) -> int:
@@ -101,10 +101,10 @@ def _check_linear_pairs(pairs: Sequence) -> None:
 
 
 def double_point_span(f: Poly, pairs: Sequence):
-    """(certificate, record) of f solved in the span of the given 2-jets;
-    (None, unverified record) when they do not span f.  ValueError unless
-    f is a nonzero form and each pair (l, m) is a nonzero linear form l and
-    a linear or zero m."""
+    """The record of f solved in the span of the given 2-jets, its witness
+    the DoublePointCertificate; an unverified record with no witness when
+    they do not span f.  ValueError unless f is a nonzero form and each pair
+    (l, m) is a nonzero linear form l and a linear or zero m."""
     d = f.homogeneous_degree()
     if d is None or f.is_zero():
         raise ValueError("expected a homogeneous nonzero polynomial")
@@ -113,8 +113,8 @@ def double_point_span(f: Poly, pairs: Sequence):
             for l, m in pairs for factors in (((l, d),), ((l, d - 1), (m, 1)))]
     sol = linalg.solve_columns(cols, f.coefficient_vector(d))
     if sol is None:
-        return None, EvidenceRecord("double-point-span", False,
-                                    ("no exact solution in the span of the given 2-jets",))
+        return EvidenceRecord("double-point-span", False,
+                              ("no exact solution in the span of the given 2-jets",))
     cert = DoublePointCertificate(
         target=f,
         pairs=tuple(tuple(p) for p in pairs),
@@ -124,7 +124,7 @@ def double_point_span(f: Poly, pairs: Sequence):
     if not cert.verify():
         raise AssertionError("double-point certificate failed to re-expand")
     upper = cert.cactus_upper
-    return cert, EvidenceRecord(
+    return EvidenceRecord(
         kind="double-point-span",
         verified=True,
         stage_log=(f"solved exactly with {len(cert.pairs)} pairs; cactus <= {upper}",),
@@ -135,6 +135,7 @@ def double_point_span(f: Poly, pairs: Sequence):
                       detail="2-jets on lines are curvilinear, hence smoothable",
                       basis="cited"),
         ),
+        witness=cert,
     )
 
 

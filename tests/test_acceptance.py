@@ -99,13 +99,13 @@ def test_criterion_3_membership_and_saturation():
 
 
 def test_criterion_4_cactus_six():
-    cert, _ = cactus_lower_via_slice(F)
-    assert cert is not None and cert.bound == 6
+    record = cactus_lower_via_slice(F)
+    assert record.witness is not None and record.certified()[0].value == 6
     x0, x1, y0, y1, y2 = (Poly.variable(T5, i) for i in range(5))
-    span, _ = double_point_span(F, [(x0, y0), (x0 + x1, -y1), (x1, y2)])
+    span = double_point_span(F, [(x0, y0), (x0 + x1, -y1), (x1, y2)]).witness
     assert span is not None and span.verify() and span.cactus_upper == 6
     rep = aggregate(F, [
-        Deduction("cactus", "lower", cert.bound, rule="slice-saturation"),
+        Deduction("cactus", "lower", record.certified()[0].value, rule="slice-saturation"),
         Deduction("cactus", "upper", span.cactus_upper, rule="double-point-span"),
         Deduction("smoothable", "upper", span.cactus_upper,
                   rule="curvilinear-smoothable", basis="cited"),
@@ -132,9 +132,10 @@ def test_criterion_5_border_five():
 
 def test_criterion_6_rank_nine():
     pairs = wild_presentation(T5).square_pairs
-    dec, _ = power_sum_certificate(F, pairs)
+    dec = power_sum_certificate(F, pairs).witness
     assert len(dec) == 9 and dec.verify()
-    locus, record = rank9_lower_cert(F, 8, pairs)
+    record = rank9_lower_cert(F, 8, pairs)
+    locus = record.witness
     assert record.verified and record.certified()[0].value == 9
     stage_names = [s.kind for s in record.stages]
     for needed in ("slice-dimension", "product-locus", "factor-family", "forced-square"):
@@ -149,11 +150,11 @@ def test_criterion_6_rank_nine():
 def test_criterion_7_sylvester_suite():
     t2 = VarTable.make(("x", "y"))
     res = sylvester_binary(parse_poly("x^2*y", table=t2))
-    assert (res.border, res.rank) == (2, 3)
+    assert (res.d1, res.rank) == (2, 3)
     assert sylvester_binary(parse_poly("x^3 + y^3", table=t2)).rank == 2
     for d in range(1, 7):
         r = sylvester_binary(parse_poly(f"x^{d}", table=t2))
-        assert r.border == r.rank == 1
+        assert r.d1 == r.rank == 1
     rng = random.Random(600)
     checked = 0
     while checked < 200:

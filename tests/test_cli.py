@@ -378,10 +378,10 @@ def test_inconsistent_evidence_is_a_hard_error_not_an_input_error(monkeypatch, a
     from apolar import wildcert
     from apolar.ranks import InconsistentEvidenceError
 
-    def contradict(report, degree):
+    def contradict(f, evidence, facts=None):
         raise InconsistentEvidenceError("border: lower 3 > upper 2")
 
-    monkeypatch.setattr(wildcert, "tameness_rule", contradict)
+    monkeypatch.setattr(wildcert, "aggregate", contradict)
     with pytest.raises(InconsistentEvidenceError):
         main(argv)
 
@@ -603,16 +603,16 @@ def _wild_pairs(text):
 def _wild_cert_records(poly):
     facts = FormFacts(parse_poly(poly))
     g = facts.form
-    return [cactus_lower_via_slice(g, facts)[1],
-            rank9_lower_cert(g, 8, extract_square_pairs(g), facts)[1]]
+    return [cactus_lower_via_slice(g, facts),
+            rank9_lower_cert(g, 8, extract_square_pairs(g), facts)]
 
 
 @pytest.mark.parametrize("argv, records", [
     (["witness-verify", "--poly", "x0*x1*x2"],
-     lambda: [limit_family_certificate(parse_poly("x0*x1*x2"), None)[1]]),
+     lambda: [limit_family_certificate(parse_poly("x0*x1*x2"), None)]),
     (["double-points", "--poly", WILD, "--vars", WILD_VARS, "--pairs", "x0,y0;x1,y2"],
      lambda: [double_point_span(parse_poly(WILD, vars=WILD_VARS.split(",")),
-                                _wild_pairs("x0,y0;x1,y2"))[1]]),
+                                _wild_pairs("x0,y0;x1,y2"))]),
     (["wild-cert", "--poly", "x^3"], lambda: _wild_cert_records("x^3")),
 ], ids=["witness-verify", "double-points", "wild-cert"])
 def test_failure_records_are_the_builders_own(capsys, argv, records):

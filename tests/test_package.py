@@ -24,7 +24,7 @@ EXPORTS = {
     "poly": ["DUAL", "PRIMAL", "Poly", "TableMismatchError", "VarTable", "linear_form",
              "monomials"],
     "ranks": ["Deduction", "InconsistentEvidenceError", "RankReport", "SylvesterResult",
-              "aggregate", "sylvester_binary", "tameness_rule"],
+              "aggregate", "sylvester_binary"],
     "wildcert": ["LocusShapeError", "ProductLocus", "WildPresentation", "WildReport",
                  "cactus_lower_via_slice", "extract_square_pairs", "forced_square_check",
                  "gamma_space", "power_sum_certificate", "product_locus", "rank9_lower_cert",
@@ -66,7 +66,7 @@ def test_a_fresh_request_loads_only_what_its_command_calls(argv, unused):
 
 
 def test_the_exported_names_are_todays():
-    assert len(NAMES) == 52
+    assert len(NAMES) == 51
     assert sorted(apolar.__all__) == sorted(name for _, name in NAMES)
 
 

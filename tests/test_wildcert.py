@@ -90,18 +90,21 @@ def test_square_pair_split():
 
 
 def test_cactus_lower_via_slice_wild():
-    cert, record = cactus_lower_via_slice(F)
-    assert cert is not None
-    assert cert.bound == 6
+    record = cactus_lower_via_slice(F)
     assert record.verified and record.certified()[0].value == 6
-    assert cert.scheme_quotient_dim == 5
-    assert cert.quotient_h1 == 2
-    assert [str(g) for g in cert.gamma_basis] == ["d_y0", "d_y1", "d_y2"]
+    assert record.stage_log == (
+        "degree-2 quotient dimension 5",
+        "3 linear forms in the saturation (k=3)",
+        "saturated quotient has 2 < 5 linear dimensions",
+        "cactus rank >= 6",
+    )
+    assert [str(g) for g in record.witness] == ["d_y0", "d_y1", "d_y2"]
 
 
 def test_cactus_lower_via_slice_no_drop_for_diagonal():
     diag = parse_poly("x0^3 + x1^3 + x2^3")
-    assert cactus_lower_via_slice(diag)[0] is None
+    record = cactus_lower_via_slice(diag)
+    assert not record.verified and record.witness is None
 
 
 def test_cactus_lower_requires_concise_cubic():
@@ -234,7 +237,8 @@ def test_squares_confined_counterexample():
 
 
 def test_rank9_lower_cert_wild():
-    locus, record = rank9_lower_cert(F, 8, PRES.square_pairs)
+    record = rank9_lower_cert(F, 8, PRES.square_pairs)
+    locus = record.witness
     assert record.verified
     assert record.certified()[0].value == 9
     assert record.failed_stage is None
@@ -243,7 +247,8 @@ def test_rank9_lower_cert_wild():
 
 
 def test_rank9_lower_cert_weak_rmax():
-    locus, record = rank9_lower_cert(F, 4, PRES.square_pairs)
+    record = rank9_lower_cert(F, 4, PRES.square_pairs)
+    locus = record.witness
     assert record.verified and locus is not None
     assert record.certified()[0].value == 5
 
@@ -252,7 +257,8 @@ def test_rank9_lower_cert_weak_rmax():
 def test_quadric_count_of_a_small_rmax_names_no_negative_codimension(r_max):
     # 15 - r_max quadrics forced; from r_max 4 down they exceed the
     # 10-dimensional slice, which is no codimension
-    locus, record = rank9_lower_cert(F, r_max, PRES.square_pairs)
+    record = rank9_lower_cert(F, r_max, PRES.square_pairs)
+    locus = record.witness
     assert record.verified and locus is not None
     assert record.certified()[0].value == r_max + 1
     (stage,) = [s for s in record.stages if s.kind == "quadric-count"]
@@ -274,13 +280,15 @@ DIAG5 = parse_poly("x0^3 + x1^3 + x2^3 + x3^3 + x4^3")
 
 
 def test_rank9_lower_cert_rejects_diagonal():
-    locus, record = rank9_lower_cert(DIAG5, 8, extract_square_pairs(DIAG5))
+    record = rank9_lower_cert(DIAG5, 8, extract_square_pairs(DIAG5))
+    locus = record.witness
     assert not record.verified and locus is None
     assert record.failed_stage == "shape"
 
 
 def test_rank9_lower_cert_rejects_large_rmax():
-    locus, record = rank9_lower_cert(F, 9, PRES.square_pairs)
+    record = rank9_lower_cert(F, 9, PRES.square_pairs)
+    locus = record.witness
     assert not record.verified and locus is None
     assert record.failed_stage == "quadric-count"
 
@@ -296,7 +304,8 @@ def stage_line(stage):
     (F, 8, PRES.square_pairs, None),
 ], ids=["diagonal", "large-rmax", "perp-product", "verified"])
 def test_counting_record_nests_its_stages_up_to_the_failed_one(f, r_max, pairs, failed):
-    locus, record = rank9_lower_cert(f, r_max, pairs)
+    record = rank9_lower_cert(f, r_max, pairs)
+    locus = record.witness
     assert record.kind == "rank-lower-counting"
     assert record.stage_log == tuple(stage_line(s) for s in record.stages)
     assert all(s.verified for s in record.stages[:-1])
@@ -310,7 +319,8 @@ def test_counting_record_nests_its_stages_up_to_the_failed_one(f, r_max, pairs, 
 def test_rank9_upper_single_monomial():
     t = VarTable.make(("x0", "y0"))
     f = parse_poly("x0^2*y0", table=t)
-    dec, record = power_sum_certificate(f, extract_square_pairs(f))
+    record = power_sum_certificate(f, extract_square_pairs(f))
+    dec = record.witness
     assert record.verified and record.certified()[0].value == 3
     assert len(dec) == 3
     terms = {(str(l)): lam for lam, l in dec.terms}
@@ -321,14 +331,15 @@ def test_rank9_upper_single_monomial():
 
 
 def test_rank9_upper_wild_nine_cubes():
-    dec, record = power_sum_certificate(F, extract_square_pairs(F))
+    record = power_sum_certificate(F, extract_square_pairs(F))
+    dec = record.witness
     assert record.certified()[0].value == 9
     assert len(dec) == 9
     assert dec.verify()
 
 
 def test_power_sum_with_one_perturbed_coefficient_is_rejected():
-    dec, _ = power_sum_certificate(F, PRES.square_pairs)
+    dec = power_sum_certificate(F, PRES.square_pairs).witness
     for i, (lam, l) in enumerate(dec.terms):
         for term in ((lam + Fraction(1, 1009), l), (lam, l * Fraction(1010, 1009))):
             terms = list(dec.terms)
@@ -340,7 +351,7 @@ def test_power_sum_with_one_perturbed_coefficient_is_rejected():
 def test_rank9_upper_pure_cube_collapses():
     t = VarTable.make(("x",))
     f = parse_poly("x^3", table=t)
-    dec, _ = power_sum_certificate(f, extract_square_pairs(f))
+    dec = power_sum_certificate(f, extract_square_pairs(f)).witness
     assert len(dec) == 1
     assert dec.terms[0][0] == Fraction(1)
 
@@ -351,7 +362,8 @@ def test_rank9_upper_shape_mismatch():
     from _oracle import random_poly
 
     f = random_poly(rng, t, PRIMAL, 3, max_terms=10)
-    dec, record = power_sum_certificate(f, extract_square_pairs(f))
+    record = power_sum_certificate(f, extract_square_pairs(f))
+    dec = record.witness
     assert dec is None and not record.verified
     assert record.stage_log == ("shape mismatch: no squares-times-lines presentation",)
 
@@ -540,11 +552,12 @@ def test_saturation_gammas_pass_the_witness_check():
     from apolar.ideals import saturation_witness
 
     for f in [F] + [p.poly for p in gl5_presentations(3)]:
-        cert, _ = cactus_lower_via_slice(f)
-        assert cert is not None and cert.bound == 6 and len(cert.gamma_basis) == 3
+        record = cactus_lower_via_slice(f)
+        assert record.certified()[0].value == 6 and len(record.witness) == 3
+        assert "(k=3)" in record.stage_log[1]
         slice2 = ann_slice(f, 2)
-        for gamma in cert.gamma_basis:
-            assert saturation_witness(slice2.basis, gamma, cert.witness_power)
+        for gamma in record.witness:
+            assert saturation_witness(slice2.basis, gamma, 3)
 
 
 def test_monomial_residues_are_the_reductions_modulo_the_slice():
@@ -672,7 +685,7 @@ def test_squares_confined_on_concise_square_sums(seed):
     perp, comp = square_pair_split(pairs, T5)
     assert squares_confined(f, perp, comp)
     assert squares_confined(f, perp, comp, facts)
-    stages = {s.kind: s for s in rank9_lower_cert(f, 8, pairs, facts)[1].stages}
+    stages = {s.kind: s for s in rank9_lower_cert(f, 8, pairs, facts).stages}
     assert stages["square-confinement"].verified
 
 
@@ -868,8 +881,8 @@ FERMAT = parse_poly("x^3+y^3+z^3")
 ], ids=["limit-family-no-pairs", "limit-family-empty-pairs", "limit-family-fermat",
         "double-points", "saturation", "power-sum", "power-sum-no-pairs"])
 def test_builders_return_an_unverified_record_when_they_do_not_apply(build, kind, reason):
-    witness, record = build()
-    assert witness is None
+    record = build()
+    assert record.witness is None
     assert record.verified is False and record.certified() == ()
     assert (record.kind, record.stage_log) == (kind, (reason,))
 
@@ -885,6 +898,51 @@ def test_pair_builders_reject_pairs_that_are_not_linear(build, pairs):
         build(F, square_pairs_of(pairs))
 
 
+def test_each_builder_keeps_its_witness_on_the_record():
+    pairs = PRES.square_pairs
+    family = limit_family_certificate(F, pairs)
+    assert family.verified and family.witness.limit == F and family.witness.r == 5
+    span = double_point_span(F, pairs)
+    assert span.verified and span.witness.cactus_upper == 6 and span.witness.verify()
+    cubes = power_sum_certificate(F, pairs)
+    assert cubes.verified and len(cubes.witness) == 9 and cubes.witness.verify()
+    saturation = cactus_lower_via_slice(F)
+    assert [str(g) for g in saturation.witness] == ["d_y0", "d_y1", "d_y2"]
+    counting = rank9_lower_cert(F, 8, pairs)
+    assert counting.verified and len(counting.witness.samples) >= 5
+
+
+def test_facts_of_another_form_are_rejected():
+    # G, a sum of five cubes, has cactus rank 5; read with the wild cubic's
+    # facts the slice pattern would certify cactus >= 6 for it, and the
+    # counting certificate on wild + y0^3 would pass with the wild facts
+    from apolar.apolarity import FormFacts
+    from apolar.ranks import aggregate, sylvester_binary
+
+    wild = FormFacts(F)
+    G = parse_poly("x0^3 + x1^3 + y0^3 + y1^3 + y2^3", table=T5)
+    perp, comp = square_pair_split(PRES.square_pairs, T5)
+    t2 = VarTable.make(("x", "y"))
+    calls = [
+        lambda: cactus_lower_via_slice(G, wild),
+        lambda: rank9_lower_cert(F + parse_poly("y0^3", table=T5), 8, PRES.square_pairs, wild),
+        lambda: product_locus(G, perp, comp, wild),
+        lambda: gamma_space(G, perp[0], wild),
+        lambda: squares_confined(G, perp, comp, wild),
+        lambda: forced_square_check(G, perp, wild),
+        lambda: sylvester_binary(parse_poly("x^3 + y^3", table=t2),
+                                 FormFacts(parse_poly("x^2*y", table=t2))),
+        lambda: aggregate(G, [], wild),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="another form"):
+            call()
+    # a form's own facts, and those of a form whose essential form it is, pass
+    assert cactus_lower_via_slice(G, FormFacts(G)).witness is None
+    embedded = FormFacts(parse_poly("x0^2*y0", vars=["x0", "y0", "z"]))
+    assert sylvester_binary(embedded.form, embedded).rank == 3
+
+
 def test_record_builders_never_read_pairs_off_the_monomials(monkeypatch):
     from apolar import wildcert
 
@@ -893,12 +951,13 @@ def test_record_builders_never_read_pairs_off_the_monomials(monkeypatch):
 
     monkeypatch.setattr(wildcert, "extract_square_pairs", refuse)
     pairs = PRES.square_pairs
-    assert limit_family_certificate(F, pairs)[1].verified
-    assert power_sum_certificate(F, pairs)[1].verified
-    assert rank9_lower_cert(F, 8, pairs)[1].verified
-    assert limit_family_certificate(F, None)[0] is None
-    assert power_sum_certificate(F, None)[0] is None
-    locus, record = rank9_lower_cert(F, 8, None)
+    assert limit_family_certificate(F, pairs).verified
+    assert power_sum_certificate(F, pairs).verified
+    assert rank9_lower_cert(F, 8, pairs).verified
+    assert limit_family_certificate(F, None).witness is None
+    assert power_sum_certificate(F, None).witness is None
+    record = rank9_lower_cert(F, 8, None)
+    locus = record.witness
     assert not record.verified and locus is None and record.failed_stage == "shape"
     assert record.stage_log == (
         "shape [computed]: FAILED — no squares-times-lines presentation available",)
@@ -917,7 +976,7 @@ def test_perp_products_are_evaluated_once_per_verified_counting_certificate(monk
     monkeypatch.setattr(wildcert, "_perp_products_vanish", counted)
     for pres in [PRES] + gl5_presentations(2):
         calls.clear()
-        _, record = rank9_lower_cert(pres.poly, 8, pres.square_pairs)
+        record = rank9_lower_cert(pres.poly, 8, pres.square_pairs)
         assert record.verified
         assert calls == [pres.poly]
     calls.clear()
@@ -930,7 +989,8 @@ def test_counting_certificate_stops_at_perp_squares_when_a_perp_product_survives
     # the wild pairs no longer all annihilate f; f stays concise, so its
     # degree-2 annihilator slice is still 10-dimensional
     f = F + parse_poly("y0*y1*y2", table=T5)
-    locus, record = rank9_lower_cert(f, 8, PRES.square_pairs)
+    record = rank9_lower_cert(f, 8, PRES.square_pairs)
+    locus = record.witness
     assert [(s.kind, s.verified, s.stage_log) for s in record.stages] == [
         ("shape", True, ("concise 5-variable cubic with a 3+2 dual split",)),
         ("slice-dimension", True, ("degree-2 annihilator slice is 10-dimensional",)),
@@ -952,7 +1012,7 @@ def test_counting_stages_follow_the_perp_products_and_the_confinement_proof():
             continue
         perp, comp = square_pair_split(pairs, T5)
         stages = [(s.kind, s.verified) for s in
-                  rank9_lower_cert(f, 8, pairs, facts)[1].stages][:4]
+                  rank9_lower_cert(f, 8, pairs, facts).stages][:4]
         vanish = not any(any(v) for vs in per_call_contractions(f, perp, perp) for v in vs)
         expected = [("shape", True), ("slice-dimension", True), ("perp-squares", vanish)]
         if vanish:

@@ -98,13 +98,15 @@ def test_dependency_precondition_enforced():
 def test_double_point_span_wild_pairs():
     x0, x1, y0, y1, y2 = (Poly.variable(T5, i) for i in range(5))
     pairs = [(x0, y0), (x0 + x1, -y1), (x1, y2)]
-    cert, record = double_point_span(F, pairs)
+    record = double_point_span(F, pairs)
+    cert = record.witness
     assert cert is not None and record.verified
     assert cert.cactus_upper == 6
     assert [b.value for b in record.certified()] == [6, 6]
     assert cert.point_coeffs == (Fraction(0),) * 3
     assert cert.jet_coeffs == (Fraction(1),) * 3
-    assert cert.curvilinear
+    assert [(b.rule, b.basis) for b in record.certified()] == [
+        ("double-point-span", "computed"), ("curvilinear-smoothable", "cited")]
 
 
 def test_double_point_certificate_with_one_perturbed_coefficient_is_rejected():
@@ -113,7 +115,7 @@ def test_double_point_certificate_with_one_perturbed_coefficient_is_rejected():
               ((1, 2, 0, -1, 0), (0, 1, 3, 0, 1), (1, 0, 1, 1, 0), (0, -1, 0, 2, 1), (2, 0, 0, 0, 1))]
     pres = transform_presentation(wild_presentation(T5), images)
     pairs = [(z * Fraction(1, 2), w * Fraction(-3, 5)) for z, w in pres.square_pairs]
-    cert, _ = double_point_span(pres.poly, pairs)
+    cert = double_point_span(pres.poly, pairs).witness
     assert cert is not None and cert.verify()
     for field in ("point_coeffs", "jet_coeffs"):
         for i in range(3):
@@ -127,7 +129,7 @@ def test_double_point_certificate_with_one_perturbed_coefficient_is_rejected():
 def test_double_point_span_pure_cube():
     t = VarTable.make(("x",))
     x = Poly.variable(t, 0)
-    cert, _ = double_point_span(x ** 3, [(x, Poly.zero(t))])
+    cert = double_point_span(x ** 3, [(x, Poly.zero(t))]).witness
     assert cert is not None
     assert cert.point_coeffs == (Fraction(1),)
 
@@ -147,7 +149,7 @@ def test_double_point_span_fails_for_generic_cubic():
     f = random_poly(rng, t, PRIMAL, 3, max_terms=10)
     assert concise_dim(f).dim == 3
     a, b = Poly.variable(t, 0), Poly.variable(t, 1)
-    assert double_point_span(f, [(a, b)])[0] is None
+    assert double_point_span(f, [(a, b)]).witness is None
 
 
 def test_direct_summands():
