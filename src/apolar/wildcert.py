@@ -291,7 +291,7 @@ def tangent_data_for_pairs(square_pairs) -> tuple:
     return tuple(data)
 
 
-def limit_family_certificate(f: Poly, pairs):
+def limit_family_certificate(f: Poly, pairs) -> EvidenceRecord:
     """The record of the cubic tangent limit family of f's square pairs, its
     witness the family, whose verification re-reads f as the t-coefficient.
 
@@ -659,7 +659,8 @@ def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[P
 # ---------------------------------------------------------------------------
 
 
-def rank9_lower_cert(f: Poly, r_max: int, pairs, facts: Optional[FormFacts] = None):
+def rank9_lower_cert(f: Poly, r_max: int, pairs,
+                     facts: Optional[FormFacts] = None) -> EvidenceRecord:
     """The record of the counting certificate on f's square pairs: the
     hypotheses that rule out reduced decompositions of length <= r_max for
     the wild-cubic pattern, so rank >= r_max + 1.
@@ -790,7 +791,7 @@ class PowerSumDecomposition:
                                ((lam, ((l, 3),)) for lam, l in self.terms)) == self.target
 
 
-def power_sum_certificate(f: Poly, pairs):
+def power_sum_certificate(f: Poly, pairs) -> EvidenceRecord:
     """The record of the explicit power sum of f's square pairs, its witness
     the PowerSumDecomposition: z^2*w = ((z+w)^3 - (z-w)^3 - 2*w^3)/6, with
     proportional pairs collapsed to a single cube.  An unverified record with

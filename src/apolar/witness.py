@@ -100,7 +100,7 @@ def _check_linear_pairs(pairs: Sequence) -> None:
             raise ValueError(f"({l}, {m}): l must be a nonzero linear form, m linear or 0")
 
 
-def double_point_span(f: Poly, pairs: Sequence):
+def double_point_span(f: Poly, pairs: Sequence) -> EvidenceRecord:
     """The record of f solved in the span of the given 2-jets, its witness
     the DoublePointCertificate; an unverified record with no witness when
     they do not span f.  ValueError unless f is a nonzero form and each pair
