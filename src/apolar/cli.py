@@ -4,6 +4,13 @@ emit a machine-readable JSON report.
 Each handler returns its results and the records it prints.  The
 certificate commands print the records their builders return, verified or
 not; a builder's ValueError on malformed input is an input error.
+`theorem2` reads its printed witnesses off the report's own records, the
+only ones that hold a witness.
+
+`_OPTIONS` marks the options a command cannot run without as required, so
+argparse rejects a missing one with the command's usage.  A value that
+starts with a sign (`--poly -x^3`) is attached to its option before
+argparse reads the words.
 
 Each handler imports the library modules it calls when it runs, so
 `import apolar.cli` loads only the parser, and a process loads only what its
@@ -33,8 +40,6 @@ class InputError(ValueError):
 
 
 def _parse_input_poly(args):
-    if not args.poly:
-        raise InputError("--poly is required for this command")
     vars_ = args.vars.split(",") if args.vars else None
     duals = args.dual_names.split(",") if args.dual_names else None
     p = parse_poly(args.poly, vars=vars_, dual_names=duals)
@@ -78,8 +83,6 @@ def _cmd_annihilator(args):
     from .apolarity import ann_slice
 
     p = _parse_input_poly(args)
-    if args.degree is None:
-        raise InputError("--degree is required")
     sl = _slice_degree(ann_slice, p, args.degree)
     return {
         "degree": sl.degree,
@@ -102,8 +105,6 @@ def _cmd_catalecticant(args):
     from .poly import DUAL, PRIMAL
 
     p = _parse_input_poly(args)
-    if args.degree is None:
-        raise InputError("--degree is required")
     rows = _slice_degree(catalecticant, p, args.degree)
     return {
         "source_degree": args.degree,
@@ -127,8 +128,6 @@ def _cmd_concise(args):
 def _cmd_macaulay(args):
     from .ideals import macaulay_bound
 
-    if args.dim is None or args.degree is None:
-        raise InputError("--dim and --degree are required")
     try:
         bound = macaulay_bound(args.dim, args.degree)
     except ValueError as exc:
@@ -176,8 +175,6 @@ def _cmd_witness_verify(args):
 
 
 def _parse_pairs(args, table):
-    if not args.pairs:
-        raise InputError("--pairs is required, e.g. \"x0,y0;x0+x1,-1*y1;x1,y2\"")
     pairs = []
     for chunk in args.pairs.split(";"):
         sides = chunk.split(",")
@@ -233,14 +230,17 @@ def _cmd_theorem2(args):
 
     p = _parse_form(args)
     rep = theorem2_report(p, r_max=args.rmax)
+    # a summand's records in a sum's report hold no witness: these are the report's own
+    own = {c.kind: c for c in rep.certificates if c.verified and c.witness is not None}
+    saturation, family = own.get("cactus-slice-saturation"), own.get("border-limit-family")
     results = {
         "final": rep.final(),
         "bounds": rep.report.as_dict(),
         "conciseness": rep.conciseness,
-        "hilbert": list(rep.hilbert),
-        "slice2_dim": rep.slice2_dim,
-        "saturation_gammas": list(rep.saturation_gammas),
-        "border_witness_rank": rep.border_witness_rank,
+        "hilbert": list(rep.facts.hilbert.values),
+        "slice2_dim": rep.facts.slice2.dim if p.homogeneous_degree() >= 2 else None,
+        "saturation_gammas": [str(gamma) for gamma in saturation.witness] if saturation else [],
+        "border_witness_rank": family.witness.r if family else None,
         "notes": list(rep.notes),
     }
     return results, rep.certificates
@@ -252,8 +252,6 @@ def _cmd_direct_sum(args):
     from .witness import direct_sum_extend, slice_intersection_certificate
 
     p = _parse_form(args)
-    if not args.poly2:
-        raise InputError("--poly2 is required for direct-sum")
     vars2 = args.vars2.split(",") if args.vars2 else None
     q = parse_poly(args.poly2, vars=vars2)
     if not q.is_homogeneous() or q.is_zero():
@@ -295,15 +293,15 @@ def _length(text: str) -> int:
 
 # every option, in the order --help lists them
 _OPTIONS = {
-    "--poly": {"help": "polynomial expression"},
+    "--poly": {"required": True, "help": "polynomial expression"},
     "--vars": {"help": "comma-separated variable order"},
-    "--degree": {"type": int, "help": "slice degree / growth degree"},
+    "--degree": {"type": int, "required": True, "help": "slice degree / growth degree"},
     "--rmax": {"type": _length, "default": 8, "help": "decomposition length to exclude"},
     "--json": {"dest": "json_path", "help": "also write the report to this path ('-' for stdout only)"},
     "--dual-names": {"dest": "dual_names", "help": "comma-separated dual variable names"},
-    "--dim": {"type": int, "help": "current graded dimension"},
-    "--pairs": {"help": "semicolon-separated l,m pairs"},
-    "--poly2": {"help": "second summand (disjoint variables)"},
+    "--dim": {"type": int, "required": True, "help": "current graded dimension"},
+    "--pairs": {"required": True, "help": "semicolon-separated l,m pairs, e.g. \"x0,y0;x0+x1,-1*y1;x1,y2\""},
+    "--poly2": {"required": True, "help": "second summand (disjoint variables)"},
     "--vars2": {"help": "variable order for the second summand"},
 }
 
@@ -346,8 +344,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _attach_signed_values(argv) -> list:
+    """argv with each value that starts with a sign attached to its option
+    (`--poly -x^3` -> `--poly=-x^3`), which argparse would otherwise read as
+    an option.  A word that is itself an option (`-h` or any `--` word,
+    argparse's own abbreviations included) is left to argparse."""
+    out = []
+    for word in argv:
+        if (out and out[-1] in _OPTIONS and word.startswith("-")
+                and not word.startswith("--") and word != "-h"):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = _attach_signed_values(sys.argv[1:] if argv is None else argv)
     try:
         args, extra = parser.parse_known_args(argv)
         if extra:

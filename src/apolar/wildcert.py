@@ -840,8 +840,10 @@ class WildReport:
     """Everything the pipeline certified about one polynomial.
 
     The stages of one run share it: they add to `certificates`, `notes` and
-    `evidence` and leave what later stages read in `pairs`, `direct_sum` and
-    `saturation_gammas`.
+    `evidence` and leave what later stages read in `pairs` and `direct_sum`.
+    A sum's report shows its summands' records as copies that certify
+    nothing and hold no witness, so the records with a witness are the
+    report's own.
     """
 
     poly: Poly
@@ -852,26 +854,11 @@ class WildReport:
     evidence: tuple = ()  # deductions that are not records
     certificates: tuple = ()  # EvidenceRecord
     notes: tuple = ()
-    saturation_gammas: tuple = ()  # printable linear forms in the saturation
     report: Optional[RankReport] = None
 
     @property
     def conciseness(self) -> int:
         return self.facts.essential.dim
-
-    @property
-    def hilbert(self) -> tuple:
-        return tuple(self.facts.hilbert.values)
-
-    @property
-    def slice2_dim(self) -> Optional[int]:
-        return self.facts.slice2.dim if self.poly.homogeneous_degree() >= 2 else None
-
-    @property
-    def border_witness_rank(self) -> Optional[int]:
-        """r of the verified limit family."""
-        return next((b.value for r in self.certificates if r.kind == "border-limit-family"
-                     for b in r.certified()), None)
 
     def final(self) -> dict:
         out = {}
@@ -918,9 +905,10 @@ def _direct_sums(rep: WildReport) -> None:
         f" conciseness {rep.conciseness} = " + " + ".join(str(r.conciseness) for r in sub_reports),
     )
     rep.certificates += (slice_intersection_certificate(components, rep.facts.form),)
-    # shown, but certifying nothing here: a summand's bounds are its
-    # own (the wild cubic's border <= 5 is no bound on it plus u^3)
-    rep.certificates += tuple(replace(c, bounds=()) for r in sub_reports for c in r.certificates)
+    # shown, but certifying and holding nothing here: a summand's bounds and
+    # witnesses are its own (the wild cubic's border <= 5 is no bound on it plus u^3)
+    rep.certificates += tuple(replace(c, bounds=(), witness=None)
+                              for r in sub_reports for c in r.certificates)
     for notion in NOTIONS:
         ups = [r.report.upper(notion) for r in sub_reports]
         if all(u is not None for u in ups):
@@ -957,7 +945,6 @@ def _slice_saturation(rep: WildReport) -> None:
         record = cactus_lower_via_slice(rep.facts.form, rep.facts)
         if record.verified:
             rep.certificates += (record,)
-            rep.saturation_gammas = tuple(str(gamma) for gamma in record.witness)
 
 
 def _counting(rep: WildReport) -> None:

@@ -57,6 +57,17 @@ def test_theorem2_command(capsys):
     assert all(c["verified"] for c in doc["certificates"])
 
 
+@pytest.mark.parametrize("poly, vars_, gammas, border_rank", [
+    (WILD + " + u^3", WILD_VARS + ",u", ["d_y0", "d_y1", "d_y2"], None),
+    ("x*y*z + w^3", "x,y,z,w", ["d_x", "d_y", "d_z"], None),
+])
+def test_theorem2_prints_the_witnesses_of_its_own_records(capsys, poly, vars_, gammas, border_rank):
+    code, doc = run(capsys, "theorem2", "--poly", poly, "--vars", vars_)
+    assert code == 0
+    assert doc["results"]["saturation_gammas"] == gammas
+    assert doc["results"]["border_witness_rank"] == border_rank
+
+
 def test_theorem2_exit_code_reports_an_unverified_certificate(capsys):
     # excluding length 9 is beyond the counting certificate: its record is
     # printed unverified, and that is a certificate failure
@@ -293,13 +304,70 @@ def test_a_command_rejects_an_option_it_does_not_read(capsys, argv):
     assert f"error: unrecognized arguments: {argv[-2]} {argv[-1]}" in captured.err
 
 
+_VALUES = {"--degree": "1", "--rmax": "9", "--dim": "3"}
+
+
+def _required_argv(command, but=None) -> list:
+    """The command's required options with a value each, all but `but`."""
+    return [word for flag in _COMMANDS[command][1] if _OPTIONS[flag].get("required") and flag != but
+            for word in (flag, _VALUES.get(flag, "x"))]
+
+
 @pytest.mark.parametrize("command, flag", [(command, flag) for command, (_, reads) in _COMMANDS.items()
                                            for flag in reads])
 def test_a_command_accepts_every_option_it_reads(command, flag):
-    value = {"--degree": "1", "--rmax": "9", "--dim": "3"}.get(flag, "x")
-    args = _build_parser().parse_args([command, flag, value])
+    value = _VALUES.get(flag, "x")
+    args = _build_parser().parse_args([command, flag, value] + _required_argv(command, but=flag))
     dest = _OPTIONS[flag].get("dest", flag[2:])
     assert str(getattr(args, dest)) == value
+
+
+@pytest.mark.parametrize("command, flag", [(command, flag) for command, (_, reads) in _COMMANDS.items()
+                                           for flag in reads if _OPTIONS[flag].get("required")])
+def test_a_command_without_a_required_option_prints_its_usage(capsys, command, flag):
+    code = main([command] + _required_argv(command, but=flag))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: apolar {command} ")
+    usage = " ".join(captured.err.split(f"apolar {command}: error: ")[0].split())
+    assert f" {flag} {flag[2:].upper()} " in usage + " "  # shown required, not [bracketed]
+    assert captured.err.endswith(f"error: the following arguments are required: {flag}\n")
+    assert "Traceback" not in captured.err
+
+
+def test_the_required_options_are_those_every_reader_needs():
+    required = [flag for flag, spec in _OPTIONS.items() if spec.get("required")]
+    assert required == ["--poly", "--degree", "--dim", "--pairs", "--poly2"]
+    assert sum(flag in reads for _, reads in _COMMANDS.values() for flag in required) == 17
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--poly", "-x^3"],
+    ["direct-sum", "--poly", "x^3", "--poly2", "-y^3"],
+    ["double-points", "--poly", "x^2*y", "--pairs", "-x,y"],
+])
+def test_an_option_value_may_start_with_a_sign(capsys, argv):
+    attached = main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"])
+    expected = capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == attached == 0
+    assert captured.out == expected.out and json.loads(captured.out)["results"]
+    assert captured.err == expected.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--poly", "-h"],
+    ["hilbert", "--poly", "--vars", "x"],
+    ["direct-sum", "--poly", "x^3", "--poly2", "--vars2=y"],
+])
+def test_an_option_is_not_taken_for_the_value_before_it(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: argument " in captured.err and ": expected one argument" in captured.err
 
 
 def test_the_parser_has_only_the_options_each_command_reads():

@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from apolar.apolarity import contract
+from apolar.cli import main
 from apolar.parsing import parse_poly
 from apolar.poly import DUAL, PRIMAL, Poly, TableMismatchError, VarTable, linear_form, monomials
 from apolar import linalg
@@ -377,9 +379,9 @@ def test_power_sum_certificate_rejects_pairs_over_another_table():
 def test_theorem2_wild_cubic():
     rep = theorem2_report(F)
     assert rep.final() == {"border": 5, "smoothable": 6, "cactus": 6, "rank": 9}
-    assert rep.hilbert == (1, 5, 5, 1)
+    assert rep.facts.hilbert.values == (1, 5, 5, 1)
     assert rep.conciseness == 5
-    assert rep.slice2_dim == 10
+    assert rep.facts.slice2.dim == 10
     assert all(c.verified for c in rep.certificates)
 
 
@@ -400,7 +402,13 @@ def test_theorem2_direct_sum_route():
     assert final["smoothable"] == 7
 
 
-def test_direct_sum_report_takes_no_bound_from_summand_records():
+def _theorem2_results(capsys, f: Poly) -> dict:
+    """What `apolar theorem2` prints as results for f."""
+    assert main(["theorem2", "--poly", str(f), "--vars", ",".join(f.table.primal)]) == 0
+    return json.loads(capsys.readouterr().out)["results"]
+
+
+def test_direct_sum_report_takes_no_bound_from_summand_records(capsys):
     # the wild summand's records certify border <= 5 for it alone; read as
     # bounds on the sum they would contradict its conciseness 6
     t6 = VarTable.make(("x0", "x1", "y0", "y1", "y2", "u"))
@@ -410,10 +418,22 @@ def test_direct_sum_report_takes_no_bound_from_summand_records():
         ["conciseness", "catalecticant"] + ["direct-sum-subadditivity"] * 4 + ["slice-saturation"]
     )
     assert "border-limit-family" in [c.kind for c in rep.certificates]
-    assert rep.border_witness_rank is None
+    assert _theorem2_results(capsys, rep.poly)["border_witness_rank"] is None
 
 
-def test_report_bounds_are_read_off_the_verified_records():
+@pytest.mark.parametrize("poly", ["x0^2*y0 - (x0+x1)^2*y1 + x1^2*y2 + u^3", "x*y*z + w^3"])
+def test_summand_records_copied_into_a_sum_hold_no_witness(poly):
+    rep = theorem2_report(parse_poly(poly))
+    summands = [theorem2_report(parse_poly(s)) for s in poly.rsplit(" + ", 1)]
+    copies = [c for c in rep.certificates if c.bounds == ()]
+    # every summand record is shown once, after the slice-intersection record
+    assert copies[1:] == [replace(c, bounds=()) for r in summands for c in r.certificates]
+    assert copies[0].kind == "direct-sum-slice-intersection"
+    assert any(c.witness is not None for r in summands for c in r.certificates)
+    assert all(c.witness is None for c in copies)
+
+
+def test_report_bounds_are_read_off_the_verified_records(capsys):
     rep = theorem2_report(F)
     assert [(d.rule, d.notion, d.side, d.value) for d in rep.report.provenance[2:]] == [
         ("limit-family", "border", "upper", 5),
@@ -424,7 +444,7 @@ def test_report_bounds_are_read_off_the_verified_records():
         ("counting-certificate", "rank", "lower", 9),
     ]
     assert list(rep.report.provenance[2:]) == [b for c in rep.certificates for b in c.bounds]
-    assert rep.border_witness_rank == 5
+    assert _theorem2_results(capsys, F)["border_witness_rank"] == 5
     # r_max = 9 fails the quadric count: the record is shown, its bound is not used
     weak = theorem2_report(F, r_max=9)
     counting = weak.certificates[-1]
