@@ -14,7 +14,7 @@ from operator import add
 from typing import Optional, Sequence
 
 from . import linalg
-from .poly import DUAL, Poly, VarTable, _monomial_index, monomial_count, monomials
+from .poly import DUAL, Poly, VarTable, _monomial_index, _require_over, monomial_count, monomials
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,9 @@ class IdealSlice:
         return [b.coefficient_vector(self.degree) for b in self.basis]
 
     def contains(self, form: Poly) -> bool:
+        """Whether the form lies in the slice; TableMismatchError for a form
+        over another table or ring."""
+        _require_over((form,), self.table, self.ring)
         if form.is_zero():
             return True
         if form.homogeneous_degree() != self.degree:
@@ -52,8 +55,10 @@ def slice_from_forms(forms: Sequence[Poly], degree: int, table: VarTable, ring: 
     Each form becomes one sparse row over monomials(n, degree), its terms
     placed by monomial position, and `linalg.sparse_rref` echelons the rows in
     integers; Fractions are built only for the returned basis.  Raises
-    ValueError on a form with a term of another degree.
+    ValueError on a form with a term of another degree and TableMismatchError
+    on one over another table or ring.
     """
+    _require_over(forms, table, ring)
     index = _monomial_index(table.n, degree)
     rows = []
     for g in forms:
@@ -71,11 +76,12 @@ def slice_from_forms(forms: Sequence[Poly], degree: int, table: VarTable, ring: 
 
 
 def _require_table(gens: Sequence[Poly], table: Optional[VarTable]) -> VarTable:
-    if gens:
-        return gens[0].table
-    if table is None:
+    """The table given, else that of the first generator."""
+    if table is not None:
+        return table
+    if not gens:
         raise ValueError("empty generator list needs an explicit table")
-    return table
+    return gens[0].table
 
 
 def generated_slice(
@@ -88,9 +94,12 @@ def generated_slice(
     A single-term multiple whose monomial an earlier single-term multiple
     already produced spans the same line, so it is skipped: the monomial
     generators of an annihilator share most of their multiples.
+    TableMismatchError for a generator over another table or ring than the
+    table given (else the first generator's) and the first generator's ring.
     """
     table = _require_table(gens, table)
     ring = gens[0].ring if gens else DUAL
+    _require_over(gens, table, ring)
     products = []
     seen = set()  # monomials of the single-term multiples kept so far
     for g in gens:

@@ -153,11 +153,17 @@ def _int_product(a: dict, b: dict) -> dict:
     return out
 
 
+def _require_over(forms, table: VarTable, ring: str) -> None:
+    """TableMismatchError unless every form lives over (table, ring)."""
+    for g in forms:
+        if g.table != table or g.ring != ring:
+            raise TableMismatchError(f"{g} lives over another table or ring")
+
+
 def _linear_entries(l: "Poly", table: VarTable, ring: str) -> tuple:
     """(entries, den) for a linear form over (table, ring): den clears its
     coefficients and entries are the (slot, int) pairs of den * l."""
-    if l.table != table or l.ring != ring:
-        raise TableMismatchError("factors live over different tables or rings")
+    _require_over((l,), table, ring)
     if l.terms and l.homogeneous_degree() != 1:
         raise ValueError(f"{l} is not a linear form")
     ints, den = _cleared(l.terms.values())

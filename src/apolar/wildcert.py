@@ -33,7 +33,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import linalg
-from .apolarity import FormFacts, contract, second_derivatives
+from .apolarity import FormFacts, second_derivatives
 from .ideals import IdealSlice, generated_slice
 from .poly import (
     DUAL,
@@ -41,6 +41,7 @@ from .poly import (
     VarTable,
     _cleared,
     _monomial_index,
+    _require_over,
     expand_products,
     linear_coeffs,
     linear_form,
@@ -134,36 +135,32 @@ def transform_presentation(pres: WildPresentation, images: Sequence[Poly]) -> Wi
 # ---------------------------------------------------------------------------
 
 
-def _rank_one_square(q: Poly):
-    """Write a quadric as s * z^2 with z a rational linear form, or None.
+def _rank_one_square(m) -> Optional[tuple]:
+    """(k, z) when the symmetric integer matrix m is c * v * v^T with c != 0,
+    else None: k is the first nonzero diagonal entry and z = row k / m[k][k],
+    which is v scaled to z_k = 1.
 
-    m is the quadric's symmetric matrix times a common positive integer, so
-    m = s' * v * v^T exactly when m[i][j] * m[k][k] == m[k][i] * m[k][j] for
-    the first nonzero row k, and then z has coefficients m[k][j] / m[k][k]
-    and s is the coefficient of x_k^2.
+    m has rank one exactly when m[i][j] * m[k][k] == m[k][i] * m[k][j] for
+    all i <= j; neither the test nor z sees a common scale of m.
     """
-    n = q.table.n
-    ints, _ = _cleared(q.terms.values())
-    m = [[0] * n for _ in range(n)]
-    for mono, c in zip(q.terms, ints):
-        idx = [i for i, e in enumerate(mono) if e]
-        if len(idx) == 1:
-            m[idx[0]][idx[0]] = 2 * c
-        else:
-            i, j = idx
-            m[i][j] = m[j][i] = c
-    k = next((i for i in range(n) if any(m[i])), None)
-    if k is None or m[k][k] == 0:
+    n = len(m)
+    k = next((i for i in range(n) if m[i][i]), None)
+    if k is None or any(m[i][j] * m[k][k] != m[k][i] * m[k][j]
+                        for i in range(n) for j in range(i, n)):
         return None
-    row, lead = m[k], m[k][k]
-    if any(m[i][j] * lead != row[i] * row[j] for i in range(n) for j in range(i, n)):
-        return None
-    s = q.terms[tuple(2 if i == k else 0 for i in range(n))]
-    return s, linear_form(q.table, [Fraction(x, lead) for x in row], q.ring)
+    return k, [Fraction(x, m[k][k]) for x in m[k]]
 
 
 def extract_square_pairs(f: Poly):
     """Recognize f = sum z_i^2 * w_i from its monomial structure, or None.
+
+    A pure power sum gives the pair (x, c * x) for each cube c * x^3.
+    Otherwise the pairs are read off one `second_derivatives(f)` table: for
+    each variable y that occurs in f but never squared, component y of every
+    entry is the symmetric matrix of contract(d_y, f) times the table's
+    positive scale.  It must have rank one, so that contract(d_y, f) = s * z^2
+    with z from `_rank_one_square` and s f's coefficient of x_k^2 * y, and
+    the pair is (z, s * y).  The pairs must re-expand to f.
 
     Works when the squared and linear variable groups are visible monomially
     (pure cubes count, with z = w); arbitrary coordinate changes hide the
@@ -172,10 +169,6 @@ def extract_square_pairs(f: Poly):
     if f.homogeneous_degree() != 3:
         return None
     n = f.table.n
-    maxexp = [0] * n
-    for mono in f.terms:
-        for i, e in enumerate(mono):
-            maxexp[i] = max(maxexp[i], e)
     # pure power sums first
     if all(sorted(mono, reverse=True)[0] == 3 and sum(mono) == 3 for mono in f.terms):
         pairs = []
@@ -184,18 +177,18 @@ def extract_square_pairs(f: Poly):
             pairs.append((v, c * v))
         pairs = tuple(pairs)
     else:
-        linear_vars = [i for i in range(n) if maxexp[i] == 1]
+        hessian = second_derivatives(f)
         pairs = []
-        for y in linear_vars:
-            dual_y = Poly.variable(f.table, y, DUAL)
-            q = contract(dual_y, f)
-            if q.is_zero():
+        for y in range(n):
+            # y occurs in f (row y is nonzero), never squared (entry (y, y) is zero)
+            if any(hessian[y][y]) or not any(map(any, hessian[y])):
                 continue
-            factored = _rank_one_square(q)
+            factored = _rank_one_square([[entry[y] for entry in row] for row in hessian])
             if factored is None:
                 return None
-            s, z = factored
-            pairs.append((z, s * Poly.variable(f.table, y, f.ring)))
+            k, z = factored
+            s = f.terms[tuple(2 * (i == k) + (i == y) for i in range(n))]
+            pairs.append((linear_form(f.table, z, f.ring), s * Poly.variable(f.table, y, f.ring)))
         pairs = tuple(pairs)
     if not pairs:
         return None
@@ -478,7 +471,9 @@ def _variable_contractions(f: Poly, forms: Sequence[Poly],
     proportionality computed from them sees.  `facts`, when given, must be
     f's (ValueError otherwise); without them the table is computed for this
     call, since FormFacts(f) describes the essential form of a non-concise f.
+    TableMismatchError for a form that is not dual over f's table.
     """
+    _require_over(forms, f.table, DUAL)
     hessian = second_derivatives(f) if facts is None else FormFacts.of(f, facts).second_derivatives
     # the table is symmetric, so its row j is the column of d_j
     return [[_combine(a, column) for column in hessian] for a in _int_coeffs(forms)]
@@ -488,7 +483,9 @@ def _contractions(f: Poly, left: Sequence[Poly], right: Sequence[Poly],
                   facts: Optional[FormFacts] = None) -> list:
     """[[contract(a * b, f) for b in right] for a in left] for dual linear
     forms: `_variable_contractions` of left, combined along the cleared
-    coefficients of each b, so again with one common positive scale."""
+    coefficients of each b, so again with one common positive scale.
+    TableMismatchError for a form that is not dual over f's table."""
+    _require_over(right, f.table, DUAL)
     rights = _int_coeffs(right)
     return [[_combine(b, cols) for b in rights] for cols in _variable_contractions(f, left, facts)]
 

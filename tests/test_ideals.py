@@ -15,7 +15,7 @@ from apolar.ideals import (
     slice_from_forms,
 )
 from apolar.parsing import parse_poly
-from apolar.poly import DUAL, Poly, VarTable, linear_form, monomials
+from apolar.poly import DUAL, Poly, TableMismatchError, VarTable, linear_form, monomials
 from apolar.wildcert import wild_cubic, wild_table
 
 from _oracle import naive_rref, random_poly
@@ -137,6 +137,37 @@ def test_slice_from_forms_rejects_forms_of_another_degree():
         slice_from_forms([parse_poly("d_x^2", table=t, ring=DUAL),
                           parse_poly("d_y", table=t, ring=DUAL)], 2, t)
     assert slice_from_forms([parse_poly("d_x^2 - d_y^2", table=t, ring=DUAL)], 2, t).dim == 1
+
+
+def test_a_slice_refuses_a_form_over_another_table_or_ring():
+    # read by position, each of these forms lines up with d_x*d_y, which
+    # annihilates the Fermat cubic, so contains answered True for all three
+    t4 = VarTable.make(("x", "y", "z", "w"))
+    sl = ann_slice(parse_poly("x^3 + y^3 + z^3 + w^3", table=t4), 2)
+    renamed = VarTable.make(("x", "y", "z", "w"), dual=("e0", "e1", "e2", "e3"))
+    for form in (dual("d_a*d_b", VarTable.make(("a", "b"))),
+                 dual("e0*e1", renamed),
+                 parse_poly("x*y", table=t4)):
+        with pytest.raises(TableMismatchError):
+            sl.contains(form)
+    assert sl.contains(dual("d_x*d_y", t4)) and not sl.contains(dual("d_x^2", t4))
+
+
+def test_slices_refuse_generators_over_another_table_or_ring():
+    t4 = VarTable.make(("x", "y", "z", "w"))
+    renamed = VarTable.make(("x", "y", "z", "w"), dual=("e0", "e1", "e2", "e3"))
+    own = dual("d_x*d_y", t4)
+    others = (dual("d_a*d_b", VarTable.make(("a", "b"))),
+              dual("e0*e1", renamed),
+              parse_poly("x*y", table=t4))
+    for other in others:
+        with pytest.raises(TableMismatchError):
+            generated_slice([own, other], 3)
+        with pytest.raises(TableMismatchError):
+            slice_from_forms([own, other], 2, t4)
+    with pytest.raises(TableMismatchError):
+        generated_slice([dual("e0*e1", renamed)], 3, table=t4)
+    assert generated_slice([own], 3, table=t4).dim == 4
 
 
 def test_membership_explicit_recombination():

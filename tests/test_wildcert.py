@@ -39,6 +39,8 @@ from apolar.wildcert import (
 )
 from apolar.witness import double_point_span
 
+from _oracle import random_poly
+
 T5 = wild_table()
 F = wild_cubic(T5)
 PRES = wild_presentation(T5)
@@ -65,8 +67,6 @@ def test_extract_square_pairs_pure_powers():
 def test_extract_square_pairs_rejects_generic():
     rng = random.Random(4)
     t = VarTable.make(("a", "b", "c"))
-    from _oracle import random_poly
-
     f = random_poly(rng, t, PRIMAL, 3, max_terms=10)
     assert extract_square_pairs(f) is None
 
@@ -83,6 +83,126 @@ def test_square_sum_with_one_perturbed_coefficient_is_rejected():
         moved[i] = (z, w * Fraction(1010, 1009))
         with pytest.raises(ValueError, match="re-expand"):
             WildPresentation(F, tuple(moved))
+
+
+def _reference_square_pairs(f):
+    """The monomial reading of square pairs built from contractions: one
+    contract(d_y, f) per variable y of degree one in f, and the symmetric
+    matrix of each quadric built from its terms."""
+    if f.homogeneous_degree() != 3:
+        return None
+    n = f.table.n
+    if all(max(mono) == 3 for mono in f.terms):
+        pairs = []
+        for mono, c in sorted(f.terms.items(), reverse=True):
+            v = Poly.variable(f.table, mono.index(3), f.ring)
+            pairs.append((v, c * v))
+    else:
+        pairs = []
+        for y in range(n):
+            if max(mono[y] for mono in f.terms) != 1:
+                continue
+            q = contract(Poly.variable(f.table, y, DUAL), f)
+            m = [[Fraction(0)] * n for _ in range(n)]
+            for mono, c in q.terms.items():
+                idx = [i for i, e in enumerate(mono) if e]
+                if len(idx) == 1:
+                    m[idx[0]][idx[0]] = 2 * c
+                else:
+                    i, j = idx
+                    m[i][j] = m[j][i] = c
+            k = next(i for i in range(n) if any(m[i]))
+            row, lead = m[k], m[k][k]
+            if lead == 0 or any(m[i][j] * lead != row[i] * row[j]
+                                for i in range(n) for j in range(n)):
+                return None
+            s = q.terms[tuple(2 * (i == k) for i in range(n))]
+            z = linear_form(f.table, [x / lead for x in row], f.ring)
+            pairs.append((z, s * Poly.variable(f.table, y, f.ring)))
+    acc = Poly.zero(f.table, f.ring)
+    for z, w in pairs:
+        acc = acc + (z ** 2) * w
+    return tuple(pairs) if pairs and acc == f else None
+
+
+def _square_pair_corpus(seed, count):
+    """`count` seeded cubics in 2-6 variables, cycling through visible
+    square sums with Fraction coefficients, the same sums plus a stray cube,
+    random sparse cubics, non-concise square sums (proportional squared
+    parts, unused variables) and pure power sums."""
+    rng = random.Random(seed)
+
+    def frac():
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5))
+
+    def square_sum(table, squared, linear):
+        f = Poly.zero(table)
+        for y in linear:
+            z = linear_form(table, [frac() if i in squared and rng.random() < 0.8 else 0
+                                    for i in range(table.n)])
+            if z.is_zero():
+                z = Poly.variable(table, squared[0])
+            f = f + (z ** 2) * (frac() * Poly.variable(table, y))
+        return f
+
+    for case in range(count):
+        n = 2 + case % 5
+        table = VarTable.make([f"v{i}" for i in range(n)])
+        kind = case // 5 % 5
+        order = rng.sample(range(n), n)
+        split = rng.randint(1, n - 1)
+        squared, linear = order[:split], order[split:]
+        if kind in (0, 1):
+            f = square_sum(table, squared, rng.sample(linear, rng.randint(1, len(linear))))
+            if kind == 1:
+                f = f + frac() * Poly.variable(table, rng.randrange(n)) ** 3
+        elif kind == 2:
+            f = random_poly(rng, table, PRIMAL, 3, max_terms=rng.randint(2, 8))
+        elif kind == 3:
+            # one squared part for every pair, and some variables left out
+            z = linear_form(table, [frac() if i in squared else 0 for i in range(n)])
+            f = Poly.zero(table)
+            for y in rng.sample(linear, rng.randint(1, len(linear))):
+                f = f + (z ** 2) * (frac() * Poly.variable(table, y))
+        else:
+            f = Poly.zero(table)
+            for i in rng.sample(range(n), rng.randint(1, n)):
+                f = f + frac() * Poly.variable(table, i) ** 3
+        yield f
+
+
+def test_square_pairs_read_off_the_table_equal_those_of_the_contractions():
+    found = missing = 0
+    for f in _square_pair_corpus(30, 2500):
+        want = _reference_square_pairs(f)
+        got = extract_square_pairs(f)
+        if want is None:
+            assert got is None, str(f)
+            missing += 1
+        else:
+            assert [tuple(map(str, p)) for p in got] == [tuple(map(str, p)) for p in want], str(f)
+            found += 1
+    assert found > 1000 and missing > 500, (found, missing)
+
+
+def test_square_pairs_come_from_one_second_derivative_table(monkeypatch):
+    from apolar import apolarity, wildcert
+
+    tables = []
+
+    def counted(f):
+        tables.append(f)
+        return apolarity.second_derivatives(f)
+
+    def refuse(alpha, f):
+        raise AssertionError("extract_square_pairs contracted")
+
+    monkeypatch.setattr(wildcert, "second_derivatives", counted)
+    monkeypatch.setattr(apolarity, "contract", refuse)
+    assert not hasattr(wildcert, "contract")
+    assert [tuple(map(str, p)) for p in extract_square_pairs(F)] == [
+        ("x0", "y0"), ("x0 + x1", "-y1"), ("x1", "y2")]
+    assert tables == [F]
 
 
 def test_square_pair_split():
@@ -361,8 +481,6 @@ def test_rank9_upper_pure_cube_collapses():
 def test_rank9_upper_shape_mismatch():
     rng = random.Random(6)
     t = VarTable.make(("a", "b", "c"))
-    from _oracle import random_poly
-
     f = random_poly(rng, t, PRIMAL, 3, max_terms=10)
     record = power_sum_certificate(f, extract_square_pairs(f))
     dec = record.witness
@@ -961,6 +1079,42 @@ def test_facts_of_another_form_are_rejected():
     assert cactus_lower_via_slice(G, FormFacts(G)).witness is None
     embedded = FormFacts(parse_poly("x0^2*y0", vars=["x0", "y0", "z"]))
     assert sylvester_binary(embedded.form, embedded).rank == 3
+
+
+@pytest.mark.parametrize("other", ["renamed dual", "primal"])
+def test_counting_checks_refuse_forms_that_are_not_dual_over_fs_table(other):
+    # the forms of perp = (d_y0, d_y1, d_y2) and comp = (d_x0, d_x1), over a
+    # renamed 5-variable table or in the primal ring: read by position, each
+    # check would answer as for the dual forms
+    if other == "primal":
+        forms = [parse_poly(v, table=T5) for v in ("y0", "y1", "y2", "x0", "x1")]
+    else:
+        renamed = wild_table(("e0", "e1", "e2", "e3", "e4"))
+        forms = [dual(v, renamed) for v in ("e2", "e3", "e4", "e0", "e1")]
+    perp, comp = square_pair_split(PRES.square_pairs, T5)
+    calls = [
+        lambda: gamma_space(F, forms[0]),
+        lambda: product_locus(F, forms[:3], forms[3:]),
+        lambda: product_locus(F, perp, forms[3:]),
+        lambda: squares_confined(F, forms[:3], forms[3:]),
+        lambda: squares_confined(F, perp, forms[3:]),
+        lambda: forced_square_check(F, forms[:3]),
+    ]
+    for call in calls:
+        with pytest.raises(TableMismatchError):
+            call()
+
+
+def test_counting_checks_refuse_a_form_over_a_smaller_table():
+    # read by position, d_a contracts f as d_x0 does: gamma_space returned
+    # d_x0's 1, and forced_square_check returned True, a "proof" that d_x0
+    # itself does not give
+    d_a = dual("d_a", VarTable.make(("a", "b")))
+    with pytest.raises(TableMismatchError):
+        gamma_space(F, d_a)
+    with pytest.raises(TableMismatchError):
+        forced_square_check(F, (d_a,))
+    assert gamma_space(F, dual("d_x0")) == 1 and not forced_square_check(F, (dual("d_x0"),))
 
 
 def test_record_builders_never_read_pairs_off_the_monomials(monkeypatch):
