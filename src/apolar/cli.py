@@ -3,9 +3,12 @@ emit a machine-readable JSON report.
 
 Each handler returns its results and the records it prints.  The
 certificate commands print the records their builders return, verified or
-not; a builder's ValueError on malformed input is an input error.
-`theorem2` reads its printed witnesses off the report's own records, the
-only ones that hold a witness.
+not.  A library ValueError on malformed input is an input error: a handler
+makes a library call that can raise one through `_checked`, except
+`double-points`, which prefixes its message with "bad pair:".  `theorem2` reads its printed
+witnesses off the report's own records, the only ones that hold a witness;
+the two lower-bound records of the wild cubic (cactus >= 6 from slice
+saturation, rank >= 9 from counting) are among them.
 
 `_OPTIONS` marks the options a command cannot run without as required, so
 argparse rejects a missing one with the command's usage.  A value that
@@ -71,10 +74,10 @@ def _cmd_hilbert(args):
     return {"hilbert": list(h.values), "degree": h.top_degree}, []
 
 
-def _slice_degree(build, p, degree):
-    """build(p, degree), with a slice degree outside 0..deg p an input error."""
+def _checked(call, *args):
+    """call(*args), with the library's ValueError on malformed input an input error."""
     try:
-        return build(p, degree)
+        return call(*args)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -83,7 +86,7 @@ def _cmd_annihilator(args):
     from .apolarity import ann_slice
 
     p = _parse_input_poly(args)
-    sl = _slice_degree(ann_slice, p, args.degree)
+    sl = _checked(ann_slice, p, args.degree)
     return {
         "degree": sl.degree,
         "dimension": sl.dim,
@@ -105,7 +108,7 @@ def _cmd_catalecticant(args):
     from .poly import DUAL, PRIMAL
 
     p = _parse_input_poly(args)
-    rows = _slice_degree(catalecticant, p, args.degree)
+    rows = _checked(catalecticant, p, args.degree)
     return {
         "source_degree": args.degree,
         "rank": linalg.rank(rows),
@@ -128,21 +131,14 @@ def _cmd_concise(args):
 def _cmd_macaulay(args):
     from .ideals import macaulay_bound
 
-    try:
-        bound = macaulay_bound(args.dim, args.degree)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    bound = _checked(macaulay_bound, args.dim, args.degree)
     return {"dim": args.dim, "degree": args.degree, "bound": bound}, []
 
 
 def _cmd_sylvester(args):
     from .ranks import sylvester_binary
 
-    p = _parse_form(args)
-    try:
-        res = sylvester_binary(p)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    res = _checked(sylvester_binary, _parse_form(args))
     return {
         "d1": res.d1,
         "d2": res.d2,
@@ -206,25 +202,6 @@ def _cmd_double_points(args):
     }, [cert]
 
 
-def _cmd_wild_cert(args):
-    from .apolarity import FormFacts
-    from .wildcert import cactus_lower_via_slice, extract_square_pairs, rank9_lower_cert
-
-    facts = FormFacts(_parse_form(args))
-    g = facts.form
-    try:
-        saturation = cactus_lower_via_slice(g, facts)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    counting = rank9_lower_cert(g, args.rmax, extract_square_pairs(g), facts)
-    results = {
-        "cactus_lower": saturation.certified()[0].value if saturation.verified else None,
-        "rank_lower": args.rmax + 1 if counting.verified else None,
-        "rmax": args.rmax,
-    }
-    return results, [saturation, counting]
-
-
 def _cmd_theorem2(args):
     from .wildcert import theorem2_report
 
@@ -256,10 +233,7 @@ def _cmd_direct_sum(args):
     q = parse_poly(args.poly2, vars=vars2)
     if not q.is_homogeneous() or q.is_zero():
         raise InputError("--poly2 must be homogeneous and nonzero")
-    try:
-        summands = direct_sum_extend(p, q)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    summands = _checked(direct_sum_extend, p, q)
     total = summands[0] + summands[1]
     pipeline = theorem2_report(total, r_max=args.rmax)
     certificates = list(pipeline.certificates)
@@ -318,7 +292,6 @@ _COMMANDS = {
     "rank-bounds": (_cmd_rank_bounds, _FORM),
     "witness-verify": (_cmd_witness_verify, _FORM),
     "double-points": (_cmd_double_points, _FORM + ("--pairs",)),
-    "wild-cert": (_cmd_wild_cert, _FORM + ("--rmax",)),
     "theorem2": (_cmd_theorem2, _FORM + ("--rmax",)),
     "direct-sum": (_cmd_direct_sum, _FORM + ("--rmax", "--poly2", "--vars2")),
 }

@@ -19,7 +19,9 @@ from .poly import DUAL, Poly, VarTable, _monomial_index, _require_over, monomial
 
 @dataclass(frozen=True)
 class IdealSlice:
-    """Echelonized basis of the degree-d piece of a homogeneous ideal."""
+    """Echelonized basis of the degree-d piece of a homogeneous ideal.
+
+    TableMismatchError for a basis form over another table or ring."""
 
     degree: int
     basis: tuple  # homogeneous Polys of that degree, reduced echelon basis
@@ -27,6 +29,7 @@ class IdealSlice:
     ring: str = DUAL
 
     def __post_init__(self):
+        _require_over(self.basis, self.table, self.ring)
         for b in self.basis:
             if b.homogeneous_degree() != self.degree:
                 raise ValueError("slice basis element of wrong degree")
@@ -141,11 +144,13 @@ class MembershipCertificate:
 
 def membership(target: Poly, gens: Sequence[Poly]) -> Optional[MembershipCertificate]:
     """Express target in the ideal generated by gens, with an exact
-    certificate, or return None."""
+    certificate, or return None.  TableMismatchError, before any solving,
+    for a generator over another table or ring than the target."""
     d = target.homogeneous_degree()
     if d is None:
         raise ValueError("membership target must be homogeneous and nonzero")
     table = target.table
+    _require_over(gens, table, target.ring)
     cols = []
     col_meta = []  # (generator index, multiplier monomial)
     for gi, g in enumerate(gens):

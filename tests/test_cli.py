@@ -8,18 +8,13 @@ from pathlib import Path
 import pytest
 
 from apolar import parse_poly, theorem2_report
-from apolar.apolarity import FormFacts
 from apolar.cli import _COMMANDS, _OPTIONS, _build_parser, _cert_dicts, main
-from apolar.wildcert import (
-    cactus_lower_via_slice,
-    extract_square_pairs,
-    limit_family_certificate,
-    rank9_lower_cert,
-)
+from apolar.wildcert import limit_family_certificate
 from apolar.witness import double_point_span
 
 WILD = "x0^2*y0 - (x0+x1)^2*y1 + x1^2*y2"
 WILD_VARS = "x0,x1,y0,y1,y2"
+SIGNED_WILD = "x1^2*y2 - (x1-x0)^2*y0 + x0^2*y1"  # WILD in signed-permuted coordinates
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "perfbench" / "golden" / "theorem2_wild.json"
 SRC = ROOT / "src"
@@ -47,14 +42,15 @@ def test_sylvester_command(capsys):
 
 
 def test_theorem2_command(capsys):
-    code, doc = run(capsys, "theorem2", "--poly", WILD, "--vars", WILD_VARS)
-    assert code == 0
-    assert doc["results"]["final"] == {
-        "border": 5, "smoothable": 6, "cactus": 6, "rank": 9
-    }
-    kinds = {c["kind"] for c in doc["certificates"]}
-    assert "rank-lower-counting" in kinds
-    assert all(c["verified"] for c in doc["certificates"])
+    for poly in (WILD, SIGNED_WILD):
+        code, doc = run(capsys, "theorem2", "--poly", poly, "--vars", WILD_VARS)
+        assert code == 0
+        assert doc["results"]["final"] == {
+            "border": 5, "smoothable": 6, "cactus": 6, "rank": 9
+        }
+        kinds = {c["kind"] for c in doc["certificates"]}
+        assert {"cactus-slice-saturation", "rank-lower-counting"} <= kinds
+        assert all(c["verified"] for c in doc["certificates"])
 
 
 @pytest.mark.parametrize("poly, vars_, gammas, border_rank", [
@@ -75,9 +71,11 @@ def test_theorem2_exit_code_reports_an_unverified_certificate(capsys):
     assert code == 1
     counting = [c for c in doc["certificates"] if c["kind"] == "rank-lower-counting"]
     assert len(counting) == 1 and counting[0]["verified"] is False
+    assert any(line.startswith("quadric-count [computed]: FAILED")
+               for line in counting[0]["stage_log"])
 
 
-@pytest.mark.parametrize("command", ["theorem2", "wild-cert", "direct-sum"])
+@pytest.mark.parametrize("command", ["theorem2", "direct-sum"])
 @pytest.mark.parametrize("rmax", ["0", "-1", "-5"])
 def test_rmax_below_one_is_an_input_error(capsys, command, rmax):
     # no decomposition has length below 1, so there is nothing to exclude
@@ -208,13 +206,6 @@ def test_double_points_accepts_a_zero_jet(capsys):
     assert doc["results"]["cactus_upper"] == 4
 
 
-def test_wild_cert_command(capsys):
-    code, doc = run(capsys, "wild-cert", "--poly", WILD, "--vars", WILD_VARS)
-    assert code == 0
-    assert doc["results"]["cactus_lower"] == 6
-    assert doc["results"]["rank_lower"] == 9
-
-
 def test_direct_sum_command(capsys):
     code, doc = run(capsys, "direct-sum", "--poly", WILD, "--vars", WILD_VARS,
                     "--poly2", "u^3")
@@ -339,7 +330,7 @@ def test_a_command_without_a_required_option_prints_its_usage(capsys, command, f
 def test_the_required_options_are_those_every_reader_needs():
     required = [flag for flag, spec in _OPTIONS.items() if spec.get("required")]
     assert required == ["--poly", "--degree", "--dim", "--pairs", "--poly2"]
-    assert sum(flag in reads for _, reads in _COMMANDS.values() for flag in required) == 17
+    assert sum(flag in reads for _, reads in _COMMANDS.values() for flag in required) == 16
 
 
 @pytest.mark.parametrize("argv", [
@@ -376,11 +367,11 @@ def test_the_parser_has_only_the_options_each_command_reads():
                for name, sp in sub.choices.items()}
     assert options == {name: [f for f in _OPTIONS if f in reads]
                        for name, (_, reads) in _COMMANDS.items()}
-    assert sum(map(len, options.values())) == 55
+    assert sum(map(len, options.values())) == 50
     assert [name for name, flags in options.items() if "--degree" in flags] == [
         "annihilator", "catalecticant", "macaulay"]
     assert [name for name, flags in options.items() if "--rmax" in flags] == [
-        "wild-cert", "theorem2", "direct-sum"]
+        "theorem2", "direct-sum"]
 
 
 def test_inhomogeneous_rejected(capsys):
@@ -388,8 +379,7 @@ def test_inhomogeneous_rejected(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("command", ["rank-bounds", "theorem2", "concise", "witness-verify",
-                                     "wild-cert"])
+@pytest.mark.parametrize("command", ["rank-bounds", "theorem2", "concise", "witness-verify"])
 def test_constant_input_is_an_input_error(capsys, command):
     code = main([command, "--poly", "3"])
     err = capsys.readouterr().err
@@ -498,7 +488,6 @@ COLD_REQUESTS = {
     "rank-bounds": ["--poly", "x^2*y + (x+z)^2*w"],
     "witness-verify": ["--poly", WILD, "--vars", WILD_VARS],
     "double-points": ["--poly", WILD, "--vars", WILD_VARS, "--pairs", "x0,y0;x0+x1,-y1;x1,y2"],
-    "wild-cert": ["--poly", WILD, "--vars", WILD_VARS],
     "theorem2": ["--poly", "x^2*y"],
     "direct-sum": ["--poly", "x^3", "--poly2", "u^3"],
 }
@@ -621,10 +610,9 @@ def test_theorem2_stdout_matches_golden(capsys):
     (["witness-verify", "--poly", WILD, "--vars", WILD_VARS], (WILD, WILD_VARS)),
     (["double-points", "--poly", WILD, "--vars", WILD_VARS,
       "--pairs", "x0,y0;x0+x1,-y1;x1,y2"], (WILD, WILD_VARS)),
-    (["wild-cert", "--poly", WILD, "--vars", WILD_VARS], (WILD, WILD_VARS)),
     (["direct-sum", "--poly", WILD, "--vars", WILD_VARS, "--poly2", "u^3"],
      (WILD + " + u^3", WILD_VARS + ",u")),
-], ids=["witness-verify", "double-points", "wild-cert", "direct-sum"])
+], ids=["witness-verify", "double-points", "direct-sum"])
 def test_certificates_match_theorem2(capsys, argv, reference):
     code, doc = run(capsys, *argv)
     assert code == 0
@@ -647,12 +635,10 @@ def test_direct_sum_prints_each_certificate_once(capsys):
     (["double-points", "--poly", WILD, "--vars", WILD_VARS,
       "--pairs", "x0,y0;x0+x1,-y1;x1,y2"], 0),
     (["double-points", "--poly", WILD, "--vars", WILD_VARS, "--pairs", "x0,y0;x1,y2"], 1),
-    (["wild-cert", "--poly", WILD, "--vars", WILD_VARS], 0),
-    (["wild-cert", "--poly", "x^3"], 1),
     (["theorem2", "--poly", WILD, "--vars", WILD_VARS], 0),
     (["direct-sum", "--poly", WILD, "--vars", WILD_VARS, "--poly2", "u^3"], 0),
 ], ids=["witness-verify", "witness-verify-failure", "double-points", "double-points-failure",
-        "wild-cert", "wild-cert-failure", "theorem2", "direct-sum"])
+        "theorem2", "direct-sum"])
 def test_certificates_print_kind_stage_log_and_verified_only(capsys, argv, code):
     # the records also carry a basis and certified bounds; neither is printed
     got, doc = run(capsys, *argv)
@@ -668,21 +654,13 @@ def _wild_pairs(text):
             for chunk in text.split(";")]
 
 
-def _wild_cert_records(poly):
-    facts = FormFacts(parse_poly(poly))
-    g = facts.form
-    return [cactus_lower_via_slice(g, facts),
-            rank9_lower_cert(g, 8, extract_square_pairs(g), facts)]
-
-
 @pytest.mark.parametrize("argv, records", [
     (["witness-verify", "--poly", "x0*x1*x2"],
      lambda: [limit_family_certificate(parse_poly("x0*x1*x2"), None)]),
     (["double-points", "--poly", WILD, "--vars", WILD_VARS, "--pairs", "x0,y0;x1,y2"],
      lambda: [double_point_span(parse_poly(WILD, vars=WILD_VARS.split(",")),
                                 _wild_pairs("x0,y0;x1,y2"))]),
-    (["wild-cert", "--poly", "x^3"], lambda: _wild_cert_records("x^3")),
-], ids=["witness-verify", "double-points", "wild-cert"])
+], ids=["witness-verify", "double-points"])
 def test_failure_records_are_the_builders_own(capsys, argv, records):
     # the commands print the unverified records their builders return
     code, doc = run(capsys, *argv)

@@ -7,6 +7,7 @@ import pytest
 from apolar import linalg
 from apolar.apolarity import ann_slice, contract
 from apolar.ideals import (
+    IdealSlice,
     generated_slice,
     macaulay_bound,
     membership,
@@ -141,7 +142,8 @@ def test_slice_from_forms_rejects_forms_of_another_degree():
 
 def test_a_slice_refuses_a_form_over_another_table_or_ring():
     # read by position, each of these forms lines up with d_x*d_y, which
-    # annihilates the Fermat cubic, so contains answered True for all three
+    # annihilates the Fermat cubic, so contains answered True for all three;
+    # a slice built directly from one of them answered by position too
     t4 = VarTable.make(("x", "y", "z", "w"))
     sl = ann_slice(parse_poly("x^3 + y^3 + z^3 + w^3", table=t4), 2)
     renamed = VarTable.make(("x", "y", "z", "w"), dual=("e0", "e1", "e2", "e3"))
@@ -150,10 +152,18 @@ def test_a_slice_refuses_a_form_over_another_table_or_ring():
                  parse_poly("x*y", table=t4)):
         with pytest.raises(TableMismatchError):
             sl.contains(form)
+        with pytest.raises(TableMismatchError):
+            IdealSlice(2, (form,), table=t4)
     assert sl.contains(dual("d_x*d_y", t4)) and not sl.contains(dual("d_x^2", t4))
 
 
-def test_slices_refuse_generators_over_another_table_or_ring():
+def test_slices_refuse_generators_over_another_table_or_ring(monkeypatch):
+    # membership used to solve by position, so that only the certificate's
+    # re-expansion raised; it must refuse before solving
+    def no_solve(*args):
+        raise AssertionError("solved over a generator of another table or ring")
+
+    monkeypatch.setattr(linalg, "solve_columns", no_solve)
     t4 = VarTable.make(("x", "y", "z", "w"))
     renamed = VarTable.make(("x", "y", "z", "w"), dual=("e0", "e1", "e2", "e3"))
     own = dual("d_x*d_y", t4)
@@ -165,9 +175,14 @@ def test_slices_refuse_generators_over_another_table_or_ring():
             generated_slice([own, other], 3)
         with pytest.raises(TableMismatchError):
             slice_from_forms([own, other], 2, t4)
+        with pytest.raises(TableMismatchError):
+            membership(own, [other])
     with pytest.raises(TableMismatchError):
         generated_slice([dual("e0*e1", renamed)], 3, table=t4)
     assert generated_slice([own], 3, table=t4).dim == 4
+    monkeypatch.undo()
+    cert = membership(own, [dual("d_x", t4)])
+    assert cert is not None and cert.verify()
 
 
 def test_membership_explicit_recombination():
