@@ -13,8 +13,8 @@ __version__ = "0.1.0"
 
 # the names each module exports through the package
 _EXPORTS = {
-    "apolarity": "EssentialSpace HilbertFn ann_slice catalecticant concise_dim contract"
-                 " hilbert_function",
+    "apolarity": "EssentialSpace FormFacts HilbertFn ann_slice catalecticant concise_dim"
+                 " contract hilbert_function",
     "ideals": "IdealSlice MembershipCertificate generated_slice macaulay_bound membership"
               " quotient_hilbert saturation_witness",
     "parsing": "ParseError parse_poly",

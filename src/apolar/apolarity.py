@@ -17,6 +17,12 @@ rows of `catalecticant`, filled from `contract`, serve `ann_slice` and the
 `catalecticant` command; `ann_slice` stays on them while the benchmark's
 `powers` workload requires `catalecticant` and `contract` to be reached,
 which in that workload only `ann_slice` does.
+
+`FormFacts(f)` is what a rank report reads about f, each value computed
+once: the form in its essential variables and, for that form, the Hilbert
+function, the degree-2 annihilator slice and the second-derivative table.
+Every function of `ranks` and `wildcert` that reads one of these takes f's
+`FormFacts` in place of f.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import perm
-from typing import Optional
 
 from . import linalg
 from .ideals import IdealSlice
@@ -176,7 +181,10 @@ def _int_catalecticant(f: Poly, i: int) -> list:
     the callers that need only those read these rows and no Fraction is
     built.  Each column is read off the (d, c) table under `contract`'s
     density rule, and otherwise by one pass over the terms of f.
+    TableMismatchError, as from `contract`, for a form in the DUAL ring.
     """
+    if f.ring != PRIMAL:
+        raise TableMismatchError("contract expects a DUAL operator and a PRIMAL operand")
     d = f.homogeneous_degree()
     n = f.table.n
     num = dict(zip(f.terms, _cleared(f.terms.values())[0]))
@@ -312,25 +320,18 @@ def second_derivatives(f: Poly) -> tuple:
 class FormFacts:
     """What the stages of one rank report read about a form: its
     essential-variable reduction and, for the form in its essential
-    variables, the Hilbert function, the degree-2 annihilator slice and the
+    variables (`form`, concise and nonzero, f itself when f is concise), the
+    Hilbert function, the degree-2 annihilator slice and the
     second-derivative table.
 
     Each value is computed on first use and kept only as long as this
     object, so the stages that share one FormFacts compute each value once.
+    A function handed a FormFacts reads the form off it, so the form and
+    its invariants cannot disagree.
     """
 
     def __init__(self, f: Poly):
         self.essential, self.form = essential_form(f)
-
-    @classmethod
-    def of(cls, f: Poly, facts: Optional[FormFacts] = None) -> FormFacts:
-        """`facts`, checked to describe f (their essential form is f), or
-        FormFacts(f) when None; ValueError for the facts of another form."""
-        if facts is None:
-            return cls(f)
-        if facts.form is not f and facts.form != f:
-            raise ValueError("the facts given are those of another form")
-        return facts
 
     @cached_property
     def hilbert(self) -> HilbertFn:

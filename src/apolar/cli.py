@@ -136,9 +136,10 @@ def _cmd_macaulay(args):
 
 
 def _cmd_sylvester(args):
+    from .apolarity import FormFacts
     from .ranks import sylvester_binary
 
-    res = _checked(sylvester_binary, _parse_form(args))
+    res = _checked(sylvester_binary, FormFacts(_parse_form(args)))
     return {
         "d1": res.d1,
         "d2": res.d2,
@@ -157,12 +158,11 @@ def _cmd_rank_bounds(args):
 
 
 def _cmd_witness_verify(args):
-    from .apolarity import essential_form
+    from .apolarity import FormFacts
     from .wildcert import extract_square_pairs, limit_family_certificate
 
-    _, g = essential_form(_parse_form(args))
-    pairs = extract_square_pairs(g)
-    cert = limit_family_certificate(g, pairs)
+    facts = FormFacts(_parse_form(args))
+    cert = limit_family_certificate(facts.form, extract_square_pairs(facts))
     fam = cert.witness
     if fam is None:
         return {"verified": False, "reason": cert.stage_log[0]}, [cert]

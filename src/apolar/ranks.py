@@ -6,6 +6,9 @@ border <= smoothable <= rank and cactus <= smoothable <= rank; every notion
 is also bounded below by the number of essential variables, and `aggregate`
 applies the cited tameness rule.  Inconsistent evidence is an error, since it
 means some certificate is wrong.
+
+`aggregate` and `sylvester_binary` read the form's invariants, so they take
+its `FormFacts`.
 """
 
 from __future__ import annotations
@@ -135,18 +138,17 @@ def _aggregate_deductions(deductions: Sequence[Deduction]) -> RankReport:
     return RankReport(lows=lows, ups=ups, provenance=tuple(deductions))
 
 
-def aggregate(f: Poly, evidence: Sequence[Deduction],
-              facts: Optional[FormFacts] = None) -> RankReport:
-    """Close the given evidence under the inequality chains, with the
-    conciseness lower bound injected first (read from `facts` when given,
-    which must be f's); then apply the cited tameness rule: when the
-    certified border-rank upper bound is at most deg f + 1, smoothable rank
-    equals border rank, so the border bounds are copied across."""
+def aggregate(facts: FormFacts, evidence: Sequence[Deduction]) -> RankReport:
+    """Close the evidence about the form of `facts` under the inequality
+    chains, with the conciseness lower bound injected first; then apply the
+    cited tameness rule: when the certified border-rank upper bound is at
+    most deg f + 1, smoothable rank equals border rank, so the border bounds
+    are copied across."""
     report = _aggregate_deductions([
-        Deduction("all", "lower", FormFacts.of(f, facts).essential.dim, rule="conciseness",
+        Deduction("all", "lower", facts.essential.dim, rule="conciseness",
                   detail="every notion is at least the number of essential variables"),
     ] + list(evidence))
-    b_up, d = report.upper("border"), f.homogeneous_degree()
+    b_up, d = report.upper("border"), facts.form.homogeneous_degree()
     if b_up is None or b_up > d + 1:
         return report
     return _aggregate_deductions(report.provenance + (
@@ -195,20 +197,17 @@ class SylvesterResult:
     evidence: tuple  # the four exact-value Deductions
 
 
-def sylvester_binary(f: Poly, facts: Optional[FormFacts] = None) -> SylvesterResult:
-    """Exact ranks of a form in at most two essential variables.
+def sylvester_binary(facts: FormFacts) -> SylvesterResult:
+    """Exact ranks of the form of `facts`, in at most two essential
+    variables (ValueError otherwise).
 
     The annihilator of a binary form is a complete intersection in degrees
     d1 <= d2 with d1 + d2 = d + 2; cactus, smoothable and border rank all
     equal d1, and the rank is d1 exactly when the degree-d1 slice contains a
     square-free form, else d2.  The result carries these four exact values
-    as Deductions, for the caller to aggregate.  `facts`, when given, must be
-    f's or those of a form whose essential form f is; ValueError otherwise.
+    as Deductions, for the caller to aggregate.
     """
-    d = f.homogeneous_degree()
-    if d is None or f.is_zero():
-        raise ValueError("sylvester_binary expects a homogeneous nonzero polynomial")
-    facts = FormFacts.of(f, facts)
+    d = facts.form.homogeneous_degree()
     es = facts.essential
     if es.dim > 2:
         raise ValueError(f"not essentially binary: {es.dim} essential variables")

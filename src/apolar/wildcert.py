@@ -7,6 +7,13 @@ applications of literature rules are recorded as "cited" stages over
 machine-verified hypotheses so an auditor can see precisely what was
 computed.
 
+A function that reads a computed invariant of its form (the essential
+variables, Hilbert function, degree-2 annihilator slice or second-derivative
+table) takes the form's `FormFacts` and reads the form off it:
+`extract_square_pairs`, `cactus_lower_via_slice`, `rank9_lower_cert`,
+`product_locus`, `gamma_space`, `squares_confined` and
+`forced_square_check`.  One that reads only the form takes the form.
+
 Each certificate has one builder, which computes it and records it:
 `limit_family_certificate` (border), `double_point_span` (cactus and
 smoothable), `power_sum_certificate` (rank upper), `cactus_lower_via_slice`
@@ -33,7 +40,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from . import linalg
-from .apolarity import FormFacts, second_derivatives
+from .apolarity import FormFacts
 from .ideals import IdealSlice, generated_slice
 from .poly import (
     DUAL,
@@ -151,11 +158,12 @@ def _rank_one_square(m) -> Optional[tuple]:
     return k, [Fraction(x, m[k][k]) for x in m[k]]
 
 
-def extract_square_pairs(f: Poly):
-    """Recognize f = sum z_i^2 * w_i from its monomial structure, or None.
+def extract_square_pairs(facts: FormFacts):
+    """Recognize f = sum z_i^2 * w_i from its monomial structure, or None,
+    for the form f of `facts`.
 
     A pure power sum gives the pair (x, c * x) for each cube c * x^3.
-    Otherwise the pairs are read off one `second_derivatives(f)` table: for
+    Otherwise the pairs are read off f's second-derivative table: for
     each variable y that occurs in f but never squared, component y of every
     entry is the symmetric matrix of contract(d_y, f) times the table's
     positive scale.  It must have rank one, so that contract(d_y, f) = s * z^2
@@ -166,6 +174,7 @@ def extract_square_pairs(f: Poly):
     (pure cubes count, with z = w); arbitrary coordinate changes hide the
     shape and are out of reach here — supply a presentation instead.
     """
+    f = facts.form
     if f.homogeneous_degree() != 3:
         return None
     n = f.table.n
@@ -177,7 +186,7 @@ def extract_square_pairs(f: Poly):
             pairs.append((v, c * v))
         pairs = tuple(pairs)
     else:
-        hessian = second_derivatives(f)
+        hessian = facts.second_derivatives
         pairs = []
         for y in range(n):
             # y occurs in f (row y is nonzero), never squared (entry (y, y) is zero)
@@ -336,27 +345,25 @@ def _monomial_residues(slice_: IdealSlice) -> list:
     return residues
 
 
-def cactus_lower_via_slice(f: Poly, facts: Optional[FormFacts] = None) -> EvidenceRecord:
-    """The record of the cactus lower bound from showing that the degree-2
-    annihilator slice saturates to too small a linear space; its witness is
-    the tuple of dual linear forms that span the saturation's linear part:
-    each times every cubic monomial lies in the ideal the slice generates.
+def cactus_lower_via_slice(facts: FormFacts) -> EvidenceRecord:
+    """The record of the cactus lower bound on the form f of `facts` from
+    showing that its degree-2 annihilator slice saturates to too small a
+    linear space; its witness is the tuple of dual linear forms that span
+    the saturation's linear part: each times every cubic monomial lies in
+    the ideal the slice generates.
 
     Any length-<= H_f(2) scheme spanning f pins its degree-2 ideal slice to
     the full annihilator slice; if the saturation of that slice contains
     enough independent linear forms to drop the linear Hilbert value below
     the number of essential variables, no such scheme exists and the cactus
-    rank is at least H_f(2) + 1.  An unverified record with no witness when
-    the pattern finds no linear drop; ValueError when f is not a cubic or
-    not concise.  `facts`, when given, must be f's, else ValueError.
+    rank is at least H_f(2) + 1.  f is concise, so any linear form in the
+    saturation is a drop.  An unverified record with no witness when the
+    pattern finds no linear drop; ValueError when f is not a cubic.
     """
+    f = facts.form
     if f.homogeneous_degree() != 3:
         raise ValueError("the slice-saturation pattern is for cubics")
     n = f.table.n
-    facts = FormFacts.of(f, facts)
-    es_dim = facts.essential.dim
-    if es_dim != n:
-        raise ValueError("reduce to essential variables before this pattern")
     r = facts.hilbert(2)
     slice2 = facts.slice2
     k = 3
@@ -376,7 +383,7 @@ def cactus_lower_via_slice(f: Poly, facts: Optional[FormFacts] = None) -> Eviden
         rows.extend(by_coord[coord] for coord in sorted(by_coord))
     gamma_vecs = linalg.kernel_basis(rows, n)
     quotient_h1 = n - len(gamma_vecs)
-    if quotient_h1 >= es_dim:
+    if not gamma_vecs:
         return EvidenceRecord("cactus-slice-saturation", False,
                               ("the slice-saturation pattern found no linear drop",))
     return EvidenceRecord(
@@ -385,11 +392,11 @@ def cactus_lower_via_slice(f: Poly, facts: Optional[FormFacts] = None) -> Eviden
         stage_log=(
             f"degree-2 quotient dimension {r}",
             f"{len(gamma_vecs)} linear forms in the saturation (k={k})",
-            f"saturated quotient has {quotient_h1} < {es_dim} linear dimensions",
+            f"saturated quotient has {quotient_h1} < {n} linear dimensions",
             f"cactus rank >= {r + 1}",
         ),
         bounds=(Deduction("cactus", "lower", r + 1, rule="slice-saturation",
-                          detail=f"saturated linear quotient {quotient_h1} < {es_dim}"),),
+                          detail=f"saturated linear quotient {quotient_h1} < {n}"),),
         witness=tuple(linear_form(f.table, v, DUAL) for v in gamma_vecs),
     )
 
@@ -460,40 +467,38 @@ def _combine(a: Sequence, vecs: Sequence) -> list:
     return out
 
 
-def _variable_contractions(f: Poly, forms: Sequence[Poly],
-                           facts: Optional[FormFacts] = None) -> list:
+def _variable_contractions(facts: FormFacts, forms: Sequence[Poly]) -> list:
     """[[contract(a * d_j, f) for every dual variable d_j] for a in forms]
-    for dual linear forms, as coefficient vectors over monomials(n, d - 2),
-    read off f's second-derivative table by bilinearity; no product is built.
+    for the form f of `facts` and dual linear forms, as coefficient vectors
+    over monomials(n, d - 2), read off f's second-derivative table by
+    bilinearity; no product is built.
 
     Every vector carries one common positive scale (the table's and that of
     the forms' cleared coefficients), which no kernel, rank, vanishing or
-    proportionality computed from them sees.  `facts`, when given, must be
-    f's (ValueError otherwise); without them the table is computed for this
-    call, since FormFacts(f) describes the essential form of a non-concise f.
-    TableMismatchError for a form that is not dual over f's table.
+    proportionality computed from them sees.  TableMismatchError for a form
+    that is not dual over f's table.
     """
-    _require_over(forms, f.table, DUAL)
-    hessian = second_derivatives(f) if facts is None else FormFacts.of(f, facts).second_derivatives
+    _require_over(forms, facts.form.table, DUAL)
     # the table is symmetric, so its row j is the column of d_j
-    return [[_combine(a, column) for column in hessian] for a in _int_coeffs(forms)]
+    return [[_combine(a, column) for column in facts.second_derivatives]
+            for a in _int_coeffs(forms)]
 
 
-def _contractions(f: Poly, left: Sequence[Poly], right: Sequence[Poly],
-                  facts: Optional[FormFacts] = None) -> list:
-    """[[contract(a * b, f) for b in right] for a in left] for dual linear
-    forms: `_variable_contractions` of left, combined along the cleared
-    coefficients of each b, so again with one common positive scale.
-    TableMismatchError for a form that is not dual over f's table."""
-    _require_over(right, f.table, DUAL)
+def _contractions(facts: FormFacts, left: Sequence[Poly], right: Sequence[Poly]) -> list:
+    """[[contract(a * b, f) for b in right] for a in left] for the form f of
+    `facts` and dual linear forms: `_variable_contractions` of left, combined
+    along the cleared coefficients of each b, so again with one common
+    positive scale.  TableMismatchError for a form that is not dual over f's
+    table."""
+    _require_over(right, facts.form.table, DUAL)
     rights = _int_coeffs(right)
-    return [[_combine(b, cols) for b in rights] for cols in _variable_contractions(f, left, facts)]
+    return [[_combine(b, cols) for b in rights] for cols in _variable_contractions(facts, left)]
 
 
-def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly],
-                  facts: Optional[FormFacts] = None) -> ProductLocus:
+def product_locus(facts: FormFacts, perp_basis: Sequence[Poly],
+                  comp_basis: Sequence[Poly]) -> ProductLocus:
     """Describe {point u : some factor over comp_basis multiplies the u-form
-    into the annihilator}.
+    into the annihilator of the form f of `facts`}.
 
     Exact elimination gives the quadric.  The points come from the factor
     side: a smooth conic with a rational point is rational, and the factor
@@ -501,13 +506,12 @@ def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly
     one-dimensional kernel of the linear map u -> contract(u-form * c-form, f).
     Every point must lie on the quadric and solve back to a factor
     proportional to c, and the points together must pin the quadric.
-    `facts`, when given, must be f's, else ValueError.
     """
     if len(comp_basis) != 2:
         raise ValueError("the factor space must be 2-dimensional")
     k = len(perp_basis)
     # contraction of (perp_j * comp_t) against f, as coefficient vectors
-    base = _contractions(f, perp_basis, comp_basis, facts)
+    base = _contractions(facts, perp_basis, comp_basis)
     ncoord = len(base[0][0])
 
     # quadric via the 2x2 minors of the residue matrix (quadratic forms in u)
@@ -575,25 +579,23 @@ def product_locus(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly
     return ProductLocus(quadric=quadric, samples=tuple(points), smooth=smooth)
 
 
-def gamma_space(f: Poly, point_form: Poly, facts: Optional[FormFacts] = None) -> int:
+def gamma_space(facts: FormFacts, point_form: Poly) -> int:
     """Dimension of the space of linear forms whose product with the given
-    dual linear form annihilates f: n minus the rank of the integer columns
-    contract(point_form * d_j, f), whose common scale moves no rank.
-    `facts`, when given, must be f's, else ValueError."""
+    dual linear form annihilates the form f of `facts`: n minus the rank of
+    the integer columns contract(point_form * d_j, f), whose common scale
+    moves no rank."""
     if point_form.is_zero() or point_form.homogeneous_degree() != 1:
         raise ValueError("the point form must be a nonzero dual linear form")
-    return f.table.n - linalg.rank(_variable_contractions(f, [point_form], facts)[0])
+    return facts.form.table.n - linalg.rank(_variable_contractions(facts, [point_form])[0])
 
 
-def forced_square_check(f: Poly, perp_basis: Sequence[Poly],
-                        facts: Optional[FormFacts] = None) -> bool:
+def forced_square_check(facts: FormFacts, perp_basis: Sequence[Poly]) -> bool:
     """True iff every linear form whose products with the whole perp basis
-    annihilate f already lies in the span of the perp basis: adding those
-    forms to the perp basis leaves its rank unchanged.  `facts`, when given,
-    must be f's, else ValueError."""
-    n = f.table.n
+    annihilate the form f of `facts` already lies in the span of the perp
+    basis: adding those forms to the perp basis leaves its rank unchanged."""
+    n = facts.form.table.n
     rows = []
-    for cols in _variable_contractions(f, perp_basis, facts):
+    for cols in _variable_contractions(facts, perp_basis):
         rows.extend(list(row) for row in zip(*cols) if any(row))
     span = _int_coeffs(perp_basis)
     return linalg.rank(span + linalg.int_kernel_basis(rows, n)) == linalg.rank(span)
@@ -611,22 +613,22 @@ def _no_common_zero(quadrics) -> bool:
     return (a0 * b2 - a2 * b0) ** 2 != (a0 * b1 - a1 * b0) * (a1 * b2 - a2 * b1)
 
 
-def _perp_products_vanish(f: Poly, perp_basis: Sequence[Poly],
-                          facts: Optional[FormFacts] = None) -> bool:
+def _perp_products_vanish(facts: FormFacts, perp_basis: Sequence[Poly]) -> bool:
     """Do all pairwise products of the perp basis, squares included,
-    annihilate f?  Each unordered pair is contracted once, up to the first
-    product that does not."""
+    annihilate the form f of `facts`?  Each unordered pair is contracted
+    once, up to the first product that does not."""
     rights = _int_coeffs(perp_basis)
-    for i, cols in enumerate(_variable_contractions(f, perp_basis, facts)):
+    for i, cols in enumerate(_variable_contractions(facts, perp_basis)):
         if any(any(_combine(b, cols)) for b in rights[i:]):
             return False
     return True
 
 
-def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[Poly],
-                     facts: Optional[FormFacts] = None) -> bool:
-    """Prove that every linear form whose square annihilates f lies in the
-    span of the perp basis.  True is a proof; False only means "not proved".
+def squares_confined(facts: FormFacts, perp_basis: Sequence[Poly],
+                     comp_basis: Sequence[Poly]) -> bool:
+    """Prove that every linear form whose square annihilates the form f of
+    `facts` lies in the span of the perp basis.  True is a proof; False only
+    means "not proved".
 
     Write a candidate as c0*comp0 + c1*comp1 + p.perp.  The perp products
     vanish, so its square contracts f to A(c) = c0^2*E00 + 2*c0*c1*E01 +
@@ -634,16 +636,15 @@ def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[P
     contractions.  Each functional vanishing on U therefore takes A to a
     binary quadric in c that the candidate must zero; when those quadrics
     share no zero over the algebraic closure, no nonzero c zeroes them all.
-    `facts`, when given, must be f's, else ValueError.
     """
     if len(comp_basis) != 2:
         raise ValueError("the complement must be 2-dimensional")
-    if linalg.rank(_int_coeffs(list(perp_basis) + list(comp_basis))) != f.table.n:
+    if linalg.rank(_int_coeffs(list(perp_basis) + list(comp_basis))) != facts.form.table.n:
         raise ValueError("perp and complement together must span the dual space")
-    if not _perp_products_vanish(f, perp_basis, facts):
+    if not _perp_products_vanish(facts, perp_basis):
         return False
     (E00, E01, *C0), (_, E11, *C1) = _contractions(
-        f, comp_basis, list(comp_basis) + list(perp_basis), facts)
+        facts, comp_basis, list(comp_basis) + list(perp_basis))
     # phi(A(c)) over (c1^2, c0*c1, c0^2); phi is cleared to ints, and a
     # positive multiple of a quadric moves none of its zeros
     quadrics = [[sum(map(mul, phi, E11)), 2 * sum(map(mul, phi, E01)), sum(map(mul, phi, E00))]
@@ -656,17 +657,15 @@ def squares_confined(f: Poly, perp_basis: Sequence[Poly], comp_basis: Sequence[P
 # ---------------------------------------------------------------------------
 
 
-def rank9_lower_cert(f: Poly, r_max: int, pairs,
-                     facts: Optional[FormFacts] = None) -> EvidenceRecord:
-    """The record of the counting certificate on f's square pairs: the
-    hypotheses that rule out reduced decompositions of length <= r_max for
-    the wild-cubic pattern, so rank >= r_max + 1.
+def rank9_lower_cert(facts: FormFacts, r_max: int, pairs) -> EvidenceRecord:
+    """The record of the counting certificate on the square pairs of the form
+    f of `facts`: the hypotheses that rule out reduced decompositions of
+    length <= r_max for the wild-cubic pattern, so rank >= r_max + 1.
 
     The record keeps the record of each stage in `stages`, up to the first
     that failed, with one log line per stage; its witness is the product
     locus, or None unless every stage verified.  No pairs fail the shape
-    stage.  ValueError when r_max < 1 or a pair is not linear.  `facts`,
-    when given, must be f's, else ValueError.
+    stage.  ValueError when r_max < 1 or a pair is not linear.
     """
     if r_max < 1:
         raise ValueError(f"r_max must be at least 1, got {r_max}")
@@ -695,12 +694,10 @@ def rank9_lower_cert(f: Poly, r_max: int, pairs,
     def ok(name, detail, basis="computed"):
         stages.append(EvidenceRecord(name, True, (detail,), basis))
 
+    f = facts.form
     n = f.table.n
     if f.homogeneous_degree() != 3 or n != 5:
         return fail("shape", "expected a cubic in exactly 5 variables")
-    facts = FormFacts.of(f, facts)
-    if facts.essential.dim != 5:
-        return fail("shape", "not concise: fewer than 5 essential variables")
     if not pairs:
         return fail("shape", "no squares-times-lines presentation available")
     perp, comp = square_pair_split(pairs, f.table)
@@ -716,8 +713,8 @@ def rank9_lower_cert(f: Poly, r_max: int, pairs,
     # squares_confined proves nothing unless the perp products vanish, so a
     # True settles both stages; only a False asks which of them failed (its
     # span check holds, since the complement is made of coordinates)
-    confined = squares_confined(f, perp, comp, facts)
-    if not confined and not _perp_products_vanish(f, perp, facts):
+    confined = squares_confined(facts, perp, comp)
+    if not confined and not _perp_products_vanish(facts, perp):
         return fail("perp-squares", "a product of perp forms does not annihilate f")
     ok("perp-squares", "all pairwise products of the perp basis annihilate f")
 
@@ -734,7 +731,7 @@ def rank9_lower_cert(f: Poly, r_max: int, pairs,
     ok("quadric-count", f"any length-{r_max} scheme forces >= {forced} quadrics{room}")
 
     try:
-        locus = product_locus(f, perp, comp, facts)
+        locus = product_locus(facts, perp, comp)
     except LocusShapeError as exc:
         return fail("product-locus", str(exc))
     nsamples = len(locus.samples)
@@ -747,14 +744,14 @@ def rank9_lower_cert(f: Poly, r_max: int, pairs,
     perp_coeffs = _int_coeffs(perp)  # a positive multiple of each point form moves no rank
     for u, _ in locus.samples:
         point_form = linear_form(f.table, _combine(u, perp_coeffs), DUAL)
-        dim = gamma_space(f, point_form, facts)
+        dim = gamma_space(facts, point_form)
         if dim != 4:
             return fail("factor-family", f"factor family at {tuple(u)} has dimension {dim}, need 4")
     if 4 + forced <= slice2.dim:
         return fail("factor-family", f"4 + {forced} <= {slice2.dim}: no forced intersection")
     ok("factor-family", f"4-dimensional factor family at every sample; 4 + {forced} > {slice2.dim} forces intersection")
 
-    if not forced_square_check(f, perp, facts):
+    if not forced_square_check(facts, perp):
         return fail("forced-square", "a linear form outside the perp span multiplies the whole perp basis into the annihilator")
     ok("forced-square", "perp-multiplying linear forms are confined to the perp span")
 
@@ -879,7 +876,7 @@ def _classical(rep: WildReport) -> bool:
         rep.evidence += (Deduction("all", "exact", facts.hilbert(1), rule="quadric-conciseness",
                                    detail="all notions coincide for quadrics"),)
     elif facts.essential.dim <= 2:
-        rep.evidence += sylvester_binary(facts.form, facts).evidence
+        rep.evidence += sylvester_binary(facts).evidence
     else:
         return False
     return True
@@ -923,7 +920,7 @@ def _square_pairs(rep: WildReport) -> None:
     g = rep.facts.form
     if g.homogeneous_degree() != 3 or rep.direct_sum:
         return
-    rep.pairs = rep.pairs or extract_square_pairs(g)  # a presentation's, or found here
+    rep.pairs = rep.pairs or extract_square_pairs(rep.facts)  # a presentation's, or found here
     if not rep.pairs:
         rep.notes += ("no squares-times-lines shape found; reporting catalecticant bounds",)
         return
@@ -939,7 +936,7 @@ def _slice_saturation(rep: WildReport) -> None:
     """The cactus lower bound of a cubic whose degree-2 slice saturates to
     too few linear forms; nothing when it does not."""
     if rep.facts.form.homogeneous_degree() == 3:
-        record = cactus_lower_via_slice(rep.facts.form, rep.facts)
+        record = cactus_lower_via_slice(rep.facts)
         if record.verified:
             rep.certificates += (record,)
 
@@ -950,7 +947,7 @@ def _counting(rep: WildReport) -> None:
     if not rep.pairs:
         return
     if rep.facts.form.table.n == 5 and len(rep.pairs) == 3:
-        rep.certificates += (rank9_lower_cert(rep.facts.form, rep.r_max, rep.pairs, rep.facts),)
+        rep.certificates += (rank9_lower_cert(rep.facts, rep.r_max, rep.pairs),)
     else:
         rep.notes += ("counting certificate skipped: not the 5-variable three-pair shape",)
 
@@ -963,7 +960,9 @@ def _report(f, stages, r_max: int = 8) -> WildReport:
     """Run the given stages on f (a Poly or a WildPresentation) over one
     FormFacts, up to the first that settles f, then aggregate the bounds of
     their evidence and verified records, with the cited rules `aggregate`
-    applies."""
+    applies.  ValueError for r_max < 1, whether or not a stage reads it."""
+    if r_max < 1:
+        raise ValueError(f"r_max must be at least 1, got {r_max}")
     f, pairs = (f.poly, f.square_pairs) if isinstance(f, WildPresentation) else (f, None)
     if f.homogeneous_degree() is None:
         raise ValueError("rank reports need a nonzero homogeneous polynomial")
@@ -974,7 +973,7 @@ def _report(f, stages, r_max: int = 8) -> WildReport:
         if stage(rep):
             break
     evidence = rep.evidence + tuple(b for r in rep.certificates for b in r.certified())
-    rep.report = aggregate(rep.facts.form, evidence, rep.facts)
+    rep.report = aggregate(rep.facts, evidence)
     return rep
 
 

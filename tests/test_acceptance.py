@@ -7,7 +7,7 @@ failure raises before the line is printed).
 import random
 
 from apolar import linalg
-from apolar.apolarity import ann_slice, concise_dim, contract, hilbert_function
+from apolar.apolarity import FormFacts, ann_slice, concise_dim, contract, hilbert_function
 from apolar.ideals import macaulay_bound, membership, quotient_hilbert, saturation_witness, slice_from_forms
 from apolar.parsing import parse_poly
 from apolar.poly import DUAL, PRIMAL, Poly, VarTable, linear_form
@@ -38,6 +38,7 @@ from _oracle import random_poly
 
 T5 = wild_table()
 F = wild_cubic(T5)
+FACTS = FormFacts(F)
 
 
 def dual(text, table=T5):
@@ -99,12 +100,12 @@ def test_criterion_3_membership_and_saturation():
 
 
 def test_criterion_4_cactus_six():
-    record = cactus_lower_via_slice(F)
+    record = cactus_lower_via_slice(FACTS)
     assert record.witness is not None and record.certified()[0].value == 6
     x0, x1, y0, y1, y2 = (Poly.variable(T5, i) for i in range(5))
     span = double_point_span(F, [(x0, y0), (x0 + x1, -y1), (x1, y2)]).witness
     assert span is not None and span.verify() and span.cactus_upper == 6
-    rep = aggregate(F, [
+    rep = aggregate(FACTS, [
         Deduction("cactus", "lower", record.certified()[0].value, rule="slice-saturation"),
         Deduction("cactus", "upper", span.cactus_upper, rule="double-point-span"),
         Deduction("smoothable", "upper", span.cactus_upper,
@@ -121,7 +122,7 @@ def test_criterion_5_border_five():
     fam = tangent_limit_family(data, 3)
     assert fam.limit == F and fam.r == 5
     assert hilbert_function(F).max() == 5
-    rep = aggregate(F, [
+    rep = aggregate(FACTS, [
         Deduction("all", "lower", 5, rule="catalecticant"),
         Deduction("border", "upper", fam.r, rule="limit-family"),
     ])
@@ -134,7 +135,7 @@ def test_criterion_6_rank_nine():
     pairs = wild_presentation(T5).square_pairs
     dec = power_sum_certificate(F, pairs).witness
     assert len(dec) == 9 and dec.verify()
-    record = rank9_lower_cert(F, 8, pairs)
+    record = rank9_lower_cert(FACTS, 8, pairs)
     locus = record.witness
     assert record.verified and record.certified()[0].value == 9
     stage_names = [s.kind for s in record.stages]
@@ -149,11 +150,11 @@ def test_criterion_6_rank_nine():
 
 def test_criterion_7_sylvester_suite():
     t2 = VarTable.make(("x", "y"))
-    res = sylvester_binary(parse_poly("x^2*y", table=t2))
+    res = sylvester_binary(FormFacts(parse_poly("x^2*y", table=t2)))
     assert (res.d1, res.rank) == (2, 3)
-    assert sylvester_binary(parse_poly("x^3 + y^3", table=t2)).rank == 2
+    assert sylvester_binary(FormFacts(parse_poly("x^3 + y^3", table=t2))).rank == 2
     for d in range(1, 7):
-        r = sylvester_binary(parse_poly(f"x^{d}", table=t2))
+        r = sylvester_binary(FormFacts(parse_poly(f"x^{d}", table=t2)))
         assert r.d1 == r.rank == 1
     rng = random.Random(600)
     checked = 0
@@ -162,7 +163,7 @@ def test_criterion_7_sylvester_suite():
         f = random_poly(rng, t2, PRIMAL, d, max_terms=d + 1)
         if f.is_zero():
             continue
-        r = sylvester_binary(f)
+        r = sylvester_binary(FormFacts(f))
         assert r.d1 + r.d2 == d + 2
         checked += 1
     print("PASS criterion 7: Sylvester suite (x^2*y, x^3+y^3, pure powers, 200 "

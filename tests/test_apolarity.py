@@ -21,8 +21,8 @@ from apolar.apolarity import (
 )
 from apolar.cli import _labels
 from apolar.parsing import parse_poly
-from apolar.poly import DUAL, PRIMAL, Poly, VarTable, linear_form, monomials
-from apolar.wildcert import wild_cubic, wild_table
+from apolar.poly import DUAL, PRIMAL, Poly, TableMismatchError, VarTable, linear_form, monomials
+from apolar.wildcert import theorem2_report, wild_cubic, wild_table
 
 from _oracle import naive_contract, naive_rank, random_poly
 
@@ -486,3 +486,18 @@ def test_form_facts_read_the_second_derivatives_without_contracting(monkeypatch)
     assert facts.second_derivatives == second_derivatives(F)
     assert calls == []
 
+
+
+@pytest.mark.parametrize("read", [hilbert_function, concise_dim, second_derivatives, FormFacts,
+                                  theorem2_report],
+                         ids=["hilbert_function", "concise_dim", "second_derivatives", "FormFacts",
+                              "theorem2_report"])
+def test_a_form_in_the_dual_ring_is_refused_as_contract_refuses_it(read):
+    # the integer catalecticant read a dual form as if it were primal: the
+    # Hilbert function came out as (1, 3, 3, 1), and the essential-variable
+    # reduction failed to reproduce the input
+    f = parse_poly("x^2*y+z^3", ring=DUAL)
+    with pytest.raises(TableMismatchError, match="a DUAL operator and a PRIMAL operand"):
+        contract(Poly.variable(f.table, 0, DUAL), f)
+    with pytest.raises(TableMismatchError, match="a DUAL operator and a PRIMAL operand"):
+        read(f)

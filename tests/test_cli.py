@@ -436,7 +436,7 @@ def test_inconsistent_evidence_is_a_hard_error_not_an_input_error(monkeypatch, a
     from apolar import wildcert
     from apolar.ranks import InconsistentEvidenceError
 
-    def contradict(f, evidence, facts=None):
+    def contradict(facts, evidence):
         raise InconsistentEvidenceError("border: lower 3 > upper 2")
 
     monkeypatch.setattr(wildcert, "aggregate", contradict)

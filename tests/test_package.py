@@ -16,8 +16,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # every name `apolar` exports, by the module that defines it
 EXPORTS = {
-    "apolarity": ["EssentialSpace", "HilbertFn", "ann_slice", "catalecticant", "concise_dim",
-                  "contract", "hilbert_function"],
+    "apolarity": ["EssentialSpace", "FormFacts", "HilbertFn", "ann_slice", "catalecticant",
+                  "concise_dim", "contract", "hilbert_function"],
     "ideals": ["IdealSlice", "MembershipCertificate", "generated_slice", "macaulay_bound",
                "membership", "quotient_hilbert", "saturation_witness"],
     "parsing": ["ParseError", "parse_poly"],
@@ -66,7 +66,7 @@ def test_a_fresh_request_loads_only_what_its_command_calls(argv, unused):
 
 
 def test_the_exported_names_are_todays():
-    assert len(NAMES) == 51
+    assert len(NAMES) == 52
     assert sorted(apolar.__all__) == sorted(name for _, name in NAMES)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from apolar.apolarity import hilbert_function
+from apolar.apolarity import FormFacts, hilbert_function
 from apolar.parsing import parse_poly
 from apolar.poly import PRIMAL, Poly, VarTable
 from apolar.ranks import (
@@ -20,6 +20,7 @@ from _oracle import naive_poly_gcd, random_poly
 
 T5 = wild_table()
 F = wild_cubic(T5)
+FACTS = FormFacts(F)
 T2 = VarTable.make(("x", "y"))
 
 
@@ -52,9 +53,10 @@ def test_quadric_rank_equals_first_hilbert_value():
 
 
 def test_sylvester_monomial_with_double_root():
-    res = sylvester_binary(parse_poly("x^2*y", table=T2))
+    facts = FormFacts(parse_poly("x^2*y", table=T2))
+    res = sylvester_binary(facts)
     assert (res.d1, res.d2, res.rank) == (2, 3, 3)
-    rep = aggregate(parse_poly("x^2*y", table=T2), res.evidence)
+    rep = aggregate(facts, res.evidence)
     assert rep.value("border") == 2
     assert rep.value("smoothable") == 2
     assert rep.value("cactus") == 2
@@ -62,27 +64,27 @@ def test_sylvester_monomial_with_double_root():
 
 
 def test_sylvester_fermat_binary():
-    res = sylvester_binary(parse_poly("x^3 + y^3", table=T2))
+    res = sylvester_binary(FormFacts(parse_poly("x^3 + y^3", table=T2)))
     assert (res.d1, res.d2, res.rank) == (2, 3, 2)
 
 
 def test_sylvester_pure_powers():
     for d in range(1, 7):
-        res = sylvester_binary(parse_poly(f"x^{d}", table=T2))
+        res = sylvester_binary(FormFacts(parse_poly(f"x^{d}", table=T2)))
         assert res.d1 == res.rank == 1
         assert res.d1 + res.d2 == d + 2
 
 
 def test_sylvester_balanced_quadric():
-    res = sylvester_binary(parse_poly("x*y", table=T2))
+    res = sylvester_binary(FormFacts(parse_poly("x*y", table=T2)))
     assert (res.d1, res.d2, res.rank) == (2, 2, 2)
 
 
 def test_sylvester_embedded_input():
-    res = sylvester_binary(parse_poly("x0^2*y0", vars=["x0", "y0", "z", "w"]))
+    res = sylvester_binary(FormFacts(parse_poly("x0^2*y0", vars=["x0", "y0", "z", "w"])))
     assert (res.d1, res.rank) == (2, 3)
     with pytest.raises(ValueError):
-        sylvester_binary(F)
+        sylvester_binary(FACTS)
 
 
 def test_sylvester_random_binary_forms():
@@ -93,7 +95,7 @@ def test_sylvester_random_binary_forms():
         f = random_poly(rng, T2, PRIMAL, d, max_terms=d + 1)
         if f.is_zero():
             continue
-        res = sylvester_binary(f)
+        res = sylvester_binary(FormFacts(f))
         assert res.d1 + res.d2 == d + 2
         assert res.d1 <= res.d2
         assert res.d1 == hilbert_function(f).max()
@@ -108,7 +110,7 @@ def test_sylvester_random_binary_forms():
     ("(x+y)^2*(x-2*y)^3", 3, 4, 4),
 ])
 def test_sylvester_named_binary_forms(text, d1, d2, rank):
-    res = sylvester_binary(parse_poly(text, table=T2))
+    res = sylvester_binary(FormFacts(parse_poly(text, table=T2)))
     assert (res.d1, res.d2, res.rank) == (d1, d2, rank)
 
 
@@ -189,7 +191,7 @@ def _wild_evidence():
 
 
 def test_aggregate_wild_values():
-    rep = aggregate(F, _wild_evidence())
+    rep = aggregate(FACTS, _wild_evidence())
     assert rep.value("border") == 5
     assert rep.value("cactus") == 6
     assert rep.value("smoothable") == 6
@@ -198,25 +200,25 @@ def test_aggregate_wild_values():
 
 def test_aggregate_order_independent_and_idempotent():
     ev = _wild_evidence()
-    base = aggregate(F, ev)
+    base = aggregate(FACTS, ev)
     rng = random.Random(3)
     for _ in range(10):
         shuffled = ev[:]
         rng.shuffle(shuffled)
-        rep = aggregate(F, shuffled)
+        rep = aggregate(FACTS, shuffled)
         assert rep.lows == base.lows and rep.ups == base.ups
-    again = aggregate(F, list(base.provenance)[1:])  # conciseness re-injected
+    again = aggregate(FACTS, list(base.provenance)[1:])  # conciseness re-injected
     assert again.lows == base.lows and again.ups == base.ups
 
 
 def test_aggregate_rejects_contradiction():
     g = parse_poly("x0^3 + x1^3 + x2^3")
     with pytest.raises(InconsistentEvidenceError):
-        aggregate(g, [Deduction("rank", "upper", 2, rule="bogus")])
+        aggregate(FormFacts(g), [Deduction("rank", "upper", 2, rule="bogus")])
 
 
 def test_chain_closure():
-    rep = aggregate(F, [
+    rep = aggregate(FACTS, [
         Deduction("cactus", "lower", 6, rule="slice-saturation"),
         Deduction("rank", "upper", 9, rule="power-sum"),
     ])
@@ -228,21 +230,21 @@ def test_chain_closure():
 
 def test_tameness_rule_fires_for_low_border():
     g = parse_poly("x0^3 + x1^3 + x2^3")
-    fired = aggregate(g, [Deduction("border", "upper", 3, rule="limit-family")])
+    fired = aggregate(FormFacts(g), [Deduction("border", "upper", 3, rule="limit-family")])
     assert fired.upper("smoothable") == 3
     assert [(d.side, d.value, d.detail, d.basis) for d in fired.provenance if d.rule == "tameness"] == [
         ("upper", 3, "border rank <= 4", "cited"), ("lower", 3, "", "cited")]
 
 
 def test_tameness_rule_does_not_fire_for_wild():
-    rep = aggregate(F, _wild_evidence())
+    rep = aggregate(FACTS, _wild_evidence())
     assert rep.value("smoothable") == 6
     assert not any(d.rule == "tameness" for d in rep.provenance)
 
 
 def test_tameness_rule_degree_two():
     q = parse_poly("x0*x1 + x2^2")
-    fired = aggregate(q, [Deduction("border", "upper", 3, rule="quadric-conciseness")])
+    fired = aggregate(FormFacts(q), [Deduction("border", "upper", 3, rule="quadric-conciseness")])
     assert fired.upper("smoothable") == 3
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from apolar.apolarity import contract
+from apolar.apolarity import FormFacts, contract
 from apolar.cli import main
 from apolar.parsing import parse_poly
 from apolar.poly import DUAL, PRIMAL, Poly, TableMismatchError, VarTable, linear_form, monomials
@@ -43,6 +43,7 @@ from _oracle import random_poly
 
 T5 = wild_table()
 F = wild_cubic(T5)
+FACTS = FormFacts(F)
 PRES = wild_presentation(T5)
 
 
@@ -51,7 +52,7 @@ def dual(text, table=T5):
 
 
 def test_extract_square_pairs_of_wild_cubic():
-    pairs = extract_square_pairs(F)
+    pairs = extract_square_pairs(FACTS)
     assert pairs is not None and len(pairs) == 3
     acc = Poly.zero(T5)
     for z, w in pairs:
@@ -60,7 +61,7 @@ def test_extract_square_pairs_of_wild_cubic():
 
 
 def test_extract_square_pairs_pure_powers():
-    pairs = extract_square_pairs(parse_poly("x0^3 + x1^3 + x2^3"))
+    pairs = extract_square_pairs(FormFacts(parse_poly("x0^3 + x1^3 + x2^3")))
     assert pairs is not None and len(pairs) == 3
 
 
@@ -68,14 +69,14 @@ def test_extract_square_pairs_rejects_generic():
     rng = random.Random(4)
     t = VarTable.make(("a", "b", "c"))
     f = random_poly(rng, t, PRIMAL, 3, max_terms=10)
-    assert extract_square_pairs(f) is None
+    assert extract_square_pairs(FormFacts(f)) is None
 
 
 def test_square_sum_with_one_perturbed_coefficient_is_rejected():
     # x0 and x1 are not linear variables, so the monomial reading still
     # returns the three pairs of F, and only their re-expansion misses x0^3
-    assert extract_square_pairs(F + parse_poly("1/7*x0^3", table=T5)) is None
-    pairs = extract_square_pairs(F)
+    assert extract_square_pairs(FormFacts(F + parse_poly("1/7*x0^3", table=T5))) is None
+    pairs = extract_square_pairs(FACTS)
     assert WildPresentation(F, pairs).poly == F
     for i in range(3):
         moved = list(pairs)
@@ -172,10 +173,15 @@ def _square_pair_corpus(seed, count):
 
 
 def test_square_pairs_read_off_the_table_equal_those_of_the_contractions():
+    # the facts of a non-concise cubic describe its essential form, so the
+    # reference reads that form too; the zero form has no facts
     found = missing = 0
     for f in _square_pair_corpus(30, 2500):
-        want = _reference_square_pairs(f)
-        got = extract_square_pairs(f)
+        if f.is_zero():
+            continue
+        facts = FormFacts(f)
+        want = _reference_square_pairs(facts.form)
+        got = extract_square_pairs(facts)
         if want is None:
             assert got is None, str(f)
             missing += 1
@@ -189,18 +195,19 @@ def test_square_pairs_come_from_one_second_derivative_table(monkeypatch):
     from apolar import apolarity, wildcert
 
     tables = []
+    original = apolarity.second_derivatives
 
     def counted(f):
         tables.append(f)
-        return apolarity.second_derivatives(f)
+        return original(f)
 
     def refuse(alpha, f):
         raise AssertionError("extract_square_pairs contracted")
 
-    monkeypatch.setattr(wildcert, "second_derivatives", counted)
+    monkeypatch.setattr(apolarity, "second_derivatives", counted)
     monkeypatch.setattr(apolarity, "contract", refuse)
-    assert not hasattr(wildcert, "contract")
-    assert [tuple(map(str, p)) for p in extract_square_pairs(F)] == [
+    assert not hasattr(wildcert, "contract") and not hasattr(wildcert, "second_derivatives")
+    assert [tuple(map(str, p)) for p in extract_square_pairs(FormFacts(F))] == [
         ("x0", "y0"), ("x0 + x1", "-y1"), ("x1", "y2")]
     assert tables == [F]
 
@@ -212,7 +219,7 @@ def test_square_pair_split():
 
 
 def test_cactus_lower_via_slice_wild():
-    record = cactus_lower_via_slice(F)
+    record = cactus_lower_via_slice(FACTS)
     assert record.verified and record.certified()[0].value == 6
     assert record.stage_log == (
         "degree-2 quotient dimension 5",
@@ -225,20 +232,23 @@ def test_cactus_lower_via_slice_wild():
 
 def test_cactus_lower_via_slice_no_drop_for_diagonal():
     diag = parse_poly("x0^3 + x1^3 + x2^3")
-    record = cactus_lower_via_slice(diag)
+    record = cactus_lower_via_slice(FormFacts(diag))
     assert not record.verified and record.witness is None
 
 
 def test_cactus_lower_requires_concise_cubic():
-    with pytest.raises(ValueError):
-        cactus_lower_via_slice(parse_poly("x0^3", table=T5))
-    with pytest.raises(ValueError):
-        cactus_lower_via_slice(parse_poly("x0^2 + x1^2"))
+    # the facts of x0^3 over five variables describe x0^3 in one, which
+    # has no linear drop; a quadric is refused
+    padded = cactus_lower_via_slice(FormFacts(parse_poly("x0^3", table=T5)))
+    assert padded == cactus_lower_via_slice(FormFacts(parse_poly("x0^3")))
+    assert not padded.verified and padded.witness is None
+    with pytest.raises(ValueError, match="for cubics"):
+        cactus_lower_via_slice(FormFacts(parse_poly("x0^2 + x1^2")))
 
 
 def test_product_locus_conic():
     perp, comp = square_pair_split(PRES.square_pairs, T5)
-    locus = product_locus(F, perp, comp)
+    locus = product_locus(FACTS, perp, comp)
     # frozen by the pre-build elimination oracle: u0*u1 - u0*u2 + u1*u2
     assert locus.quadric == (Fraction(0), Fraction(1), Fraction(-1),
                              Fraction(0), Fraction(1), Fraction(0))
@@ -257,7 +267,7 @@ def test_product_locus_conic():
 
 def test_product_locus_contains_known_solution():
     perp, comp = square_pair_split(PRES.square_pairs, T5)
-    locus = product_locus(F, perp, comp)
+    locus = product_locus(FACTS, perp, comp)
     by_point = dict(locus.samples)
     u = (Fraction(1), Fraction(0), Fraction(0))
     assert by_point[u] == (Fraction(0), Fraction(1))
@@ -268,7 +278,7 @@ def test_product_locus_two_point_case():
     h = parse_poly("x0^2*y0 + x1^2*y1", table=t4)
     perp = (Poly.variable(t4, 2, DUAL), Poly.variable(t4, 3, DUAL))
     comp = (Poly.variable(t4, 0, DUAL), Poly.variable(t4, 1, DUAL))
-    locus = product_locus(h, perp, comp)
+    locus = product_locus(FormFacts(h), perp, comp)
     pts = dict(locus.samples)
     u = (Fraction(1), Fraction(0))
     assert u in pts and pts[u] == (Fraction(0), Fraction(1))
@@ -280,7 +290,7 @@ def test_product_locus_shape_mismatch_for_diagonal():
     perp = tuple(Poly.variable(t, i, DUAL) for i in (2, 3, 4))
     comp = tuple(Poly.variable(t, i, DUAL) for i in (0, 1))
     with pytest.raises(LocusShapeError):
-        product_locus(diag, perp, comp)
+        product_locus(FormFacts(diag), perp, comp)
 
 
 def test_product_locus_needs_enough_samples_to_pin_the_quadric(monkeypatch):
@@ -291,9 +301,9 @@ def test_product_locus_needs_enough_samples_to_pin_the_quadric(monkeypatch):
     monkeypatch.setattr(wildcert, "_POINT_COUNT", 4)
     with pytest.raises(LocusShapeError, match=r"samples do not pin a unique quadric "
                                               r"\(4 samples, kernel dimension 2\)"):
-        product_locus(F, perp, comp)
+        product_locus(FACTS, perp, comp)
     monkeypatch.setattr(wildcert, "_POINT_COUNT", 5)
-    assert len(product_locus(F, perp, comp).all_samples()) == 5
+    assert len(product_locus(FACTS, perp, comp).all_samples()) == 5
 
 
 def naive_gamma_basis(f, point_form):
@@ -308,58 +318,57 @@ def naive_gamma_basis(f, point_form):
 
 
 def test_gamma_space_at_sample_points():
-    assert gamma_space(F, dual("d_y0")) == 4
+    assert gamma_space(FACTS, dual("d_y0")) == 4
     assert [str(b) for b in naive_gamma_basis(F, dual("d_y0"))] == ["d_x1", "d_y0", "d_y1", "d_y2"]
-    assert gamma_space(F, dual("d_y2")) == 4
+    assert gamma_space(FACTS, dual("d_y2")) == 4
     assert any(str(b) == "d_x0" for b in naive_gamma_basis(F, dual("d_y2")))
     for bad in (Poly.zero(T5, DUAL), dual("d_y0*d_y1")):
         with pytest.raises(ValueError):
-            gamma_space(F, bad)
+            gamma_space(FACTS, bad)
 
 
 def test_gamma_space_is_the_naive_kernel_dimension():
-    from apolar.apolarity import FormFacts
-
     dims = set()
     for f, pairs in random_square_sums(16) + [(p.poly, p.square_pairs) for p in gl5_presentations(3)]:
         facts = FormFacts(f)
+        if facts.form is not f:  # a non-concise f's facts describe its essential form
+            continue
         for point in answer_points(*square_pair_split(pairs, T5)):
             dim = len(naive_gamma_basis(f, point))
-            assert gamma_space(f, point) == dim
-            if facts.form is f:  # facts are f's only when f is concise
-                assert gamma_space(f, point, facts) == dim
+            assert gamma_space(facts, point) == dim
             dims.add(dim)
     assert dims - {4}
 
 
 def test_forced_square_check_wild():
     perp, _ = square_pair_split(PRES.square_pairs, T5)
-    assert forced_square_check(F, perp)
+    assert forced_square_check(FACTS, perp)
 
 
 def test_forced_square_check_counterexample():
+    # d_x0 * d_x1 annihilates f, and d_x0 lies outside the perp span
     t = VarTable.make(("x0", "x1", "x2"))
-    f = parse_poly("x0^3", table=t)
+    f = parse_poly("x0^3 + x1^3 + x2^3", table=t)
     perp = (Poly.variable(t, 1, DUAL),)
-    assert not forced_square_check(f, perp)
+    assert not forced_square_check(FormFacts(f), perp)
 
 
 def test_squares_confined_wild():
     perp, comp = square_pair_split(PRES.square_pairs, T5)
-    assert squares_confined(F, perp, comp)
+    assert squares_confined(FACTS, perp, comp)
 
 
 def test_squares_confined_counterexample():
     t = VarTable.make(("x0", "x1", "y0"))
-    f = parse_poly("x0^2*y0", table=t)
+    f = parse_poly("x0*x1*y0", table=t)
     perp = (Poly.variable(t, 2, DUAL),)
     comp = (Poly.variable(t, 0, DUAL), Poly.variable(t, 1, DUAL))
-    # d_x1 squares to zero against f but lies outside the perp span
-    assert not squares_confined(f, perp, comp)
+    # d_x0 squares to zero against f but lies outside the perp span
+    assert not squares_confined(FormFacts(f), perp, comp)
 
 
 def test_rank9_lower_cert_wild():
-    record = rank9_lower_cert(F, 8, PRES.square_pairs)
+    record = rank9_lower_cert(FACTS, 8, PRES.square_pairs)
     locus = record.witness
     assert record.verified
     assert record.certified()[0].value == 9
@@ -369,7 +378,7 @@ def test_rank9_lower_cert_wild():
 
 
 def test_rank9_lower_cert_weak_rmax():
-    record = rank9_lower_cert(F, 4, PRES.square_pairs)
+    record = rank9_lower_cert(FACTS, 4, PRES.square_pairs)
     locus = record.witness
     assert record.verified and locus is not None
     assert record.certified()[0].value == 5
@@ -379,7 +388,7 @@ def test_rank9_lower_cert_weak_rmax():
 def test_quadric_count_of_a_small_rmax_names_no_negative_codimension(r_max):
     # 15 - r_max quadrics forced; from r_max 4 down they exceed the
     # 10-dimensional slice, which is no codimension
-    record = rank9_lower_cert(F, r_max, PRES.square_pairs)
+    record = rank9_lower_cert(FACTS, r_max, PRES.square_pairs)
     locus = record.witness
     assert record.verified and locus is not None
     assert record.certified()[0].value == r_max + 1
@@ -395,21 +404,21 @@ def test_quadric_count_of_a_small_rmax_names_no_negative_codimension(r_max):
 @pytest.mark.parametrize("r_max", [0, -1])
 def test_rank9_lower_cert_rejects_rmax_below_one(r_max):
     with pytest.raises(ValueError, match="r_max"):
-        rank9_lower_cert(F, r_max, PRES.square_pairs)
+        rank9_lower_cert(FACTS, r_max, PRES.square_pairs)
 
 
 DIAG5 = parse_poly("x0^3 + x1^3 + x2^3 + x3^3 + x4^3")
 
 
 def test_rank9_lower_cert_rejects_diagonal():
-    record = rank9_lower_cert(DIAG5, 8, extract_square_pairs(DIAG5))
+    record = rank9_lower_cert(FormFacts(DIAG5), 8, extract_square_pairs(FormFacts(DIAG5)))
     locus = record.witness
     assert not record.verified and locus is None
     assert record.failed_stage == "shape"
 
 
 def test_rank9_lower_cert_rejects_large_rmax():
-    record = rank9_lower_cert(F, 9, PRES.square_pairs)
+    record = rank9_lower_cert(FACTS, 9, PRES.square_pairs)
     locus = record.witness
     assert not record.verified and locus is None
     assert record.failed_stage == "quadric-count"
@@ -420,13 +429,13 @@ def stage_line(stage):
 
 
 @pytest.mark.parametrize("f, r_max, pairs, failed", [
-    (DIAG5, 8, extract_square_pairs(DIAG5), "shape"),
+    (DIAG5, 8, extract_square_pairs(FormFacts(DIAG5)), "shape"),
     (F, 9, PRES.square_pairs, "quadric-count"),
     (F + parse_poly("y0*y1*y2", table=T5), 8, PRES.square_pairs, "perp-squares"),
     (F, 8, PRES.square_pairs, None),
 ], ids=["diagonal", "large-rmax", "perp-product", "verified"])
 def test_counting_record_nests_its_stages_up_to_the_failed_one(f, r_max, pairs, failed):
-    record = rank9_lower_cert(f, r_max, pairs)
+    record = rank9_lower_cert(FormFacts(f), r_max, pairs)
     locus = record.witness
     assert record.kind == "rank-lower-counting"
     assert record.stage_log == tuple(stage_line(s) for s in record.stages)
@@ -441,7 +450,7 @@ def test_counting_record_nests_its_stages_up_to_the_failed_one(f, r_max, pairs, 
 def test_rank9_upper_single_monomial():
     t = VarTable.make(("x0", "y0"))
     f = parse_poly("x0^2*y0", table=t)
-    record = power_sum_certificate(f, extract_square_pairs(f))
+    record = power_sum_certificate(f, extract_square_pairs(FormFacts(f)))
     dec = record.witness
     assert record.verified and record.certified()[0].value == 3
     assert len(dec) == 3
@@ -453,7 +462,7 @@ def test_rank9_upper_single_monomial():
 
 
 def test_rank9_upper_wild_nine_cubes():
-    record = power_sum_certificate(F, extract_square_pairs(F))
+    record = power_sum_certificate(F, extract_square_pairs(FACTS))
     dec = record.witness
     assert record.certified()[0].value == 9
     assert len(dec) == 9
@@ -473,7 +482,7 @@ def test_power_sum_with_one_perturbed_coefficient_is_rejected():
 def test_rank9_upper_pure_cube_collapses():
     t = VarTable.make(("x",))
     f = parse_poly("x^3", table=t)
-    dec = power_sum_certificate(f, extract_square_pairs(f)).witness
+    dec = power_sum_certificate(f, extract_square_pairs(FormFacts(f))).witness
     assert len(dec) == 1
     assert dec.terms[0][0] == Fraction(1)
 
@@ -482,7 +491,7 @@ def test_rank9_upper_shape_mismatch():
     rng = random.Random(6)
     t = VarTable.make(("a", "b", "c"))
     f = random_poly(rng, t, PRIMAL, 3, max_terms=10)
-    record = power_sum_certificate(f, extract_square_pairs(f))
+    record = power_sum_certificate(f, extract_square_pairs(FormFacts(f)))
     dec = record.witness
     assert dec is None and not record.verified
     assert record.stage_log == ("shape mismatch: no squares-times-lines presentation",)
@@ -619,6 +628,16 @@ def test_theorem2_rejects_bad_input():
         theorem2_report(parse_poly("x^2 + x^3", vars=["x"]))
 
 
+@pytest.mark.parametrize("r_max", [0, -1])
+@pytest.mark.parametrize("f", [PRES, F, parse_poly("x^3+y^3+z^3"), parse_poly("x^2*y")],
+                         ids=["wild-presentation", "wild-cubic", "direct-sum", "binary"])
+def test_theorem2_rejects_rmax_below_one_whatever_the_form(f, r_max):
+    # only the counting certificate reads r_max, and only the wild forms
+    # reach it; every form is refused before a stage runs
+    with pytest.raises(ValueError, match=f"r_max must be at least 1, got {r_max}"):
+        theorem2_report(f, r_max=r_max)
+
+
 def test_presentation_transform_preserves_values():
     rng = random.Random(91)
     while True:
@@ -647,13 +666,15 @@ def test_gl5_stream_certifies_the_same_values():
         assert all(c.verified for c in rep.certificates)
 
 
-def test_theorem2_report_computes_each_invariant_once(monkeypatch):
-    # wrap the originals wherever a module of the package holds them, as a
-    # caller through `from .apolarity import ...` would see them
+def count_invariants(monkeypatch) -> dict:
+    """Calls of each invariant a report computes, counted from now on: the
+    originals are wrapped wherever a module of the package holds them, as a
+    caller through `from .apolarity import ...` would see them."""
     import apolar
     from apolar import apolarity, cli, ideals, ranks, wildcert, witness
 
-    calls = {"concise_dim": 0, "hilbert_function": 0, "ann_slice(., 2)": 0}
+    calls = {"concise_dim": 0, "hilbert_function": 0, "ann_slice(., 2)": 0,
+             "second_derivatives": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -664,15 +685,26 @@ def test_theorem2_report_computes_each_invariant_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("concise_dim", "hilbert_function", "ann_slice"):
+    for name in ("concise_dim", "hilbert_function", "ann_slice", "second_derivatives"):
         original = getattr(apolarity, name)
         wrapper = counting(name, original)
         for module in (apolar, apolarity, cli, ideals, ranks, wildcert, witness):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, wrapper)
-    rep = theorem2_report(wild_cubic())
-    assert rep.final() == {"border": 5, "smoothable": 6, "cactus": 6, "rank": 9}
-    assert calls == {"concise_dim": 1, "hilbert_function": 1, "ann_slice(., 2)": 1}
+    return calls
+
+
+def test_theorem2_report_computes_each_invariant_once(monkeypatch):
+    # the cubic's report reads the square pairs and the counting checks off
+    # one second-derivative table; a presentation brings its own pairs
+    calls = count_invariants(monkeypatch)
+    for f in (wild_cubic(), wild_presentation()):
+        for name in calls:
+            calls[name] = 0
+        rep = theorem2_report(f)
+        assert rep.final() == {"border": 5, "smoothable": 6, "cactus": 6, "rank": 9}
+        assert calls == {"concise_dim": 1, "hilbert_function": 1, "ann_slice(., 2)": 1,
+                         "second_derivatives": 1}
 
 
 def gl5_presentations(count, seed=7):
@@ -690,7 +722,7 @@ def test_saturation_gammas_pass_the_witness_check():
     from apolar.ideals import saturation_witness
 
     for f in [F] + [p.poly for p in gl5_presentations(3)]:
-        record = cactus_lower_via_slice(f)
+        record = cactus_lower_via_slice(FormFacts(f))
         assert record.certified()[0].value == 6 and len(record.witness) == 3
         assert "(k=3)" in record.stage_log[1]
         slice2 = ann_slice(f, 2)
@@ -725,38 +757,23 @@ def test_squares_confined_on_transformed_presentations():
     for seed in (1, 7, 11):
         for pres in gl5_presentations(3, seed):
             perp, comp = square_pair_split(pres.square_pairs, T5)
-            assert squares_confined(pres.poly, perp, comp)
+            assert squares_confined(FormFacts(pres.poly), perp, comp)
 
 
 def test_theorem2_report_computes_each_invariant_once_for_a_binary_form(monkeypatch):
-    import apolar
-    from apolar import apolarity, cli, ideals, ranks, wildcert, witness
-
-    calls = {"concise_dim": 0, "hilbert_function": 0, "ann_slice(., 2)": 0}
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            if name != "ann_slice":
-                calls[name] += 1
-            elif (args[1] if len(args) > 1 else kwargs["i"]) == 2:
-                calls["ann_slice(., 2)"] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in ("concise_dim", "hilbert_function", "ann_slice"):
-        original = getattr(apolarity, name)
-        wrapper = counting(name, original)
-        for module in (apolar, apolarity, cli, ideals, ranks, wildcert, witness):
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, wrapper)
+    # the classical stage settles a binary form, and no stage reads the table
+    calls = count_invariants(monkeypatch)
     rep = theorem2_report(parse_poly("x^2*y"))
     assert rep.final() == {"border": 2, "smoothable": 2, "cactus": 2, "rank": 3}
-    assert calls == {"concise_dim": 1, "hilbert_function": 1, "ann_slice(., 2)": 1}
+    assert calls == {"concise_dim": 1, "hilbert_function": 1, "ann_slice(., 2)": 1,
+                     "second_derivatives": 0}
 
 
-def per_call_contractions(f, left, right, facts=None):
+def per_call_contractions(facts, left, right):
     """The reference for wildcert._contractions: one product and one
-    contraction against f per pair of forms, no table and no common scale."""
+    contraction against the form of `facts` per pair of forms, no table and
+    no common scale."""
+    f = facts.form
     d = f.homogeneous_degree()
     return [[contract(a * b, f).coefficient_vector(d - 2) for b in right] for a in left]
 
@@ -766,9 +783,10 @@ def answer_points(perp, comp):
     return list(perp) + list(comp) + [perp[0] + 2 * comp[-1] - comp[0]]
 
 
-def quadratic_answers(f, perp, comp, facts):
+def quadratic_answers(facts, perp, comp):
     """What gamma_space, product_locus, squares_confined and
-    forced_square_check answer on f, an exception standing for its text."""
+    forced_square_check answer on the form of `facts`, an exception standing
+    for its text."""
     def attempt(fn):
         try:
             return fn()
@@ -776,14 +794,14 @@ def quadratic_answers(f, perp, comp, facts):
             return f"{type(exc).__name__}: {exc}"
 
     def locus():
-        loc = product_locus(f, perp, comp, facts)
+        loc = product_locus(facts, perp, comp)
         return loc.quadric, loc.all_samples(), loc.smooth
 
     return (
-        [attempt(lambda: gamma_space(f, p, facts)) for p in answer_points(perp, comp)],
+        [attempt(lambda: gamma_space(facts, p)) for p in answer_points(perp, comp)],
         attempt(locus),
-        attempt(lambda: squares_confined(f, perp, comp, facts)),
-        attempt(lambda: forced_square_check(f, perp, facts)),
+        attempt(lambda: squares_confined(facts, perp, comp)),
+        attempt(lambda: forced_square_check(facts, perp)),
     )
 
 
@@ -815,21 +833,17 @@ def random_square_sums(count, seed=5, stray=True):
 def test_squares_confined_on_concise_square_sums(seed):
     # f lies in (z1, z2)^2 and, being concise, has three q_j spanning the
     # quadrics in z1, z2: confinement holds, and the projection proves it
-    from apolar.apolarity import FormFacts
-
     f, pairs = random_square_sums(1, seed, stray=False)[0]
     facts = FormFacts(f)
     assume(facts.essential.dim == 5)
     perp, comp = square_pair_split(pairs, T5)
-    assert squares_confined(f, perp, comp)
-    assert squares_confined(f, perp, comp, facts)
-    stages = {s.kind: s for s in rank9_lower_cert(f, 8, pairs, facts).stages}
+    assert squares_confined(facts, perp, comp)
+    stages = {s.kind: s for s in rank9_lower_cert(facts, 8, pairs).stages}
     assert stages["square-confinement"].verified
 
 
 def test_table_contractions_match_per_call_contractions(monkeypatch):
     from apolar import wildcert
-    from apolar.apolarity import FormFacts
 
     cases = [(f, *square_pair_split(pairs, T5)) for f, pairs in
              [(F, PRES.square_pairs)] + [(p.poly, p.square_pairs) for p in gl5_presentations(3)]
@@ -837,16 +851,16 @@ def test_table_contractions_match_per_call_contractions(monkeypatch):
     # shaped like the counterexample tests above: both checks fail
     t = VarTable.make(("x0", "x1", "x2"))
     d0, d1, d2 = (Poly.variable(t, i, DUAL) for i in range(3))
-    cases.append((parse_poly("x0^3", table=t), (d1,), (d0, d2)))
-    cases.append((parse_poly("x0^2*x2", table=t), (d2,), (d0, d1)))
+    cases.append((parse_poly("x0^3 + x1^3 + x2^3", table=t), (d1,), (d0, d2)))
+    cases.append((parse_poly("x0*x1*x2", table=t), (d2,), (d0, d1)))
     for f, perp, comp in cases:
+        facts = FormFacts(f)
+        if facts.form is not f:  # a non-concise f's facts describe its essential form
+            continue
         with monkeypatch.context() as patch:
             patch.setattr(wildcert, "_contractions", per_call_contractions)
-            expected = quadratic_answers(f, perp, comp, None)
-        assert quadratic_answers(f, perp, comp, None) == expected
-        facts = FormFacts(f)
-        if facts.form is f:  # facts are f's only when f is concise
-            assert quadratic_answers(f, perp, comp, facts) == expected
+            expected = quadratic_answers(facts, perp, comp)
+        assert quadratic_answers(facts, perp, comp) == expected
 
 
 def test_product_locus_samples_are_the_cleared_fraction_points():
@@ -858,7 +872,7 @@ def test_product_locus_samples_are_the_cleared_fraction_points():
     for pres in [PRES] + gl5_presentations(3):
         f = pres.poly
         perp, comp = square_pair_split(pres.square_pairs, T5)
-        locus = product_locus(f, perp, comp)
+        locus = product_locus(FormFacts(f), perp, comp)
         assert len(locus.all_samples()) == 11
         for u, c in locus.all_samples():
             assert all(type(x) is int for x in u)
@@ -1006,11 +1020,11 @@ FERMAT = parse_poly("x^3+y^3+z^3")
      "no squares-times-lines shape found"),
     (lambda: limit_family_certificate(F, ()), "border-limit-family",
      "no squares-times-lines shape found"),
-    (lambda: limit_family_certificate(FERMAT, extract_square_pairs(FERMAT)),
+    (lambda: limit_family_certificate(FERMAT, extract_square_pairs(FormFacts(FERMAT))),
      "border-limit-family", "squared parts must span a 2-dimensional space"),
     (lambda: double_point_span(F, square_pairs_of("x0,y0;x1,y2")), "double-point-span",
      "no exact solution in the span of the given 2-jets"),
-    (lambda: cactus_lower_via_slice(parse_poly("x^3")), "cactus-slice-saturation",
+    (lambda: cactus_lower_via_slice(FormFacts(parse_poly("x^3"))), "cactus-slice-saturation",
      "the slice-saturation pattern found no linear drop"),
     (lambda: power_sum_certificate(F, square_pairs_of("x0,y0;x1,y2")),
      "power-sum-decomposition", "shape mismatch: decomposition does not re-expand to f"),
@@ -1027,7 +1041,7 @@ def test_builders_return_an_unverified_record_when_they_do_not_apply(build, kind
 
 @pytest.mark.parametrize("build", [limit_family_certificate, double_point_span,
                                    power_sum_certificate,
-                                   lambda f, pairs: rank9_lower_cert(f, 8, pairs)],
+                                   lambda f, pairs: rank9_lower_cert(FormFacts(f), 8, pairs)],
                          ids=["limit_family_certificate", "double_point_certificate",
                               "power_sum_certificate", "rank9_lower_cert"])
 @pytest.mark.parametrize("pairs", ["x0^2,y0;x1,y2", "x0,y0^2;x1,y2", "0,y0;x1,y2", "x0,1;x1,y2"])
@@ -1044,41 +1058,31 @@ def test_each_builder_keeps_its_witness_on_the_record():
     assert span.verified and span.witness.cactus_upper == 6 and span.witness.verify()
     cubes = power_sum_certificate(F, pairs)
     assert cubes.verified and len(cubes.witness) == 9 and cubes.witness.verify()
-    saturation = cactus_lower_via_slice(F)
+    saturation = cactus_lower_via_slice(FACTS)
     assert [str(g) for g in saturation.witness] == ["d_y0", "d_y1", "d_y2"]
-    counting = rank9_lower_cert(F, 8, pairs)
+    counting = rank9_lower_cert(FACTS, 8, pairs)
     assert counting.verified and len(counting.witness.samples) >= 5
 
 
-def test_facts_of_another_form_are_rejected():
-    # G, a sum of five cubes, has cactus rank 5; read with the wild cubic's
-    # facts the slice pattern would certify cactus >= 6 for it, and the
-    # counting certificate on wild + y0^3 would pass with the wild facts
-    from apolar.apolarity import FormFacts
+def test_builders_read_only_the_facts_they_are_handed():
+    # G, a sum of five cubes, has cactus rank 5, and wild + y0^3 has a perp
+    # product that does not annihilate it; read with the wild cubic's
+    # invariants, the slice pattern certified cactus >= 6 for G and the
+    # counting certificate passed on wild + y0^3.  Each builder reads its
+    # form off the facts it is handed, so neither can happen.
     from apolar.ranks import aggregate, sylvester_binary
 
-    wild = FormFacts(F)
-    G = parse_poly("x0^3 + x1^3 + y0^3 + y1^3 + y2^3", table=T5)
+    G = FormFacts(parse_poly("x0^3 + x1^3 + y0^3 + y1^3 + y2^3", table=T5))
+    saturation = cactus_lower_via_slice(G)
+    assert not saturation.verified and saturation.witness is None
+    counting = rank9_lower_cert(FormFacts(F + parse_poly("y0^3", table=T5)), 8, PRES.square_pairs)
+    assert counting.failed_stage == "perp-squares" and counting.witness is None
     perp, comp = square_pair_split(PRES.square_pairs, T5)
-    t2 = VarTable.make(("x", "y"))
-    calls = [
-        lambda: cactus_lower_via_slice(G, wild),
-        lambda: rank9_lower_cert(F + parse_poly("y0^3", table=T5), 8, PRES.square_pairs, wild),
-        lambda: product_locus(G, perp, comp, wild),
-        lambda: gamma_space(G, perp[0], wild),
-        lambda: squares_confined(G, perp, comp, wild),
-        lambda: forced_square_check(G, perp, wild),
-        lambda: sylvester_binary(parse_poly("x^3 + y^3", table=t2),
-                                 FormFacts(parse_poly("x^2*y", table=t2))),
-        lambda: aggregate(G, [], wild),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match="another form"):
-            call()
-    # a form's own facts, and those of a form whose essential form it is, pass
-    assert cactus_lower_via_slice(G, FormFacts(G)).witness is None
+    assert not squares_confined(G, perp, comp) and not forced_square_check(G, perp)
+    assert aggregate(G, []).lows == {"border": 5, "smoothable": 5, "cactus": 5, "rank": 5}
+    # the facts of a form in more variables than it uses describe its essential form
     embedded = FormFacts(parse_poly("x0^2*y0", vars=["x0", "y0", "z"]))
-    assert sylvester_binary(embedded.form, embedded).rank == 3
+    assert sylvester_binary(embedded).rank == 3
 
 
 @pytest.mark.parametrize("other", ["renamed dual", "primal"])
@@ -1093,12 +1097,12 @@ def test_counting_checks_refuse_forms_that_are_not_dual_over_fs_table(other):
         forms = [dual(v, renamed) for v in ("e2", "e3", "e4", "e0", "e1")]
     perp, comp = square_pair_split(PRES.square_pairs, T5)
     calls = [
-        lambda: gamma_space(F, forms[0]),
-        lambda: product_locus(F, forms[:3], forms[3:]),
-        lambda: product_locus(F, perp, forms[3:]),
-        lambda: squares_confined(F, forms[:3], forms[3:]),
-        lambda: squares_confined(F, perp, forms[3:]),
-        lambda: forced_square_check(F, forms[:3]),
+        lambda: gamma_space(FACTS, forms[0]),
+        lambda: product_locus(FACTS, forms[:3], forms[3:]),
+        lambda: product_locus(FACTS, perp, forms[3:]),
+        lambda: squares_confined(FACTS, forms[:3], forms[3:]),
+        lambda: squares_confined(FACTS, perp, forms[3:]),
+        lambda: forced_square_check(FACTS, forms[:3]),
     ]
     for call in calls:
         with pytest.raises(TableMismatchError):
@@ -1111,10 +1115,10 @@ def test_counting_checks_refuse_a_form_over_a_smaller_table():
     # itself does not give
     d_a = dual("d_a", VarTable.make(("a", "b")))
     with pytest.raises(TableMismatchError):
-        gamma_space(F, d_a)
+        gamma_space(FACTS, d_a)
     with pytest.raises(TableMismatchError):
-        forced_square_check(F, (d_a,))
-    assert gamma_space(F, dual("d_x0")) == 1 and not forced_square_check(F, (dual("d_x0"),))
+        forced_square_check(FACTS, (d_a,))
+    assert gamma_space(FACTS, dual("d_x0")) == 1 and not forced_square_check(FACTS, (dual("d_x0"),))
 
 
 def test_record_builders_never_read_pairs_off_the_monomials(monkeypatch):
@@ -1127,10 +1131,10 @@ def test_record_builders_never_read_pairs_off_the_monomials(monkeypatch):
     pairs = PRES.square_pairs
     assert limit_family_certificate(F, pairs).verified
     assert power_sum_certificate(F, pairs).verified
-    assert rank9_lower_cert(F, 8, pairs).verified
+    assert rank9_lower_cert(FACTS, 8, pairs).verified
     assert limit_family_certificate(F, None).witness is None
     assert power_sum_certificate(F, None).witness is None
-    record = rank9_lower_cert(F, 8, None)
+    record = rank9_lower_cert(FACTS, 8, None)
     locus = record.witness
     assert not record.verified and locus is None and record.failed_stage == "shape"
     assert record.stage_log == (
@@ -1144,13 +1148,13 @@ def test_perp_products_are_evaluated_once_per_verified_counting_certificate(monk
     original = wildcert._perp_products_vanish
 
     def counted(*args, **kwargs):
-        calls.append(args[0])
+        calls.append(args[0].form)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(wildcert, "_perp_products_vanish", counted)
     for pres in [PRES] + gl5_presentations(2):
         calls.clear()
-        record = rank9_lower_cert(pres.poly, 8, pres.square_pairs)
+        record = rank9_lower_cert(FormFacts(pres.poly), 8, pres.square_pairs)
         assert record.verified
         assert calls == [pres.poly]
     calls.clear()
@@ -1163,7 +1167,7 @@ def test_counting_certificate_stops_at_perp_squares_when_a_perp_product_survives
     # the wild pairs no longer all annihilate f; f stays concise, so its
     # degree-2 annihilator slice is still 10-dimensional
     f = F + parse_poly("y0*y1*y2", table=T5)
-    record = rank9_lower_cert(f, 8, PRES.square_pairs)
+    record = rank9_lower_cert(FormFacts(f), 8, PRES.square_pairs)
     locus = record.witness
     assert [(s.kind, s.verified, s.stage_log) for s in record.stages] == [
         ("shape", True, ("concise 5-variable cubic with a 3+2 dual split",)),
@@ -1177,8 +1181,6 @@ def test_counting_stages_follow_the_perp_products_and_the_confinement_proof():
     # perp-squares passes exactly when every perp product contracts f to zero
     # (checked per product here), and square-confinement is then
     # squares_confined's answer
-    from apolar.apolarity import FormFacts
-
     outcomes = set()
     for f, pairs in random_square_sums(24, seed=13) + [(F, PRES.square_pairs)]:
         facts = FormFacts(f)
@@ -1186,11 +1188,11 @@ def test_counting_stages_follow_the_perp_products_and_the_confinement_proof():
             continue
         perp, comp = square_pair_split(pairs, T5)
         stages = [(s.kind, s.verified) for s in
-                  rank9_lower_cert(f, 8, pairs, facts).stages][:4]
-        vanish = not any(any(v) for vs in per_call_contractions(f, perp, perp) for v in vs)
+                  rank9_lower_cert(facts, 8, pairs).stages][:4]
+        vanish = not any(any(v) for vs in per_call_contractions(facts, perp, perp) for v in vs)
         expected = [("shape", True), ("slice-dimension", True), ("perp-squares", vanish)]
         if vanish:
-            expected.append(("square-confinement", squares_confined(f, perp, comp)))
+            expected.append(("square-confinement", squares_confined(facts, perp, comp)))
         assert stages == expected
         outcomes.add(tuple(expected))
     assert len(outcomes) >= 2
