@@ -233,7 +233,10 @@ class HilbertFn:
 
 def hilbert_function(f: Poly) -> HilbertFn:
     """The ranks of f's catalecticants, degree 0 to d, each read off the
-    integer rows of `_int_catalecticant`."""
+    integer rows of `_int_catalecticant`.  TableMismatchError, as from
+    `contract`, for a form in the DUAL ring, whatever its degree."""
+    if f.ring != PRIMAL:
+        raise TableMismatchError("contract expects a DUAL operator and a PRIMAL operand")
     if f.is_zero():
         raise ValueError("Hilbert function of the zero polynomial is undefined")
     d = f.homogeneous_degree()

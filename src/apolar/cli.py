@@ -206,7 +206,7 @@ def _cmd_theorem2(args):
     from .wildcert import theorem2_report
 
     p = _parse_form(args)
-    rep = theorem2_report(p, r_max=args.rmax)
+    rep = theorem2_report(p)
     # a summand's records in a sum's report hold no witness: these are the report's own
     own = {c.kind: c for c in rep.certificates if c.verified and c.witness is not None}
     saturation, family = own.get("cactus-slice-saturation"), own.get("border-limit-family")
@@ -235,7 +235,7 @@ def _cmd_direct_sum(args):
         raise InputError("--poly2 must be homogeneous and nonzero")
     summands = _checked(direct_sum_extend, p, q)
     total = summands[0] + summands[1]
-    pipeline = theorem2_report(total, r_max=args.rmax)
+    pipeline = theorem2_report(total)
     certificates = list(pipeline.certificates)
     if pipeline.direct_sum and certificates[0].verified and pipeline.conciseness == total.table.n:
         # the pipeline checked the same concise sum over its variable-disjoint
@@ -254,23 +254,11 @@ def _cmd_direct_sum(args):
     return results, certificates
 
 
-def _length(text: str) -> int:
-    """A decomposition length for --rmax: an integer of at least 1."""
-    try:
-        r = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if r < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {r}")
-    return r
-
-
 # every option, in the order --help lists them
 _OPTIONS = {
     "--poly": {"required": True, "help": "polynomial expression"},
     "--vars": {"help": "comma-separated variable order"},
     "--degree": {"type": int, "required": True, "help": "slice degree / growth degree"},
-    "--rmax": {"type": _length, "default": 8, "help": "decomposition length to exclude"},
     "--json": {"dest": "json_path", "help": "also write the report to this path ('-' for stdout only)"},
     "--dual-names": {"dest": "dual_names", "help": "comma-separated dual variable names"},
     "--dim": {"type": int, "required": True, "help": "current graded dimension"},
@@ -292,8 +280,8 @@ _COMMANDS = {
     "rank-bounds": (_cmd_rank_bounds, _FORM),
     "witness-verify": (_cmd_witness_verify, _FORM),
     "double-points": (_cmd_double_points, _FORM + ("--pairs",)),
-    "theorem2": (_cmd_theorem2, _FORM + ("--rmax",)),
-    "direct-sum": (_cmd_direct_sum, _FORM + ("--rmax", "--poly2", "--vars2")),
+    "theorem2": (_cmd_theorem2, _FORM),
+    "direct-sum": (_cmd_direct_sum, _FORM + ("--poly2", "--vars2")),
 }
 
 

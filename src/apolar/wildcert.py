@@ -657,18 +657,21 @@ def squares_confined(facts: FormFacts, perp_basis: Sequence[Poly],
 # ---------------------------------------------------------------------------
 
 
-def rank9_lower_cert(facts: FormFacts, r_max: int, pairs) -> EvidenceRecord:
+# in 5 variables a length-r scheme forces 15 - r quadrics into the 10-dimensional
+# slice, and the 4-dimensional factor family meets them only when 4 + 15 - r > 10
+_EXCLUDED_LENGTH = 8
+
+
+def rank9_lower_cert(facts: FormFacts, pairs) -> EvidenceRecord:
     """The record of the counting certificate on the square pairs of the form
     f of `facts`: the hypotheses that rule out reduced decompositions of
-    length <= r_max for the wild-cubic pattern, so rank >= r_max + 1.
+    length <= 8 for the wild-cubic pattern, so rank >= 9.
 
     The record keeps the record of each stage in `stages`, up to the first
     that failed, with one log line per stage; its witness is the product
     locus, or None unless every stage verified.  No pairs fail the shape
-    stage.  ValueError when r_max < 1 or a pair is not linear.
+    stage.  ValueError when a pair is not linear.
     """
-    if r_max < 1:
-        raise ValueError(f"r_max must be at least 1, got {r_max}")
     if pairs:
         _check_linear_pairs(pairs)
     stages = []
@@ -681,8 +684,8 @@ def rank9_lower_cert(facts: FormFacts, r_max: int, pairs) -> EvidenceRecord:
                 f"{s.kind} [{s.basis}]: {'ok' if s.verified else 'FAILED'} — {s.stage_log[0]}"
                 for s in stages
             ),
-            bounds=(Deduction("rank", "lower", r_max + 1, rule="counting-certificate",
-                              detail=f"no reduced scheme of length <= {r_max}"),),
+            bounds=(Deduction("rank", "lower", _EXCLUDED_LENGTH + 1, rule="counting-certificate",
+                              detail=f"no reduced scheme of length <= {_EXCLUDED_LENGTH}"),),
             stages=tuple(stages),
             witness=locus,
         )
@@ -722,13 +725,9 @@ def rank9_lower_cert(facts: FormFacts, r_max: int, pairs) -> EvidenceRecord:
         return fail("square-confinement", "not proved that every square in the annihilator slice comes from the perp span")
     ok("square-confinement", "every square in the annihilator slice comes from the perp span")
 
-    total_quadrics = monomial_count(n, 2)
-    forced = total_quadrics - r_max
-    if forced < 7:
-        return fail("quadric-count", f"{total_quadrics} - {r_max} = {forced} < 7 quadrics forced")
-    room = (f", more than the {slice2.dim}-dimensional annihilator slice holds" if forced > slice2.dim
-            else f"; codimension <= {slice2.dim - forced}")
-    ok("quadric-count", f"any length-{r_max} scheme forces >= {forced} quadrics{room}")
+    forced = monomial_count(n, 2) - _EXCLUDED_LENGTH
+    ok("quadric-count", f"any length-{_EXCLUDED_LENGTH} scheme forces >= {forced} quadrics;"
+                        f" codimension <= {slice2.dim - forced}")
 
     try:
         locus = product_locus(facts, perp, comp)
@@ -747,8 +746,6 @@ def rank9_lower_cert(facts: FormFacts, r_max: int, pairs) -> EvidenceRecord:
         dim = gamma_space(facts, point_form)
         if dim != 4:
             return fail("factor-family", f"factor family at {tuple(u)} has dimension {dim}, need 4")
-    if 4 + forced <= slice2.dim:
-        return fail("factor-family", f"4 + {forced} <= {slice2.dim}: no forced intersection")
     ok("factor-family", f"4-dimensional factor family at every sample; 4 + {forced} > {slice2.dim} forces intersection")
 
     if not forced_square_check(facts, perp):
@@ -759,7 +756,7 @@ def rank9_lower_cert(facts: FormFacts, r_max: int, pairs) -> EvidenceRecord:
         "product-propagation",
         "products of the conic family propagate across the locus into any"
         f" radical decomposition ideal, forcing a square and contradicting radicality;"
-        f" rank >= {r_max + 1}",
+        f" rank >= {_EXCLUDED_LENGTH + 1}",
         basis="cited",
     )
     return done(locus)
@@ -842,7 +839,6 @@ class WildReport:
 
     poly: Poly
     facts: FormFacts
-    r_max: int
     pairs: Optional[tuple] = None  # a presentation's square pairs, or those found
     direct_sum: bool = False  # variable-disjoint summands settled the shape
     evidence: tuple = ()  # deductions that are not records
@@ -889,7 +885,7 @@ def _direct_sums(rep: WildReport) -> None:
     components = direct_summands(rep.facts.form)
     if len(components) < 2 or rep.pairs is not None:  # only a presentation has pairs yet
         return
-    sub_reports = [theorem2_report(comp, r_max=rep.r_max) for comp in components]
+    sub_reports = [theorem2_report(comp) for comp in components]
     # machine-verified: conciseness adds up over disjoint summands
     if sum(r.conciseness for r in sub_reports) != rep.conciseness:
         raise ValueError("conciseness failed to add over disjoint summands")
@@ -942,12 +938,12 @@ def _slice_saturation(rep: WildReport) -> None:
 
 
 def _counting(rep: WildReport) -> None:
-    """The rank lower bound r_max + 1 from the counting certificate, for the
+    """The rank lower bound 9 from the counting certificate, for the
     5-variable three-pair shape once square pairs are known."""
     if not rep.pairs:
         return
     if rep.facts.form.table.n == 5 and len(rep.pairs) == 3:
-        rep.certificates += (rank9_lower_cert(rep.facts, rep.r_max, rep.pairs),)
+        rep.certificates += (rank9_lower_cert(rep.facts, rep.pairs),)
     else:
         rep.notes += ("counting certificate skipped: not the 5-variable three-pair shape",)
 
@@ -956,17 +952,15 @@ def _counting(rep: WildReport) -> None:
 _STAGES = (_classical, _direct_sums, _square_pairs, _slice_saturation, _counting)
 
 
-def _report(f, stages, r_max: int = 8) -> WildReport:
+def _report(f, stages) -> WildReport:
     """Run the given stages on f (a Poly or a WildPresentation) over one
     FormFacts, up to the first that settles f, then aggregate the bounds of
     their evidence and verified records, with the cited rules `aggregate`
-    applies.  ValueError for r_max < 1, whether or not a stage reads it."""
-    if r_max < 1:
-        raise ValueError(f"r_max must be at least 1, got {r_max}")
+    applies."""
     f, pairs = (f.poly, f.square_pairs) if isinstance(f, WildPresentation) else (f, None)
     if f.homogeneous_degree() is None:
         raise ValueError("rank reports need a nonzero homogeneous polynomial")
-    rep = WildReport(poly=f, facts=FormFacts(f), r_max=r_max, pairs=pairs)
+    rep = WildReport(poly=f, facts=FormFacts(f), pairs=pairs)
     if pairs is not None and rep.conciseness != f.table.n:
         raise ValueError("presentations must already be concise")
     for stage in stages:
@@ -985,7 +979,7 @@ def classical_report(f: Poly) -> tuple:
     return rep.conciseness, rep.report
 
 
-def theorem2_report(f, r_max: int = 8) -> WildReport:
+def theorem2_report(f) -> WildReport:
     """Run every applicable certificate and aggregate the certified bounds.
 
     Accepts a Poly or a WildPresentation (which must be concise); the stages
@@ -994,4 +988,4 @@ def theorem2_report(f, r_max: int = 8) -> WildReport:
     of a variable-disjoint sum, the upper bounds from square pairs, the
     slice-saturation cactus bound of a cubic and the counting rank bound.
     """
-    return _report(f, _STAGES, r_max)
+    return _report(f, _STAGES)

@@ -135,7 +135,7 @@ def test_criterion_6_rank_nine():
     pairs = wild_presentation(T5).square_pairs
     dec = power_sum_certificate(F, pairs).witness
     assert len(dec) == 9 and dec.verify()
-    record = rank9_lower_cert(FACTS, 8, pairs)
+    record = rank9_lower_cert(FACTS, pairs)
     locus = record.witness
     assert record.verified and record.certified()[0].value == 9
     stage_names = [s.kind for s in record.stages]

@@ -501,3 +501,12 @@ def test_a_form_in_the_dual_ring_is_refused_as_contract_refuses_it(read):
         contract(Poly.variable(f.table, 0, DUAL), f)
     with pytest.raises(TableMismatchError, match="a DUAL operator and a PRIMAL operand"):
         read(f)
+
+
+@pytest.mark.parametrize("text, vars_", [("3", ["x"]), ("x+y", None), ("x^2*y+z^3", None)],
+                         ids=["degree-0", "degree-1", "degree-3"])
+def test_hilbert_function_refuses_a_dual_form_of_every_degree(text, vars_):
+    # below degree 2 no catalecticant is built, and the dual form of degree
+    # 0 or 1 came out as (1,) or (1, 1)
+    with pytest.raises(TableMismatchError, match="a DUAL operator and a PRIMAL operand"):
+        hilbert_function(parse_poly(text, vars=vars_, ring=DUAL))

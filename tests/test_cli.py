@@ -64,29 +64,6 @@ def test_theorem2_prints_the_witnesses_of_its_own_records(capsys, poly, vars_, g
     assert doc["results"]["border_witness_rank"] == border_rank
 
 
-def test_theorem2_exit_code_reports_an_unverified_certificate(capsys):
-    # excluding length 9 is beyond the counting certificate: its record is
-    # printed unverified, and that is a certificate failure
-    code, doc = run(capsys, "theorem2", "--poly", WILD, "--vars", WILD_VARS, "--rmax", "9")
-    assert code == 1
-    counting = [c for c in doc["certificates"] if c["kind"] == "rank-lower-counting"]
-    assert len(counting) == 1 and counting[0]["verified"] is False
-    assert any(line.startswith("quadric-count [computed]: FAILED")
-               for line in counting[0]["stage_log"])
-
-
-@pytest.mark.parametrize("command", ["theorem2", "direct-sum"])
-@pytest.mark.parametrize("rmax", ["0", "-1", "-5"])
-def test_rmax_below_one_is_an_input_error(capsys, command, rmax):
-    # no decomposition has length below 1, so there is nothing to exclude
-    extra = ["--poly2", "u^3"] if command == "direct-sum" else []
-    code = main([command, "--poly", WILD, "--vars", WILD_VARS, *extra, "--rmax", rmax])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert f"error: argument --rmax: must be at least 1, got {int(rmax)}" in captured.err
-
-
 def test_annihilator_command(capsys):
     code, doc = run(capsys, "annihilator", "--poly", WILD, "--vars", WILD_VARS,
                     "--degree", "2")
@@ -215,20 +192,6 @@ def test_direct_sum_command(capsys):
     assert doc["results"]["final"]["border"] == 6
 
 
-def test_direct_sum_honours_rmax_and_reports_an_unverified_certificate(capsys):
-    # the pipeline on the combined form runs at the requested r_max: excluding
-    # length 9 for the wild summand is beyond the counting certificate, as in
-    # theorem2, and an unverified printed record is a certificate failure
-    code, doc = run(capsys, "direct-sum", "--poly", WILD, "--vars", WILD_VARS,
-                    "--poly2", "u^3", "--rmax", "9")
-    assert code == 1
-    counting = [c for c in doc["certificates"] if c["kind"] == "rank-lower-counting"]
-    assert len(counting) == 1 and counting[0]["verified"] is False
-    assert doc["results"]["slice_intersection_equal"] is True
-    _, ref = run(capsys, "theorem2", "--poly", WILD, "--vars", WILD_VARS, "--rmax", "9")
-    assert counting[0] in ref["certificates"]
-
-
 def test_direct_sum_checks_the_slice_intersection_once(capsys, monkeypatch):
     from apolar import wildcert, witness
 
@@ -282,9 +245,12 @@ def test_parse_errors_in_pairs_and_poly2_are_input_errors(capsys, argv, bad):
 
 
 @pytest.mark.parametrize("argv", [
-    ["hilbert", "--poly", "x^3", "--rmax", "3"],
+    ["hilbert", "--poly", "x^3", "--dim", "3"],
     ["theorem2", "--poly", "x^3", "--degree", "2"],
     ["macaulay", "--dim", "5", "--degree", "3", "--poly", "x"],
+    # the counting certificate always excludes length 8; no command reads --rmax
+    ["theorem2", "--poly", WILD, "--vars", WILD_VARS, "--rmax", "8"],
+    ["direct-sum", "--poly", WILD, "--vars", WILD_VARS, "--poly2", "u^3", "--rmax", "8"],
 ])
 def test_a_command_rejects_an_option_it_does_not_read(capsys, argv):
     code = main(argv)
@@ -295,7 +261,7 @@ def test_a_command_rejects_an_option_it_does_not_read(capsys, argv):
     assert f"error: unrecognized arguments: {argv[-2]} {argv[-1]}" in captured.err
 
 
-_VALUES = {"--degree": "1", "--rmax": "9", "--dim": "3"}
+_VALUES = {"--degree": "1", "--dim": "3"}
 
 
 def _required_argv(command, but=None) -> list:
@@ -367,11 +333,10 @@ def test_the_parser_has_only_the_options_each_command_reads():
                for name, sp in sub.choices.items()}
     assert options == {name: [f for f in _OPTIONS if f in reads]
                        for name, (_, reads) in _COMMANDS.items()}
-    assert sum(map(len, options.values())) == 50
+    assert sum(map(len, options.values())) == 48
     assert [name for name, flags in options.items() if "--degree" in flags] == [
         "annihilator", "catalecticant", "macaulay"]
-    assert [name for name, flags in options.items() if "--rmax" in flags] == [
-        "theorem2", "direct-sum"]
+    assert not [name for name, flags in options.items() if "--rmax" in flags]
 
 
 def test_inhomogeneous_rejected(capsys):
@@ -459,7 +424,7 @@ def test_the_parser_is_built_once_and_reused(capsys, monkeypatch):
     requests = [
         (first, 0),
         (["does-not-exist"], 2),
-        (["theorem2", "--poly", WILD, "--vars", WILD_VARS, "--rmax", "0"], 2),
+        (["annihilator", "--poly", WILD, "--vars", WILD_VARS, "--degree", "two"], 2),
         (["concise", "--poly", "x^2", "--vars", "x,x"], 2),
         (["hilbert", "--poly", "2x"], 2),
         (["hilbert", "--help"], 0),
@@ -535,8 +500,7 @@ def test_a_closed_stdout_keeps_exit_code_1_for_an_unverified_certificate():
     os.close(read_end)
     try:
         proc = subprocess.Popen(
-            [sys.executable, "-m", "apolar.cli", "theorem2", "--poly", WILD, "--vars", WILD_VARS,
-             "--rmax", "9"],
+            [sys.executable, "-m", "apolar.cli", "witness-verify", "--poly", "x0*x1*x2"],
             env={**os.environ, "PYTHONPATH": str(SRC)},
             stdout=write_end, stderr=subprocess.PIPE, text=True)
     finally:

@@ -368,7 +368,7 @@ def test_squares_confined_counterexample():
 
 
 def test_rank9_lower_cert_wild():
-    record = rank9_lower_cert(FACTS, 8, PRES.square_pairs)
+    record = rank9_lower_cert(FACTS, PRES.square_pairs)
     locus = record.witness
     assert record.verified
     assert record.certified()[0].value == 9
@@ -377,65 +377,27 @@ def test_rank9_lower_cert_wild():
     assert any(s.basis == "cited" for s in record.stages)
 
 
-def test_rank9_lower_cert_weak_rmax():
-    record = rank9_lower_cert(FACTS, 4, PRES.square_pairs)
-    locus = record.witness
-    assert record.verified and locus is not None
-    assert record.certified()[0].value == 5
-
-
-@pytest.mark.parametrize("r_max", [1, 2, 3, 4, 5])
-def test_quadric_count_of_a_small_rmax_names_no_negative_codimension(r_max):
-    # 15 - r_max quadrics forced; from r_max 4 down they exceed the
-    # 10-dimensional slice, which is no codimension
-    record = rank9_lower_cert(FACTS, r_max, PRES.square_pairs)
-    locus = record.witness
-    assert record.verified and locus is not None
-    assert record.certified()[0].value == r_max + 1
-    (stage,) = [s for s in record.stages if s.kind == "quadric-count"]
-    assert stage.verified
-    forced = f"any length-{r_max} scheme forces >= {15 - r_max} quadrics"
-    if r_max == 5:
-        assert stage.stage_log == (forced + "; codimension <= 0",)
-    else:
-        assert stage.stage_log == (forced + ", more than the 10-dimensional annihilator slice holds",)
-
-
-@pytest.mark.parametrize("r_max", [0, -1])
-def test_rank9_lower_cert_rejects_rmax_below_one(r_max):
-    with pytest.raises(ValueError, match="r_max"):
-        rank9_lower_cert(FACTS, r_max, PRES.square_pairs)
-
-
 DIAG5 = parse_poly("x0^3 + x1^3 + x2^3 + x3^3 + x4^3")
 
 
 def test_rank9_lower_cert_rejects_diagonal():
-    record = rank9_lower_cert(FormFacts(DIAG5), 8, extract_square_pairs(FormFacts(DIAG5)))
+    record = rank9_lower_cert(FormFacts(DIAG5), extract_square_pairs(FormFacts(DIAG5)))
     locus = record.witness
     assert not record.verified and locus is None
     assert record.failed_stage == "shape"
-
-
-def test_rank9_lower_cert_rejects_large_rmax():
-    record = rank9_lower_cert(FACTS, 9, PRES.square_pairs)
-    locus = record.witness
-    assert not record.verified and locus is None
-    assert record.failed_stage == "quadric-count"
 
 
 def stage_line(stage):
     return f"{stage.kind} [{stage.basis}]: {'ok' if stage.verified else 'FAILED'} — {stage.stage_log[0]}"
 
 
-@pytest.mark.parametrize("f, r_max, pairs, failed", [
-    (DIAG5, 8, extract_square_pairs(FormFacts(DIAG5)), "shape"),
-    (F, 9, PRES.square_pairs, "quadric-count"),
-    (F + parse_poly("y0*y1*y2", table=T5), 8, PRES.square_pairs, "perp-squares"),
-    (F, 8, PRES.square_pairs, None),
-], ids=["diagonal", "large-rmax", "perp-product", "verified"])
-def test_counting_record_nests_its_stages_up_to_the_failed_one(f, r_max, pairs, failed):
-    record = rank9_lower_cert(FormFacts(f), r_max, pairs)
+@pytest.mark.parametrize("f, pairs, failed", [
+    (DIAG5, extract_square_pairs(FormFacts(DIAG5)), "shape"),
+    (F + parse_poly("y0*y1*y2", table=T5), PRES.square_pairs, "perp-squares"),
+    (F, PRES.square_pairs, None),
+], ids=["diagonal", "perp-product", "verified"])
+def test_counting_record_nests_its_stages_up_to_the_failed_one(f, pairs, failed):
+    record = rank9_lower_cert(FormFacts(f), pairs)
     locus = record.witness
     assert record.kind == "rank-lower-counting"
     assert record.stage_log == tuple(stage_line(s) for s in record.stages)
@@ -572,13 +534,17 @@ def test_report_bounds_are_read_off_the_verified_records(capsys):
     ]
     assert list(rep.report.provenance[2:]) == [b for c in rep.certificates for b in c.bounds]
     assert _theorem2_results(capsys, F)["border_witness_rank"] == 5
-    # r_max = 9 fails the quadric count: the record is shown, its bound is not used
-    weak = theorem2_report(F, r_max=9)
+    # a presentation whose pairs split the dual space 2+3 fails the counting
+    # shape: the record is shown, its bound is not used
+    x0, x1, y0, y1, y2 = (Poly.variable(T5, i) for i in range(5))
+    weak = theorem2_report(WildPresentation(x0 ** 2 * y0 + x1 ** 2 * y1 + x0 * y2 ** 2,
+                                            ((x0, y0), (x1, y1), (y2, x0))))
     counting = weak.certificates[-1]
     assert counting.kind == "rank-lower-counting" and not counting.verified
+    assert counting.stage_log == ("shape [computed]: FAILED — dual split is 2+3, need 3+2",)
     assert counting.bounds and counting.certified() == ()
     assert "counting-certificate" not in [d.rule for d in weak.report.provenance]
-    assert weak.final()["rank"] == [6, 9]
+    assert weak.final()["rank"] == [5, 9]
 
 
 @pytest.mark.parametrize("poly, notes, kinds", [
@@ -626,16 +592,6 @@ def test_theorem2_rejects_bad_input():
         theorem2_report(Poly.zero(T5))
     with pytest.raises(ValueError):
         theorem2_report(parse_poly("x^2 + x^3", vars=["x"]))
-
-
-@pytest.mark.parametrize("r_max", [0, -1])
-@pytest.mark.parametrize("f", [PRES, F, parse_poly("x^3+y^3+z^3"), parse_poly("x^2*y")],
-                         ids=["wild-presentation", "wild-cubic", "direct-sum", "binary"])
-def test_theorem2_rejects_rmax_below_one_whatever_the_form(f, r_max):
-    # only the counting certificate reads r_max, and only the wild forms
-    # reach it; every form is refused before a stage runs
-    with pytest.raises(ValueError, match=f"r_max must be at least 1, got {r_max}"):
-        theorem2_report(f, r_max=r_max)
 
 
 def test_presentation_transform_preserves_values():
@@ -838,7 +794,7 @@ def test_squares_confined_on_concise_square_sums(seed):
     assume(facts.essential.dim == 5)
     perp, comp = square_pair_split(pairs, T5)
     assert squares_confined(facts, perp, comp)
-    stages = {s.kind: s for s in rank9_lower_cert(facts, 8, pairs).stages}
+    stages = {s.kind: s for s in rank9_lower_cert(facts, pairs).stages}
     assert stages["square-confinement"].verified
 
 
@@ -1041,7 +997,7 @@ def test_builders_return_an_unverified_record_when_they_do_not_apply(build, kind
 
 @pytest.mark.parametrize("build", [limit_family_certificate, double_point_span,
                                    power_sum_certificate,
-                                   lambda f, pairs: rank9_lower_cert(FormFacts(f), 8, pairs)],
+                                   lambda f, pairs: rank9_lower_cert(FormFacts(f), pairs)],
                          ids=["limit_family_certificate", "double_point_certificate",
                               "power_sum_certificate", "rank9_lower_cert"])
 @pytest.mark.parametrize("pairs", ["x0^2,y0;x1,y2", "x0,y0^2;x1,y2", "0,y0;x1,y2", "x0,1;x1,y2"])
@@ -1060,7 +1016,7 @@ def test_each_builder_keeps_its_witness_on_the_record():
     assert cubes.verified and len(cubes.witness) == 9 and cubes.witness.verify()
     saturation = cactus_lower_via_slice(FACTS)
     assert [str(g) for g in saturation.witness] == ["d_y0", "d_y1", "d_y2"]
-    counting = rank9_lower_cert(FACTS, 8, pairs)
+    counting = rank9_lower_cert(FACTS, pairs)
     assert counting.verified and len(counting.witness.samples) >= 5
 
 
@@ -1075,7 +1031,7 @@ def test_builders_read_only_the_facts_they_are_handed():
     G = FormFacts(parse_poly("x0^3 + x1^3 + y0^3 + y1^3 + y2^3", table=T5))
     saturation = cactus_lower_via_slice(G)
     assert not saturation.verified and saturation.witness is None
-    counting = rank9_lower_cert(FormFacts(F + parse_poly("y0^3", table=T5)), 8, PRES.square_pairs)
+    counting = rank9_lower_cert(FormFacts(F + parse_poly("y0^3", table=T5)), PRES.square_pairs)
     assert counting.failed_stage == "perp-squares" and counting.witness is None
     perp, comp = square_pair_split(PRES.square_pairs, T5)
     assert not squares_confined(G, perp, comp) and not forced_square_check(G, perp)
@@ -1131,10 +1087,10 @@ def test_record_builders_never_read_pairs_off_the_monomials(monkeypatch):
     pairs = PRES.square_pairs
     assert limit_family_certificate(F, pairs).verified
     assert power_sum_certificate(F, pairs).verified
-    assert rank9_lower_cert(FACTS, 8, pairs).verified
+    assert rank9_lower_cert(FACTS, pairs).verified
     assert limit_family_certificate(F, None).witness is None
     assert power_sum_certificate(F, None).witness is None
-    record = rank9_lower_cert(FACTS, 8, None)
+    record = rank9_lower_cert(FACTS, None)
     locus = record.witness
     assert not record.verified and locus is None and record.failed_stage == "shape"
     assert record.stage_log == (
@@ -1154,7 +1110,7 @@ def test_perp_products_are_evaluated_once_per_verified_counting_certificate(monk
     monkeypatch.setattr(wildcert, "_perp_products_vanish", counted)
     for pres in [PRES] + gl5_presentations(2):
         calls.clear()
-        record = rank9_lower_cert(FormFacts(pres.poly), 8, pres.square_pairs)
+        record = rank9_lower_cert(FormFacts(pres.poly), pres.square_pairs)
         assert record.verified
         assert calls == [pres.poly]
     calls.clear()
@@ -1167,7 +1123,7 @@ def test_counting_certificate_stops_at_perp_squares_when_a_perp_product_survives
     # the wild pairs no longer all annihilate f; f stays concise, so its
     # degree-2 annihilator slice is still 10-dimensional
     f = F + parse_poly("y0*y1*y2", table=T5)
-    record = rank9_lower_cert(FormFacts(f), 8, PRES.square_pairs)
+    record = rank9_lower_cert(FormFacts(f), PRES.square_pairs)
     locus = record.witness
     assert [(s.kind, s.verified, s.stage_log) for s in record.stages] == [
         ("shape", True, ("concise 5-variable cubic with a 3+2 dual split",)),
@@ -1188,7 +1144,7 @@ def test_counting_stages_follow_the_perp_products_and_the_confinement_proof():
             continue
         perp, comp = square_pair_split(pairs, T5)
         stages = [(s.kind, s.verified) for s in
-                  rank9_lower_cert(facts, 8, pairs).stages][:4]
+                  rank9_lower_cert(facts, pairs).stages][:4]
         vanish = not any(any(v) for vs in per_call_contractions(facts, perp, perp) for v in vs)
         expected = [("shape", True), ("slice-dimension", True), ("perp-squares", vanish)]
         if vanish:
