@@ -27,7 +27,6 @@ Every function of `ranks` and `wildcert` that reads one of these takes f's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import perm
@@ -43,6 +42,7 @@ from .poly import (
     VarTable,
     _cleared,
     _monomial_index,
+    _Record,
     linear_form,
     monomials,
 )
@@ -214,11 +214,13 @@ def ann_slice(f: Poly, i: int) -> IdealSlice:
     return IdealSlice(degree=i, basis=basis, table=f.table, ring=DUAL)
 
 
-@dataclass(frozen=True)
-class HilbertFn:
+class HilbertFn(_Record):
     """Hilbert function of the quotient by the annihilator of f."""
 
-    values: tuple  # indexed by degree 0..d
+    __slots__ = _fields = ("values",)  # indexed by degree 0..d
+
+    def __init__(self, values: tuple):
+        self._init(values)
 
     def __call__(self, i: int) -> int:
         return self.values[i] if 0 <= i < len(self.values) else 0
@@ -250,14 +252,15 @@ def hilbert_function(f: Poly) -> HilbertFn:
     return HilbertFn(tuple(half + half[: (d + 1) // 2][::-1]))
 
 
-@dataclass(frozen=True)
-class EssentialSpace:
-    """Minimal linear space of variables carrying f."""
+class EssentialSpace(_Record):
+    """Minimal linear space of variables carrying f: its dimension, a basis
+    of linear forms over the original table, f rewritten over the reduced
+    table, and that table."""
 
-    dim: int
-    basis: tuple  # linear forms over the original table
-    reduced: Poly  # f rewritten over the reduced table
-    table: VarTable  # the reduced table
+    __slots__ = _fields = ("dim", "basis", "reduced", "table")
+
+    def __init__(self, dim: int, basis: tuple, reduced: Poly, table: VarTable):
+        self._init(dim, basis, reduced, table)
 
 
 def concise_dim(f: Poly) -> EssentialSpace:

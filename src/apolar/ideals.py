@@ -7,32 +7,38 @@ it reduces to exact row reduction over the monomial basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import add
 from typing import Optional, Sequence
 
 from . import linalg
-from .poly import DUAL, Poly, VarTable, _monomial_index, _require_over, monomial_count, monomials
+from .poly import (
+    DUAL,
+    Poly,
+    VarTable,
+    _monomial_index,
+    _Record,
+    _require_over,
+    monomial_count,
+    monomials,
+)
 
 
-@dataclass(frozen=True)
-class IdealSlice:
-    """Echelonized basis of the degree-d piece of a homogeneous ideal.
+class IdealSlice(_Record):
+    """Echelonized basis of the degree-d piece of a homogeneous ideal: its
+    basis is a reduced echelon basis of homogeneous Polys of that degree.
 
     TableMismatchError for a basis form over another table or ring."""
 
-    degree: int
-    basis: tuple  # homogeneous Polys of that degree, reduced echelon basis
-    table: VarTable
-    ring: str = DUAL
+    __slots__ = _fields = ("degree", "basis", "table", "ring")
 
-    def __post_init__(self):
-        _require_over(self.basis, self.table, self.ring)
-        for b in self.basis:
-            if b.homogeneous_degree() != self.degree:
+    def __init__(self, degree: int, basis: tuple, table: VarTable, ring: str = DUAL):
+        _require_over(basis, table, ring)
+        for b in basis:
+            if b.homogeneous_degree() != degree:
                 raise ValueError("slice basis element of wrong degree")
+        self._init(degree, basis, table, ring)
 
     @property
     def dim(self) -> int:
@@ -128,12 +134,14 @@ def generated_slice(
     return slice_from_forms(products, degree, table, ring)
 
 
-@dataclass(frozen=True)
-class MembershipCertificate:
-    """Exact recombination target = sum(generator * cofactor)."""
+class MembershipCertificate(_Record):
+    """Exact recombination target = sum(generator * cofactor), over
+    (generator, cofactor) pairs with cofactors possibly zero."""
 
-    target: Poly
-    pairs: tuple  # (generator, cofactor) with cofactor possibly zero
+    __slots__ = _fields = ("target", "pairs")
+
+    def __init__(self, target: Poly, pairs: tuple):
+        self._init(target, pairs)
 
     def verify(self) -> bool:
         acc = Poly.zero(self.target.table, self.target.ring)

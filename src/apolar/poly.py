@@ -10,10 +10,9 @@ degree first, then lexicographically by exponent tuple, descending.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
-from operator import add
+from operator import add, attrgetter
 from typing import Mapping, Sequence
 
 PRIMAL = "primal"
@@ -27,26 +26,73 @@ class TableMismatchError(ValueError):
     """Raised when operands live over different variable tables or rings."""
 
 
-@dataclass(frozen=True)
-class VarTable:
-    """Ordered primal variable names paired with their dual names."""
+class _Record:
+    """Base of the immutable value records.
 
-    primal: tuple
-    dual: tuple
+    A subclass lists its fields in `__slots__` and hands their values, in
+    that order, to `_init` from its own `__init__`, which checks them first.
+    Equality, hashing and repr read the fields named in `_fields`, so a
+    field left out of it (a witness, say) takes no part in them; `replace`
+    copies every slot into a new record, so its checks run again.  The
+    mutable reports (`ranks.RankReport`, `wildcert.WildReport`) share only
+    its `__repr__`.
+    """
 
-    def __post_init__(self):
-        if len(self.primal) != len(self.dual):
+    __slots__ = ()
+
+    def _init(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)  # the compared fields, read in one call
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def replace(self, **changes):
+        """A copy with the given fields changed."""
+        return type(self)(**{name: getattr(self, name) for name in self.__slots__} | changes)
+
+
+class VarTable(_Record):
+    """Ordered primal variable names paired with their dual names, kept as
+    tuples whatever sequences they are given as."""
+
+    __slots__ = _fields = ("primal", "dual")
+
+    def __init__(self, primal, dual):
+        primal, dual = tuple(primal), tuple(dual)
+        if len(primal) != len(dual):
             raise ValueError("primal and dual name lists differ in length")
-        names = list(self.primal) + list(self.dual)
+        names = primal + dual
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique across both rings")
+        self._init(primal, dual)
 
     @staticmethod
     def make(primal, dual=None) -> "VarTable":
         primal = tuple(primal)
         if dual is None:
-            dual = tuple("d_" + v for v in primal)
-        return VarTable(primal, tuple(dual))
+            dual = ["d_" + v for v in primal]
+        return VarTable(primal, dual)
 
     @property
     def n(self) -> int:
@@ -284,11 +330,6 @@ class Poly:
         e = [0] * table.n
         e[i] = 1
         return Poly(table, ring, {tuple(e): 1})
-
-    @staticmethod
-    def from_vector(table: VarTable, ring: str, degree: int, vec: Sequence) -> "Poly":
-        """Inverse of coefficient_vector for a fixed degree."""
-        return Poly(table, ring, {m: c for m, c in zip(monomials(table.n, degree), vec) if c})
 
     # -- ring structure ----------------------------------------------------
 

@@ -13,12 +13,11 @@ its `FormFacts`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import linalg
 from .apolarity import FormFacts, ann_slice
-from .poly import Poly
+from .poly import Poly, _Record
 
 NOTIONS = ("border", "smoothable", "cactus", "rank")
 
@@ -27,30 +26,27 @@ class InconsistentEvidenceError(ValueError):
     """Certified bounds contradict each other — some certificate is buggy."""
 
 
-@dataclass(frozen=True)
-class Deduction:
+class Deduction(_Record):
     """One certified fact: a bound for one notion (or all four).
 
-    `basis` distinguishes machine-verified computations from cited literature
-    rules applied to verified hypotheses.
+    `notion` is one of NOTIONS or "all", `side` is "lower", "upper" or
+    "exact", and `basis` ("computed" or "cited") distinguishes
+    machine-verified computations from cited literature rules applied to
+    verified hypotheses.
     """
 
-    notion: str  # one of NOTIONS or "all"
-    side: str  # "lower" | "upper" | "exact"
-    value: int
-    rule: str
-    detail: str = ""
-    basis: str = "computed"  # "computed" | "cited"
+    __slots__ = _fields = ("notion", "side", "value", "rule", "detail", "basis")
 
-    def __post_init__(self):
-        if self.notion not in NOTIONS + ("all",):
-            raise ValueError(f"unknown notion {self.notion!r}")
-        if self.side not in ("lower", "upper", "exact"):
-            raise ValueError(f"unknown side {self.side!r}")
+    def __init__(self, notion: str, side: str, value: int, rule: str, detail: str = "",
+                 basis: str = "computed"):
+        if notion not in NOTIONS + ("all",):
+            raise ValueError(f"unknown notion {notion!r}")
+        if side not in ("lower", "upper", "exact"):
+            raise ValueError(f"unknown side {side!r}")
+        self._init(notion, side, value, rule, detail, basis)
 
 
-@dataclass(frozen=True)
-class EvidenceRecord:
+class EvidenceRecord(_Record):
     """One certificate, or one stage of a certificate: its kind, whether it
     verified, a stage-by-stage log, whether it was computed or cites a
     literature rule over verified hypotheses, the bounds it certifies and,
@@ -60,13 +56,15 @@ class EvidenceRecord:
     a decomposition, a locus, ...), or None; it takes no part in equality,
     hashing or repr, and is never printed."""
 
-    kind: str
-    verified: bool
-    stage_log: tuple
-    basis: str = "computed"  # "computed" | "cited"
-    bounds: tuple = ()  # Deductions, certified only when verified
-    stages: tuple = ()  # EvidenceRecord per stage, up to the first that failed
-    witness: object = field(default=None, compare=False, repr=False)
+    _fields = ("kind", "verified", "stage_log", "basis", "bounds", "stages")
+    __slots__ = _fields + ("witness",)
+
+    def __init__(self, kind: str, verified: bool, stage_log: tuple,
+                 basis: str = "computed",  # "computed" | "cited"
+                 bounds: tuple = (),  # Deductions, certified only when verified
+                 stages: tuple = (),  # EvidenceRecord per stage, up to the first that failed
+                 witness: object = None):
+        self._init(kind, verified, stage_log, basis, bounds, stages, witness)
 
     def certified(self) -> tuple:
         return self.bounds if self.verified else ()
@@ -77,13 +75,14 @@ class EvidenceRecord:
         return next((s.kind for s in self.stages if not s.verified), None)
 
 
-@dataclass
 class RankReport:
     """Tightest consistent bounds per notion, with full provenance."""
 
-    lows: dict
-    ups: dict
-    provenance: tuple
+    __slots__ = _fields = ("lows", "ups", "provenance")
+    __repr__ = _Record.__repr__
+
+    def __init__(self, lows: dict, ups: dict, provenance: tuple):
+        self.lows, self.ups, self.provenance = lows, ups, provenance
 
     def lower(self, notion: str) -> int:
         return self.lows[notion]
@@ -189,12 +188,14 @@ def _binary_square_free(g: Poly) -> bool:
     return len(u) - 1 <= 1 or _square_free(u)
 
 
-@dataclass(frozen=True)
-class SylvesterResult:
-    d1: int
-    d2: int
-    rank: int
-    evidence: tuple  # the four exact-value Deductions
+class SylvesterResult(_Record):
+    """The complete-intersection degrees d1 <= d2 of a binary form, its
+    rank, and the four exact-value Deductions that certify them."""
+
+    __slots__ = _fields = ("d1", "d2", "rank", "evidence")
+
+    def __init__(self, d1: int, d2: int, rank: int, evidence: tuple):
+        self._init(d1, d2, rank, evidence)
 
 
 def sylvester_binary(facts: FormFacts) -> SylvesterResult:

@@ -33,7 +33,6 @@ aggregates them once, with the cited rules `aggregate` applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm, prod
 from operator import mul
@@ -48,6 +47,7 @@ from .poly import (
     VarTable,
     _cleared,
     _monomial_index,
+    _Record,
     _require_over,
     expand_products,
     linear_coeffs,
@@ -96,8 +96,7 @@ def wild_cubic(table: Optional[VarTable] = None) -> Poly:
     return (x0 ** 2) * y0 - ((x0 + x1) ** 2) * y1 + (x1 ** 2) * y2
 
 
-@dataclass(frozen=True)
-class WildPresentation:
+class WildPresentation(_Record):
     """A cubic together with square-pair data: poly == sum of z_i^2 * w_i.
 
     The pairs drive every witness construction (tangent family, double
@@ -105,12 +104,12 @@ class WildPresentation:
     both the polynomial and the pairs transports all certificates.
     """
 
-    poly: Poly
-    square_pairs: tuple
+    __slots__ = _fields = ("poly", "square_pairs")
 
-    def __post_init__(self):
-        if _square_sum(self.poly, self.square_pairs) != self.poly:
+    def __init__(self, poly: Poly, square_pairs: tuple):
+        if _square_sum(poly, square_pairs) != poly:
             raise ValueError("square pairs do not re-expand to the polynomial")
+        self._init(poly, square_pairs)
 
 
 def _square_sum(f: Poly, pairs) -> Poly:
@@ -406,8 +405,7 @@ def cactus_lower_via_slice(facts: FormFacts) -> EvidenceRecord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductLocus:
+class ProductLocus(_Record):
     """Solutions (point, factor) of  (point-form) * (factor-form) annihilating f.
 
     `quadric` is the implicit degree-2 equation in point coordinates over the
@@ -416,9 +414,12 @@ class ProductLocus:
     re-solved at that point.
     """
 
-    quadric: tuple  # coefficients over monomials(k, 2)
-    samples: tuple  # ((u...), (c0, c1)) pairs, u coprime ints
-    smooth: bool
+    __slots__ = _fields = ("quadric", "samples", "smooth")
+
+    def __init__(self, quadric: tuple,  # coefficients over monomials(k, 2)
+                 samples: tuple,  # ((u...), (c0, c1)) pairs, u coprime ints
+                 smooth: bool):
+        self._init(quadric, samples, smooth)
 
     def all_samples(self) -> tuple:
         """`samples`; the benchmark's tracer counts them through this name."""
@@ -767,12 +768,14 @@ def rank9_lower_cert(facts: FormFacts, pairs) -> EvidenceRecord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerSumDecomposition:
-    """f = sum(lambda_j * form_j^3), exact."""
+class PowerSumDecomposition(_Record):
+    """f = sum(lambda_j * form_j^3), exact, over (coefficient, linear form)
+    terms."""
 
-    target: Poly
-    terms: tuple  # (coefficient, linear form)
+    __slots__ = _fields = ("target", "terms")
+
+    def __init__(self, target: Poly, terms: tuple):
+        self._init(target, terms)
 
     def __len__(self):
         return len(self.terms)
@@ -826,25 +829,28 @@ def power_sum_certificate(f: Poly, pairs) -> EvidenceRecord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class WildReport:
     """Everything the pipeline certified about one polynomial.
 
-    The stages of one run share it: they add to `certificates`, `notes` and
-    `evidence` and leave what later stages read in `pairs` and `direct_sum`.
-    A sum's report shows its summands' records as copies that certify
-    nothing and hold no witness, so the records with a witness are the
-    report's own.
+    The stages of one run share it: they add to `certificates`
+    (EvidenceRecords), `notes` and `evidence` (deductions that are not
+    records) and leave what later stages read in `pairs` (a presentation's
+    square pairs, or those found) and `direct_sum` (whether
+    variable-disjoint summands settled the shape).  A sum's report shows its
+    summands' records as copies that certify nothing and hold no witness, so
+    the records with a witness are the report's own.
     """
 
-    poly: Poly
-    facts: FormFacts
-    pairs: Optional[tuple] = None  # a presentation's square pairs, or those found
-    direct_sum: bool = False  # variable-disjoint summands settled the shape
-    evidence: tuple = ()  # deductions that are not records
-    certificates: tuple = ()  # EvidenceRecord
-    notes: tuple = ()
-    report: Optional[RankReport] = None
+    __slots__ = _fields = ("poly", "facts", "pairs", "direct_sum", "evidence", "certificates",
+                           "notes", "report")
+    __repr__ = _Record.__repr__
+
+    def __init__(self, poly: Poly, facts: FormFacts, pairs: Optional[tuple] = None,
+                 direct_sum: bool = False, evidence: tuple = (), certificates: tuple = (),
+                 notes: tuple = (), report: Optional[RankReport] = None):
+        self.poly, self.facts, self.pairs, self.direct_sum = poly, facts, pairs, direct_sum
+        self.evidence, self.certificates, self.notes = evidence, certificates, notes
+        self.report = report
 
     @property
     def conciseness(self) -> int:
@@ -897,7 +903,7 @@ def _direct_sums(rep: WildReport) -> None:
     rep.certificates += (slice_intersection_certificate(components, rep.facts.form),)
     # shown, but certifying and holding nothing here: a summand's bounds and
     # witnesses are its own (the wild cubic's border <= 5 is no bound on it plus u^3)
-    rep.certificates += tuple(replace(c, bounds=(), witness=None)
+    rep.certificates += tuple(c.replace(bounds=(), witness=None)
                               for r in sub_reports for c in r.certificates)
     for notion in NOTIONS:
         ups = [r.report.upper(notion) for r in sub_reports]

@@ -8,35 +8,36 @@ t-powers never enter the claim, so they are never expanded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
 from .apolarity import ann_slice, contract
-from .poly import PRIMAL, Poly, VarTable, expand_products
+from .poly import PRIMAL, Poly, VarTable, _Record, expand_products
 from .ranks import Deduction, EvidenceRecord
 
 
-@dataclass(frozen=True)
-class TangentDatum:
-    """One summand c * (base + t * direction)^d of a limit family."""
+class TangentDatum(_Record):
+    """One summand c * (base + t * direction)^d of a limit family: base is a
+    nonzero linear form, direction is linear or zero."""
 
-    coefficient: Fraction
-    base: Poly
-    direction: Poly  # linear or zero
+    __slots__ = _fields = ("coefficient", "base", "direction")
 
-    def __post_init__(self):
-        if self.base.is_zero() or self.base.homogeneous_degree() != 1:
+    def __init__(self, coefficient: Fraction, base: Poly, direction: Poly):
+        if base.is_zero() or base.homogeneous_degree() != 1:
             raise ValueError("base must be a nonzero linear form")
-        if not self.direction.is_zero() and self.direction.homogeneous_degree() != 1:
+        if not direction.is_zero() and direction.homogeneous_degree() != 1:
             raise ValueError("direction must be linear or zero")
+        self._init(coefficient, base, direction)
 
 
-@dataclass(frozen=True)
-class TangentFamily:
-    data: tuple  # TangentDatum
-    limit: Poly
+class TangentFamily(_Record):
+    """The TangentDatum summands of a limit family and its limit."""
+
+    __slots__ = _fields = ("data", "limit")
+
+    def __init__(self, data: tuple, limit: Poly):
+        self._init(data, limit)
 
     @property
     def r(self) -> int:
@@ -64,8 +65,7 @@ def tangent_limit_family(data: Sequence[TangentDatum], d: int) -> TangentFamily:
     return TangentFamily(data=tuple(data), limit=limit)
 
 
-@dataclass(frozen=True)
-class DoublePointCertificate:
+class DoublePointCertificate(_Record):
     """f = sum(a_i * l_i^d + b_i * l_i^(d-1) * m_i), solved exactly.
 
     Each (l_i, m_i) pair is a 2-jet at a point on a line, hence curvilinear;
@@ -74,10 +74,12 @@ class DoublePointCertificate:
     also smoothable.
     """
 
-    target: Poly
-    pairs: tuple
-    point_coeffs: tuple  # a_i
-    jet_coeffs: tuple  # b_i
+    __slots__ = _fields = ("target", "pairs", "point_coeffs", "jet_coeffs")
+
+    def __init__(self, target: Poly, pairs: tuple,
+                 point_coeffs: tuple,  # a_i
+                 jet_coeffs: tuple):  # b_i
+        self._init(target, pairs, point_coeffs, jet_coeffs)
 
     @property
     def cactus_upper(self) -> int:

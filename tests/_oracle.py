@@ -101,6 +101,14 @@ def random_poly(rng, table, ring, degree, max_terms=4, allow_zero=False):
     return Poly(table, ring, {m: c for m, c in terms.items() if c})
 
 
+def poly_from_vector(table, ring, degree, vec):
+    """The form whose coefficient_vector(degree) is vec: the inverse of
+    Poly.coefficient_vector for a fixed degree."""
+    from apolar.poly import Poly, monomials
+
+    return Poly(table, ring, {m: c for m, c in zip(monomials(table.n, degree), vec) if c})
+
+
 def naive_product_terms(a, b):
     """Product of two {exponent tuple: coefficient} term maps, term by term
     in Fraction arithmetic; zero coefficients dropped."""

@@ -24,7 +24,7 @@ from apolar.parsing import parse_poly
 from apolar.poly import DUAL, PRIMAL, Poly, TableMismatchError, VarTable, linear_form, monomials
 from apolar.wildcert import theorem2_report, wild_cubic, wild_table
 
-from _oracle import naive_contract, naive_rank, random_poly
+from _oracle import naive_contract, naive_rank, poly_from_vector, random_poly
 
 T5 = wild_table()
 F = wild_cubic(T5)
@@ -405,7 +405,7 @@ def test_ann_slice_wraps_the_catalecticant_kernel():
         for i in range(d + 1):
             basis = ann_slice(f, i).basis
             rows = catalecticant(f, i)
-            assert basis == tuple(Poly.from_vector(table, DUAL, i, v)
+            assert basis == tuple(poly_from_vector(table, DUAL, i, v)
                                   for v in linalg.kernel_basis(rows, len(rows[0])))
             assert all(type(c) is Fraction and c != 0 for b in basis for c in b.terms.values())
 

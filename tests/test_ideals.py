@@ -19,7 +19,7 @@ from apolar.parsing import parse_poly
 from apolar.poly import DUAL, Poly, TableMismatchError, VarTable, linear_form, monomials
 from apolar.wildcert import wild_cubic, wild_table
 
-from _oracle import naive_rref, random_poly
+from _oracle import naive_rref, poly_from_vector, random_poly
 
 T5 = wild_table()
 F = wild_cubic(T5)
@@ -66,10 +66,10 @@ def test_generated_slice_monotone_in_generators():
 
 def dense_route_slice(gens, degree):
     """The slice as the dense route builds it: a full coefficient vector per
-    monomial multiple, Bareiss reduced echelon form, Poly.from_vector."""
+    monomial multiple, Bareiss reduced echelon form, poly_from_vector."""
     vecs = [g.times_monomial(m).coefficient_vector(degree)
             for g in gens for m in monomials(T5.n, degree - g.homogeneous_degree())]
-    return [Poly.from_vector(T5, DUAL, degree, v) for v in linalg.rref(vecs)[1]]
+    return [poly_from_vector(T5, DUAL, degree, v) for v in linalg.rref(vecs)[1]]
 
 
 def gl5_cubics(count, seed=7):
@@ -103,7 +103,7 @@ def naive_generated_slice(gens, degree):
     vecs = [g.times_monomial(m).coefficient_vector(degree)
             for g in gens if not g.is_zero()
             for m in monomials(T5.n, degree - g.homogeneous_degree())]
-    return [Poly.from_vector(T5, DUAL, degree, v) for v in naive_rref(vecs)[1]]
+    return [poly_from_vector(T5, DUAL, degree, v) for v in naive_rref(vecs)[1]]
 
 
 def test_generated_slice_equals_the_naive_span_of_every_multiple():

@@ -36,10 +36,11 @@ EXPORTS = {
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 
-def _fresh_modules(code: str) -> set:
-    """The apolar modules a new interpreter holds after running `code`."""
+def _fresh_modules(code: str, packages=("apolar",)) -> set:
+    """The modules of the given top-level packages that a new interpreter
+    holds after running `code`."""
     script = (f"import json, sys\n{code}\n"
-              "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'apolar']))")
+              f"print(json.dumps([m for m in sys.modules if m.split('.')[0] in {packages!r}]))")
     proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(SRC)},
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -63,6 +64,19 @@ def test_a_fresh_request_loads_only_what_its_command_calls(argv, unused):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({argv!r}) == 0")
     assert "apolar.cli" in loaded and not loaded & unused
+
+
+def test_a_cold_theorem2_loads_no_dataclasses_or_source_tools():
+    # the value records are plain classes: a cold report on the wild cubic
+    # loads nothing a bare interpreter does not already hold of these
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    loaded = _fresh_modules(
+        "import contextlib, io\n"
+        "from apolar.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['theorem2', '--poly', 'x0^2*y0 - (x0+x1)^2*y1 + x1^2*y2',"
+        " '--vars', 'x0,x1,y0,y1,y2']) == 0", heavy)
+    assert loaded <= _fresh_modules("pass", heavy)
 
 
 def test_the_exported_names_are_todays():

@@ -20,7 +20,7 @@ from apolar.poly import (
 )
 from apolar.parsing import parse_poly
 
-from _oracle import naive_power_terms, naive_substitute, random_poly
+from _oracle import naive_power_terms, naive_substitute, poly_from_vector, random_poly
 
 
 T2 = VarTable.make(("x", "y"))
@@ -68,6 +68,17 @@ def test_middle_summand_expansion():
 def test_table_mismatch_rejected():
     with pytest.raises(TableMismatchError):
         v(T2, 0) + v(T5, 0)
+
+
+def test_a_table_built_from_lists_is_the_table_built_from_tuples():
+    listed = VarTable(["x", "y"], ["d_x", "d_y"])
+    made = VarTable.make(["x", "y"])
+    assert (listed.primal, listed.dual) == (("x", "y"), ("d_x", "d_y"))
+    assert listed == made and hash(listed) == hash(made)
+    f = parse_poly("x^2 + y", table=listed)
+    g = parse_poly("x*y", table=made)
+    assert hash(f) == hash(parse_poly("y + x^2", table=made))
+    assert f + g == parse_poly("x^2 + x*y + y", table=made)
 
 
 def test_ring_axioms_randomized():
@@ -172,7 +183,7 @@ def test_coefficient_vector_roundtrip():
     for _ in range(30):
         p = random_poly(rng, table, PRIMAL, 3)
         vec = p.coefficient_vector(3)
-        assert Poly.from_vector(table, PRIMAL, 3, vec) == p
+        assert poly_from_vector(table, PRIMAL, 3, vec) == p
 
 
 # -- results of arithmetic skip re-validation, so they must already be canonical
@@ -310,7 +321,7 @@ def test_degree_memo_matches_a_fresh_computation(p, q, c, k, mono, lin, vec):
     images = [linear_form(T3, [a if i == j else 0 for j in range(3)]) for i, a in enumerate(lin)]
     results = (p + q, p - q, p - p, -p, p * q, p * c, p.scale(c), p ** k,
                p.times_monomial(mono), p.substitute(images),
-               Poly.from_vector(T3, PRIMAL, 2, vec[:6]), Poly.from_vector(T3, PRIMAL, 3, vec))
+               poly_from_vector(T3, PRIMAL, 2, vec[:6]), poly_from_vector(T3, PRIMAL, 3, vec))
     for r in results:
         assert r.homogeneous_degree() == fresh_degree(r)
         assert r.homogeneous_degree() == fresh_degree(r)  # the remembered value

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
@@ -406,7 +405,7 @@ def test_counting_record_nests_its_stages_up_to_the_failed_one(f, pairs, failed)
     assert record.stages[-1].kind == (failed or "product-propagation")
     assert record.failed_stage == failed
     assert record.verified == (failed is None) == (locus is not None)
-    assert replace(record, stages=()).failed_stage is None
+    assert record.replace(stages=()).failed_stage is None
 
 
 def test_rank9_upper_single_monomial():
@@ -437,7 +436,7 @@ def test_power_sum_with_one_perturbed_coefficient_is_rejected():
         for term in ((lam + Fraction(1, 1009), l), (lam, l * Fraction(1010, 1009))):
             terms = list(dec.terms)
             terms[i] = term
-            assert not replace(dec, terms=tuple(terms)).verify()
+            assert not dec.replace(terms=tuple(terms)).verify()
     assert PowerSumDecomposition(F, dec.terms).verify()
 
 
@@ -516,7 +515,7 @@ def test_summand_records_copied_into_a_sum_hold_no_witness(poly):
     summands = [theorem2_report(parse_poly(s)) for s in poly.rsplit(" + ", 1)]
     copies = [c for c in rep.certificates if c.bounds == ()]
     # every summand record is shown once, after the slice-intersection record
-    assert copies[1:] == [replace(c, bounds=()) for r in summands for c in r.certificates]
+    assert copies[1:] == [c.replace(bounds=()) for r in summands for c in r.certificates]
     assert copies[0].kind == "direct-sum-slice-intersection"
     assert any(c.witness is not None for r in summands for c in r.certificates)
     assert all(c.witness is None for c in copies)
