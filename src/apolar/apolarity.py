@@ -211,7 +211,7 @@ def ann_slice(f: Poly, i: int) -> IdealSlice:
     # kernel entries are already canonical Fractions
     basis = tuple(Poly._of(f.table, DUAL, {m: c for m, c in zip(monos, v) if c})
                   for v in ker)
-    return IdealSlice(degree=i, basis=basis, table=f.table, ring=DUAL)
+    return IdealSlice._of(i, basis, f.table, DUAL)
 
 
 class HilbertFn(_Record):
@@ -266,8 +266,18 @@ class EssentialSpace(_Record):
 def concise_dim(f: Poly) -> EssentialSpace:
     """The number of essential variables of f, a basis for them, and f
     rewritten in those variables.  The basis is the reduced row space of the
-    degree-1 catalecticant, taken from its integer rows; substituting the
-    basis forms for the reduced variables reproduces f exactly (verified)."""
+    degree-1 catalecticant, taken from its integer rows.  Substituting the
+    basis forms for the reduced variables must reproduce f exactly, and the
+    check takes the cheapest exact route:
+
+    - concise f (full rank): f is its own reduction, over its own table, and
+      the basis is the coordinate basis; nothing is projected, so nothing
+      can be lost;
+    - a basis of single coordinates: the embedding back is a renaming, which
+      reproduces f exactly when the projection kept every term of f;
+    - any other basis: the reduction is re-expanded along the basis and
+      compared with f.
+    """
     if f.is_zero():
         raise ValueError("the zero polynomial has no essential variables")
     d = f.homogeneous_degree()
@@ -278,6 +288,8 @@ def concise_dim(f: Poly) -> EssentialSpace:
     pivots, red = linalg.rref(_int_catalecticant(f, 1))
     basis = tuple(linear_form(f.table, row) for row in red)
     n = len(pivots)
+    if n == f.table.n:
+        return EssentialSpace(dim=n, basis=basis, reduced=f, table=f.table)
     names = [f.table.primal[p] for p in pivots]
     duals = [f.table.dual[p] for p in pivots]
     sub_table = VarTable.make(names, dual=duals)
@@ -288,16 +300,13 @@ def concise_dim(f: Poly) -> EssentialSpace:
                                            for m, c in f.terms.items()
                                            if not any(m[j] for j in others)})
     # embed back along the basis and confirm nothing was lost
-    if reduced.substitute(list(basis)) != f:
+    if all(len(b.terms) == 1 for b in basis):
+        lost = len(reduced.terms) != len(f.terms)
+    else:
+        lost = reduced.substitute(list(basis)) != f
+    if lost:
         raise ValueError("essential-variable reduction failed to reproduce the input")
     return EssentialSpace(dim=n, basis=basis, reduced=reduced, table=sub_table)
-
-
-def essential_form(f: Poly) -> tuple:
-    """(concise_dim(f), f in its essential variables); f itself, on its own
-    table, when it is already concise."""
-    es = concise_dim(f)
-    return es, (es.reduced if es.dim != f.table.n else f)
 
 
 def second_derivatives(f: Poly) -> tuple:
@@ -337,7 +346,8 @@ class FormFacts:
     """
 
     def __init__(self, f: Poly):
-        self.essential, self.form = essential_form(f)
+        self.essential = concise_dim(f)
+        self.form = self.essential.reduced
 
     @cached_property
     def hilbert(self) -> HilbertFn:

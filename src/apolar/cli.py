@@ -203,10 +203,12 @@ def _cmd_double_points(args):
 
 
 def _cmd_theorem2(args):
+    from .poly import monomial_count
     from .wildcert import theorem2_report
 
     p = _parse_form(args)
     rep = theorem2_report(p)
+    facts = rep.facts
     # a summand's records in a sum's report hold no witness: these are the report's own
     own = {c.kind: c for c in rep.certificates if c.verified and c.witness is not None}
     saturation, family = own.get("cactus-slice-saturation"), own.get("border-limit-family")
@@ -214,8 +216,10 @@ def _cmd_theorem2(args):
         "final": rep.final(),
         "bounds": rep.report.as_dict(),
         "conciseness": rep.conciseness,
-        "hilbert": list(rep.facts.hilbert.values),
-        "slice2_dim": rep.facts.slice2.dim if p.homogeneous_degree() >= 2 else None,
+        "hilbert": list(facts.hilbert.values),
+        # rank-nullity on the degree-2 catalecticant, whose rank is H(2)
+        "slice2_dim": (monomial_count(facts.form.table.n, 2) - facts.hilbert(2)
+                       if p.homogeneous_degree() >= 2 else None),
         "saturation_gammas": [str(gamma) for gamma in saturation.witness] if saturation else [],
         "border_witness_rank": family.witness.r if family else None,
         "notes": list(rep.notes),

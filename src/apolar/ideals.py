@@ -81,7 +81,7 @@ def slice_from_forms(forms: Sequence[Poly], degree: int, table: VarTable, ring: 
         Poly._of(table, ring, {monos[c]: Fraction(row[c], row[p]) for c in sorted(row)})
         for p, row in zip(pivots, red)
     )
-    return IdealSlice(degree=degree, basis=basis, table=table, ring=ring)
+    return IdealSlice._of(degree, basis, table, ring)
 
 
 def _require_table(gens: Sequence[Poly], table: Optional[VarTable]) -> VarTable:

@@ -88,7 +88,9 @@ class _Parser:
         kind, tok, _ = self.toks[self.pos]
         if kind != "eof":
             self.fail(f"trailing input {tok!r}")
-        return Poly(self.table, self.ring, terms)
+        # every term is nonzero and indexed by the table's own exponent tuples
+        return Poly._of(self.table, self.ring, {m: c if type(c) is Fraction else Fraction(c)
+                                                for m, c in terms.items()})
 
     def expr(self) -> dict:
         sign = self.toks[self.pos][1]

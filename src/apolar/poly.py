@@ -33,9 +33,11 @@ class _Record:
     that order, to `_init` from its own `__init__`, which checks them first.
     Equality, hashing and repr read the fields named in `_fields`, so a
     field left out of it (a witness, say) takes no part in them; `replace`
-    copies every slot into a new record, so its checks run again.  The
-    mutable reports (`ranks.RankReport`, `wildcert.WildReport`) share only
-    its `__repr__`.
+    copies every slot into a new record, and a copy or an unpickled record
+    is rebuilt from every slot, so their checks run again.  `_of` builds a
+    record from values its caller already made valid, skipping those
+    checks.  The mutable reports (`ranks.RankReport`, `wildcert.WildReport`)
+    share only its `__repr__`.
     """
 
     __slots__ = ()
@@ -43,6 +45,16 @@ class _Record:
     def _init(self, *values):
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+
+    @classmethod
+    def _of(cls, *values):
+        """A record over the values of its slots, in order, unchecked."""
+        record = object.__new__(cls)
+        record._init(*values)
+        return record
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -278,7 +290,8 @@ class Poly:
     `terms` maps exponent tuples to nonzero Fraction coefficients.  Zero
     coefficients are never stored, so equality of term maps is equality of
     polynomials.  `homogeneous_degree()` is computed once and kept in a
-    private slot, which equality and hashing ignore.
+    private slot, which equality and hashing ignore.  A copy or an unpickled
+    Poly is rebuilt through the constructor, so its terms are checked again.
     """
 
     __slots__ = ("table", "ring", "terms", "_degree")
@@ -302,6 +315,9 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        return Poly, (self.table, self.ring, self.terms)
 
     @classmethod
     def _of(cls, table: VarTable, ring: str, terms: dict) -> "Poly":

@@ -190,3 +190,24 @@ def naive_contract(alpha_terms, f_terms):
             r = tuple(b - a for a, b in zip(c, m))
             out[r] = out.get(r, Fraction(0)) + Fraction(ca) * Fraction(cf) * weight
     return {r: v for r, v in out.items() if v}
+
+
+def reexpanded_concise_dim(f):
+    """`apolarity.concise_dim` with one verification for every input: f is
+    projected onto a new table over the pivot variables, however many there
+    are, and the projection is re-expanded along the basis by
+    `Poly.substitute` and compared with f."""
+    from apolar import linalg
+    from apolar.apolarity import EssentialSpace, _int_catalecticant
+    from apolar.poly import PRIMAL, Poly, VarTable, linear_form
+
+    pivots, red = linalg.rref(_int_catalecticant(f, 1))
+    basis = tuple(linear_form(f.table, row) for row in red)
+    sub_table = VarTable.make([f.table.primal[p] for p in pivots],
+                              dual=[f.table.dual[p] for p in pivots])
+    others = [j for j in range(f.table.n) if j not in pivots]
+    reduced = Poly(sub_table, PRIMAL, {tuple(m[p] for p in pivots): c for m, c in f.terms.items()
+                                       if not any(m[j] for j in others)})
+    if reduced.substitute(list(basis)) != f:
+        raise ValueError("essential-variable reduction failed to reproduce the input")
+    return EssentialSpace(dim=len(pivots), basis=basis, reduced=reduced, table=sub_table)

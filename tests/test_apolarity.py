@@ -24,7 +24,13 @@ from apolar.parsing import parse_poly
 from apolar.poly import DUAL, PRIMAL, Poly, TableMismatchError, VarTable, linear_form, monomials
 from apolar.wildcert import theorem2_report, wild_cubic, wild_table
 
-from _oracle import naive_contract, naive_rank, poly_from_vector, random_poly
+from _oracle import (
+    naive_contract,
+    naive_rank,
+    poly_from_vector,
+    random_poly,
+    reexpanded_concise_dim,
+)
 
 T5 = wild_table()
 F = wild_cubic(T5)
@@ -159,6 +165,96 @@ def test_concise_reduction_after_mixing():
     es = concise_dim(p)
     assert es.dim == 2
     assert es.reduced.substitute(list(es.basis)) == p
+
+
+def _essential_corpus(seed, count):
+    """Forms with Fraction coefficients of degree 1-4 over tables of 1-5
+    variables, in equal shares: concise ones, forms in the first k variables
+    of the table (the others unused), and forms in k < n variables carried
+    into the table by a random integer map (GL-mixed)."""
+    rng = random.Random(seed)
+    names = ("a", "b", "c", "d", "e")
+    forms = []
+    while len(forms) < count:
+        table = VarTable.make(names[: rng.randint(1, 5)])
+        n, d = table.n, rng.randint(1, 4)
+        kind = ("concise", "unused", "mixed")[len(forms) % 3]
+        k = n if kind == "concise" else rng.randint(1, max(1, n - 1))
+        small = VarTable.make(names[:k])
+        monos = list(monomials(k, d))
+        g = Poly(small, PRIMAL, {m: Fraction(rng.choice((-5, -2, -1, 1, 3, 4)), rng.randint(1, 9))
+                                 for m in rng.sample(monos, rng.randint(1, min(len(monos), 6)))})
+        if kind == "mixed":
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+        else:  # the coordinate embedding of the first k variables
+            rows = [[int(i == j) for i in range(n)] for j in range(k)]
+        f = g.substitute([linear_form(table, row) for row in rows])
+        if not f.is_zero():
+            forms.append(f)
+    return forms
+
+
+def _substitute_counter(monkeypatch) -> list:
+    """Count the calls of Poly.substitute from here on: one entry per call."""
+    calls, real = [], Poly.substitute
+
+    def counted(self, images):
+        calls.append(self)
+        return real(self, images)
+
+    monkeypatch.setattr(Poly, "substitute", counted)
+    return calls
+
+
+def test_concise_dim_equals_the_reexpanded_reduction_on_every_route(monkeypatch):
+    forms = _essential_corpus(3535, 330)
+    expected = [reexpanded_concise_dim(f) for f in forms]
+    calls = _substitute_counter(monkeypatch)
+    routes = {"concise": 0, "coordinate": 0, "mixed": 0}
+    for f, want in zip(forms, expected):
+        before = len(calls)
+        es = concise_dim(f)
+        assert es == want and repr(es) == repr(want), f
+        if es.dim == f.table.n:
+            route = "concise"
+        elif all(len(b.terms) == 1 for b in es.basis):
+            route = "coordinate"
+        else:
+            route = "mixed"
+        assert len(calls) - before == (route == "mixed"), (f, route)
+        routes[route] += 1
+    assert min(routes.values()) >= 50, routes
+
+
+def test_a_concise_form_is_its_own_reduction_without_a_substitution(monkeypatch):
+    forms = [F, parse_poly("x^2 + y^2 + z^2"), parse_poly("1/2*x^3 - 3/4*x*y^2 + y^3")]
+    forms += [f for f in _essential_corpus(36, 60) if concise_dim(f).dim == f.table.n]
+    calls = _substitute_counter(monkeypatch)
+    for f in forms:
+        es = concise_dim(f)
+        assert es.reduced is f and es.table is f.table and es.dim == f.table.n
+    assert calls == []
+
+
+@pytest.mark.parametrize("text, vars, substitutions", [
+    ("x^3 + y^3 + z^3", "x,y,z", 0),  # concise: the dropped row leaves a coordinate basis
+    ("x^3 + y^3", "x,y,z", 0),  # coordinate route
+    ("(x+2*y)^3 + z^3", "x,y,z,w", 1),  # mixed route
+    ("(x+2*y)^3 + (z-w)^3", "x,y,z,w", 1),  # mixed route
+])
+def test_a_lost_pivot_row_fails_the_reduction_check(monkeypatch, text, vars, substitutions):
+    f = parse_poly(text, vars=vars.split(","))
+    real = linalg.rref
+
+    def drop_last_row(rows):
+        pivots, red = real(rows)
+        return pivots[:-1], red[:-1]
+
+    monkeypatch.setattr(linalg, "rref", drop_last_row)
+    calls = _substitute_counter(monkeypatch)
+    with pytest.raises(ValueError, match="essential-variable reduction failed to reproduce the input"):
+        concise_dim(f)
+    assert len(calls) == substitutions
 
 
 def test_catalecticant_entries_are_contractions_by_dual_monomials():

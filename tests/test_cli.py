@@ -1,14 +1,17 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from apolar import parse_poly, theorem2_report
+from apolar import apolarity, parse_poly, ranks, theorem2_report
+from apolar.apolarity import FormFacts
 from apolar.cli import _COMMANDS, _OPTIONS, _build_parser, _cert_dicts, main
+from apolar.poly import monomials
 from apolar.wildcert import limit_family_certificate
 from apolar.witness import double_point_span
 
@@ -62,6 +65,49 @@ def test_theorem2_prints_the_witnesses_of_its_own_records(capsys, poly, vars_, g
     assert code == 0
     assert doc["results"]["saturation_gammas"] == gammas
     assert doc["results"]["border_witness_rank"] == border_rank
+
+
+def _seeded_forms(seed, count):
+    """(text, vars) for forms of degree 2-5 in 2-6 variables with fractional
+    coefficients: sparse sums of monomials, some variables of the list
+    unused, and one in three plus the power of a linear form."""
+    rng = random.Random(seed)
+    names = ("a", "b", "c", "d", "e", "f")
+    out = []
+    for k in range(count):
+        n, d = rng.randint(2, 6), rng.randint(2, 5)
+        monos = list(monomials(n, d))
+        terms = [f"{rng.choice((3, 1, 2))}/{rng.randint(1, 4)}*"
+                 + "*".join(f"{v}^{e}" for v, e in zip(names, m) if e)
+                 for m in rng.sample(monos, rng.randint(1, min(len(monos), 6)))]
+        if k % 3 == 0:
+            terms.append(f"({names[0]} - {rng.randint(1, 3)}*{names[n - 1]})^{d}")
+        text = terms[0] + "".join(rng.choice((" + ", " - ")) + t for t in terms[1:])
+        out.append((text, ",".join(names[:n])))
+    return out
+
+
+def test_theorem2_slice2_dim_is_the_degree_two_annihilator_dimension(capsys):
+    for text, vars_ in _seeded_forms(3502, 120):
+        code, doc = run(capsys, "theorem2", "--poly", text, "--vars", vars_)
+        assert code in (0, 1) and doc["results"]["slice2_dim"] is not None, text
+        f = parse_poly(text, vars=vars_.split(","))
+        assert doc["results"]["slice2_dim"] == FormFacts(f).slice2.dim, text
+
+
+@pytest.mark.parametrize("poly, vars_, dim", [
+    ("x^2+y^2+z^2", None, 5),
+    ("x^2 + 2*x*y + y^2 + z^2", "x,y,z,w", 2),
+    ("x*y", None, 2),
+])
+def test_a_quadric_theorem2_request_builds_no_annihilator_slice(capsys, monkeypatch, poly, vars_, dim):
+    def refuse(*args):
+        raise AssertionError("ann_slice called")
+
+    monkeypatch.setattr(apolarity, "ann_slice", refuse)
+    monkeypatch.setattr(ranks, "ann_slice", refuse)
+    code, doc = run(capsys, "theorem2", "--poly", poly, *(("--vars", vars_) if vars_ else ()))
+    assert code == 0 and doc["results"]["slice2_dim"] == dim
 
 
 def test_annihilator_command(capsys):

@@ -16,7 +16,7 @@ from apolar.ideals import (
     slice_from_forms,
 )
 from apolar.parsing import parse_poly
-from apolar.poly import DUAL, Poly, TableMismatchError, VarTable, linear_form, monomials
+from apolar.poly import DUAL, PRIMAL, Poly, TableMismatchError, VarTable, linear_form, monomials
 from apolar.wildcert import wild_cubic, wild_table
 
 from _oracle import naive_rref, poly_from_vector, random_poly
@@ -128,6 +128,33 @@ def test_generated_slice_equals_the_naive_span_of_every_multiple():
     for gens in cases:
         for degree in (3, 4):
             assert list(generated_slice(gens, degree).basis) == naive_generated_slice(gens, degree)
+
+
+def test_the_slices_built_unchecked_are_what_the_checked_constructors_build():
+    # slice_from_forms, generated_slice and ann_slice skip IdealSlice's
+    # checks; rebuilt through IdealSlice(...) and Poly(...), each slice and
+    # each basis form is equal, with Fraction coefficients and no zero term
+    rng = random.Random(3503)
+    slices = []
+    for _ in range(40):
+        table = VarTable.make(("a", "b", "c", "d")[: rng.randint(1, 4)])
+        degree = rng.randint(1, 3)
+        forms = [random_poly(rng, table, DUAL, degree, max_terms=4, allow_zero=True)
+                 for _ in range(rng.randint(0, 5))]
+        slices.append(slice_from_forms(forms, degree, table))
+        gens = [g for g in forms if g] or [Poly.variable(table, 0, DUAL)]
+        slices.append(generated_slice(gens, degree + rng.randint(0, 2), table=table))
+        f = random_poly(rng, table, PRIMAL, rng.randint(1, 4), max_terms=5)
+        if f:  # the random terms may cancel
+            slices += [ann_slice(f, i) for i in range(f.homogeneous_degree() + 1)]
+    slices.append(SLICE2)
+    assert sum(sl.dim > 0 for sl in slices) >= 100
+    for sl in slices:
+        assert sl == IdealSlice(sl.degree, sl.basis, sl.table, sl.ring)
+        for b in sl.basis:
+            assert b == Poly(b.table, b.ring, b.terms) and b.table == sl.table
+            assert all(type(c) is Fraction and c for c in b.terms.values())
+            assert b.homogeneous_degree() == sl.degree
 
 
 def test_slice_from_forms_rejects_forms_of_another_degree():

@@ -135,14 +135,36 @@ def test_zero_denominator_rejected():
         parse_poly("1/0*x")
 
 
-def test_roundtrip_500_random_polynomials():
+def _random_polynomials() -> list:
+    """The nonzero ones of 500 seeded random polynomials in 4 variables."""
     rng = random.Random(2718)
     table = VarTable.make(("x0", "x1", "x2", "x3"))
-    for _ in range(500):
-        p = random_poly(rng, table, PRIMAL, rng.randint(0, 4), max_terms=6)
-        if p.is_zero():
-            continue
-        assert parse_poly(str(p), table=table) == p
+    polys = [random_poly(rng, table, PRIMAL, rng.randint(0, 4), max_terms=6) for _ in range(500)]
+    return [p for p in polys if not p.is_zero()]
+
+
+def test_roundtrip_500_random_polynomials():
+    for p in _random_polynomials():
+        assert parse_poly(str(p), table=p.table) == p
+
+
+def _assert_canonical(p):
+    """p equals itself rebuilt through the checked constructor, and its
+    terms are as that constructor leaves them."""
+    assert p == Poly(p.table, p.ring, p.terms)
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+    assert all(type(m) is tuple and len(m) == p.table.n for m in p.terms)
+
+
+def test_the_parsed_poly_is_what_the_checked_constructor_builds():
+    for p in _random_polynomials():
+        _assert_canonical(parse_poly(str(p), table=p.table))
+    rng = random.Random(1616)
+    table = VarTable.make(NAMES)
+    for _ in range(300):
+        _assert_canonical(parse_poly(_text(rng, _random_tree(rng, rng.randint(1, 5))), table=table))
+    for text in ("0", "3", "x - x", "2*x^0", "(x+y)^2 - 2*x*y", "1/2*x + 1/2*x"):
+        _assert_canonical(parse_poly(text, table=table))
 
 
 @st.composite

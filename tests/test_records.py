@@ -1,7 +1,10 @@
 """The value records of every module: their repr, equality, hashing,
-immutability, validation and `replace`.  The repr texts are those the
-records have always printed, field by field in declaration order."""
+immutability, validation, `replace`, pickling and copying.  The repr texts
+are those the records have always printed, field by field in declaration
+order."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -10,7 +13,15 @@ from apolar.apolarity import EssentialSpace, HilbertFn
 from apolar.ideals import IdealSlice, MembershipCertificate
 from apolar.poly import DUAL, Poly, TableMismatchError, VarTable
 from apolar.ranks import Deduction, EvidenceRecord, RankReport, SylvesterResult
-from apolar.wildcert import PowerSumDecomposition, ProductLocus, WildPresentation, WildReport
+from apolar.wildcert import (
+    PowerSumDecomposition,
+    ProductLocus,
+    WildPresentation,
+    WildReport,
+    theorem2_report,
+    wild_cubic,
+    wild_table,
+)
 from apolar.witness import DoublePointCertificate, TangentDatum, TangentFamily
 
 MUTABLE = (RankReport, WildReport)  # reports the pipeline fills in, compared by identity
@@ -155,3 +166,47 @@ def test_every_record_class_is_covered():
     assert len(REPRS) == len(examples()) == 16
     assert set(CHANGE) == set(REPRS) - {cls.__name__ for cls in MUTABLE}
 
+
+ROUND_TRIPS = {
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@pytest.mark.parametrize("trip", list(ROUND_TRIPS))
+def test_records_and_polys_survive_pickle_and_copy(trip):
+    round_trip = ROUND_TRIPS[trip]
+    for name, record in examples().items():
+        twin = round_trip(record)
+        assert type(twin) is type(record) and repr(twin) == REPRS[name]
+        assert _slot_values(twin) == _slot_values(record)  # the witness too
+        if type(record) not in MUTABLE:
+            assert twin == record and hash(twin) == hash(record)
+    x = Poly.variable(_T, 0)
+    assert round_trip(x * _Y - x) == x * _Y - x
+    assert round_trip(x).homogeneous_degree() == 1
+
+
+@pytest.mark.parametrize("trip", list(ROUND_TRIPS))
+def test_a_copied_or_unpickled_value_is_checked_again(trip):
+    # a copy is rebuilt through the public constructor, so a value built
+    # unchecked comes back canonical, or not at all when it is invalid
+    round_trip = ROUND_TRIPS[trip]
+    with pytest.raises(ValueError, match="unique across both rings"):
+        round_trip(VarTable._of(("x",), ("x",)))
+    loose = Poly._of(_T, "primal", {(1, 0): 2, (0, 1): Fraction(0)})
+    twin = round_trip(loose)
+    assert twin.terms == {(1, 0): Fraction(2)} and type(twin.terms[(1, 0)]) is Fraction
+
+
+@pytest.mark.parametrize("trip", list(ROUND_TRIPS))
+def test_a_wild_theorem2_report_survives_pickle_and_copy(trip):
+    rep = theorem2_report(wild_cubic(wild_table()))
+    twin = ROUND_TRIPS[trip](rep)
+    assert twin.final() == rep.final() == {"border": 5, "smoothable": 6, "cactus": 6, "rank": 9}
+    assert twin.certificates == rep.certificates and twin.evidence == rep.evidence
+    assert [repr(c) for c in twin.certificates] == [repr(c) for c in rep.certificates]
+    assert [c.witness for c in twin.certificates] == [c.witness for c in rep.certificates]
+    assert any(c.witness is not None for c in twin.certificates)
+    assert twin.report.as_dict() == rep.report.as_dict() and twin.notes == rep.notes
