@@ -32,12 +32,15 @@ class _Record:
     A subclass lists its fields in `__slots__` and hands their values, in
     that order, to `_init` from its own `__init__`, which checks them first.
     Equality, hashing and repr read the fields named in `_fields`, so a
-    field left out of it (a witness, say) takes no part in them; `replace`
-    copies every slot into a new record, and a copy or an unpickled record
-    is rebuilt from every slot, so their checks run again.  `_of` builds a
-    record from values its caller already made valid, skipping those
-    checks.  The mutable reports (`ranks.RankReport`, `wildcert.WildReport`)
-    share only its `__repr__`.
+    field left out of it (a witness, say) takes no part in them.  A copy or
+    an unpickled record is rebuilt through the constructor from the
+    arguments `__reduce__` returns, every slot by default, and `replace`
+    changes some of those same arguments, so the checks run again on both.
+    `_of` builds a record from values its caller already made valid,
+    skipping those checks.  `Poly` is a record too, whose cached degree
+    slot comes after its fields and is neither compared nor rebuilt.  The
+    mutable reports (`ranks.RankReport`, `wildcert.WildReport`) share only
+    its `__repr__`.
     """
 
     __slots__ = ()
@@ -81,7 +84,7 @@ class _Record:
 
     def replace(self, **changes):
         """A copy with the given fields changed."""
-        return type(self)(**{name: getattr(self, name) for name in self.__slots__} | changes)
+        return type(self)(**dict(zip(self.__slots__, self.__reduce__()[1])) | changes)
 
 
 class VarTable(_Record):
@@ -284,17 +287,23 @@ def _as_fraction(c) -> Fraction:
     raise TypeError(f"coefficient must be int or Fraction, got {type(c)!r}")
 
 
-class Poly:
+class Poly(_Record):
     """Immutable sparse polynomial over a variable table.
 
     `terms` maps exponent tuples to nonzero Fraction coefficients.  Zero
     coefficients are never stored, so equality of term maps is equality of
-    polynomials.  `homogeneous_degree()` is computed once and kept in a
-    private slot, which equality and hashing ignore.  A copy or an unpickled
-    Poly is rebuilt through the constructor, so its terms are checked again.
+    polynomials.  `Poly(...)` checks and converts outside input; the
+    inherited `Poly._of(table, ring, terms)` takes a term dict that is
+    already canonical (Fraction coefficients, all nonzero, exponent tuples
+    of the table's length) and neither checks nor copies it, so results of
+    Poly arithmetic come through `_of`.  `homogeneous_degree()` is computed
+    once and kept in a private slot, which equality and hashing ignore.  A
+    copy, an unpickled Poly or `replace` goes through the constructor, so
+    its terms are checked again.
     """
 
     __slots__ = ("table", "ring", "terms", "_degree")
+    _fields = ("table", "ring", "terms")
 
     def __init__(self, table: VarTable, ring: str, terms: Mapping):
         if ring not in (PRIMAL, DUAL):
@@ -309,27 +318,10 @@ class Poly:
             if len(mono) != n or any(e < 0 for e in mono):
                 raise ValueError(f"bad exponent tuple {mono} for {n} variables")
             clean[mono] = coeff
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        self._init(table, ring, clean)
 
     def __reduce__(self):
         return Poly, (self.table, self.ring, self.terms)
-
-    @classmethod
-    def _of(cls, table: VarTable, ring: str, terms: dict) -> "Poly":
-        """A Poly over a term dict that is already canonical: Fraction
-        coefficients, all nonzero, exponent tuples of the table's length.
-        Nothing is checked or copied; results of Poly arithmetic come here,
-        outside input goes through Poly(...)."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "table", table)
-        object.__setattr__(p, "ring", ring)
-        object.__setattr__(p, "terms", terms)
-        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -349,12 +341,8 @@ class Poly:
 
     # -- ring structure ----------------------------------------------------
 
-    def _check_compatible(self, other: "Poly"):
-        if self.table != other.table or self.ring != other.ring:
-            raise TableMismatchError("operands live over different tables or rings")
-
     def __add__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
+        _require_over((other,), self.table, self.ring)
         terms = dict(self.terms)
         for mono, c in other.terms.items():
             s = terms.get(mono, _ZERO) + c
@@ -373,7 +361,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        self._check_compatible(other)
+        _require_over((other,), self.table, self.ring)
         return Poly._of(self.table, self.ring,
                         {m: c for m, c in _int_product(self.terms, other.terms).items() if c})
 
@@ -416,14 +404,6 @@ class Poly:
             base = base * base if k > 1 else base
             k >>= 1
         return result
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poly)
-            and self.table == other.table
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
 
     def __hash__(self):
         return hash((self.table, self.ring, frozenset(self.terms.items())))

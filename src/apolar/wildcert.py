@@ -34,7 +34,7 @@ aggregates them once, with the cited rules `aggregate` applies.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from operator import mul
 from typing import Optional, Sequence
 
@@ -444,17 +444,10 @@ _POINT_COUNT = 11
 
 def _int_coeffs(forms: Sequence[Poly]) -> list:
     """Coefficient lists of dual linear forms, all multiplied by the least
-    positive integer that makes every entry an int; read off the terms."""
-    scale = lcm(*[c.denominator for b in forms for c in b.terms.values()])
-    out = []
-    for b in forms:
-        v = [0] * b.table.n
-        for m, c in b.terms.items():
-            if sum(m) != 1:
-                raise ValueError("not a linear form")
-            v[m.index(1)] = c.numerator * (scale // c.denominator)
-        out.append(v)
-    return out
+    positive integer that makes every entry an int: one `_cleared` call over
+    every coefficient, cut back into one row per form."""
+    ints = iter(_cleared([c for b in forms for c in linear_coeffs(b)])[0])
+    return [[next(ints) for _ in range(b.table.n)] for b in forms]
 
 
 def _combine(a: Sequence, vecs: Sequence) -> list:

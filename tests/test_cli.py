@@ -602,6 +602,16 @@ def test_bad_variable_lists_are_input_errors(capsys, argv):
     (["hilbert", "--poly", "x^\u00b2"], "error: line 1, column 3: unexpected character '\u00b2'"),
     (["hilbert", "--poly", "x^2+y^2", "--vars", "x, y"],
      "error: variable name ' y' is not an identifier"),
+    # and the checks each command makes on the values it reads
+    (["hilbert", "--poly", "0"], "error: the zero polynomial is not a valid input here"),
+    (["hilbert", "--poly", "x-x"], "error: the zero polynomial is not a valid input here"),
+    (["double-points", "--poly", "x^2*y", "--pairs", "x"], "error: bad pair 'x': expected \"l,m\""),
+    (["double-points", "--poly", "x^2*y", "--pairs", "x,y,z"],
+     "error: bad pair 'x,y,z': expected \"l,m\""),
+    (["direct-sum", "--poly", "x^3", "--poly2", "u^2+u"],
+     "error: --poly2 must be homogeneous and nonzero"),
+    (["direct-sum", "--poly", "x^3", "--poly2", "0"], "error: --poly2 must be homogeneous and nonzero"),
+    (["macaulay", "--dim", "-1", "--degree", "2"], "error: dimension must be non-negative"),
 ])
 def test_non_ascii_text_and_non_identifier_names_are_input_errors(capsys, argv, message):
     code = main(argv)

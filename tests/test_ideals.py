@@ -239,6 +239,14 @@ def test_non_membership_in_degree_two():
     assert not SLICE2.contains(probe)
 
 
+def test_a_slice_contains_zero_and_no_form_of_another_degree():
+    # a cubic has no degree-2 coefficients, so only the degree check keeps
+    # it out: its zero coefficient vector lies in every span
+    assert SLICE2.contains(Poly.zero(T5, DUAL))
+    for form in (dual("d_x0^3"), dual("d_x0"), dual("d_x0^2*d_y0 + d_y1^2")):
+        assert not SLICE2.contains(form)
+
+
 def test_self_membership():
     g = dual("d_y0^2 + d_x0*d_y2")
     cert = membership(g, [g])

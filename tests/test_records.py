@@ -36,6 +36,7 @@ def examples() -> dict:
     ded = Deduction("rank", "upper", 3, rule="power-sum", detail="3 exact cubes")
     records = [
         VarTable(("x", "y"), ("d_x", "d_y")),
+        x * y - y ** 2,
         HilbertFn((1, 2, 1)),
         EssentialSpace(dim=1, basis=(x + y,), reduced=x ** 3, table=VarTable.make(("x",))),
         IdealSlice(degree=1, basis=(dx - dy,), table=t),
@@ -61,6 +62,7 @@ DED = ("Deduction(notion='rank', side='upper', value=3, rule='power-sum',"
        " detail='3 exact cubes', basis='computed')")
 REPRS = {
     "VarTable": "VarTable(primal=('x', 'y'), dual=('d_x', 'd_y'))",
+    "Poly": "Poly(primal: x*y - y^2)",
     "HilbertFn": "HilbertFn(values=(1, 2, 1))",
     "EssentialSpace": "EssentialSpace(dim=1, basis=(Poly(primal: x + y),), reduced=Poly(primal:"
                       " x^3), table=VarTable(primal=('x',), dual=('d_x',)))",
@@ -96,6 +98,7 @@ _X, _Y = Poly.variable(_T, 0), Poly.variable(_T, 1)
 # per frozen class: a field and another valid value for it
 CHANGE = {
     "VarTable": ("dual", ("e_x", "e_y")),
+    "Poly": ("terms", {(1, 1): Fraction(2)}),
     "HilbertFn": ("values", (1, 1)),
     "EssentialSpace": ("dim", 2),
     "IdealSlice": ("basis", ()),
@@ -115,6 +118,9 @@ CHANGE = {
 INVALID = {
     "VarTable": [({"dual": ("d_x",)}, ValueError, "differ in length"),
                  ({"dual": ("y", "d_y")}, ValueError, "unique across both rings")],
+    "Poly": [({"ring": "mixed"}, ValueError, "unknown ring tag 'mixed'"),
+             ({"terms": {(1,): 1}}, ValueError, "bad exponent tuple"),
+             ({"terms": {(1, 0): 0.5}}, TypeError, "coefficient must be int or Fraction")],
     "Deduction": [({"notion": "width"}, ValueError, "unknown notion 'width'"),
                   ({"side": "middle"}, ValueError, "unknown side 'middle'")],
     "IdealSlice": [({"degree": 2}, ValueError, "slice basis element of wrong degree"),
@@ -128,7 +134,9 @@ INVALID = {
 
 
 def _slot_values(record) -> dict:
-    return {name: getattr(record, name) for name in type(record).__slots__}
+    """Every slot but a private cache, such as a Poly's degree."""
+    return {name: getattr(record, name) for name in type(record).__slots__
+            if not name.startswith("_")}
 
 
 @pytest.mark.parametrize("name", list(REPRS))
@@ -163,8 +171,22 @@ def test_a_record_keeps_its_value_semantics(name):
 
 
 def test_every_record_class_is_covered():
-    assert len(REPRS) == len(examples()) == 16
+    assert len(REPRS) == len(examples()) == 17
     assert set(CHANGE) == set(REPRS) - {cls.__name__ for cls in MUTABLE}
+
+
+def test_a_poly_is_frozen_in_every_slot_and_replace_checks_it_again():
+    p = _X * _Y - _Y ** 2
+    assert p.homogeneous_degree() == 2  # fills the cache slot
+    for name in type(p).__slots__:
+        with pytest.raises(AttributeError, match="^Poly is immutable$"):
+            delattr(p, name)
+        with pytest.raises(AttributeError, match="^Poly is immutable$"):
+            setattr(p, name, None)
+    assert p.terms == {(1, 1): 1, (0, 2): -1} and p.homogeneous_degree() == 2
+    q = p.replace(terms={(3, 0): 3, (0, 3): Fraction(0)})
+    assert q == 3 * _X ** 3 and type(q.terms[(3, 0)]) is Fraction and q.homogeneous_degree() == 3
+    assert p.replace(ring=DUAL) == Poly(_T, DUAL, p.terms) != p
 
 
 ROUND_TRIPS = {

@@ -1151,3 +1151,52 @@ def test_counting_stages_follow_the_perp_products_and_the_confinement_proof():
         assert stages == expected
         outcomes.add(tuple(expected))
     assert len(outcomes) >= 2
+
+
+COUNTING_STAGES = ("shape", "slice-dimension", "perp-squares", "square-confinement",
+                   "quadric-count", "product-locus", "factor-family", "forced-square",
+                   "product-propagation")
+
+
+def _locus_shape_error(*args):
+    raise LocusShapeError("the solution locus is not a degree-2 hypersurface")
+
+
+def _four_samples(*args):
+    locus = product_locus(*args)
+    return locus.replace(samples=locus.samples[:4])
+
+
+# per case: (module-level check, its stand-in, the failed stage, its log detail);
+# the slice-dimension stage cannot fail on a concise 5-variable cubic
+COUNTING_FAILURES = {
+    "not-confined": ("squares_confined", lambda *args: False, "square-confinement",
+                     "not proved that every square in the annihilator slice comes from the perp span"),
+    "locus-shape": ("product_locus", _locus_shape_error, "product-locus",
+                    "the solution locus is not a degree-2 hypersurface"),
+    "not-smooth": ("product_locus", lambda *args: product_locus(*args).replace(smooth=False),
+                   "product-locus", "the solution quadric is not a smooth conic"),
+    "four-samples": ("product_locus", _four_samples, "product-locus",
+                     "only 4 verified rational samples"),
+    "factor-family": ("gamma_space", lambda *args: 3, "factor-family", None),
+    "forced-square": ("forced_square_check", lambda *args: False, "forced-square",
+                      "a linear form outside the perp span multiplies the whole perp basis"
+                      " into the annihilator"),
+}
+
+
+@pytest.mark.parametrize("case", list(COUNTING_FAILURES))
+def test_counting_certificate_reports_each_failed_stage_on_the_wild_cubic(case, monkeypatch):
+    from apolar import wildcert
+
+    name, stand_in, failed, detail = COUNTING_FAILURES[case]
+    if detail is None:  # the first sample's point is named in the detail
+        u = rank9_lower_cert(FACTS, PRES.square_pairs).witness.samples[0][0]
+        detail = f"factor family at {tuple(u)} has dimension 3, need 4"
+    monkeypatch.setattr(wildcert, name, stand_in)
+    record = rank9_lower_cert(FACTS, PRES.square_pairs)
+    assert [s.kind for s in record.stages] == list(COUNTING_STAGES[:COUNTING_STAGES.index(failed) + 1])
+    assert all(s.verified for s in record.stages[:-1])
+    assert record.failed_stage == failed
+    assert record.stage_log[-1] == f"{failed} [computed]: FAILED — {detail}"
+    assert record.verified is False and record.witness is None and record.certified() == ()
