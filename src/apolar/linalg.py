@@ -1,10 +1,11 @@
 """Deterministic exact linear algebra over the rationals.
 
 Inputs are rows of ints and Fractions, and everything is computed in
-integers: each row is cleared of denominators once, and a Fraction is built
-only for an entry that is returned (`rank` builds none; since rank(A) =
-rank(A^T), it eliminates whichever of the two has fewer rows).  Two
-eliminations serve the two shapes of row that reach this module:
+integers: a row of ints is taken as it is, only a row that holds a Fraction
+is cleared of denominators, once, and a Fraction is built only for an entry
+that is returned (`rank` builds none; since rank(A) = rank(A^T), it
+eliminates whichever of the two has fewer rows).  Two eliminations serve the
+two shapes of row that reach this module:
 
 - Dense rows (lists, one entry per column: catalecticants, kernels of small
   systems, spans of a few vectors) go through `rref`, `rank`,
@@ -47,21 +48,21 @@ Vector = list  # list of Fraction
 
 
 def _to_int_rows(rows: Sequence[Sequence]) -> list:
-    """Scale each row by the lcm of denominators and divide out the content;
-    zero rows are dropped.  Entries are ints or Fractions."""
+    """Each nonzero row as a list of ints divided by their content; zero rows
+    are dropped.  A row of ints is taken as it is, its content read by one
+    `gcd` call; `gcd` refuses a Fraction, so only a row that holds one is
+    first scaled by the lcm of its denominators."""
     out = []
     for r in rows:
-        den = lcm(*[c.denominator for c in r])
-        if den == 1:
-            ints = [c.numerator for c in r]
-        else:
-            ints = [c.numerator * (den // c.denominator) for c in r]
-        g = gcd(*ints)
+        try:
+            g = gcd(*r)
+        except TypeError:  # a Fraction entry
+            den = lcm(*[c.denominator for c in r])
+            r = [c.numerator * (den // c.denominator) for c in r]
+            g = gcd(*r)
         if g == 0:
             continue
-        if g > 1:
-            ints = [c // g for c in ints]
-        out.append(ints)
+        out.append([c // g for c in r] if g > 1 else list(r))
     return out
 
 

@@ -172,11 +172,18 @@ def parse_poly(
 ) -> Poly:
     """Parse an expression into a fully expanded Poly.
 
-    Exactly one of `table` / `vars` may pin the variable set; otherwise
-    variables are auto-collected in first-appearance order.  A variable list
-    with an empty, non-identifier, repeated or clashing name, or dual names
-    that do not match the variables in number, raises ParseError.
+    At most one of `table` / `vars` may pin the variable set; otherwise
+    variables are auto-collected in first-appearance order.  `dual_names`
+    names the dual variables of a PRIMAL form's new table.  A table given
+    with `vars` or `dual_names`, dual names for a DUAL form (whose names
+    are the dual ones), a variable list with an empty, non-identifier,
+    repeated or clashing name, or dual names that do not match the
+    variables in number, raises ParseError.
     """
+    if table is not None and (vars is not None or dual_names is not None):
+        raise ParseError("a table fixes the variables: vars and dual_names must not come with it")
+    if dual_names is not None and ring == DUAL:
+        raise ParseError("a dual form is named by vars: dual_names must not come with ring=DUAL")
     toks = _tokenize(text)
     if table is None:
         names = list(vars) if vars is not None else _identifiers(toks)

@@ -37,17 +37,19 @@ class _Record:
     arguments `__reduce__` returns, every slot by default, and `replace`
     changes some of those same arguments, so the checks run again on both.
     `_of` builds a record from values its caller already made valid,
-    skipping those checks.  `Poly` is a record too, whose cached degree
-    slot comes after its fields and is neither compared nor rebuilt.  The
-    mutable reports (`ranks.RankReport`, `wildcert.WildReport`) share only
-    its `__repr__`.
+    skipping those checks.  Both fill the slots through `_init`, which calls
+    the slot descriptors' `__set__` methods that each class keeps in
+    `_setters`, read once when the class is made.  `Poly` is a record too,
+    whose cache slots come after its fields and are neither compared nor
+    rebuilt.  The mutable reports (`ranks.RankReport`,
+    `wildcert.WildReport`) share only its `__repr__`.
     """
 
     __slots__ = ()
 
     def _init(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     @classmethod
     def _of(cls, *values):
@@ -67,6 +69,7 @@ class _Record:
 
     def __init_subclass__(cls):
         cls._key = attrgetter(*cls._fields)  # the compared fields, read in one call
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __eq__(self, other):
         if self is other:
@@ -223,27 +226,41 @@ def _require_over(forms, table: VarTable, ring: str) -> None:
 
 def _linear_entries(l: "Poly", table: VarTable, ring: str) -> tuple:
     """(entries, den) for a linear form over (table, ring): den clears its
-    coefficients and entries are the (slot, int) pairs of den * l."""
+    coefficients and entries is the tuple of (slot, int) pairs of den * l.
+
+    The pair is worked out once per Poly and kept in its private `_linear`
+    slot; the table and ring are checked on every call, and a form that is
+    not linear raises ValueError on every call, since nothing is kept for
+    it.
+    """
     _require_over((l,), table, ring)
+    try:
+        return l._linear
+    except AttributeError:  # first call: the slot is still empty
+        pass
     if l.terms and l.homogeneous_degree() != 1:
         raise ValueError(f"{l} is not a linear form")
     ints, den = _cleared(l.terms.values())
-    return [(m.index(1), a) for m, a in zip(l.terms, ints)], den
+    linear = tuple((m.index(1), a) for m, a in zip(l.terms, ints)), den
+    object.__setattr__(l, "_linear", linear)
+    return linear
 
 
 def expand_products(table: VarTable, ring: str, summands) -> "Poly":
     """sum(w * prod(l ** k for l, k in factors) for w, factors in summands),
     each l a linear form over (table, ring), zero allowed.
 
-    The sum is taken in integers over one common denominator: each distinct
-    form is cleared of denominators once, each (form, k) power is expanded
-    once by the multinomial formula, and one Fraction is built per output
-    term.  Raises ValueError on a factor that is not linear and
-    TableMismatchError on one over another table or ring.
+    The sum is taken in integers over one common denominator: each form's
+    cleared entries come from `_linear_entries`, which works them out once
+    per Poly, each (form, k) power is expanded once by the multinomial
+    formula, and one Fraction is built per output term.  Raises ValueError
+    on a factor that is not linear and TableMismatchError on one over
+    another table or ring.
     """
     n = table.n
-    cleared = {}  # id(form) -> (form, entries, den); holding the form keeps its id unique
-    powers = {}  # (id(form), k) -> (int terms of (den * form) ** k, den ** k)
+    # (id(form), k) -> (int terms of (den * form) ** k, den ** k, form); holding
+    # the form keeps its id unique
+    powers = {}
     parts = []  # (weight numerator, int terms, denominator)
     for w, factors in summands:
         w = _as_fraction(w)
@@ -253,10 +270,8 @@ def expand_products(table: VarTable, ring: str, summands) -> "Poly":
         for l, k in factors:
             power = powers.get((id(l), k))
             if power is None:
-                hit = cleared.get(id(l))
-                if hit is None:
-                    hit = cleared[id(l)] = (l, *_linear_entries(l, table, ring))
-                power = powers[id(l), k] = (_power_terms(hit[1], k, n), hit[2] ** k)
+                entries, den_l = _linear_entries(l, table, ring)
+                power = powers[id(l), k] = (_power_terms(entries, k, n), den_l ** k, l)
             terms = power[0] if terms is None else _int_product(terms, power[0])
             den *= power[1]
         parts.append((w.numerator, {(0,) * n: 1} if terms is None else terms, den))
@@ -296,13 +311,14 @@ class Poly(_Record):
     inherited `Poly._of(table, ring, terms)` takes a term dict that is
     already canonical (Fraction coefficients, all nonzero, exponent tuples
     of the table's length) and neither checks nor copies it, so results of
-    Poly arithmetic come through `_of`.  `homogeneous_degree()` is computed
-    once and kept in a private slot, which equality and hashing ignore.  A
-    copy, an unpickled Poly or `replace` goes through the constructor, so
-    its terms are checked again.
+    Poly arithmetic come through `_of`.  `homogeneous_degree()` and, for a
+    linear form, its cleared `_linear_entries` are computed once and kept in
+    private slots, `_degree` and `_linear`, which equality, hashing and repr
+    ignore.  A copy, an unpickled Poly or `replace` goes through the
+    constructor, so its terms are checked again and no cache comes along.
     """
 
-    __slots__ = ("table", "ring", "terms", "_degree")
+    __slots__ = ("table", "ring", "terms", "_degree", "_linear")
     _fields = ("table", "ring", "terms")
 
     def __init__(self, table: VarTable, ring: str, terms: Mapping):

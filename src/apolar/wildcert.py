@@ -34,7 +34,7 @@ aggregates them once, with the cited rules `aggregate` applies.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from operator import mul
 from typing import Optional, Sequence
 
@@ -46,6 +46,7 @@ from .poly import (
     Poly,
     VarTable,
     _cleared,
+    _linear_entries,
     _monomial_index,
     _Record,
     _require_over,
@@ -444,10 +445,17 @@ _POINT_COUNT = 11
 
 def _int_coeffs(forms: Sequence[Poly]) -> list:
     """Coefficient lists of dual linear forms, all multiplied by the least
-    positive integer that makes every entry an int: one `_cleared` call over
-    every coefficient, cut back into one row per form."""
-    ints = iter(_cleared([c for b in forms for c in linear_coeffs(b)])[0])
-    return [[next(ints) for _ in range(b.table.n)] for b in forms]
+    positive integer that makes every entry an int: the lcm of the forms'
+    denominators.  Each form's cleared entries come from `_linear_entries`,
+    kept on the form, and are scaled by that lcm over the form's own
+    denominator.  ValueError for a form that is not linear."""
+    cleared = [_linear_entries(b, b.table, b.ring) for b in forms]
+    scale = lcm(*[den for _, den in cleared])
+    rows = [[0] * b.table.n for b in forms]
+    for row, (entries, den) in zip(rows, cleared):
+        for slot, a in entries:
+            row[slot] = a * (scale // den)
+    return rows
 
 
 def _combine(a: Sequence, vecs: Sequence) -> list:

@@ -142,6 +142,38 @@ def naive_substitute(terms, images, nvars):
     return {m: v for m, v in out.items() if v}
 
 
+def naive_expand_products(nvars, summands):
+    """sum(w * prod(l ** k for l, k in factors) for w, factors in summands)
+    as a term map in nvars variables: every power by repeated products of
+    the form's own terms, in Fraction arithmetic; zero coefficients dropped."""
+    out = {}
+    for w, factors in summands:
+        piece = {(0,) * nvars: Fraction(w)}
+        for l, k in factors:
+            piece = naive_product_terms(piece, naive_power_terms(l.terms, nvars, k))
+        for m, v in piece.items():
+            out[m] = out.get(m, Fraction(0)) + v
+    return {m: v for m, v in out.items() if v}
+
+
+def naive_cleared_rows(forms):
+    """The dense coefficient rows of linear forms, one per form, all scaled
+    by the lcm of every entry's denominator, zero entries included;
+    ValueError for a form with a term that is not of degree 1."""
+    from math import lcm
+
+    rows = []
+    for f in forms:
+        row = [Fraction(0)] * f.table.n
+        for m, c in f.terms.items():
+            if sum(m) != 1:
+                raise ValueError("not a linear form")
+            row[m.index(1)] = Fraction(c)
+        rows.append(row)
+    den = lcm(*(c.denominator for row in rows for c in row))
+    return [[int(c * den) for c in row] for row in rows]
+
+
 def naive_perturbed_power(c, base, direction, nvars, d):
     """c * (base + t*direction)^d as {monomial: {t-power: coefficient}}, one
     binomial piece c * C(d, j) * base^(d-j) * direction^j per t-power j."""

@@ -332,3 +332,58 @@ def test_empty_input():
     assert linalg.rank([]) == 0
     assert linalg.kernel_basis([], 2) == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
     assert linalg.solve_columns([], []) == []
+
+
+def _int_corpus(count=500, seed=3707):
+    """Seeded integer matrices (rows, ncols): zero rows, rows with content
+    above 1 and negative leading entries mixed in, and one empty row list."""
+    rng = random.Random(seed)
+    corpus = [([], rng.randint(1, 5))]
+    while len(corpus) < count:
+        ncols = rng.randint(1, 6)
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            kind = rng.random()
+            if kind < 0.15:
+                row = [0] * ncols
+            else:
+                row = [rng.randint(-5, 5) for _ in range(ncols)]
+                if kind < 0.45:
+                    row = [rng.choice((-6, -4, 2, 3, 9)) * x for x in row]
+                if kind > 0.8 and any(row):  # a negative leading entry
+                    lead = next(x for x in row if x)
+                    row = [-x for x in row] if lead > 0 else row
+            rows.append(row)
+        corpus.append((rows, ncols))
+    return corpus
+
+
+def _linalg_results(rows, ncols, target):
+    return repr((linalg.rref(rows), linalg.rank(rows), linalg.kernel_basis(rows, ncols),
+                 linalg.int_kernel_basis(rows, ncols), linalg.solve_columns(rows, target)))
+
+
+def test_int_rows_reduce_as_their_fraction_copies_do():
+    # int rows are taken as they are, and a row holding a Fraction, the last
+    # entry alone included (gcd refuses it part-way), is cleared first
+    corpus = _int_corpus()
+    assert len(corpus) >= 500 and corpus[0][0] == []
+    assert any(r and not any(r) for rows, _ in corpus for r in rows)
+    assert any(gcd(*r) > 1 for rows, _ in corpus for r in rows)
+    assert any(next((x for x in r if x), 0) < 0 for rows, _ in corpus for r in rows)
+    before = repr(corpus)
+    rng = random.Random(3708)
+    for rows, ncols in corpus:
+        target = [rng.randint(-3, 3) for _ in range(ncols)]
+        want = _linalg_results(rows, ncols, target)
+        shapes = (
+            [tuple(r) for r in rows],
+            [[Fraction(x) for x in r] for r in rows],
+            [r[:-1] + [Fraction(r[-1])] for r in rows],
+        )
+        for twin in shapes:
+            assert _linalg_results(twin, ncols, [Fraction(t) for t in target]) == want
+        assert linalg.rref(rows) == naive_rref(rows)
+        assert linalg.rank(rows) == naive_rank(rows)
+        assert linalg.solve_columns(rows, target) == naive_solve(rows, target)
+    assert repr(corpus) == before  # no input row was changed

@@ -100,6 +100,34 @@ def test_bad_variable_lists_are_parse_errors(kwargs, message):
     assert "line" not in str(err.value)
 
 
+_AB = VarTable.make(["a", "b"])
+
+
+@pytest.mark.parametrize("text, kwargs, message", [
+    # a table already names both rings, so a name list given with it would be dropped
+    ("a+b", {"vars": ["x", "y"], "table": _AB}, "a table fixes the variables"),
+    ("a+b", {"vars": ["a", "b"], "table": _AB}, "a table fixes the variables"),
+    ("a+b", {"dual_names": ["u", "v"], "table": _AB}, "a table fixes the variables"),
+    ("d_a", {"dual_names": ["u", "v"], "table": _AB, "ring": DUAL}, "a table fixes the variables"),
+    # a dual form's names are its variable list; its primal names are generated
+    ("x+y", {"vars": ["x", "y"], "ring": DUAL, "dual_names": ["u", "v"]}, "dual_names must not"),
+    ("x+y", {"ring": DUAL, "dual_names": ["u", "v"]}, "dual_names must not"),
+])
+def test_arguments_parse_poly_would_drop_are_parse_errors(text, kwargs, message):
+    with pytest.raises(ParseError, match=message) as err:
+        parse_poly(text, **kwargs)
+    assert err.value.line is None and err.value.col is None
+
+
+def test_each_way_of_naming_the_variables_alone_still_parses():
+    assert parse_poly("a+b", table=_AB) == Poly(_AB, PRIMAL, {(1, 0): 1, (0, 1): 1})
+    assert parse_poly("d_a", table=_AB, ring=DUAL) == Poly.variable(_AB, 0, DUAL)
+    p = parse_poly("x+y", vars=["x", "y"], dual_names=["u", "v"])
+    assert p.table == VarTable(("x", "y"), ("u", "v")) and p.ring == PRIMAL
+    q = parse_poly("x+y", vars=["x", "y"], ring=DUAL)
+    assert q.table == VarTable(("p_x", "p_y"), ("x", "y")) and q.ring == DUAL
+
+
 @pytest.mark.parametrize("text, char, line, col", [
     ("x^²", "²", 1, 3),  # a superscript digit is not an exponent
     ("x*y²", "²", 1, 4),  # nor part of a name

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -14,13 +16,23 @@ from apolar.poly import (
     Poly,
     TableMismatchError,
     VarTable,
+    _linear_entries,
+    expand_products,
     linear_form,
     monomial_count,
     monomials,
 )
 from apolar.parsing import parse_poly
+from apolar.wildcert import _int_coeffs
 
-from _oracle import naive_power_terms, naive_substitute, poly_from_vector, random_poly
+from _oracle import (
+    naive_cleared_rows,
+    naive_expand_products,
+    naive_power_terms,
+    naive_substitute,
+    poly_from_vector,
+    random_poly,
+)
 
 
 T2 = VarTable.make(("x", "y"))
@@ -341,3 +353,93 @@ def test_degree_memo_leaves_poly_immutable_and_equality_alone():
     mixed = parse_poly("x^2 + y", table=T3)
     assert mixed.homogeneous_degree() is None and mixed.homogeneous_degree() is None
     assert Poly.zero(T3).homogeneous_degree() is None
+
+
+# -- a linear form's cleared entries are remembered per polynomial
+
+def test_the_linear_cache_takes_no_part_in_the_value():
+    coeffs = [Fraction(1, 2), 0, -3, Fraction(2, 3)]
+    l, twin = linear_form(T5, coeffs, DUAL), linear_form(T5, coeffs, DUAL)
+    before = (hash(l), repr(l))
+    entries = _linear_entries(l, T5, DUAL)
+    assert entries == (((0, 3), (2, -18), (3, 4)), 6) and l._linear is entries
+    assert _linear_entries(l, T5, DUAL) is entries  # read back, not worked out again
+    assert l == twin and twin == l and (hash(l), repr(l)) == before == (hash(twin), repr(twin))
+    with pytest.raises(AttributeError, match="immutable"):
+        setattr(l, "_linear", None)
+    trips = (lambda p: pickle.loads(pickle.dumps(p)), copy.copy, copy.deepcopy, lambda p: p.replace())
+    for trip in trips:
+        other = trip(l)
+        assert other is not l and other == l and hash(other) == hash(l)
+        assert not hasattr(other, "_linear")  # no cache carried over
+        assert _linear_entries(other, T5, DUAL) == entries
+    changed = l.replace(terms={(0, 1, 0, 0, 0): 2})
+    assert not hasattr(changed, "_linear") and _linear_entries(changed, T5, DUAL) == (((1, 2),), 1)
+
+
+def test_a_warm_linear_cache_still_checks_the_table_and_ring():
+    l = linear_form(T5, [1, Fraction(1, 3)], DUAL)
+    _linear_entries(l, T5, DUAL)
+    for table, ring in ((T5, PRIMAL), (T2, DUAL)):
+        with pytest.raises(TableMismatchError, match="another table or ring"):
+            _linear_entries(l, table, ring)
+        with pytest.raises(TableMismatchError):
+            expand_products(table, ring, [(1, [(l, 2)])])
+
+
+@pytest.mark.parametrize("text", ["x0^2 + x1", "x0*y0", "3", "x0 + 1"])
+def test_a_form_that_is_not_linear_is_refused_on_every_call(text):
+    q = parse_poly(text, table=T5)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="is not a linear form"):
+            _linear_entries(q, T5, PRIMAL)
+        with pytest.raises(ValueError, match="is not a linear form"):
+            expand_products(T5, PRIMAL, [(1, [(q, 2)])])
+        with pytest.raises(ValueError, match="is not a linear form"):
+            _int_coeffs([Poly.variable(T5, 0), q])
+        assert not hasattr(q, "_linear")
+
+
+def _fraction_linear_forms(rng, ring, count):
+    """Linear forms over T5 with Fraction coefficients, a zero form among them."""
+    forms = [Poly.zero(T5, ring)]
+    while len(forms) < count:
+        coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) if rng.random() < 0.6 else 0
+                  for _ in range(T5.n)]
+        forms.append(linear_form(T5, coeffs, ring))
+    return forms
+
+
+def test_expand_products_on_a_cold_and_a_warm_cache_is_the_naive_expansion():
+    for seed in range(40):
+        rng = random.Random(3700 + seed)
+        ring = (PRIMAL, DUAL)[seed % 2]
+        forms = _fraction_linear_forms(rng, ring, 6)
+        summands = [(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                     [(rng.choice(forms), rng.randint(0, 3)) for _ in range(rng.randint(0, 3))])
+                     for _ in range(rng.randint(0, 5))]
+        want = naive_expand_products(T5.n, summands)
+        assert not any(hasattr(l, "_linear") for l in forms)
+        cold = expand_products(T5, ring, summands)
+        warm = expand_products(T5, ring, summands)
+        assert cold.terms == warm.terms == want
+        assert all(type(c) is Fraction for c in cold.terms.values())
+        # equal forms that are other objects start cold and give the same sum
+        fresh = [(w, [(Poly(l.table, l.ring, l.terms), k) for l, k in factors])
+                 for w, factors in summands]
+        assert expand_products(T5, ring, fresh) == cold
+
+
+def test_int_coeffs_is_the_dense_row_clearing_on_a_cold_and_a_warm_cache():
+    for seed in range(40):
+        rng = random.Random(3750 + seed)
+        forms = _fraction_linear_forms(rng, DUAL, 6)
+        picked = [rng.choice(forms) for _ in range(rng.randint(0, 6))]
+        want = naive_cleared_rows(picked)
+        cold = _int_coeffs(picked)
+        assert cold == _int_coeffs(picked) == want
+        assert all(type(x) is int for row in cold for x in row)
+        # a cache filled by expand_products serves _int_coeffs alike
+        others = [Poly(l.table, l.ring, l.terms) for l in picked]
+        expand_products(T5, DUAL, [(1, [(l, 1)]) for l in others])
+        assert _int_coeffs(others) == want

@@ -11,7 +11,7 @@ import pytest
 
 from apolar.apolarity import EssentialSpace, HilbertFn
 from apolar.ideals import IdealSlice, MembershipCertificate
-from apolar.poly import DUAL, Poly, TableMismatchError, VarTable
+from apolar.poly import DUAL, Poly, TableMismatchError, VarTable, _Record
 from apolar.ranks import Deduction, EvidenceRecord, RankReport, SylvesterResult
 from apolar.wildcert import (
     PowerSumDecomposition,
@@ -173,6 +173,28 @@ def test_a_record_keeps_its_value_semantics(name):
 def test_every_record_class_is_covered():
     assert len(REPRS) == len(examples()) == 17
     assert set(CHANGE) == set(REPRS) - {cls.__name__ for cls in MUTABLE}
+
+
+def test_every_record_class_keeps_one_setter_per_slot():
+    classes, todo = [], [_Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("apolar."):
+                classes.append(sub)
+    assert {cls.__name__ for cls in classes} == set(CHANGE)
+    for cls in classes:
+        assert len(cls._setters) == len(cls.__slots__)
+        blank = object.__new__(cls)
+        for name, setter in zip(cls.__slots__, cls._setters):
+            assert setter.__self__ is cls.__dict__[name]  # the slot's own descriptor
+            value = object()
+            setter(blank, value)
+            assert getattr(blank, name) is value
+    # _init fills the leading slots, and a Poly's caches stay empty
+    p = Poly._of(_T, DUAL, {(1, 0): Fraction(1)})
+    assert (p.table, p.ring, p.terms) == (_T, DUAL, {(1, 0): 1})
+    assert not hasattr(p, "_degree") and not hasattr(p, "_linear")
 
 
 def test_a_poly_is_frozen_in_every_slot_and_replace_checks_it_again():
